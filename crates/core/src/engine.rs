@@ -331,6 +331,9 @@ fn search_inner(
     // carry step counts, never seconds (rule HDX011 enforces this).
     let _search_span = hdx_obs::span("engine.search");
     OBS_SEARCHES.incr();
+    // Phase spans under `engine.search`: setup, the epochs, final
+    // solution selection, the final-net retrain, and its evaluation.
+    let setup_span = hdx_obs::span("engine.setup");
     let mut rng = Rng::new(opts.seed);
     let mut supernet = Supernet::new(
         num_layers,
@@ -447,6 +450,7 @@ fn search_inner(
     let mut head_eval = HeadEval::default();
     let mut w_tape = Tape::new();
     let mut task_tape = Tape::new();
+    drop(setup_span);
 
     for epoch in start_epoch..opts.epochs {
         let _epoch_span = hdx_obs::span("engine.epoch");
@@ -603,6 +607,7 @@ fn search_inner(
     }
 
     // ---- final solution -------------------------------------------
+    let select_span = hdx_obs::span("engine.final_select");
     let architecture = supernet.architecture();
     let accel = match opts.method {
         Method::NasThenHw { .. } => {
@@ -647,32 +652,37 @@ fn search_inner(
 
     let cost_hw = ctx.weights.cost(&metrics);
     let in_constraint = all_satisfied(&opts.constraints, &metrics);
+    drop(select_span);
 
-    // Final error: retrain from scratch (§5.1) unless disabled.
+    // Final error: retrain from scratch (§5.1) unless disabled, then
+    // score the test split's error and the validation split's CE.
     let (error, final_ce) = if opts.final_train_steps > 0 {
-        let mut final_net = FinalNet::new(
-            &architecture,
-            spec.feature_dim,
-            spec.num_classes,
-            &opts.supernet,
-            &mut rng,
-        );
-        final_net.train_exec_jobs(
-            ctx.dataset,
-            opts.final_train_steps,
-            opts.batch,
-            &mut rng,
-            opts.exec,
-            opts.jobs,
-        );
-        let err = final_net.error_rate(&ctx.dataset.test_all());
-        let val = ctx.dataset.val_all();
-        let mut tape = Tape::new();
-        let wb = final_net_binding(&mut tape, &final_net);
-        let logits = final_net.forward_logits(&mut tape, &wb, &val);
-        let ce = tape.cross_entropy_logits(logits, &val.y);
-        (err, tape.value(ce).item() as f64)
+        let final_net = {
+            let _train_span = hdx_obs::span("engine.final_train");
+            let mut net = FinalNet::new(
+                &architecture,
+                spec.feature_dim,
+                spec.num_classes,
+                &opts.supernet,
+                &mut rng,
+            );
+            net.train_exec_jobs(
+                ctx.dataset,
+                opts.final_train_steps,
+                opts.batch,
+                &mut rng,
+                opts.exec,
+                opts.jobs,
+            );
+            net
+        };
+        let _eval_span = hdx_obs::span("engine.final_eval");
+        let mut eval = final_net.evaluator(opts.exec, opts.jobs);
+        let err = eval.score(&ctx.dataset.test_all()).error;
+        let ce = eval.score(&ctx.dataset.val_all()).ce;
+        (err, f64::from(ce))
     } else {
+        let _eval_span = hdx_obs::span("engine.final_eval");
         let err = supernet.error_rate(&ctx.dataset.test_all(), &mut rng);
         (err, trajectory.last().map_or(f64::NAN, |t| t.task_loss))
     };
@@ -688,10 +698,6 @@ fn search_inner(
         in_constraint,
         trajectory,
     })
-}
-
-fn final_net_binding(tape: &mut Tape, net: &FinalNet) -> Binding {
-    net.bind(tape)
 }
 
 /// Schema version of the search-state sections (bumped independently of

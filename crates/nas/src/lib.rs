@@ -42,4 +42,4 @@ pub use arch::Architecture;
 pub use data::{Batch, Dataset, Geometry, TaskSpec};
 pub use geometry::{LayerSlot, NetworkPlan};
 pub use ops::{MbConvOp, OP_SET};
-pub use supernet::{FinalNet, Supernet, SupernetConfig};
+pub use supernet::{EvalScore, FinalEval, FinalNet, Supernet, SupernetConfig, EVAL_CHUNK};

@@ -26,8 +26,8 @@ use crate::data::Batch;
 use crate::ops::OP_SET;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
-    bank_key, Binding, CosineLr, ExecMode, Linear, ParamStore, Program, Rng, SessionBank, Sgd,
-    Tape, Tensor, Var,
+    bank_key, Binding, CosineLr, ExecMode, Linear, ParamStore, Program, Rng, Session, SessionBank,
+    Sgd, Tape, Tensor, Var,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -940,12 +940,110 @@ impl FinalNet {
         last
     }
 
-    /// Classification error rate on a batch.
+    /// Classification error rate on a batch (fresh-record forward).
     pub fn error_rate(&self, batch: &Batch) -> f64 {
-        let mut tape = Tape::new();
-        let w = self.w.bind(&mut tape);
-        let logits = self.forward_logits(&mut tape, &w, batch);
-        error_from_logits(tape.value(logits), &batch.y)
+        self.evaluator(ExecMode::FreshRecord, 1).score(batch).error
+    }
+
+    /// An evaluator of the network as it is now (train first). Under
+    /// [`ExecMode::Compiled`] it compiles the forward pass once for
+    /// [`EVAL_CHUNK`] rows and replays it over each scored batch, with
+    /// `jobs` workers in the session's row-parallel kernels (`0` =
+    /// auto). The program is private to the evaluator, not banked: its
+    /// key would be unique to this architecture and trained once, so
+    /// caching it would only churn the bank's LRU.
+    /// [`ExecMode::FreshRecord`] records one tape per batch (the
+    /// reference path). Both give bit-identical scores.
+    pub fn evaluator(&self, exec: ExecMode, jobs: usize) -> FinalEval<'_> {
+        let replay = matches!(exec, ExecMode::Compiled).then(|| {
+            let mut tape = Tape::new();
+            let w = self.w.bind(&mut tape);
+            let x0 = tape.leaf(Tensor::zeros(&[EVAL_CHUNK, self.input.in_features()]));
+            let logits = self.forward_from(&mut tape, &w, x0);
+            // Programs need a scalar output; only `logits` is read.
+            let out = tape.sum(logits);
+            let prog = Program::compile_with_sinks(&tape, &[out], &[logits], &[]);
+            (Session::with_jobs(Arc::new(prog), jobs), x0, logits)
+        });
+        FinalEval { net: self, replay }
+    }
+}
+
+/// Rows per replay of the compiled evaluation forward. A constant, so
+/// the program does not depend on the scored batch sizes; the last
+/// chunk of a batch runs part-filled.
+pub const EVAL_CHUNK: usize = 256;
+
+/// Argmax error rate and mean cross-entropy of one labeled batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EvalScore {
+    /// Fraction of rows whose argmax logit is not the label.
+    pub error: f64,
+    /// Mean cross-entropy, accumulated exactly as
+    /// [`Tape::cross_entropy_logits`] does.
+    pub ce: f32,
+}
+
+/// Scores labeled batches on a trained [`FinalNet`]; see
+/// [`FinalNet::evaluator`].
+#[derive(Debug)]
+pub struct FinalEval<'a> {
+    net: &'a FinalNet,
+    /// Compiled forward session, its input leaf and its logits.
+    replay: Option<(Session, Var, Var)>,
+}
+
+impl FinalEval<'_> {
+    /// Scores `batch`. The compiled path replays [`EVAL_CHUNK`] rows at
+    /// a time; every forward op is row-local, so each row's logits are
+    /// bit-identical to a whole-batch fresh record. Errors are counted
+    /// per row and the cross-entropy is summed in global row order and
+    /// divided by the row count, exactly as
+    /// [`Tape::cross_entropy_logits`] does.
+    pub fn score(&mut self, batch: &Batch) -> EvalScore {
+        let Some((sess, x0, logits)) = self.replay.as_mut() else {
+            let mut tape = Tape::new();
+            let w = self.net.bind(&mut tape);
+            let logits = self.net.forward_logits(&mut tape, &w, batch);
+            let error = error_from_logits(tape.value(logits), &batch.y);
+            let ce = tape.cross_entropy_logits(logits, &batch.y);
+            return EvalScore {
+                error,
+                ce: tape.value(ce).item(),
+            };
+        };
+        let (m, dim, classes) = (
+            batch.len(),
+            self.net.input.in_features(),
+            self.net.num_classes,
+        );
+        let mut wrong = 0usize;
+        let mut loss = 0.0f32;
+        for r0 in (0..m).step_by(EVAL_CHUNK) {
+            let rows = (m - r0).min(EVAL_CHUNK);
+            let x = sess.leaf_mut(*x0);
+            x[..rows * dim].copy_from_slice(&batch.x.data()[r0 * dim..(r0 + rows) * dim]);
+            // A part-filled tail chunk: zero the unused rows (row-local
+            // ops keep them out of the scored rows either way).
+            x[rows * dim..].fill(0.0);
+            sess.forward();
+            let chunk = Tensor::from_vec(
+                sess.value(*logits)[..rows * classes].to_vec(),
+                &[rows, classes],
+            );
+            let probs = chunk.softmax_rows();
+            for (i, &y) in batch.y[r0..r0 + rows].iter().enumerate() {
+                assert!(y < classes, "score: target {y} out of range {classes}");
+                if chunk.argmax_row(i) != y {
+                    wrong += 1;
+                }
+                loss -= probs.at(i, y).max(1e-30).ln();
+            }
+        }
+        EvalScore {
+            error: wrong as f64 / m.max(1) as f64,
+            ce: loss / m as f32,
+        }
     }
 }
 

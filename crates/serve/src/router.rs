@@ -42,7 +42,7 @@ use hdx_core::{PreparedContext, Task};
 use hdx_tensor::ckpt::CkptError;
 use hdx_tensor::SessionBank;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -451,6 +451,10 @@ impl Router {
     /// down its write side therefore gets all N reports with full
     /// parallelism.
     ///
+    /// Replies are buffered: each batch flush and each control reply
+    /// reaches `writer` as one `write` (unless it outgrows the buffer)
+    /// followed by one `flush`.
+    ///
     /// # Errors
     ///
     /// Propagates reader/writer I/O errors; protocol-level problems
@@ -458,14 +462,20 @@ impl Router {
     pub fn serve_connection<R: BufRead, W: Write>(
         &self,
         reader: R,
-        mut writer: W,
+        writer: W,
     ) -> std::io::Result<()> {
         let _conn_span = hdx_obs::span("router.connection");
+        // One `write` per batch flush or control reply: separate small
+        // writes on a Nagle-enabled socket wait for the peer's delayed
+        // ACK. Every exit path flushes explicitly (never through
+        // `Drop`), so nothing stays buffered while the loop waits for
+        // input.
+        let mut writer = BufWriter::new(writer);
         // Each pending job remembers its framing so its report is
         // encoded the way the request arrived.
         let mut pending: Vec<(bool, SearchRequest)> = Vec::new();
         let flush_batch = |pending: &mut Vec<(bool, SearchRequest)>,
-                           writer: &mut W|
+                           writer: &mut BufWriter<W>|
          -> std::io::Result<()> {
             if pending.is_empty() {
                 return Ok(());
@@ -499,7 +509,7 @@ impl Router {
         // counters, and registry mutations (load/unload) must not
         // retroactively change how already-queued work routes.
         let respond = |pending: &mut Vec<(bool, SearchRequest)>,
-                       writer: &mut W,
+                       writer: &mut BufWriter<W>,
                        make: &mut dyn FnMut() -> String|
          -> std::io::Result<()> {
             flush_batch(pending, writer)?;
@@ -692,6 +702,12 @@ impl Router {
     pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
         for stream in listener.incoming() {
             let stream = stream?;
+            // Replies are written whole (see `serve_connection`), so
+            // Nagle's algorithm only adds latency: with it, a reply
+            // that follows an unacknowledged one waits for the peer's
+            // delayed ACK. A socket that refuses the option still
+            // serves correctly, just slower.
+            let _ = stream.set_nodelay(true);
             let router = Arc::clone(self);
             std::thread::spawn(move || {
                 let reader = BufReader::new(match stream.try_clone() {

@@ -30,6 +30,19 @@
 //! * Sessions are checked out exclusively ([`SessionLease`]); parallel
 //!   workers on the same key each get their own session.
 //!
+//! # Compiling outside the lock
+//!
+//! The bank mutex only guards the entry map, counters, and idle
+//! session pools; [`SessionBank::checkout`] never compiles while
+//! holding it. A miss inserts an entry whose program lives in a per-key
+//! once-cell, releases the mutex, and compiles into that cell. A
+//! concurrent checkout of the same key waits on that cell alone;
+//! checkouts of every other key (hits included) proceed. Each inserted
+//! key is counted as exactly one miss and compiled exactly once, as in
+//! a serial run. A `compile` that panics removes its still-empty entry
+//! before the panic propagates, so the bank stays usable and the next
+//! checkout of that key compiles afresh.
+//!
 //! # Bounded capacity (LRU)
 //!
 //! A long-lived server would otherwise accumulate one program per
@@ -79,7 +92,8 @@ use hdx_obs::{Counter, Gauge};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Obs mirrors of the bank counters (deterministic magnitudes; the
 /// authoritative per-bank numbers stay in [`BankStats`]). Process-wide
@@ -118,9 +132,16 @@ pub fn parse_bank_cap_env(value: Option<&str>) -> Result<Option<usize>, String> 
     )
 }
 
-struct Entry {
+/// A compiled program plus the caller metadata its compile returned.
+struct Compiled {
     prog: Arc<Program>,
     meta: Arc<dyn Any + Send + Sync>,
+}
+
+struct Entry {
+    /// Filled once, outside the bank mutex, by the checkout that
+    /// inserted the entry; other checkouts of the key wait on it alone.
+    compiled: Arc<OnceLock<Compiled>>,
     /// Idle sessions, returned by dropped leases.
     free: Vec<Session>,
     /// Logical timestamp of the last checkout (LRU ordering).
@@ -232,7 +253,7 @@ impl SessionBank {
     /// Sets (or removes) the LRU capacity cap, evicting immediately if
     /// the cache is over the new cap.
     pub fn set_capacity(&self, capacity: Option<usize>) {
-        let mut inner = self.inner.lock().expect("session bank poisoned");
+        let mut inner = self.lock();
         inner.capacity = capacity;
         if let Some(cap) = capacity {
             inner.evict_to(cap);
@@ -246,80 +267,115 @@ impl SessionBank {
     /// pool is resized to `jobs` (see [`Session::with_jobs`]).
     ///
     /// The lease returns the session to the bank on drop.
+    ///
+    /// `compile` runs outside the bank mutex (see the module docs): a
+    /// checkout of a key that is still compiling waits for that key
+    /// only, and other keys are never held up.
     pub fn checkout<M, F>(&self, key: u64, jobs: usize, compile: F) -> SessionLease<'_>
     where
         M: Any + Send + Sync,
         F: FnOnce() -> (Program, M),
     {
-        let mut inner = self.inner.lock().expect("session bank poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let hit = inner.entries.contains_key(&key);
-        if hit {
-            inner.hits += 1;
-            OBS_HITS.incr();
-        } else {
-            inner.misses += 1;
-            OBS_MISSES.incr();
-        }
-        let entry = inner.entries.entry(key).or_insert_with(|| {
-            // Compile time is wall-clock, so it goes only to the obs
-            // trace sink (never into the deterministic registry).
-            let _compile_span = hdx_obs::span("bank.compile");
-            OBS_COMPILES.incr();
-            let (prog, meta) = compile();
-            Entry {
-                prog: Arc::new(prog),
-                meta: Arc::new(meta),
+        let (cell, pooled) = {
+            let mut inner = self.lock();
+            inner.tick += 1;
+            let tick = inner.tick;
+            let hit = inner.entries.contains_key(&key);
+            if hit {
+                inner.hits += 1;
+                OBS_HITS.incr();
+            } else {
+                inner.misses += 1;
+                OBS_MISSES.incr();
+            }
+            let entry = inner.entries.entry(key).or_insert_with(|| Entry {
+                compiled: Arc::default(),
                 free: Vec::new(),
                 last_used: tick,
+            });
+            entry.last_used = tick;
+            let picked = (Arc::clone(&entry.compiled), entry.free.pop());
+            // Enforce the cap after the insert so the entry just checked
+            // out is the most recent and can only be evicted by later
+            // activity, never by its own insertion.
+            if let Some(cap) = inner.capacity {
+                inner.evict_to(cap);
             }
-        });
-        entry.last_used = tick;
-        let mut session = entry
-            .free
-            .pop()
-            .unwrap_or_else(|| Session::new(Arc::clone(&entry.prog)));
+            OBS_PROGRAMS.set(inner.entries.len() as u64);
+            picked
+        };
+        let compiled = self.compile_into(key, &cell, compile);
+        let mut session = pooled.unwrap_or_else(|| Session::new(Arc::clone(&compiled.prog)));
         session.set_jobs(jobs.max(1));
-        let meta = Arc::clone(&entry.meta);
-        // Enforce the cap after the insert so the entry just checked
-        // out is the most recent and can only be evicted by later
-        // activity, never by its own insertion.
-        if let Some(cap) = inner.capacity {
-            inner.evict_to(cap);
-        }
-        OBS_PROGRAMS.set(inner.entries.len() as u64);
         SessionLease {
             bank: self,
             key,
             session: Some(session),
-            meta,
+            meta: Arc::clone(&compiled.meta),
         }
+    }
+
+    /// The program in `cell` (the once-cell of `key`'s entry): already
+    /// there, compiled now by `compile`, or awaited from the checkout
+    /// already compiling it. If
+    /// `compile` panics, the still-empty entry is removed before the
+    /// panic propagates, so the next checkout of `key` is an ordinary
+    /// miss that compiles afresh.
+    fn compile_into<'c, M, F>(
+        &self,
+        key: u64,
+        cell: &'c OnceLock<Compiled>,
+        compile: F,
+    ) -> &'c Compiled
+    where
+        M: Any + Send + Sync,
+        F: FnOnce() -> (Program, M),
+    {
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            cell.get_or_init(|| {
+                // Compile time is wall-clock, so it goes only to the obs
+                // trace sink (never into the deterministic registry).
+                let _compile_span = hdx_obs::span("bank.compile");
+                OBS_COMPILES.incr();
+                let (prog, meta) = compile();
+                Compiled {
+                    prog: Arc::new(prog),
+                    meta: Arc::new(meta),
+                }
+            })
+        }));
+        attempt.unwrap_or_else(|panic| {
+            let mut inner = self.lock();
+            let failed = inner
+                .entries
+                .get(&key)
+                .is_some_and(|e| std::ptr::eq(&*e.compiled, cell) && cell.get().is_none());
+            if failed {
+                inner.entries.remove(&key);
+                OBS_PROGRAMS.set(inner.entries.len() as u64);
+            }
+            drop(inner);
+            resume_unwind(panic)
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("session bank poisoned")
     }
 
     /// Number of distinct compiled programs currently cached.
     pub fn num_programs(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("session bank poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// Number of idle (checked-in) sessions across all programs.
     pub fn num_idle_sessions(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("session bank poisoned")
-            .entries
-            .values()
-            .map(|e| e.free.len())
-            .sum()
+        self.lock().entries.values().map(|e| e.free.len()).sum()
     }
 
     /// Occupancy plus cumulative hit/miss/eviction counters.
     pub fn stats(&self) -> BankStats {
-        let inner = self.inner.lock().expect("session bank poisoned");
+        let inner = self.lock();
         BankStats {
             programs: inner.entries.len(),
             idle_sessions: inner.entries.values().map(|e| e.free.len()).sum(),
@@ -335,11 +391,7 @@ impl SessionBank {
     /// sessions are discarded on return instead of re-pooled (the lease
     /// compares programs by identity).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("session bank poisoned")
-            .entries
-            .clear();
+        self.lock().entries.clear();
     }
 
     fn check_in(&self, key: u64, mut session: Session) {
@@ -347,12 +399,16 @@ impl SessionBank {
         // lifetime: drop the kernel pool here (checkout's `set_jobs`
         // rebuilds one when the next lessee wants workers).
         session.set_jobs(1);
-        let mut inner = self.inner.lock().expect("session bank poisoned");
+        let mut inner = self.lock();
         if let Some(entry) = inner.entries.get_mut(&key) {
             // Only re-pool if the entry still refers to the program this
             // session was built for (clear()/eviction + recompile
             // changes it).
-            if Arc::ptr_eq(&entry.prog, session.program()) {
+            let current = entry
+                .compiled
+                .get()
+                .is_some_and(|c| Arc::ptr_eq(&c.prog, session.program()));
+            if current {
                 entry.free.push(session);
             }
         }
@@ -580,6 +636,94 @@ mod tests {
                 panic!("most recent entry must survive")
             }),
         );
+    }
+
+    #[test]
+    fn concurrent_cold_checkouts_compile_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const THREADS: usize = 8;
+        let bank = SessionBank::new();
+        let key = bank_key("test-square-cold", &3usize);
+        let compiles = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (bank, compiles) = (&bank, &compiles);
+                scope.spawn(move || {
+                    let mut lease = bank.checkout(key, 1, || {
+                        compiles.fetch_add(1, Ordering::SeqCst);
+                        // Hold the compile open until every other
+                        // thread has passed the bank's locked section,
+                        // so they all find the key still compiling.
+                        // (Compiling under the mutex would hang here.)
+                        while bank.stats().hits < THREADS as u64 - 1 {
+                            std::thread::yield_now();
+                        }
+                        compile_square()
+                    });
+                    let meta = lease.meta::<Meta>();
+                    let sess = lease.session();
+                    sess.bind(meta.x, &[t as f32, 0.0, 0.0]);
+                    sess.forward();
+                    assert_eq!(sess.scalar(meta.out), (t * t) as f32);
+                });
+            }
+        });
+        assert_eq!(compiles.load(Ordering::SeqCst), 1);
+        let stats = bank.stats();
+        assert_eq!((stats.misses, stats.hits), (1, THREADS as u64 - 1));
+        assert_eq!(stats.programs, 1);
+        assert!(stats.idle_sessions >= 1);
+    }
+
+    #[test]
+    fn other_keys_do_not_wait_on_a_compile() {
+        use std::sync::mpsc;
+        let bank = SessionBank::new();
+        let warm = bank_key("test-square-warm", &3usize);
+        drop(bank.checkout(warm, 1, compile_square));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let bank = &bank;
+            scope.spawn(move || {
+                drop(bank.checkout(bank_key("test-square-slow", &3usize), 1, || {
+                    entered_tx.send(()).expect("signal compile start");
+                    release_rx.recv().expect("release compile");
+                    compile_square()
+                }));
+            });
+            entered_rx.recv().expect("compile started");
+            // The slow compile is in flight: a hit and a miss on other
+            // keys must both complete without it.
+            drop(bank.checkout(warm, 1, || -> (Program, Meta) {
+                panic!("warm key must hit")
+            }));
+            drop(bank.checkout(bank_key("test-square-other", &3usize), 1, compile_square));
+            release_tx.send(()).expect("release");
+        });
+        assert_eq!(bank.num_programs(), 3);
+    }
+
+    #[test]
+    fn panicking_compile_leaves_the_bank_usable() {
+        let bank = SessionBank::new();
+        let key = bank_key("test-square-panic", &3usize);
+        let failed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            drop(bank.checkout(key, 1, || -> (Program, Meta) {
+                panic!("injected compile failure")
+            }));
+        }));
+        assert!(failed.is_err());
+        assert_eq!(bank.num_programs(), 0, "failed compile must not linger");
+        let mut lease = bank.checkout(key, 1, compile_square);
+        let meta = lease.meta::<Meta>();
+        let sess = lease.session();
+        sess.bind(meta.x, &[1.0, 1.0, 1.0]);
+        sess.forward();
+        assert_eq!(sess.scalar(meta.out), 3.0);
+        drop(lease);
+        let stats = bank.stats();
+        assert_eq!((stats.misses, stats.hits, stats.programs), (2, 0, 1));
     }
 
     #[test]

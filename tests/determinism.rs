@@ -11,7 +11,10 @@
 
 use hdx_accel::{exhaustive_search_jobs, CostWeights, Metric};
 use hdx_nas::supernet::FinalNet;
-use hdx_nas::{Architecture, Dataset, NetworkPlan, Supernet, SupernetConfig, TaskSpec, OP_SET};
+use hdx_nas::{
+    Architecture, Batch, Dataset, NetworkPlan, Supernet, SupernetConfig, TaskSpec, EVAL_CHUNK,
+    OP_SET,
+};
 use hdx_surrogate::{Estimator, EstimatorConfig, PairSet};
 use hdx_tensor::{
     parallel_map, Adam, ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, Tape, Tensor, Var,
@@ -235,6 +238,60 @@ fn final_net_training_is_exec_and_thread_invariant() {
                     t.data(),
                     "seed {seed} jobs {jobs}: weights diverged for parameter {}",
                     id.index()
+                );
+            }
+        }
+    }
+}
+
+/// The compiled final evaluation (chunked forward replay) scores error
+/// and cross-entropy bit-identically to a whole-batch fresh record, at
+/// row counts around the chunk size (part-filled tail chunks, a reused
+/// session) and at every worker count.
+#[test]
+fn compiled_final_eval_matches_fresh_record() {
+    let spec = TaskSpec {
+        train: 256,
+        val: 64,
+        test: 2048 + 5,
+        ..TaskSpec::cifar_like(6)
+    };
+    let ds = Dataset::generate(&spec);
+    let all = ds.test_all();
+    let arch = Architecture::uniform(6, 4);
+    // The wide net puts more of the forward above the row-parallel
+    // dispatch threshold, so jobs > 1 really splits rows.
+    let wide = SupernetConfig {
+        feature_dim: 48,
+        base_hidden: 12,
+        ..SupernetConfig::default()
+    };
+    for (seed, cfg) in [(0, SupernetConfig::default()), (1, wide)] {
+        let mut rng = Rng::new(seed);
+        let mut net = FinalNet::new(&arch, spec.feature_dim, spec.num_classes, &cfg, &mut rng);
+        net.train_exec_jobs(&ds, 10, 48, &mut rng, ExecMode::Compiled, 1);
+        let mut fresh = net.evaluator(ExecMode::FreshRecord, 1);
+        let mut compiled: Vec<_> = JOB_GRID
+            .iter()
+            .map(|&jobs| net.evaluator(ExecMode::Compiled, jobs))
+            .collect();
+        for rows in [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2048 + 5] {
+            let batch = Batch {
+                x: all.x.slice_rows(0, rows),
+                y: all.y[..rows].to_vec(),
+            };
+            let want = fresh.score(&batch);
+            for (eval, jobs) in compiled.iter_mut().zip(JOB_GRID) {
+                let got = eval.score(&batch);
+                assert_eq!(
+                    got.error.to_bits(),
+                    want.error.to_bits(),
+                    "seed {seed} rows {rows} jobs {jobs}: error diverged"
+                );
+                assert_eq!(
+                    got.ce.to_bits(),
+                    want.ce.to_bits(),
+                    "seed {seed} rows {rows} jobs {jobs}: cross-entropy diverged"
                 );
             }
         }

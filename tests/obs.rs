@@ -6,7 +6,9 @@
 //! * The obs registry counters are jobs-independent: the counter deltas
 //!   one sweep produces are identical at every worker count (counting
 //!   happens per logical dispatch, never per worker chunk).
-//! * The produced trace validates against the v1 JSONL schema.
+//! * The produced trace validates against the v1 JSONL schema and
+//!   carries every `engine.search` phase span (setup, epoch, final
+//!   selection, final retrain, final evaluation).
 //! * The `metrics` verb snapshot is step-based (no wall-clock keys),
 //!   strictly sorted, and equals the in-process registry snapshot.
 //!
@@ -171,7 +173,16 @@ fn trace_sink_never_reaches_response_bytes() {
     let summary = hdx_obs::check_trace(&text).expect("schema-valid trace");
     assert_eq!(summary.meta_lines, 1);
     assert!(summary.span_lines > 0, "traced sweep recorded no spans");
-    for name in ["router.connection", "router.dispatch", "engine.search"] {
+    for name in [
+        "router.connection",
+        "router.dispatch",
+        "engine.search",
+        "engine.setup",
+        "engine.epoch",
+        "engine.final_select",
+        "engine.final_train",
+        "engine.final_eval",
+    ] {
         assert!(
             text.contains(&format!("\"name\":\"{name}\"")),
             "trace missing span {name}"

@@ -321,6 +321,82 @@ fn quota_and_deadline_are_enforced_in_band() {
     assert_eq!(err.kind.code(), "deadline_exceeded");
 }
 
+/// One call the router made on its writer: `Some(bytes)` for a
+/// `write`, `None` for a `flush`.
+type WriteEvent = Option<Vec<u8>>;
+
+/// A writer that logs every `write` and `flush` it receives.
+#[derive(Default)]
+struct LoggingWriter(Vec<WriteEvent>);
+
+impl std::io::Write for LoggingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(Some(buf.to_vec()));
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.push(None);
+        Ok(())
+    }
+}
+
+/// Serves `input` into a [`LoggingWriter`] and returns, per flush, the
+/// bytes of the single `write` before it — asserting that every write
+/// is followed by a flush, so nothing leaves by way of `Drop`.
+fn serve_flushes(router: &Router, input: &str) -> Vec<String> {
+    let mut log = LoggingWriter::default();
+    router
+        .serve_connection(Cursor::new(input.to_owned()), &mut log)
+        .expect("serve");
+    assert_eq!(log.0.len() % 2, 0, "unpaired write/flush: {:?}", log.0);
+    log.0
+        .chunks(2)
+        .map(|pair| match pair {
+            [Some(bytes), None] => String::from_utf8(bytes.clone()).expect("utf-8"),
+            other => panic!("expected one write then one flush, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn replies_leave_in_one_write_per_flush() {
+    let router = dual_router(RouterConfig::default());
+    let grid = "hdx1 grid id=2 task=cifar lambda_grid=0.001,0.01 epochs=2 steps=3 batch=16 \
+                final_train=40 seed=1";
+    // A two-job batch flushes as one write, then the ping's reply.
+    let flushes = serve_flushes(&router, &format!("{grid}\nhdx1 ping id=3\n"));
+    assert_eq!(flushes.len(), 2, "{flushes:?}");
+    let reports: Vec<&str> = flushes[0].lines().collect();
+    assert_eq!(reports.len(), 2);
+    assert!(
+        reports.iter().all(|l| l.starts_with("hdx1 report id=2#")),
+        "{reports:?}"
+    );
+    assert_eq!(flushes[1], "hdx1 pong id=3\n");
+    // Same bytes as an in-memory connection.
+    assert_eq!(
+        flushes.concat(),
+        serve_lines(&router, &format!("{grid}\nhdx1 ping id=3\n")).join("\n") + "\n"
+    );
+
+    // EOF with a batch pending: the batch is flushed explicitly.
+    let flushes = serve_flushes(&router, &format!("{grid}\n"));
+    assert_eq!(flushes.len(), 1);
+    assert_eq!(flushes[0].lines().count(), 2);
+
+    // Quota refusal: the accepted batch, then the in-band refusal,
+    // each flushed before the connection closes.
+    let limited = dual_router(RouterConfig {
+        max_requests_per_conn: Some(1),
+        ..RouterConfig::default()
+    });
+    let flushes = serve_flushes(&limited, &format!("{grid}\nhdx1 ping id=3\nping\n"));
+    assert_eq!(flushes.len(), 2, "{flushes:?}");
+    assert_eq!(flushes[0].lines().count(), 2);
+    assert!(flushes[1].starts_with("hdx1 error id=0 code=quota_exceeded "));
+}
+
 #[test]
 fn v0_shim_is_byte_identical_and_v1_extends_it() {
     let router = dual_router(RouterConfig::default());
