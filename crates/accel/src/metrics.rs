@@ -107,7 +107,7 @@ impl std::fmt::Display for HwMetrics {
 /// `Cost_HW = C_E·Energy + C_L·Latency + C_A·Area`.
 ///
 /// The paper chose `C_E = 2.9`, `C_L = 6.2`, `C_A = 1.0` so that "the
-/// difference scale of each metric [is] approximately the same" (§5.3).
+/// difference scale of each metric \[is\] approximately the same" (§5.3).
 /// The reported CostHW values (~9.5–22 in Table 2) imply the raw
 /// metrics are normalized by reference scales before weighting; we use
 /// 10 mJ / 33.3 ms / 2.5 mm² which reproduces the table's magnitudes.

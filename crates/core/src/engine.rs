@@ -707,18 +707,12 @@ const SEARCH_CKPT_VERSION: u64 = 1;
 /// Values per serialized [`EpochTrace`] row.
 const TRACE_COLS: usize = 12;
 
-/// FNV-1a over a word sequence — **stable** across platforms and Rust
-/// versions (unlike `DefaultHasher`), because checkpoint files outlive
-/// the process that wrote them.
+/// FNV-1a over a word sequence's little-endian bytes — **stable**
+/// across platforms and Rust versions (unlike `DefaultHasher`), because
+/// checkpoint files outlive the process that wrote them.
 fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    hdx_tensor::ckpt::fnv1a(&bytes)
 }
 
 /// Fingerprint of everything in a [`SearchOptions`] that shapes the

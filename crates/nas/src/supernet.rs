@@ -289,7 +289,7 @@ impl Supernet {
 
     /// Samples one step's per-layer path sets from the current
     /// softmax(α) distribution, consuming the RNG exactly as
-    /// [`Supernet::forward_logits_from`] does (one [`sample_paths`]
+    /// [`Supernet::forward_logits_from`] does (one `sample_paths`
     /// call per layer, in layer order, over bit-identical
     /// probabilities — the tape's `scale`/`softmax_rows` and the
     /// store-side tensor ops share kernels). This is the replay hook
@@ -382,7 +382,7 @@ impl Supernet {
     ///
     /// Only valid when path sampling is disabled
     /// (`num_paths == OP_SET.len()`): the topology is then static and
-    /// [`sample_paths`] consumes no RNG, so a compiled replay of this
+    /// `sample_paths` consumes no RNG, so a compiled replay of this
     /// graph is bit-identical to fresh-recording every step, with the
     /// same RNG stream.
     ///

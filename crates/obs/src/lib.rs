@@ -1,5 +1,5 @@
 //! hdx-obs: the workspace's observability layer — a process-wide
-//! registry of deterministic counters/gauges/histograms, plus the one
+//! registry of deterministic counters and gauges, plus the one
 //! sanctioned wall-clock channel (span events drained to a versioned
 //! JSONL trace sink).
 //!
@@ -10,9 +10,9 @@
 //! cache state. Observability must not bend that, so the layer is
 //! split in two:
 //!
-//! * **Registry** ([`Counter`], [`Gauge`], [`Histogram`],
-//!   [`snapshot`]): *deterministic* magnitudes only — step counts,
-//!   cache hits, MACs, batch sizes. Values from here may reach
+//! * **Registry** ([`Counter`], [`Gauge`], [`snapshot`]):
+//!   *deterministic* magnitudes only — step counts, cache hits, MACs,
+//!   batch sizes. Values from here may reach
 //!   response bytes (the v1 `metrics` verb); wall-clock time must
 //!   never be recorded here.
 //! * **Trace sink** ([`span`], [`init_file`]): wall-clock span events,
@@ -29,8 +29,7 @@
 //! # Cost model
 //!
 //! Registry handles are `const`-constructible statics that lazily
-//! intern one leaked `&'static AtomicU64` (or bucket array) in the
-//! global table; the hot path after the first touch is one `OnceLock`
+//! intern one leaked `&'static AtomicU64` in the global table; the hot path after the first touch is one `OnceLock`
 //! load plus one relaxed `fetch_add`. A disabled [`span`] is a single
 //! relaxed atomic load returning an inert guard, which keeps the
 //! obs-disabled overhead within the bench-enforced ≤1 % budget.
@@ -56,10 +55,7 @@
 //! Dot-separated lowercase paths, coarse-to-fine:
 //! `<layer>.<thing>[.<variant>]` — e.g. `bank.hit`,
 //! `kernel.dispatch.avx2`, `engine.steps.hdx`, `router.verb.search`.
-//! Histogram-derived keys append `.count`, `.sum`, and `.b<NN>`
-//! (log2 bucket `NN` counts values of bit-length `NN`; bucket `00` is
-//! zero, bucket `63` saturates). [`snapshot`] returns every key
-//! sorted, so the `metrics` verb encoding is canonical by
+//! [`snapshot`] returns every key sorted, so the `metrics` verb encoding is canonical by
 //! construction.
 
 use std::cell::RefCell;
@@ -280,28 +276,12 @@ impl Stopwatch {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic registry: counters, gauges, histograms
+// Deterministic registry: counters and gauges
 // ---------------------------------------------------------------------
 
-struct HistCell {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; 64],
-}
-
-struct Registry {
-    cells: BTreeMap<&'static str, &'static AtomicU64>,
-    hists: BTreeMap<&'static str, &'static HistCell>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            cells: BTreeMap::new(),
-            hists: BTreeMap::new(),
-        })
-    })
+fn registry() -> &'static Mutex<BTreeMap<&'static str, &'static AtomicU64>> {
+    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, &'static AtomicU64>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 fn well_formed_name(name: &str) -> bool {
@@ -317,32 +297,8 @@ fn intern_cell(name: &'static str) -> &'static AtomicU64 {
         "obs metric name {name:?} must be a dot-separated lowercase path"
     );
     let mut reg = lock(registry());
-    if let Some(cell) = reg.cells.get(name) {
-        cell
-    } else {
-        let cell: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-        reg.cells.insert(name, cell);
-        cell
-    }
-}
-
-fn intern_hist(name: &'static str) -> &'static HistCell {
-    assert!(
-        well_formed_name(name),
-        "obs metric name {name:?} must be a dot-separated lowercase path"
-    );
-    let mut reg = lock(registry());
-    if let Some(cell) = reg.hists.get(name) {
-        cell
-    } else {
-        let cell: &'static HistCell = Box::leak(Box::new(HistCell {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }));
-        reg.hists.insert(name, cell);
-        cell
-    }
+    reg.entry(name)
+        .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
 }
 
 /// A monotonically increasing counter of a *deterministic* magnitude
@@ -362,6 +318,12 @@ impl Counter {
             name,
             cell: OnceLock::new(),
         }
+    }
+
+    /// The registry name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Adds `n`.
@@ -421,63 +383,15 @@ impl Gauge {
     }
 }
 
-/// Log2-bucketed histogram of deterministic magnitudes (batch sizes,
-/// MACs per dispatch). Bucket `k` counts values of bit-length `k`
-/// (`0` lands in bucket 0; bucket 63 saturates); [`snapshot`] exports
-/// `name.count`, `name.sum`, and the non-empty `name.b<NN>` buckets.
-pub struct Histogram {
-    name: &'static str,
-    cell: OnceLock<&'static HistCell>,
-}
-
-/// Log2 bucket index of a value (bit length, saturated to 63).
-#[must_use]
-pub fn log2_bucket(v: u64) -> usize {
-    (64 - v.leading_zeros() as usize).min(63)
-}
-
-impl Histogram {
-    /// Declares a histogram handle.
-    #[must_use]
-    pub const fn new(name: &'static str) -> Histogram {
-        Histogram {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        let cell = self.cell.get_or_init(|| intern_hist(self.name));
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.sum.fetch_add(v, Ordering::Relaxed);
-        cell.buckets[log2_bucket(v)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Sorted snapshot of every registry value: plain counters/gauges
-/// under their own name, histograms expanded to `.count` / `.sum` /
-/// non-empty `.b<NN>` keys. This is exactly what the v1 `metrics`
-/// verb serves — deterministic magnitudes only, canonical order.
+/// Sorted snapshot of every registry value, counters and gauges under
+/// their own name. This is exactly what the v1 `metrics` verb serves —
+/// deterministic magnitudes only, canonical order.
 #[must_use]
 pub fn snapshot() -> Vec<(String, u64)> {
-    let reg = lock(registry());
-    let mut out: BTreeMap<String, u64> = BTreeMap::new();
-    for (name, cell) in &reg.cells {
-        out.insert((*name).to_owned(), cell.load(Ordering::Relaxed));
-    }
-    for (name, cell) in &reg.hists {
-        out.insert(format!("{name}.count"), cell.count.load(Ordering::Relaxed));
-        out.insert(format!("{name}.sum"), cell.sum.load(Ordering::Relaxed));
-        for (k, bucket) in cell.buckets.iter().enumerate() {
-            let v = bucket.load(Ordering::Relaxed);
-            if v > 0 {
-                out.insert(format!("{name}.b{k:02}"), v);
-            }
-        }
-    }
-    out.into_iter().collect()
+    lock(registry())
+        .iter()
+        .map(|(name, cell)| ((*name).to_owned(), cell.load(Ordering::Relaxed)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -606,27 +520,6 @@ mod tests {
         G.set(7);
         G.set(3);
         assert_eq!(G.get(), 3);
-    }
-
-    #[test]
-    fn histogram_buckets_by_bit_length() {
-        assert_eq!(log2_bucket(0), 0);
-        assert_eq!(log2_bucket(1), 1);
-        assert_eq!(log2_bucket(2), 2);
-        assert_eq!(log2_bucket(3), 2);
-        assert_eq!(log2_bucket(4), 3);
-        assert_eq!(log2_bucket(u64::MAX), 63);
-
-        static H: Histogram = Histogram::new("test.hist.alpha");
-        H.observe(0);
-        H.observe(1);
-        H.observe(5);
-        let snap: std::collections::BTreeMap<String, u64> = snapshot().into_iter().collect();
-        assert_eq!(snap["test.hist.alpha.count"], 3);
-        assert_eq!(snap["test.hist.alpha.sum"], 6);
-        assert_eq!(snap["test.hist.alpha.b00"], 1);
-        assert_eq!(snap["test.hist.alpha.b01"], 1);
-        assert_eq!(snap["test.hist.alpha.b03"], 1);
     }
 
     #[test]

@@ -18,8 +18,13 @@
 //! [`ProtoError`] (every failure names its kind, field, and byte
 //! offset), the [`SearchRequest`] / [`SearchReport`] payload types, and
 //! the v0 codec. [`v1`] layers the envelope
-//! (`version`/`request_id`/body enums) and its canonical encode/decode
-//! pair on top.
+//! (`request_id`/body enums), the verb table, and its canonical
+//! encode/decode pair on top.
+//!
+//! Both grammars share one field codec: a private reader walks a line's
+//! `key=value` tokens in order and hands each to the verb's schema
+//! through typed parsers, and one line writer emits the canonical
+//! encoding back out.
 //!
 //! # Byte-identity
 //!
@@ -37,7 +42,9 @@ pub mod v1;
 
 use hdx_core::{Constraint, Method, Metric, SearchOptions, SearchResult, Task};
 use hdx_nas::{SupernetConfig, OP_SET};
+use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// What went wrong, precisely. Every variant that originates in a
 /// parser carries the byte offset of the offending token within the
@@ -157,6 +164,24 @@ impl ErrorKind {
         }
     }
 
+    /// A [`ErrorKind::CatalogOp`] carrying `err`'s message.
+    pub(crate) fn catalog(err: impl Display) -> ErrorKind {
+        let message = err.to_string();
+        ErrorKind::CatalogOp { message }
+    }
+
+    /// A [`ErrorKind::Checkpoint`] carrying `err`'s message.
+    pub(crate) fn checkpoint(err: impl Display) -> ErrorKind {
+        let message = err.to_string();
+        ErrorKind::Checkpoint { message }
+    }
+
+    /// A [`ErrorKind::TaskUnavailable`] for `task`.
+    pub(crate) fn unavailable(task: Task, bundle_seed: Option<u64>) -> ErrorKind {
+        let task = task.label().to_owned();
+        ErrorKind::TaskUnavailable { task, bundle_seed }
+    }
+
     /// Byte offset of the offending token, for parse-level kinds.
     pub fn offset(&self) -> Option<usize> {
         match self {
@@ -238,20 +263,13 @@ impl ProtoError {
     /// The v1 `error …` response line: machine-readable code, byte
     /// offset when known, then the message.
     pub fn encode_v1(&self) -> String {
-        let mut s = format!(
-            "{} error id={} code={}",
-            v1::VERSION_TOKEN,
-            self.id,
-            self.kind.code()
-        );
+        let mut line = Line::v1("error", self.id);
+        line.field("code", self.kind.code());
         if let Some(offset) = self.kind.offset() {
-            s.push_str(&format!(" offset={offset}"));
+            line.field("offset", offset);
         }
-        s.push_str(&format!(
-            " msg={}",
-            self.kind.message().replace(char::is_whitespace, "_")
-        ));
-        s
+        let msg = self.kind.message().replace(char::is_whitespace, "_");
+        line.field("msg", msg).done()
     }
 }
 
@@ -263,11 +281,193 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+fn unknown_verb(verb: &str, offset: usize) -> ProtoError {
+    let verb = verb.to_owned();
+    ProtoError::new(0, ErrorKind::UnknownVerb { verb, offset })
+}
+
 /// Splits a line into whitespace-separated tokens, each with its byte
 /// offset (for [`ErrorKind`] diagnostics).
-pub(crate) fn tokens(line: &str) -> impl Iterator<Item = (usize, &str)> + '_ {
+fn tokens(line: &str) -> impl Iterator<Item = (usize, &str)> + '_ {
     line.split_whitespace()
         .map(move |tok| (tok.as_ptr() as usize - line.as_ptr() as usize, tok))
+}
+
+/// One `key=value` token as [`read_fields`] hands it to a verb's
+/// schema. Every error it raises carries the request id read so far.
+struct Field<'a> {
+    /// The `id=` read before this token. A schema that owns `id` (the
+    /// report's `id=<n>#<sub>`) sets it.
+    id: u64,
+    key: &'a str,
+    value: &'a str,
+    /// Byte offset of the token in the line.
+    offset: usize,
+}
+
+impl<'a> Field<'a> {
+    fn fail(&self, kind: ErrorKind) -> ProtoError {
+        ProtoError::new(self.id, kind)
+    }
+
+    /// `InvalidValue`, pointing at the value.
+    fn invalid(&self) -> ProtoError {
+        let (key, value) = (self.key.to_owned(), self.value.to_owned());
+        let offset = self.offset + self.key.len() + 1;
+        self.fail(ErrorKind::InvalidValue { key, value, offset })
+    }
+
+    /// The value parsed as `T` and accepted by `ok`.
+    fn parse_if<T: FromStr>(&self, ok: impl FnOnce(&T) -> bool) -> Result<T, ProtoError> {
+        self.value
+            .parse()
+            .ok()
+            .filter(ok)
+            .ok_or_else(|| self.invalid())
+    }
+
+    fn parse<T: FromStr>(&self) -> Result<T, ProtoError> {
+        self.parse_if(|_| true)
+    }
+
+    fn u64(&self) -> Result<u64, ProtoError> {
+        self.parse()
+    }
+
+    // Rust's float FromStr accepts "NaN"/"inf"; a λ or δ knob set to
+    // either would silently poison the whole objective, so request
+    // floats must be finite.
+    fn f64(&self) -> Result<f64, ProtoError> {
+        self.parse_if(|v: &f64| v.is_finite())
+    }
+
+    fn f32(&self) -> Result<f32, ProtoError> {
+        self.parse_if(|v: &f32| v.is_finite())
+    }
+
+    fn positive(&self) -> Result<usize, ProtoError> {
+        self.parse_if(|n: &usize| *n > 0)
+    }
+
+    /// A strict `0`/`1` flag (canonical both directions).
+    fn bit(&self) -> Result<bool, ProtoError> {
+        bit(self.value).ok_or_else(|| self.invalid())
+    }
+
+    /// A `cat:<16 hex digits>` fingerprint ref.
+    fn cat_ref(&self) -> Result<u64, ProtoError> {
+        hdx_catalog::parse_ref(self.value).ok_or_else(|| self.invalid())
+    }
+
+    /// The listed label equal to the value.
+    fn one_of(&self, labels: &[&'static str]) -> Result<&'static str, ProtoError> {
+        let found = labels.iter().find(|l| **l == self.value);
+        found.copied().ok_or_else(|| self.invalid())
+    }
+
+    fn task(&self) -> Result<Task, ProtoError> {
+        Task::parse_label(self.value).ok_or_else(|| self.invalid())
+    }
+
+    fn nonempty(&self) -> Result<String, ProtoError> {
+        let value = (!self.value.is_empty()).then(|| self.value.to_owned());
+        value.ok_or_else(|| self.invalid())
+    }
+
+    /// A row of exactly `N` colon-packed columns, built by `build`.
+    fn row<const N: usize, T>(
+        &self,
+        build: impl FnOnce([&'a str; N]) -> Option<T>,
+    ) -> Result<T, ProtoError> {
+        let cols: Vec<&'a str> = self.value.split(':').collect();
+        <[&str; N]>::try_from(cols)
+            .ok()
+            .and_then(build)
+            .ok_or_else(|| self.invalid())
+    }
+}
+
+fn bit(value: &str) -> Option<bool> {
+    match value {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    }
+}
+
+/// The field reader every verb decodes through: walks `parts` in line
+/// order and hands each `key=value` token to `schema`, which returns
+/// whether it knows the key. The reader owns the shared rules — a
+/// token without `=` is `NotKeyValue`, an `id` the schema leaves alone
+/// parses as u64, any other unknown key is `UnknownField`, and every
+/// error carries the id read so far. Returns the final id.
+fn read_fields<'a>(
+    parts: impl Iterator<Item = (usize, &'a str)>,
+    mut schema: impl FnMut(&mut Field<'a>) -> Result<bool, ProtoError>,
+) -> Result<u64, ProtoError> {
+    let mut id = 0;
+    for (offset, token) in parts {
+        let Some((key, value)) = token.split_once('=') else {
+            let token = token.to_owned();
+            return Err(ProtoError::new(
+                id,
+                ErrorKind::NotKeyValue { token, offset },
+            ));
+        };
+        let mut field = Field {
+            id,
+            key,
+            value,
+            offset,
+        };
+        if schema(&mut field)? {
+            id = field.id;
+        } else if key == "id" {
+            id = field.u64()?;
+        } else {
+            let key = key.to_owned();
+            return Err(field.fail(ErrorKind::UnknownField { key, offset }));
+        }
+    }
+    Ok(id)
+}
+
+/// A required field's value, or `MissingField` under the final `id`.
+fn need<T>(id: u64, value: Option<T>, key: &'static str) -> Result<T, ProtoError> {
+    value.ok_or_else(|| ProtoError::new(id, ErrorKind::MissingField { key }))
+}
+
+/// The line writer every encoder builds through: a head (the verb,
+/// behind the version token in v1) then ` key=value` fields in call
+/// order.
+struct Line(String);
+
+impl Line {
+    fn new(head: &str) -> Line {
+        // Room for a typical reply, so most lines never reallocate.
+        let mut line = String::with_capacity(256);
+        line.push_str(head);
+        Line(line)
+    }
+
+    /// A v1 line: the version token, `verb`, and `id=`.
+    fn v1(verb: &str, id: u64) -> Line {
+        let mut line = Line::new(v1::VERSION_TOKEN);
+        line.0.push(' ');
+        line.0.push_str(verb);
+        line.field("id", id);
+        line
+    }
+
+    fn field(&mut self, key: &str, value: impl Display) -> &mut Line {
+        // Writing into a String cannot fail.
+        let _ = write!(self.0, " {key}={value}");
+        self
+    }
+
+    fn done(&mut self) -> String {
+        std::mem::take(&mut self.0)
+    }
 }
 
 /// One parsed v0 input line (the PR-4 grammar; [`v1`] has the full
@@ -280,6 +480,19 @@ pub enum Request {
     Stats,
     /// Liveness probe.
     Ping,
+}
+
+impl Request {
+    /// The v1 body this v0 request is served as. A v0 `search` is a v1
+    /// `search` whatever its options (a grid or meta-search carried on
+    /// a v0 line keeps its `lambda_grid` / `max_searches`).
+    pub fn into_body(self) -> v1::RequestBody {
+        match self {
+            Request::Search(req) => v1::RequestBody::Search(*req),
+            Request::Stats => v1::RequestBody::Stats,
+            Request::Ping => v1::RequestBody::Ping,
+        }
+    }
 }
 
 /// A single co-design search job (or a λ-grid / meta-search family of
@@ -423,72 +636,72 @@ impl SearchRequest {
             .collect()
     }
 
+    /// The row in [`v1::VERBS`] of the batched verb this job's options
+    /// imply. Resume beats meta beats grid — the precedence
+    /// `TaskService` executes — so a v0 `search` line combining options
+    /// counts under its strongest branch; a grid's expanded jobs
+    /// (`sub` set) still count as grid.
+    pub fn verb_index(&self) -> usize {
+        if self.resume_from_checkpoint {
+            3
+        } else if self.max_searches > 1 {
+            2
+        } else if self.sub.is_some() || !self.lambda_grid.is_empty() {
+            1
+        } else {
+            0
+        }
+    }
+
     /// Encodes the request's fields as a `search …`-style v0 line that
     /// [`parse_request`] round-trips. v1-only fields (`bundle_seed`,
     /// `ckpt`, `ckpt_every`) are appended only when set, so a request a
     /// v0 client could have sent encodes to a line a v0 client could
     /// parse.
     pub fn encode(&self) -> String {
-        let mut s = format!(
-            "search id={} task={} method={}",
-            self.id,
-            task_label(self.task),
-            match self.method {
-                Method::NasThenHw { .. } => "nas",
-                Method::AutoNba => "autonba",
-                Method::Dance => "dance",
-                Method::Hdx { .. } => "hdx",
-            }
-        );
+        self.write_fields(&mut Line::new("search")).done()
+    }
+
+    fn write_fields<'l>(&self, line: &'l mut Line) -> &'l mut Line {
+        line.field("id", self.id).field("task", self.task.label());
         match self.method {
-            Method::NasThenHw { lambda_macs } => s.push_str(&format!(" lambda_macs={lambda_macs}")),
-            Method::Hdx { delta0, p } => s.push_str(&format!(" delta0={delta0} p={p}")),
-            _ => {}
-        }
+            Method::NasThenHw { lambda_macs } => line
+                .field("method", "nas")
+                .field("lambda_macs", lambda_macs),
+            Method::AutoNba => line.field("method", "autonba"),
+            Method::Dance => line.field("method", "dance"),
+            Method::Hdx { delta0, p } => line
+                .field("method", "hdx")
+                .field("delta0", delta0)
+                .field("p", p),
+        };
         for c in &self.constraints {
-            s.push_str(&format!(" {}={}", metric_key(c.metric), c.target));
+            line.field(metric_key(c.metric), c.target);
         }
-        s.push_str(&format!(" lambda_cost={}", self.lambda_cost));
+        line.field("lambda_cost", self.lambda_cost);
         if let Some(l) = self.lambda_soft {
-            s.push_str(&format!(" lambda_soft={l}"));
+            line.field("lambda_soft", l);
         }
         if !self.lambda_grid.is_empty() {
             let grid: Vec<String> = self.lambda_grid.iter().map(f64::to_string).collect();
-            s.push_str(&format!(" lambda_grid={}", grid.join(",")));
+            line.field("lambda_grid", grid.join(","));
         }
-        s.push_str(&format!(
-            " epochs={} steps={} batch={} final_train={} seed={} num_paths={} max_searches={}",
-            self.epochs,
-            self.steps,
-            self.batch,
-            self.final_train,
-            self.seed,
-            self.num_paths,
-            self.max_searches
-        ));
+        line.field("epochs", self.epochs)
+            .field("steps", self.steps)
+            .field("batch", self.batch)
+            .field("final_train", self.final_train)
+            .field("seed", self.seed)
+            .field("num_paths", self.num_paths)
+            .field("max_searches", self.max_searches);
         if let Some(seed) = self.bundle_seed {
-            s.push_str(&format!(" bundle_seed={seed}"));
+            line.field("bundle_seed", seed);
         }
         if let Some(path) = &self.checkpoint {
-            s.push_str(&format!(
-                " ckpt={path} ckpt_every={}",
-                self.checkpoint_every
-            ));
+            line.field("ckpt", path)
+                .field("ckpt_every", self.checkpoint_every);
         }
-        s
+        line
     }
-}
-
-pub(crate) fn task_label(task: Task) -> &'static str {
-    // Delegates to the core registry so the wire labels of new task
-    // families stay in one place. Accepting a new `task=` *value* is a
-    // value-level extension shared by both framings, not a grammar
-    // change — no pre-existing exchange's bytes move.
-    task.label()
-}
-
-pub(crate) fn task_from_label(label: &str) -> Option<Task> {
-    Task::parse_label(label)
 }
 
 fn metric_key(metric: Metric) -> &'static str {
@@ -513,228 +726,95 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let Some((verb_off, verb)) = parts.next() else {
         return Err(ProtoError::new(0, ErrorKind::EmptyLine));
     };
-    match verb {
-        "stats" => reject_trailing(parts).map(|()| Request::Stats),
-        "ping" => reject_trailing(parts).map(|()| Request::Ping),
-        "search" => {
-            let mut fields = SearchFieldParser::new(false);
-            for (offset, part) in parts {
-                fields.apply(offset, part)?;
-            }
-            fields.finish().map(|req| Request::Search(Box::new(req)))
-        }
-        other => Err(ProtoError::new(
-            0,
-            ErrorKind::UnknownVerb {
-                verb: other.to_owned(),
-                offset: verb_off,
-            },
-        )),
-    }
-}
-
-/// Rejects any token after a verb that takes no further fields. (The
-/// PR-4 parser silently ignored trailing garbage on `stats`/`ping`; a
-/// mistyped pipeline must not be mistaken for a control request.)
-pub(crate) fn reject_trailing<'a>(
-    mut parts: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<(), ProtoError> {
+    let control = match verb {
+        "search" => return search_fields(parts, false).map(|req| Request::Search(Box::new(req))),
+        "stats" => Request::Stats,
+        "ping" => Request::Ping,
+        other => return Err(unknown_verb(other, verb_off)),
+    };
+    // The PR-4 parser silently ignored trailing garbage on
+    // `stats`/`ping`; a mistyped pipeline must not be mistaken for a
+    // control request.
     match parts.next() {
-        None => Ok(()),
-        Some((offset, token)) => Err(ProtoError::new(
-            0,
-            ErrorKind::TrailingInput {
-                token: token.to_owned(),
-                offset,
-            },
-        )),
+        None => Ok(control),
+        Some((offset, token)) => {
+            let token = token.to_owned();
+            Err(ProtoError::new(
+                0,
+                ErrorKind::TrailingInput { token, offset },
+            ))
+        }
     }
 }
 
-/// Incremental `key=value` parser for search-type requests, shared by
-/// the v0 and v1 grammars (`v1` gates the fields PR-4 did not have).
-/// Method parameters arrive as independent pairs; the [`Method`] is
-/// assembled in [`SearchFieldParser::finish`].
-pub(crate) struct SearchFieldParser {
+/// The search-type field schema, shared by the v0 and v1 grammars
+/// (`v1` admits the fields PR-4 did not have). Method parameters
+/// arrive as independent pairs; the [`Method`] is assembled after.
+fn search_fields<'a>(
+    parts: impl Iterator<Item = (usize, &'a str)>,
     v1: bool,
-    req: SearchRequest,
-    method: Option<&'static str>,
-    delta0: f32,
-    p: f32,
-    lambda_macs: f64,
-}
-
-impl SearchFieldParser {
-    pub(crate) fn new(v1: bool) -> SearchFieldParser {
-        SearchFieldParser {
-            v1,
-            req: SearchRequest::default(),
-            method: None,
-            delta0: 1e-3,
-            p: 1e-2,
-            lambda_macs: 0.05,
-        }
-    }
-
-    /// Applies one `key=value` token found at byte offset `offset`.
-    pub(crate) fn apply(&mut self, offset: usize, part: &str) -> Result<(), ProtoError> {
-        let id = self.req.id;
-        let Some((key, value)) = part.split_once('=') else {
-            return Err(ProtoError::new(
-                id,
-                ErrorKind::NotKeyValue {
-                    token: part.to_owned(),
-                    offset,
-                },
-            ));
-        };
-        // Offset of the value within the line, for value-level errors.
-        let voff = offset + key.len() + 1;
-        let err = |key: &str, value: &str| {
-            ProtoError::new(
-                id,
-                ErrorKind::InvalidValue {
-                    key: key.to_owned(),
-                    value: value.to_owned(),
-                    offset: voff,
-                },
-            )
-        };
-        // Rust's float FromStr accepts "NaN"/"inf"; a λ or δ knob set
-        // to either would silently poison the whole objective, so every
-        // float field rejects non-finite values (as the constraint
-        // fields do).
-        let finite_f64 = |key: &str, value: &str| -> Result<f64, ProtoError> {
-            match value.parse::<f64>() {
-                Ok(v) if v.is_finite() => Ok(v),
-                _ => Err(err(key, value)),
+) -> Result<SearchRequest, ProtoError> {
+    let mut req = SearchRequest::default();
+    let (mut method, mut delta0, mut p, mut lambda_macs) = ("hdx", 1e-3, 1e-2, 0.05);
+    let id = read_fields(parts, |f| {
+        match f.key {
+            "task" => req.task = f.task()?,
+            "method" => method = f.one_of(&["hdx", "dance", "autonba", "nas"])?,
+            "delta0" => delta0 = f.f32()?,
+            "p" => p = f.f32()?,
+            "lambda_macs" => lambda_macs = f.f64()?,
+            "fps" | "latency" | "energy" | "area" => {
+                let target = f.parse_if(|v: &f64| *v > 0.0 && v.is_finite())?;
+                req.constraints.push(match f.key {
+                    "fps" => Constraint::fps(target),
+                    "latency" => Constraint::new(Metric::Latency, target),
+                    "energy" => Constraint::new(Metric::Energy, target),
+                    _ => Constraint::new(Metric::Area, target),
+                });
             }
-        };
-        let finite_f32 = |key: &str, value: &str| -> Result<f32, ProtoError> {
-            match value.parse::<f32>() {
-                Ok(v) if v.is_finite() => Ok(v),
-                _ => Err(err(key, value)),
-            }
-        };
-        let positive = |key: &str, value: &str| -> Result<usize, ProtoError> {
-            match value.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(err(key, value)),
-            }
-        };
-
-        let req = &mut self.req;
-        match key {
-            "id" => req.id = value.parse().map_err(|_| err(key, value))?,
-            "task" => req.task = task_from_label(value).ok_or_else(|| err(key, value))?,
-            "method" => match value {
-                "hdx" => self.method = Some("hdx"),
-                "dance" => self.method = Some("dance"),
-                "autonba" => self.method = Some("autonba"),
-                "nas" => self.method = Some("nas"),
-                _ => return Err(err(key, value)),
-            },
-            "delta0" => self.delta0 = finite_f32(key, value)?,
-            "p" => self.p = finite_f32(key, value)?,
-            "lambda_macs" => self.lambda_macs = finite_f64(key, value)?,
-            "fps" => {
-                let fps: f64 = value.parse().map_err(|_| err(key, value))?;
-                if !(fps > 0.0 && fps.is_finite()) {
-                    return Err(err(key, value));
-                }
-                req.constraints.push(Constraint::fps(fps));
-            }
-            "latency" | "energy" | "area" => {
-                let target: f64 = value.parse().map_err(|_| err(key, value))?;
-                if !(target > 0.0 && target.is_finite()) {
-                    return Err(err(key, value));
-                }
-                let metric = match key {
-                    "latency" => Metric::Latency,
-                    "energy" => Metric::Energy,
-                    _ => Metric::Area,
-                };
-                req.constraints.push(Constraint::new(metric, target));
-            }
-            "lambda_cost" => req.lambda_cost = finite_f64(key, value)?,
-            "lambda_soft" => req.lambda_soft = Some(finite_f64(key, value)?),
+            "lambda_cost" => req.lambda_cost = f.f64()?,
+            "lambda_soft" => req.lambda_soft = Some(f.f64()?),
             "lambda_grid" => {
-                req.lambda_grid = value
+                // An entry's error names the entry, at the value offset.
+                req.lambda_grid = f
+                    .value
                     .split(',')
-                    .map(|entry| finite_f64(key, entry))
+                    .map(|value| Field { value, ..*f }.f64())
                     .collect::<Result<_, _>>()?;
-                if req.lambda_grid.is_empty() {
-                    return Err(err(key, value));
-                }
             }
-            "epochs" => req.epochs = positive(key, value)?,
-            "steps" => req.steps = positive(key, value)?,
-            "batch" => req.batch = positive(key, value)?,
-            "final_train" => req.final_train = value.parse().map_err(|_| err(key, value))?,
-            "seed" => req.seed = value.parse().map_err(|_| err(key, value))?,
-            "num_paths" => {
-                let n: usize = positive(key, value)?;
-                if n > OP_SET.len() {
-                    return Err(err(key, value));
-                }
-                req.num_paths = n;
-            }
-            "max_searches" => req.max_searches = positive(key, value)?,
-            "bundle_seed" if self.v1 => {
-                req.bundle_seed = Some(value.parse().map_err(|_| err(key, value))?);
-            }
-            "ckpt" if self.v1 => {
-                if value.is_empty() {
-                    return Err(err(key, value));
-                }
-                req.checkpoint = Some(value.to_owned());
-            }
-            "ckpt_every" if self.v1 => req.checkpoint_every = positive(key, value)?,
-            other => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: other.to_owned(),
-                        offset,
-                    },
-                ))
-            }
+            "epochs" => req.epochs = f.positive()?,
+            "steps" => req.steps = f.positive()?,
+            "batch" => req.batch = f.positive()?,
+            "final_train" => req.final_train = f.parse()?,
+            "seed" => req.seed = f.u64()?,
+            "num_paths" => req.num_paths = f.parse_if(|n| (1..=OP_SET.len()).contains(n))?,
+            "max_searches" => req.max_searches = f.positive()?,
+            "bundle_seed" if v1 => req.bundle_seed = Some(f.u64()?),
+            "ckpt" if v1 => req.checkpoint = Some(f.nonempty()?),
+            "ckpt_every" if v1 => req.checkpoint_every = f.positive()?,
+            _ => return Ok(false),
         }
-        Ok(())
+        Ok(true)
+    })?;
+    req.id = id;
+    req.method = match method {
+        "hdx" => Method::Hdx { delta0, p },
+        "dance" => Method::Dance,
+        "autonba" => Method::AutoNba,
+        _ => Method::NasThenHw { lambda_macs },
+    };
+    if req.max_searches > 1 && req.constraints.is_empty() {
+        let message = "max_searches > 1 requires at least one constraint".to_owned();
+        return Err(ProtoError::new(id, ErrorKind::Invalid { message }));
     }
-
-    /// Cross-field validation and [`Method`] assembly.
-    pub(crate) fn finish(self) -> Result<SearchRequest, ProtoError> {
-        let mut req = self.req;
-        req.method = match self.method {
-            Some("hdx") | None => Method::Hdx {
-                delta0: self.delta0,
-                p: self.p,
-            },
-            Some("dance") => Method::Dance,
-            Some("autonba") => Method::AutoNba,
-            Some("nas") => Method::NasThenHw {
-                lambda_macs: self.lambda_macs,
-            },
-            Some(_) => unreachable!("method values validated above"),
-        };
-        if req.max_searches > 1 && req.constraints.is_empty() {
-            return Err(ProtoError::new(
-                req.id,
-                ErrorKind::Invalid {
-                    message: "max_searches > 1 requires at least one constraint".to_owned(),
-                },
-            ));
-        }
-        Ok(req)
-    }
+    Ok(req)
 }
 
 /// A search outcome as carried by one `report` line. Everything in it
 /// is a deterministic function of the request, its dispatch position,
 /// and the warm artifacts — wall-clock timing is deliberately absent
 /// (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchReport {
     /// Echo of the request id.
     pub id: u64,
@@ -802,7 +882,7 @@ impl SearchReport {
             id: req.id,
             sub: req.sub,
             method: req.method.label(),
-            task: task_label(req.task),
+            task: req.task.label(),
             seed: req.seed,
             lambda_cost: req.lambda_cost,
             searches,
@@ -874,15 +954,12 @@ impl SearchReport {
     /// The v1 `report …` line: the version token, every v0 field in the
     /// same order, then the dispatch/step fields v0 never carried.
     pub fn encode_v1(&self) -> String {
-        format!(
-            "{} {} queue_pos={} queued_jobs={} queue_len_at_dispatch={} steps_used={}",
-            v1::VERSION_TOKEN,
-            self.encode(),
-            self.queue_pos,
-            self.queued_jobs,
-            self.queue_len_at_dispatch,
-            self.steps_used
-        )
+        Line::new(&format!("{} {}", v1::VERSION_TOKEN, self.encode()))
+            .field("queue_pos", self.queue_pos)
+            .field("queued_jobs", self.queued_jobs)
+            .field("queue_len_at_dispatch", self.queue_len_at_dispatch)
+            .field("steps_used", self.steps_used)
+            .done()
     }
 }
 

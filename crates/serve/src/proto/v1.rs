@@ -2,8 +2,11 @@
 //!
 //! Every v1 line leads with the [`VERSION_TOKEN`] (`hdx1`), then a
 //! verb, then `key=value` fields. The typed core is the
-//! [`Envelope`] — `{ version, request_id, body }` — with
-//! [`RequestBody`] / [`ResponseBody`] enums covering the full verb set:
+//! [`Envelope`] — `{ request_id, body }` — with [`RequestBody`] /
+//! [`ResponseBody`] enums covering the full verb set. [`VERBS`] is the
+//! one list of verbs — wire name, reply verb, batched or control — that
+//! the decoder, the router's per-verb counters, and the job
+//! classification all read:
 //!
 //! | request verb    | body                          | response verb |
 //! |-----------------|-------------------------------|---------------|
@@ -39,23 +42,66 @@
 //! connection can interleave v0 and v1 clients' traffic.
 
 use super::{
-    task_from_label, task_label, tokens, ErrorKind, ProtoError, SearchFieldParser, SearchReport,
-    SearchRequest,
+    bit, need, read_fields, search_fields, tokens, unknown_verb, ErrorKind, Field, Line,
+    ProtoError, SearchReport, SearchRequest,
 };
 use hdx_core::Task;
 
 /// The v1 version token every v1 line leads with.
 pub const VERSION_TOKEN: &str = "hdx1";
 
-/// The protocol version this module speaks.
-pub const VERSION: u32 = 1;
+/// One v1 verb: its wire name, the verb its reply carries, and its
+/// class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verb {
+    /// The request verb on the wire.
+    pub name: &'static str,
+    /// The response verb answering it.
+    pub reply: &'static str,
+    /// Batched verbs queue as search jobs until the connection's next
+    /// flush; control verbs are answered at once.
+    pub batched: bool,
+    /// The fields a control verb takes besides `id` (batched verbs
+    /// take the search fields).
+    pub(crate) fields: &'static [&'static str],
+}
 
-/// One framed protocol message: the negotiated version, the request id
-/// it correlates with, and the typed payload.
+const fn verb(
+    name: &'static str,
+    reply: &'static str,
+    batched: bool,
+    fields: &'static [&'static str],
+) -> Verb {
+    Verb {
+        name,
+        reply,
+        batched,
+        fields,
+    }
+}
+
+/// Every v1 verb. The four batched verbs lead, in [`VerbCounts`]
+/// order, so a job's class ([`SearchRequest::verb_index`]) is its row.
+pub const VERBS: [Verb; 13] = [
+    verb("search", "report", true, &[]),
+    verb("grid", "report", true, &[]),
+    verb("meta", "report", true, &[]),
+    verb("resume", "report", true, &[]),
+    verb("stats", "stats", false, &[]),
+    verb("ping", "pong", false, &[]),
+    verb("load_bundle", "loaded", false, &["path"]),
+    verb("unload_bundle", "unloaded", false, &["task", "bundle_seed"]),
+    verb("list_tasks", "tasks", false, &[]),
+    verb("metrics", "metrics", false, &[]),
+    verb("catalog_list", "catalog", false, &[]),
+    verb("catalog_pin", "pinned", false, &["ref", "on"]),
+    verb("catalog_evict", "evicted", false, &["ref"]),
+];
+
+/// One framed protocol message: the request id it correlates with and
+/// the typed payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope<B> {
-    /// Protocol version ([`VERSION`]).
-    pub version: u32,
     /// Caller-chosen correlation id (echoed in every response).
     pub request_id: u64,
     /// The typed payload.
@@ -65,11 +111,7 @@ pub struct Envelope<B> {
 impl<B> Envelope<B> {
     /// Wraps a body in a v1 envelope.
     pub fn v1(request_id: u64, body: B) -> Envelope<B> {
-        Envelope {
-            version: VERSION,
-            request_id,
-            body,
-        }
+        Envelope { request_id, body }
     }
 }
 
@@ -127,6 +169,27 @@ pub enum RequestBody {
         /// Content fingerprint of the object.
         fingerprint: u64,
     },
+}
+
+impl RequestBody {
+    /// This body's row in [`VERBS`].
+    pub fn verb_index(&self) -> usize {
+        match self {
+            RequestBody::Search(_) => 0,
+            RequestBody::Grid(_) => 1,
+            RequestBody::Meta(_) => 2,
+            RequestBody::Resume(_) => 3,
+            RequestBody::Stats => 4,
+            RequestBody::Ping => 5,
+            RequestBody::LoadBundle { .. } => 6,
+            RequestBody::UnloadBundle { .. } => 7,
+            RequestBody::ListTasks => 8,
+            RequestBody::Metrics => 9,
+            RequestBody::CatalogList => 10,
+            RequestBody::CatalogPin { .. } => 11,
+            RequestBody::CatalogEvict { .. } => 12,
+        }
+    }
 }
 
 /// The typed payload of one v1 response line.
@@ -209,7 +272,7 @@ pub struct TaskEntry {
 
 /// Aggregated service statistics: the process-wide session-bank
 /// counters plus one [`TaskStats`] row per loaded bundle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsReport {
     /// Compiled programs resident in the session bank.
     pub programs: u64,
@@ -305,6 +368,87 @@ pub fn sniff(line: &str) -> Framing {
     }
 }
 
+/// Checks a v1 line's version token and splits off its verb (with its
+/// byte offset) from the field tokens.
+fn open(line: &str) -> Result<(usize, &str, impl Iterator<Item = (usize, &str)>), ProtoError> {
+    let mut parts = tokens(line);
+    let kind = match (parts.next(), parts.next()) {
+        (Some((_, VERSION_TOKEN)), Some((offset, verb))) => return Ok((offset, verb, parts)),
+        (Some((offset, token)), _) if token != VERSION_TOKEN => {
+            let token = token.to_owned();
+            ErrorKind::VersionMismatch { token, offset }
+        }
+        _ => ErrorKind::EmptyLine,
+    };
+    Err(ProtoError::new(0, kind))
+}
+
+/// The fixed-shape fields control lines carry; each verb admits its
+/// own subset.
+#[derive(Default)]
+struct Control {
+    path: Option<String>,
+    task: Option<Task>,
+    bundle_seed: Option<u64>,
+    fingerprint: Option<u64>,
+    on: Option<bool>,
+    freed: Option<u64>,
+    accuracy: Option<f64>,
+}
+
+/// Reads `id` plus the control fields named in `keys`; any other key is
+/// unknown.
+fn control<'a>(
+    parts: impl Iterator<Item = (usize, &'a str)>,
+    keys: &[&str],
+) -> Result<(u64, Control), ProtoError> {
+    let mut c = Control::default();
+    let id = read_fields(parts, |f| {
+        if !keys.contains(&f.key) {
+            return Ok(false);
+        }
+        match f.key {
+            "path" => c.path = Some(f.nonempty()?),
+            "task" => c.task = Some(f.task()?),
+            "bundle_seed" => c.bundle_seed = Some(f.u64()?),
+            "ref" => c.fingerprint = Some(f.cat_ref()?),
+            "on" => c.on = Some(f.bit()?),
+            "freed" => c.freed = Some(f.u64()?),
+            _ => c.accuracy = Some(f.parse()?),
+        }
+        Ok(true)
+    })?;
+    Ok((id, c))
+}
+
+/// Reads a listing reply: `id`, an optional `count=` that must match
+/// the entries, and one entry per `key=` field (per field of any other
+/// key when `key` is `None`), read by `entry`, which also sees the
+/// entries so far.
+fn listing<'a, T>(
+    parts: impl Iterator<Item = (usize, &'a str)>,
+    what: &str,
+    key: Option<&str>,
+    mut entry: impl FnMut(&Field<'a>, &[T]) -> Result<T, ProtoError>,
+) -> Result<(u64, Vec<T>), ProtoError> {
+    let mut count = None;
+    let mut entries = Vec::new();
+    let id = read_fields(parts, |f| {
+        match f.key {
+            "id" => return Ok(false),
+            "count" => count = Some(f.u64()?),
+            k if key.is_none_or(|key| key == k) => entries.push(entry(f, &entries)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    if count.is_some_and(|c| c != entries.len() as u64) {
+        let message = format!("{what} count disagrees with the listed entries");
+        return Err(ProtoError::new(id, ErrorKind::Invalid { message }));
+    }
+    Ok((id, entries))
+}
+
 /// Decodes one v1 request line into its envelope.
 ///
 /// # Errors
@@ -313,436 +457,208 @@ pub fn sniff(line: &str) -> Framing {
 /// field-level parse errors (with byte offsets), missing required
 /// fields, and cross-field validation failures.
 pub fn decode_request(line: &str) -> Result<Envelope<RequestBody>, ProtoError> {
-    let mut parts = tokens(line);
-    match parts.next() {
-        Some((_, tok)) if tok == VERSION_TOKEN => {}
-        Some((offset, tok)) => {
-            return Err(ProtoError::new(
-                0,
-                ErrorKind::VersionMismatch {
-                    token: tok.to_owned(),
-                    offset,
-                },
-            ))
-        }
-        None => return Err(ProtoError::new(0, ErrorKind::EmptyLine)),
+    let (offset, name, parts) = open(line)?;
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == name)
+        .ok_or_else(|| unknown_verb(name, offset))?;
+    if verb.batched {
+        return batched(name, search_fields(parts, true)?);
     }
-    let Some((verb_off, verb)) = parts.next() else {
-        return Err(ProtoError::new(0, ErrorKind::EmptyLine));
+    let (id, c) = control(parts, verb.fields)?;
+    let body = match name {
+        "stats" => RequestBody::Stats,
+        "ping" => RequestBody::Ping,
+        "list_tasks" => RequestBody::ListTasks,
+        "metrics" => RequestBody::Metrics,
+        "catalog_list" => RequestBody::CatalogList,
+        "load_bundle" => RequestBody::LoadBundle {
+            path: need(id, c.path, "path")?,
+        },
+        "unload_bundle" => RequestBody::UnloadBundle {
+            task: need(id, c.task, "task")?,
+            bundle_seed: need(id, c.bundle_seed, "bundle_seed")?,
+        },
+        "catalog_pin" => RequestBody::CatalogPin {
+            fingerprint: need(id, c.fingerprint, "ref")?,
+            on: need(id, c.on, "on")?,
+        },
+        _ => RequestBody::CatalogEvict {
+            fingerprint: need(id, c.fingerprint, "ref")?,
+        },
     };
-    match verb {
-        "search" | "grid" | "meta" | "resume" => {
-            let mut fields = SearchFieldParser::new(true);
-            for (offset, part) in parts {
-                fields.apply(offset, part)?;
-            }
-            let mut req = fields.finish()?;
-            let id = req.id;
-            let invalid = |message: &str| {
-                Err(ProtoError::new(
-                    id,
-                    ErrorKind::Invalid {
-                        message: message.to_owned(),
-                    },
-                ))
-            };
-            let body = match verb {
-                "search" => {
-                    if !req.lambda_grid.is_empty() {
-                        return invalid("search does not take lambda_grid (use the grid verb)");
-                    }
-                    if req.max_searches > 1 {
-                        return invalid("search does not take max_searches (use the meta verb)");
-                    }
-                    RequestBody::Search(req)
-                }
-                "grid" => {
-                    if req.lambda_grid.is_empty() {
-                        return Err(ProtoError::new(
-                            id,
-                            ErrorKind::MissingField { key: "lambda_grid" },
-                        ));
-                    }
-                    if req.checkpoint.is_some() {
-                        return invalid("grid jobs would overwrite one another's ckpt snapshots");
-                    }
-                    RequestBody::Grid(req)
-                }
-                "meta" => {
-                    if req.max_searches <= 1 {
-                        return invalid("meta requires max_searches > 1 (use the search verb)");
-                    }
-                    if req.checkpoint.is_some() {
-                        return invalid("meta-searches are not checkpointable");
-                    }
-                    RequestBody::Meta(req)
-                }
-                _ => {
-                    if req.checkpoint.is_none() {
-                        return Err(ProtoError::new(id, ErrorKind::MissingField { key: "ckpt" }));
-                    }
-                    if !req.lambda_grid.is_empty() || req.max_searches > 1 {
-                        return invalid("resume continues exactly one checkpointed search");
-                    }
-                    req.resume_from_checkpoint = true;
-                    RequestBody::Resume(req)
-                }
-            };
-            let request_id = match &body {
-                RequestBody::Search(r)
-                | RequestBody::Grid(r)
-                | RequestBody::Meta(r)
-                | RequestBody::Resume(r) => r.id,
-                _ => unreachable!("search-type body"),
-            };
-            Ok(Envelope::v1(request_id, body))
-        }
-        "stats" => control_envelope(parts, RequestBody::Stats),
-        "ping" => control_envelope(parts, RequestBody::Ping),
-        "list_tasks" => control_envelope(parts, RequestBody::ListTasks),
-        "metrics" => control_envelope(parts, RequestBody::Metrics),
-        "catalog_list" => control_envelope(parts, RequestBody::CatalogList),
-        "catalog_pin" => {
-            let mut id = 0u64;
-            let mut fingerprint: Option<u64> = None;
-            let mut on: Option<bool> = None;
-            for (offset, part) in parts {
-                let (key, value) = split_field(id, offset, part)?;
-                match key {
-                    "id" => id = parse_u64(id, offset, key, value)?,
-                    "ref" => fingerprint = Some(parse_cat_ref(id, offset, key, value)?),
-                    "on" => on = Some(parse_bit(id, offset, key, value)?),
-                    _ => {
-                        return Err(ProtoError::new(
-                            id,
-                            ErrorKind::UnknownField {
-                                key: key.to_owned(),
-                                offset,
-                            },
-                        ))
-                    }
-                }
-            }
-            let fingerprint =
-                fingerprint.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "ref" }))?;
-            let on = on.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "on" }))?;
-            Ok(Envelope::v1(
-                id,
-                RequestBody::CatalogPin { fingerprint, on },
-            ))
-        }
-        "catalog_evict" => {
-            let mut id = 0u64;
-            let mut fingerprint: Option<u64> = None;
-            for (offset, part) in parts {
-                let (key, value) = split_field(id, offset, part)?;
-                match key {
-                    "id" => id = parse_u64(id, offset, key, value)?,
-                    "ref" => fingerprint = Some(parse_cat_ref(id, offset, key, value)?),
-                    _ => {
-                        return Err(ProtoError::new(
-                            id,
-                            ErrorKind::UnknownField {
-                                key: key.to_owned(),
-                                offset,
-                            },
-                        ))
-                    }
-                }
-            }
-            let fingerprint =
-                fingerprint.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "ref" }))?;
-            Ok(Envelope::v1(id, RequestBody::CatalogEvict { fingerprint }))
-        }
-        "load_bundle" => {
-            let mut id = 0u64;
-            let mut path: Option<String> = None;
-            for (offset, part) in parts {
-                let (key, value) = split_field(id, offset, part)?;
-                match key {
-                    "id" => id = parse_u64(id, offset, key, value)?,
-                    "path" if !value.is_empty() => path = Some(value.to_owned()),
-                    "path" => {
-                        return Err(invalid_value(id, offset, key, value));
-                    }
-                    _ => {
-                        return Err(ProtoError::new(
-                            id,
-                            ErrorKind::UnknownField {
-                                key: key.to_owned(),
-                                offset,
-                            },
-                        ))
-                    }
-                }
-            }
-            let path = path.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "path" }))?;
-            Ok(Envelope::v1(id, RequestBody::LoadBundle { path }))
-        }
-        "unload_bundle" => {
-            let mut id = 0u64;
-            let mut task: Option<Task> = None;
-            let mut seed: Option<u64> = None;
-            for (offset, part) in parts {
-                let (key, value) = split_field(id, offset, part)?;
-                match key {
-                    "id" => id = parse_u64(id, offset, key, value)?,
-                    "task" => {
-                        task = Some(
-                            task_from_label(value)
-                                .ok_or_else(|| invalid_value(id, offset, key, value))?,
-                        );
-                    }
-                    "bundle_seed" => seed = Some(parse_u64(id, offset, key, value)?),
-                    _ => {
-                        return Err(ProtoError::new(
-                            id,
-                            ErrorKind::UnknownField {
-                                key: key.to_owned(),
-                                offset,
-                            },
-                        ))
-                    }
-                }
-            }
-            let task = task.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "task" }))?;
-            let bundle_seed = seed.ok_or(ProtoError::new(
-                id,
-                ErrorKind::MissingField { key: "bundle_seed" },
-            ))?;
-            Ok(Envelope::v1(
-                id,
-                RequestBody::UnloadBundle { task, bundle_seed },
-            ))
-        }
-        other => Err(ProtoError::new(
-            0,
-            ErrorKind::UnknownVerb {
-                verb: other.to_owned(),
-                offset: verb_off,
-            },
-        )),
-    }
-}
-
-/// Parses the field list of a verb that takes only `id=` (stats, ping,
-/// list_tasks) and wraps `body`.
-fn control_envelope<'a>(
-    parts: impl Iterator<Item = (usize, &'a str)>,
-    body: RequestBody,
-) -> Result<Envelope<RequestBody>, ProtoError> {
-    let mut id = 0u64;
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        if key == "id" {
-            id = parse_u64(id, offset, key, value)?;
-        } else {
-            return Err(ProtoError::new(
-                id,
-                ErrorKind::UnknownField {
-                    key: key.to_owned(),
-                    offset,
-                },
-            ));
-        }
-    }
     Ok(Envelope::v1(id, body))
 }
 
-fn split_field(id: u64, offset: usize, part: &str) -> Result<(&str, &str), ProtoError> {
-    part.split_once('=').ok_or_else(|| {
-        ProtoError::new(
-            id,
-            ErrorKind::NotKeyValue {
-                token: part.to_owned(),
-                offset,
-            },
-        )
-    })
-}
-
-fn invalid_value(id: u64, offset: usize, key: &str, value: &str) -> ProtoError {
-    ProtoError::new(
-        id,
-        ErrorKind::InvalidValue {
-            key: key.to_owned(),
-            value: value.to_owned(),
-            offset: offset + key.len() + 1,
-        },
-    )
-}
-
-fn parse_u64(id: u64, offset: usize, key: &str, value: &str) -> Result<u64, ProtoError> {
-    value
-        .parse()
-        .map_err(|_| invalid_value(id, offset, key, value))
-}
-
-/// Parses a `cat:<16 hex digits>` fingerprint ref field.
-fn parse_cat_ref(id: u64, offset: usize, key: &str, value: &str) -> Result<u64, ProtoError> {
-    hdx_catalog::parse_ref(value).ok_or_else(|| invalid_value(id, offset, key, value))
-}
-
-/// Parses a strict `0`/`1` boolean field (canonical both directions).
-fn parse_bit(id: u64, offset: usize, key: &str, value: &str) -> Result<bool, ProtoError> {
-    match value {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(invalid_value(id, offset, key, value)),
-    }
+/// Wraps a decoded search under its batched verb, enforcing what each
+/// verb requires and refuses.
+fn batched(verb: &str, mut req: SearchRequest) -> Result<Envelope<RequestBody>, ProtoError> {
+    let id = req.id;
+    let fail = |kind| Err(ProtoError::new(id, kind));
+    let invalid = |message: &str| {
+        fail(ErrorKind::Invalid {
+            message: message.to_owned(),
+        })
+    };
+    let grid = !req.lambda_grid.is_empty();
+    let meta = req.max_searches > 1;
+    let ckpt = req.checkpoint.is_some();
+    let body = match verb {
+        "search" if grid => return invalid("search does not take lambda_grid (use the grid verb)"),
+        "search" if meta => {
+            return invalid("search does not take max_searches (use the meta verb)")
+        }
+        "search" => RequestBody::Search(req),
+        "grid" if !grid => return fail(ErrorKind::MissingField { key: "lambda_grid" }),
+        "grid" if ckpt => return invalid("grid jobs would overwrite one another's ckpt snapshots"),
+        "grid" => RequestBody::Grid(req),
+        "meta" if !meta => return invalid("meta requires max_searches > 1 (use the search verb)"),
+        "meta" if ckpt => return invalid("meta-searches are not checkpointable"),
+        "meta" => RequestBody::Meta(req),
+        _ if !ckpt => return fail(ErrorKind::MissingField { key: "ckpt" }),
+        _ if grid || meta => return invalid("resume continues exactly one checkpointed search"),
+        _ => {
+            req.resume_from_checkpoint = true;
+            RequestBody::Resume(req)
+        }
+    };
+    Ok(Envelope::v1(id, body))
 }
 
 /// Encodes a request envelope as its canonical v1 line
 /// ([`decode_request`] round-trips it).
 pub fn encode_request(env: &Envelope<RequestBody>) -> String {
+    let name = VERBS[env.body.verb_index()].name;
+    let line = || Line::v1(name, env.request_id);
     match &env.body {
-        RequestBody::Search(r) => format!("{VERSION_TOKEN} {}", r.encode()),
-        RequestBody::Grid(r) => search_line("grid", r),
-        RequestBody::Meta(r) => search_line("meta", r),
-        RequestBody::Resume(r) => search_line("resume", r),
-        RequestBody::Stats => format!("{VERSION_TOKEN} stats id={}", env.request_id),
-        RequestBody::Ping => format!("{VERSION_TOKEN} ping id={}", env.request_id),
-        RequestBody::ListTasks => format!("{VERSION_TOKEN} list_tasks id={}", env.request_id),
-        RequestBody::Metrics => format!("{VERSION_TOKEN} metrics id={}", env.request_id),
-        RequestBody::LoadBundle { path } => {
-            format!(
-                "{VERSION_TOKEN} load_bundle id={} path={path}",
-                env.request_id
-            )
-        }
-        RequestBody::UnloadBundle { task, bundle_seed } => format!(
-            "{VERSION_TOKEN} unload_bundle id={} task={} bundle_seed={bundle_seed}",
-            env.request_id,
-            task_label(*task)
-        ),
-        RequestBody::CatalogList => format!("{VERSION_TOKEN} catalog_list id={}", env.request_id),
-        RequestBody::CatalogPin { fingerprint, on } => format!(
-            "{VERSION_TOKEN} catalog_pin id={} ref={} on={}",
-            env.request_id,
-            hdx_catalog::format_ref(*fingerprint),
-            u8::from(*on)
-        ),
-        RequestBody::CatalogEvict { fingerprint } => format!(
-            "{VERSION_TOKEN} catalog_evict id={} ref={}",
-            env.request_id,
-            hdx_catalog::format_ref(*fingerprint)
-        ),
+        // A search carries its envelope id as its own `id` field.
+        RequestBody::Search(r)
+        | RequestBody::Grid(r)
+        | RequestBody::Meta(r)
+        | RequestBody::Resume(r) => r
+            .write_fields(&mut Line::new(&format!("{VERSION_TOKEN} {name}")))
+            .done(),
+        RequestBody::LoadBundle { path } => line().field("path", path).done(),
+        RequestBody::UnloadBundle { task, bundle_seed } => line()
+            .field("task", task.label())
+            .field("bundle_seed", bundle_seed)
+            .done(),
+        RequestBody::CatalogPin { fingerprint, on } => line()
+            .field("ref", hdx_catalog::format_ref(*fingerprint))
+            .field("on", u8::from(*on))
+            .done(),
+        RequestBody::CatalogEvict { fingerprint } => line()
+            .field("ref", hdx_catalog::format_ref(*fingerprint))
+            .done(),
+        _ => line().done(),
     }
 }
 
-/// `r.encode()` with the v0 `search` verb swapped for a v1-only one.
-fn search_line(verb: &str, r: &SearchRequest) -> String {
-    let line = r.encode();
-    let rest = line.strip_prefix("search ").expect("v0 search prefix");
-    format!("{VERSION_TOKEN} {verb} {rest}")
+impl StatsReport {
+    /// The bank-level fields every stats line carries, v0 and v1.
+    fn write_fields<'l>(&self, line: &'l mut Line) -> &'l mut Line {
+        let cap = self
+            .bank_cap
+            .map_or_else(|| "none".to_owned(), |c| c.to_string());
+        line.field("programs", self.programs)
+            .field("idle_sessions", self.idle_sessions)
+            .field("hits", self.hits)
+            .field("misses", self.misses)
+            .field("evictions", self.evictions)
+            .field("bank_cap", cap)
+            .field("requests_served", self.requests_served)
+    }
 }
 
 /// Encodes a response envelope as its canonical v1 line
 /// ([`decode_response`] round-trips it).
 pub fn encode_response(env: &Envelope<ResponseBody>) -> String {
+    let line = |verb| Line::v1(verb, env.request_id);
+    let listing = |verb, rows: Vec<(&str, String)>| {
+        let mut line = line(verb);
+        line.field("count", rows.len());
+        for (key, value) in rows {
+            line.field(key, value);
+        }
+        line.done()
+    };
     match &env.body {
         ResponseBody::Report(r) => r.encode_v1(),
-        ResponseBody::Stats(s) => {
-            let mut line = format!(
-                "{VERSION_TOKEN} stats id={} programs={} idle_sessions={} hits={} misses={} \
-                 evictions={} bank_cap={} requests_served={}",
-                env.request_id,
-                s.programs,
-                s.idle_sessions,
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.bank_cap
-                    .map_or_else(|| "none".to_owned(), |c| c.to_string()),
-                s.requests_served
-            );
-            for t in &s.tasks {
-                line.push_str(&format!(
-                    " task={}:{}:{}:{}:{}:{}:{}:{}",
-                    task_label(t.task),
-                    t.bundle_seed,
-                    t.served,
-                    t.steps_used,
-                    t.verbs.search,
-                    t.verbs.grid,
-                    t.verbs.meta,
-                    t.verbs.resume
-                ));
-            }
-            line
-        }
-        ResponseBody::Pong => format!("{VERSION_TOKEN} pong id={}", env.request_id),
-        ResponseBody::Loaded(e) => format!(
-            "{VERSION_TOKEN} loaded id={} task={} bundle_seed={} estimator_accuracy={}",
-            env.request_id,
-            task_label(e.task),
-            e.bundle_seed,
-            e.estimator_accuracy
-        ),
-        ResponseBody::Unloaded { task, bundle_seed } => format!(
-            "{VERSION_TOKEN} unloaded id={} task={} bundle_seed={bundle_seed}",
-            env.request_id,
-            task_label(*task)
-        ),
-        ResponseBody::Tasks(entries) => {
-            let mut line = format!(
-                "{VERSION_TOKEN} tasks id={} count={}",
-                env.request_id,
-                entries.len()
-            );
-            for e in entries {
-                line.push_str(&format!(
-                    " task={}:{}:{}",
-                    task_label(e.task),
-                    e.bundle_seed,
-                    e.estimator_accuracy
-                ));
-            }
-            line
-        }
-        ResponseBody::Metrics(entries) => {
-            let mut line = format!(
-                "{VERSION_TOKEN} metrics id={} count={}",
-                env.request_id,
-                entries.len()
-            );
-            for (name, value) in entries {
-                line.push_str(&format!(" {name}={value}"));
-            }
-            line
-        }
-        ResponseBody::Catalog(entries) => {
-            let mut line = format!(
-                "{VERSION_TOKEN} catalog id={} count={}",
-                env.request_id,
-                entries.len()
-            );
-            for e in entries {
-                line.push_str(&format!(
-                    " entry={}:{}:{}:{}:{:016x}:{}:{}",
-                    task_label(e.task),
-                    e.family,
-                    e.seed,
-                    e.gen,
-                    e.fingerprint,
-                    e.len,
-                    u8::from(e.pinned)
-                ));
-            }
-            line
-        }
-        ResponseBody::Pinned { fingerprint, on } => format!(
-            "{VERSION_TOKEN} pinned id={} ref={} on={}",
-            env.request_id,
-            hdx_catalog::format_ref(*fingerprint),
-            u8::from(*on)
-        ),
-        ResponseBody::Evicted { fingerprint, freed } => format!(
-            "{VERSION_TOKEN} evicted id={} ref={} freed={freed}",
-            env.request_id,
-            hdx_catalog::format_ref(*fingerprint)
-        ),
         ResponseBody::Error(e) => e.encode_v1(),
+        ResponseBody::Stats(s) => {
+            let mut line = line("stats");
+            s.write_fields(&mut line);
+            for t in &s.tasks {
+                let (task, seed, served, steps) =
+                    (t.task.label(), t.bundle_seed, t.served, t.steps_used);
+                let v = t.verbs;
+                let (search, grid, meta, resume) = (v.search, v.grid, v.meta, v.resume);
+                let row = format!("{task}:{seed}:{served}:{steps}:{search}:{grid}:{meta}:{resume}");
+                line.field("task", row);
+            }
+            line.done()
+        }
+        ResponseBody::Pong => line("pong").done(),
+        ResponseBody::Loaded(e) => line("loaded")
+            .field("task", e.task.label())
+            .field("bundle_seed", e.bundle_seed)
+            .field("estimator_accuracy", e.estimator_accuracy)
+            .done(),
+        ResponseBody::Unloaded { task, bundle_seed } => line("unloaded")
+            .field("task", task.label())
+            .field("bundle_seed", bundle_seed)
+            .done(),
+        ResponseBody::Tasks(entries) => listing(
+            "tasks",
+            entries
+                .iter()
+                .map(|e| {
+                    let (task, seed, acc) = (e.task.label(), e.bundle_seed, e.estimator_accuracy);
+                    ("task", format!("{task}:{seed}:{acc}"))
+                })
+                .collect(),
+        ),
+        ResponseBody::Metrics(entries) => listing(
+            "metrics",
+            entries
+                .iter()
+                .map(|(name, v)| (name.as_str(), v.to_string()))
+                .collect(),
+        ),
+        ResponseBody::Catalog(entries) => listing(
+            "catalog",
+            entries
+                .iter()
+                .map(|e| {
+                    let (task, family, pinned) = (e.task.label(), &e.family, u8::from(e.pinned));
+                    let (seed, gen, fp, len) = (e.seed, e.gen, e.fingerprint, e.len);
+                    (
+                        "entry",
+                        format!("{task}:{family}:{seed}:{gen}:{fp:016x}:{len}:{pinned}"),
+                    )
+                })
+                .collect(),
+        ),
+        ResponseBody::Pinned { fingerprint, on } => line("pinned")
+            .field("ref", hdx_catalog::format_ref(*fingerprint))
+            .field("on", u8::from(*on))
+            .done(),
+        ResponseBody::Evicted { fingerprint, freed } => line("evicted")
+            .field("ref", hdx_catalog::format_ref(*fingerprint))
+            .field("freed", freed)
+            .done(),
+    }
+}
+
+/// The v0 line answering a v0 request: the frozen PR-4 report, the
+/// PR-4 `stats` field set (no per-task rows), `pong`, or a v0 error.
+pub(crate) fn encode_response_v0(body: &ResponseBody) -> String {
+    match body {
+        ResponseBody::Report(r) => r.encode(),
+        ResponseBody::Stats(s) => s.write_fields(&mut Line::new("stats")).done(),
+        ResponseBody::Pong => "pong".to_owned(),
+        ResponseBody::Error(e) => e.encode(),
+        other => unreachable!("v0 requests are never answered with {other:?}"),
     }
 }
 
@@ -753,549 +669,237 @@ pub fn encode_response(env: &Envelope<ResponseBody>) -> String {
 ///
 /// Typed [`ProtoError`]s mirroring [`decode_request`].
 pub fn decode_response(line: &str) -> Result<Envelope<ResponseBody>, ProtoError> {
-    let mut parts = tokens(line);
-    match parts.next() {
-        Some((_, tok)) if tok == VERSION_TOKEN => {}
-        Some((offset, tok)) => {
-            return Err(ProtoError::new(
-                0,
-                ErrorKind::VersionMismatch {
-                    token: tok.to_owned(),
-                    offset,
-                },
-            ))
+    let (offset, name, parts) = open(line)?;
+    let (id, body) = match name {
+        "report" => {
+            let r = decode_report(parts)?;
+            (r.id, ResponseBody::Report(r))
         }
-        None => return Err(ProtoError::new(0, ErrorKind::EmptyLine)),
-    }
-    let Some((verb_off, verb)) = parts.next() else {
-        return Err(ProtoError::new(0, ErrorKind::EmptyLine));
-    };
-    match verb {
-        "report" => decode_report(parts).map(|r| Envelope::v1(r.id, ResponseBody::Report(r))),
-        "pong" => {
-            let mut id = 0u64;
-            for (offset, part) in parts {
-                let (key, value) = split_field(id, offset, part)?;
-                if key == "id" {
-                    id = parse_u64(id, offset, key, value)?;
-                } else {
-                    return Err(ProtoError::new(
-                        id,
-                        ErrorKind::UnknownField {
-                            key: key.to_owned(),
-                            offset,
-                        },
-                    ));
+        "stats" => decode_stats(parts)?,
+        "tasks" => {
+            let (id, entries) = listing(parts, "tasks", Some("task"), |f, _| {
+                f.row(|[task, seed, accuracy]| {
+                    Some(TaskEntry {
+                        task: Task::parse_label(task)?,
+                        bundle_seed: seed.parse().ok()?,
+                        estimator_accuracy: accuracy.parse().ok()?,
+                    })
+                })
+            })?;
+            (id, ResponseBody::Tasks(entries))
+        }
+        // `id`/`count` are envelope keys; every other token is one
+        // counter. Entries must be strictly ascending by name, the
+        // canonical snapshot order.
+        "metrics" => {
+            let (id, entries) = listing(parts, "metrics", None, |f, prev: &[(String, u64)]| {
+                if let Some((last, _)) = prev.last().filter(|(last, _)| last.as_str() >= f.key) {
+                    let message = format!(
+                        "metrics entries must be strictly ascending by name (\"{}\" after \
+                         \"{last}\")",
+                        f.key
+                    );
+                    return Err(f.fail(ErrorKind::Invalid { message }));
                 }
-            }
-            Ok(Envelope::v1(id, ResponseBody::Pong))
+                Ok((f.key.to_owned(), f.u64()?))
+            })?;
+            (id, ResponseBody::Metrics(entries))
         }
-        "stats" => decode_stats(parts),
-        "loaded" => {
-            let (id, task, seed, acc) = decode_task_fields(parts, true)?;
-            Ok(Envelope::v1(
-                id,
-                ResponseBody::Loaded(TaskEntry {
-                    task,
-                    bundle_seed: seed,
-                    estimator_accuracy: acc,
+        // Entries stay in the canonical index order.
+        "catalog" => {
+            let (id, entries) = listing(parts, "catalog", Some("entry"), |f, _| {
+                f.row(|[task, family, seed, gen, fingerprint, len, pinned]| {
+                    Some(CatalogEntry {
+                        task: Task::parse_label(task)?,
+                        family: (!family.is_empty()).then(|| family.to_owned())?,
+                        seed: seed.parse().ok()?,
+                        gen: gen.parse().ok()?,
+                        fingerprint: (fingerprint.len() == 16)
+                            .then(|| u64::from_str_radix(fingerprint, 16).ok())
+                            .flatten()?,
+                        len: len.parse().ok()?,
+                        pinned: bit(pinned)?,
+                    })
+                })
+            })?;
+            (id, ResponseBody::Catalog(entries))
+        }
+        "error" => decode_error(parts)?,
+        "pong" | "loaded" | "unloaded" | "pinned" | "evicted" => {
+            let keys: &[&str] = match name {
+                "loaded" => &["task", "bundle_seed", "estimator_accuracy"],
+                "unloaded" => &["task", "bundle_seed"],
+                "pinned" => &["ref", "on"],
+                "evicted" => &["ref", "freed"],
+                _ => &[],
+            };
+            let (id, c) = control(parts, keys)?;
+            let body = match name {
+                "pong" => ResponseBody::Pong,
+                "loaded" => ResponseBody::Loaded(TaskEntry {
+                    task: need(id, c.task, "task")?,
+                    bundle_seed: need(id, c.bundle_seed, "bundle_seed")?,
+                    estimator_accuracy: c.accuracy.unwrap_or(f64::NAN),
                 }),
-            ))
-        }
-        "unloaded" => {
-            let (id, task, bundle_seed, _) = decode_task_fields(parts, false)?;
-            Ok(Envelope::v1(
-                id,
-                ResponseBody::Unloaded { task, bundle_seed },
-            ))
-        }
-        "tasks" => decode_tasks(parts),
-        "metrics" => decode_metrics(parts),
-        "catalog" => decode_catalog(parts),
-        "pinned" => {
-            let (id, fingerprint, bit) = decode_ref_fields(parts, "on")?;
-            Ok(Envelope::v1(
-                id,
-                ResponseBody::Pinned {
-                    fingerprint,
-                    on: bit != 0,
+                "unloaded" => ResponseBody::Unloaded {
+                    task: need(id, c.task, "task")?,
+                    bundle_seed: need(id, c.bundle_seed, "bundle_seed")?,
                 },
-            ))
+                "pinned" => ResponseBody::Pinned {
+                    fingerprint: need(id, c.fingerprint, "ref")?,
+                    on: need(id, c.on, "on")?,
+                },
+                _ => ResponseBody::Evicted {
+                    fingerprint: need(id, c.fingerprint, "ref")?,
+                    freed: need(id, c.freed, "freed")?,
+                },
+            };
+            (id, body)
         }
-        "evicted" => {
-            let (id, fingerprint, freed) = decode_ref_fields(parts, "freed")?;
-            Ok(Envelope::v1(
-                id,
-                ResponseBody::Evicted { fingerprint, freed },
-            ))
-        }
-        "error" => decode_error(parts),
-        other => Err(ProtoError::new(
-            0,
-            ErrorKind::UnknownVerb {
-                verb: other.to_owned(),
-                offset: verb_off,
-            },
-        )),
-    }
-}
-
-/// Shared field loop for `loaded` / `unloaded`.
-fn decode_task_fields<'a>(
-    parts: impl Iterator<Item = (usize, &'a str)>,
-    want_accuracy: bool,
-) -> Result<(u64, Task, u64, f64), ProtoError> {
-    let mut id = 0u64;
-    let mut task = None;
-    let mut seed = None;
-    let mut acc = f64::NAN;
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "task" => {
-                task = Some(
-                    task_from_label(value).ok_or_else(|| invalid_value(id, offset, key, value))?,
-                );
-            }
-            "bundle_seed" => seed = Some(parse_u64(id, offset, key, value)?),
-            "estimator_accuracy" if want_accuracy => {
-                acc = value
-                    .parse()
-                    .map_err(|_| invalid_value(id, offset, key, value))?;
-            }
-            _ => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
-        }
-    }
-    let task = task.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "task" }))?;
-    let seed = seed.ok_or(ProtoError::new(
-        id,
-        ErrorKind::MissingField { key: "bundle_seed" },
-    ))?;
-    Ok((id, task, seed, acc))
+        other => return Err(unknown_verb(other, offset)),
+    };
+    Ok(Envelope::v1(id, body))
 }
 
 fn decode_stats<'a>(
     parts: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<Envelope<ResponseBody>, ProtoError> {
-    let mut id = 0u64;
-    let mut s = StatsReport {
-        programs: 0,
-        idle_sessions: 0,
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        bank_cap: None,
-        requests_served: 0,
-        tasks: Vec::new(),
-    };
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "programs" => s.programs = parse_u64(id, offset, key, value)?,
-            "idle_sessions" => s.idle_sessions = parse_u64(id, offset, key, value)?,
-            "hits" => s.hits = parse_u64(id, offset, key, value)?,
-            "misses" => s.misses = parse_u64(id, offset, key, value)?,
-            "evictions" => s.evictions = parse_u64(id, offset, key, value)?,
+) -> Result<(u64, ResponseBody), ProtoError> {
+    let mut s = StatsReport::default();
+    let id = read_fields(parts, |f| {
+        let counter = match f.key {
+            "programs" => &mut s.programs,
+            "idle_sessions" => &mut s.idle_sessions,
+            "hits" => &mut s.hits,
+            "misses" => &mut s.misses,
+            "evictions" => &mut s.evictions,
+            "requests_served" => &mut s.requests_served,
             "bank_cap" => {
-                s.bank_cap = if value == "none" {
+                s.bank_cap = if f.value == "none" {
                     None
                 } else {
-                    Some(parse_u64(id, offset, key, value)?)
+                    Some(f.u64()?)
                 };
+                return Ok(true);
             }
-            "requests_served" => s.requests_served = parse_u64(id, offset, key, value)?,
             "task" => {
-                let fields: Vec<&str> = value.split(':').collect();
-                let parsed = (fields.len() == 8).then(|| {
-                    Some(TaskStats {
-                        task: task_from_label(fields[0])?,
-                        bundle_seed: fields[1].parse().ok()?,
-                        served: fields[2].parse().ok()?,
-                        steps_used: fields[3].parse().ok()?,
-                        verbs: VerbCounts {
-                            search: fields[4].parse().ok()?,
-                            grid: fields[5].parse().ok()?,
-                            meta: fields[6].parse().ok()?,
-                            resume: fields[7].parse().ok()?,
-                        },
-                    })
-                });
-                match parsed.flatten() {
-                    Some(t) => s.tasks.push(t),
-                    None => return Err(invalid_value(id, offset, key, value)),
-                }
+                s.tasks.push(
+                    f.row(|[task, seed, served, steps, search, grid, meta, resume]| {
+                        Some(TaskStats {
+                            task: Task::parse_label(task)?,
+                            bundle_seed: seed.parse().ok()?,
+                            served: served.parse().ok()?,
+                            steps_used: steps.parse().ok()?,
+                            verbs: VerbCounts {
+                                search: search.parse().ok()?,
+                                grid: grid.parse().ok()?,
+                                meta: meta.parse().ok()?,
+                                resume: resume.parse().ok()?,
+                            },
+                        })
+                    })?,
+                );
+                return Ok(true);
             }
-            _ => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
-        }
-    }
-    Ok(Envelope::v1(id, ResponseBody::Stats(s)))
-}
-
-fn decode_tasks<'a>(
-    parts: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<Envelope<ResponseBody>, ProtoError> {
-    let mut id = 0u64;
-    let mut count: Option<u64> = None;
-    let mut entries = Vec::new();
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "count" => count = Some(parse_u64(id, offset, key, value)?),
-            "task" => {
-                let fields: Vec<&str> = value.split(':').collect();
-                let parsed = (fields.len() == 3).then(|| {
-                    Some(TaskEntry {
-                        task: task_from_label(fields[0])?,
-                        bundle_seed: fields[1].parse().ok()?,
-                        estimator_accuracy: fields[2].parse().ok()?,
-                    })
-                });
-                match parsed.flatten() {
-                    Some(e) => entries.push(e),
-                    None => return Err(invalid_value(id, offset, key, value)),
-                }
-            }
-            _ => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
-        }
-    }
-    if count.is_some_and(|c| c != entries.len() as u64) {
-        return Err(ProtoError::new(
-            id,
-            ErrorKind::Invalid {
-                message: "tasks count disagrees with the listed entries".to_owned(),
-            },
-        ));
-    }
-    Ok(Envelope::v1(id, ResponseBody::Tasks(entries)))
-}
-
-/// Decodes the `metrics` counter snapshot. `id`/`count` are envelope
-/// keys; every other `key=value` token is one counter entry. Entries
-/// must be strictly ascending by name (the canonical snapshot order)
-/// and `count` must match — both reject hand-edited or truncated
-/// lines, mirroring the `tasks` count cross-check.
-fn decode_metrics<'a>(
-    parts: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<Envelope<ResponseBody>, ProtoError> {
-    let mut id = 0u64;
-    let mut count: Option<u64> = None;
-    let mut entries: Vec<(String, u64)> = Vec::new();
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "count" => count = Some(parse_u64(id, offset, key, value)?),
-            name => {
-                if entries
-                    .last()
-                    .is_some_and(|(prev, _)| prev.as_str() >= name)
-                {
-                    return Err(ProtoError::new(
-                        id,
-                        ErrorKind::Invalid {
-                            message: format!(
-                                "metrics entries must be strictly ascending by name (\"{name}\" \
-                                 after \"{}\")",
-                                entries.last().map_or("", |(p, _)| p)
-                            ),
-                        },
-                    ));
-                }
-                let v = parse_u64(id, offset, name, value)?;
-                entries.push((name.to_owned(), v));
-            }
-        }
-    }
-    if count.is_some_and(|c| c != entries.len() as u64) {
-        return Err(ProtoError::new(
-            id,
-            ErrorKind::Invalid {
-                message: "metrics count disagrees with the listed entries".to_owned(),
-            },
-        ));
-    }
-    Ok(Envelope::v1(id, ResponseBody::Metrics(entries)))
-}
-
-/// Shared field loop for the `pinned` / `evicted` responses: `id`, a
-/// required `ref`, and one required extra field (`on`, a strict 0/1
-/// bit, or `freed`, a byte count).
-fn decode_ref_fields<'a>(
-    parts: impl Iterator<Item = (usize, &'a str)>,
-    extra_key: &'static str,
-) -> Result<(u64, u64, u64), ProtoError> {
-    let mut id = 0u64;
-    let mut fingerprint: Option<u64> = None;
-    let mut extra: Option<u64> = None;
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "ref" => fingerprint = Some(parse_cat_ref(id, offset, key, value)?),
-            k if k == extra_key && extra_key == "on" => {
-                extra = Some(u64::from(parse_bit(id, offset, key, value)?));
-            }
-            k if k == extra_key => extra = Some(parse_u64(id, offset, key, value)?),
-            _ => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
-        }
-    }
-    let fingerprint =
-        fingerprint.ok_or(ProtoError::new(id, ErrorKind::MissingField { key: "ref" }))?;
-    let extra = extra.ok_or(ProtoError::new(
-        id,
-        ErrorKind::MissingField { key: extra_key },
-    ))?;
-    Ok((id, fingerprint, extra))
-}
-
-/// Decodes the `catalog` index listing. Entries must stay in the
-/// canonical index order (non-descending `(task, family, seed, gen)`)
-/// and `count` must match — the same cross-checks `tasks`/`metrics`
-/// apply.
-fn decode_catalog<'a>(
-    parts: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<Envelope<ResponseBody>, ProtoError> {
-    let mut id = 0u64;
-    let mut count: Option<u64> = None;
-    let mut entries: Vec<CatalogEntry> = Vec::new();
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "count" => count = Some(parse_u64(id, offset, key, value)?),
-            "entry" => {
-                let fields: Vec<&str> = value.split(':').collect();
-                let parsed = (fields.len() == 7).then(|| {
-                    Some(CatalogEntry {
-                        task: task_from_label(fields[0])?,
-                        family: (!fields[1].is_empty()).then(|| fields[1].to_owned())?,
-                        seed: fields[2].parse().ok()?,
-                        gen: fields[3].parse().ok()?,
-                        fingerprint: (fields[4].len() == 16)
-                            .then(|| u64::from_str_radix(fields[4], 16).ok())
-                            .flatten()?,
-                        len: fields[5].parse().ok()?,
-                        pinned: match fields[6] {
-                            "0" => Some(false),
-                            "1" => Some(true),
-                            _ => None,
-                        }?,
-                    })
-                });
-                match parsed.flatten() {
-                    Some(e) => entries.push(e),
-                    None => return Err(invalid_value(id, offset, key, value)),
-                }
-            }
-            _ => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
-        }
-    }
-    if count.is_some_and(|c| c != entries.len() as u64) {
-        return Err(ProtoError::new(
-            id,
-            ErrorKind::Invalid {
-                message: "catalog count disagrees with the listed entries".to_owned(),
-            },
-        ));
-    }
-    Ok(Envelope::v1(id, ResponseBody::Catalog(entries)))
+            _ => return Ok(false),
+        };
+        *counter = f.u64()?;
+        Ok(true)
+    })?;
+    Ok((id, ResponseBody::Stats(s)))
 }
 
 fn decode_error<'a>(
     parts: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<Envelope<ResponseBody>, ProtoError> {
-    let mut id = 0u64;
-    let mut code: Option<String> = None;
-    let mut msg = String::new();
-    let mut err_offset: Option<usize> = None;
-    for (offset, part) in parts {
-        let (key, value) = split_field(id, offset, part)?;
-        match key {
-            "id" => id = parse_u64(id, offset, key, value)?,
-            "code" => code = Some(value.to_owned()),
-            "offset" => err_offset = Some(parse_u64(id, offset, key, value)? as usize),
-            "msg" => msg = value.to_owned(),
-            _ => {
-                return Err(ProtoError::new(
-                    id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
+) -> Result<(u64, ResponseBody), ProtoError> {
+    let (mut code, mut at, mut msg) = (None, None, String::new());
+    let id = read_fields(parts, |f| {
+        match f.key {
+            "code" => code = Some(f.value.to_owned()),
+            "offset" => at = Some(f.u64()?),
+            "msg" => msg = f.value.to_owned(),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     // The wire flattens the kind to (code, offset, msg); decoding keeps
     // it as an opaque Invalid with the readable message — the typed
     // kinds exist server-side, clients key on `code`.
-    let message = match (code, err_offset) {
+    let message = match (code, at) {
         (Some(c), Some(o)) => format!("[{c}@{o}] {msg}"),
         (Some(c), None) => format!("[{c}] {msg}"),
         _ => msg,
     };
-    Ok(Envelope::v1(
-        id,
-        ResponseBody::Error(ProtoError::new(id, ErrorKind::Invalid { message })),
-    ))
+    let err = ProtoError::new(id, ErrorKind::Invalid { message });
+    Ok((id, ResponseBody::Error(err)))
 }
 
 fn decode_report<'a>(
     parts: impl Iterator<Item = (usize, &'a str)>,
 ) -> Result<SearchReport, ProtoError> {
+    // Absent fields keep these values.
     let mut r = SearchReport {
-        id: 0,
-        sub: None,
         method: "HDX",
         task: "cifar",
-        seed: 0,
-        lambda_cost: 0.0,
-        searches: 0,
-        satisfied: false,
-        arch: Vec::new(),
-        pe: (0, 0),
-        rf: 0,
         dataflow: "WS",
-        latency_ms: 0.0,
-        energy_mj: 0.0,
-        area_mm2: 0.0,
-        cost_hw: 0.0,
-        error: 0.0,
-        global_loss: 0.0,
-        in_constraint: false,
-        queue_pos: 0,
         queued_jobs: 1,
-        queue_len_at_dispatch: 0,
-        steps_used: 0,
+        ..SearchReport::default()
     };
-    for (offset, part) in parts {
-        let rid = r.id;
-        let (key, value) = split_field(rid, offset, part)?;
-        let bad = || invalid_value(rid, offset, key, value);
-        match key {
-            "id" => match value.split_once('#') {
-                Some((main, sub)) => {
-                    r.id = main.parse().map_err(|_| bad())?;
-                    r.sub = Some(sub.parse().map_err(|_| bad())?);
-                }
-                None => r.id = value.parse().map_err(|_| bad())?,
-            },
-            "method" => {
-                r.method = ["HDX", "DANCE", "Auto-NBA", "NAS->HW"]
-                    .into_iter()
-                    .find(|m| *m == value)
-                    .ok_or_else(bad)?;
+    r.id = read_fields(parts, |f| {
+        match f.key {
+            // `id=<n>` or, for a grid job, `id=<n>#<sub>`.
+            "id" => {
+                let (main, sub) = match f.value.split_once('#') {
+                    Some((main, sub)) => (main, Some(sub)),
+                    None => (f.value, None),
+                };
+                let parsed = (main.parse().ok(), sub.map(str::parse).transpose().ok());
+                let (Some(id), Some(sub)) = parsed else {
+                    return Err(f.invalid());
+                };
+                (f.id, r.sub) = (id, sub.or(r.sub));
             }
-            "task" => {
-                // Any registered family label is a valid report task —
-                // a value-level extension point, not a grammar change.
-                r.task = task_from_label(value).map(task_label).ok_or_else(bad)?;
-            }
-            "seed" => r.seed = value.parse().map_err(|_| bad())?,
-            "lambda_cost" => r.lambda_cost = value.parse().map_err(|_| bad())?,
-            "searches" => r.searches = value.parse().map_err(|_| bad())?,
-            "satisfied" => r.satisfied = value.parse().map_err(|_| bad())?,
+            "method" => r.method = f.one_of(&["HDX", "DANCE", "Auto-NBA", "NAS->HW"])?,
+            // Any registered family label is a valid report task — a
+            // value-level extension point, not a grammar change.
+            "task" => r.task = f.task()?.label(),
+            "seed" => r.seed = f.parse()?,
+            "lambda_cost" => r.lambda_cost = f.parse()?,
+            "searches" => r.searches = f.parse()?,
+            "satisfied" => r.satisfied = f.parse()?,
             "arch" => {
-                r.arch = value
+                r.arch = f
+                    .value
                     .split(',')
                     .map(str::parse)
                     .collect::<Result<_, _>>()
-                    .map_err(|_| bad())?;
+                    .map_err(|_| f.invalid())?;
             }
             "pe" => {
-                let (rows, cols) = value.split_once('x').ok_or_else(bad)?;
-                r.pe = (
-                    rows.parse().map_err(|_| bad())?,
-                    cols.parse().map_err(|_| bad())?,
-                );
+                let (rows, cols) = f.value.split_once('x').ok_or_else(|| f.invalid())?;
+                r.pe = rows
+                    .parse()
+                    .ok()
+                    .zip(cols.parse().ok())
+                    .ok_or_else(|| f.invalid())?;
             }
-            "rf" => r.rf = value.parse().map_err(|_| bad())?,
-            "dataflow" => {
-                r.dataflow = ["WS", "OS", "RS"]
-                    .into_iter()
-                    .find(|d| *d == value)
-                    .ok_or_else(bad)?;
-            }
-            "latency_ms" => r.latency_ms = value.parse().map_err(|_| bad())?,
-            "energy_mj" => r.energy_mj = value.parse().map_err(|_| bad())?,
-            "area_mm2" => r.area_mm2 = value.parse().map_err(|_| bad())?,
-            "cost_hw" => r.cost_hw = value.parse().map_err(|_| bad())?,
-            "error" => r.error = value.parse().map_err(|_| bad())?,
-            "global_loss" => r.global_loss = value.parse().map_err(|_| bad())?,
-            "in_constraint" => r.in_constraint = value.parse().map_err(|_| bad())?,
-            "queue_pos" => r.queue_pos = value.parse().map_err(|_| bad())?,
-            "queued_jobs" => r.queued_jobs = value.parse().map_err(|_| bad())?,
-            "queue_len_at_dispatch" => {
-                r.queue_len_at_dispatch = value.parse().map_err(|_| bad())?;
-            }
-            "steps_used" => r.steps_used = value.parse().map_err(|_| bad())?,
-            _ => {
-                return Err(ProtoError::new(
-                    r.id,
-                    ErrorKind::UnknownField {
-                        key: key.to_owned(),
-                        offset,
-                    },
-                ))
-            }
+            "rf" => r.rf = f.parse()?,
+            "dataflow" => r.dataflow = f.one_of(&["WS", "OS", "RS"])?,
+            "latency_ms" => r.latency_ms = f.parse()?,
+            "energy_mj" => r.energy_mj = f.parse()?,
+            "area_mm2" => r.area_mm2 = f.parse()?,
+            "cost_hw" => r.cost_hw = f.parse()?,
+            "error" => r.error = f.parse()?,
+            "global_loss" => r.global_loss = f.parse()?,
+            "in_constraint" => r.in_constraint = f.parse()?,
+            "queue_pos" => r.queue_pos = f.parse()?,
+            "queued_jobs" => r.queued_jobs = f.parse()?,
+            "queue_len_at_dispatch" => r.queue_len_at_dispatch = f.parse()?,
+            "steps_used" => r.steps_used = f.parse()?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(r)
-}
-
-/// Converts a search-type request body into the scheduler's uniform
-/// [`SearchRequest`] (`None` for control verbs).
-pub fn into_search_request(body: RequestBody) -> Option<SearchRequest> {
-    match body {
-        RequestBody::Search(r)
-        | RequestBody::Grid(r)
-        | RequestBody::Meta(r)
-        | RequestBody::Resume(r) => Some(r),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The multi-tenant front door: a registry of warm `(task, seed)`
 //! bundles behind one connection loop.
 //!
-//! The [`Router`] owns any number of [`TaskService`] workers and routes
+//! The [`Router`] owns any number of `TaskService` workers and routes
 //! each search-type request by its `task` field (plus the optional v1
 //! `bundle_seed` pin; without it the lowest registered seed for the
 //! task answers). Bundles can be loaded and unloaded at runtime through
@@ -14,7 +14,7 @@
 //! A batch may span tasks: the router resolves every expanded job to
 //! its bundle *before* fanning the batch across the worker pool, runs
 //! jobs in parallel, and writes reports **in request order**. Jobs are
-//! pure functions of their requests (see [`crate::service`]), so the
+//! pure functions of their requests (see the `service` module), so the
 //! response byte stream is invariant to the worker count — pinned at
 //! jobs ∈ {1, 2, 4} in `tests/serve.rs` and `tests/serve_router.rs`.
 //!
@@ -34,9 +34,7 @@
 //!   in-band `deadline_exceeded` error before any work runs.
 
 use crate::artifact::{load_bundle, load_bundle_bytes, task_from_code, Artifacts};
-use crate::proto::{
-    parse_request, task_label, v1, ErrorKind, ProtoError, Request, SearchReport, SearchRequest,
-};
+use crate::proto::{parse_request, v1, ErrorKind, ProtoError, SearchReport, SearchRequest};
 use crate::service::TaskService;
 use hdx_core::{PreparedContext, Task};
 use hdx_tensor::ckpt::CkptError;
@@ -46,34 +44,25 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-/// Stable ordering key for [`Task`] (registry iteration order must be
-/// deterministic for stats/listing byte-stability). Delegates to the
-/// canonical [`Task::ALL`] position so new families sort after the
-/// frozen paper tasks.
-fn task_code(task: Task) -> u8 {
-    task.index() as u8
+/// The `router.verb.<name>` request counter of each [`v1::VERBS`] row
+/// (both framings; a v0 `search` line counts under `search`). Counts
+/// only — per-verb *timing* goes to the span sink, keeping the
+/// `metrics` snapshot wall-clock-free. A counter is named here but
+/// registered on first use, so a verb never requested adds no
+/// `metrics` row.
+fn verb_counter(verb: usize) -> &'static hdx_obs::Counter {
+    static COUNTERS: OnceLock<Vec<hdx_obs::Counter>> = OnceLock::new();
+    let counters = COUNTERS.get_or_init(|| {
+        v1::VERBS
+            .iter()
+            .map(|v| hdx_obs::Counter::new(format!("router.verb.{}", v.name).leak()))
+            .collect()
+    });
+    &counters[verb]
 }
 
-/// Per-verb request counters (both framings; a v0 `search` line counts
-/// under `search`). Counts only — per-verb *timing* goes to the span
-/// sink, keeping the `metrics` snapshot wall-clock-free.
-static OBS_VERB_SEARCH: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.search");
-static OBS_VERB_GRID: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.grid");
-static OBS_VERB_META: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.meta");
-static OBS_VERB_RESUME: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.resume");
-static OBS_VERB_STATS: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.stats");
-static OBS_VERB_PING: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.ping");
-static OBS_VERB_LIST_TASKS: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.list_tasks");
-static OBS_VERB_LOAD_BUNDLE: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.load_bundle");
-static OBS_VERB_UNLOAD_BUNDLE: hdx_obs::Counter =
-    hdx_obs::Counter::new("router.verb.unload_bundle");
-static OBS_VERB_METRICS: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.metrics");
-static OBS_VERB_CATALOG_LIST: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.catalog_list");
-static OBS_VERB_CATALOG_PIN: hdx_obs::Counter = hdx_obs::Counter::new("router.verb.catalog_pin");
-static OBS_VERB_CATALOG_EVICT: hdx_obs::Counter =
-    hdx_obs::Counter::new("router.verb.catalog_evict");
 /// Lines answered with an in-band protocol error.
 static OBS_PROTO_ERRORS: hdx_obs::Counter = hdx_obs::Counter::new("router.proto_errors");
 
@@ -93,24 +82,26 @@ pub struct RouterConfig {
     pub deadline_steps: Option<u64>,
 }
 
+/// A loaded bundle and the catalog lease it was loaded under, if any.
+type Bundle = (Arc<TaskService>, Option<hdx_catalog::Lease>);
+
 /// The multi-bundle serving front door. See the module docs.
 pub struct Router {
     cfg: RouterConfig,
-    services: RwLock<BTreeMap<(u8, u64), Arc<TaskService>>>,
+    /// Every loaded bundle with the catalog lease it was loaded under,
+    /// if any, keyed by `(Task::index, seed)` so stats and listings
+    /// iterate in a deterministic `(task, seed)` order. Holding the
+    /// lease keeps retention GC (and explicit `catalog_evict`) from
+    /// deleting an object that still backs a live bundle; it drops with
+    /// the entry when the bundle is unloaded or replaced.
+    services: RwLock<BTreeMap<(usize, u64), Bundle>>,
     /// The mounted artifact catalog, if any (`--catalog <dir>`).
     /// Backs `cat:` refs in `load_bundle` and the `catalog_*` verbs.
     catalog: RwLock<Option<hdx_catalog::Catalog>>,
-    /// One lease per bundle that was loaded from the catalog, keyed
-    /// like the service registry. Holding the lease keeps retention GC
-    /// (and explicit `catalog_evict`) from deleting an object that is
-    /// still backing a live bundle; the lease drops when the bundle is
-    /// unloaded or replaced.
-    cat_leases: Mutex<BTreeMap<(u8, u64), hdx_catalog::Lease>>,
-    /// Jobs/steps completed by bundles that have since been unloaded
-    /// or replaced — keeps the aggregate `stats` counters monotonic
-    /// ("since startup"), as monitoring deltas expect.
+    /// Jobs completed by bundles that have since been unloaded or
+    /// replaced — keeps the aggregate `stats` counter monotonic ("since
+    /// startup"), as monitoring deltas expect.
     retired_served: AtomicU64,
-    retired_steps_used: AtomicU64,
 }
 
 impl Router {
@@ -121,9 +112,7 @@ impl Router {
             cfg,
             services: RwLock::new(BTreeMap::new()),
             catalog: RwLock::new(None),
-            cat_leases: Mutex::new(BTreeMap::new()),
             retired_served: AtomicU64::new(0),
-            retired_steps_used: AtomicU64::new(0),
         }
     }
 
@@ -134,14 +123,6 @@ impl Router {
         *self.catalog.write().expect("router catalog poisoned") = Some(catalog);
     }
 
-    /// The mounted catalog, if any (a cheap handle clone).
-    pub fn catalog(&self) -> Option<hdx_catalog::Catalog> {
-        self.catalog
-            .read()
-            .expect("router catalog poisoned")
-            .clone()
-    }
-
     /// Runs a catalog operation, mapping "not mounted" and the
     /// operation's own failure into the protocol-level
     /// [`ErrorKind::CatalogOp`].
@@ -149,12 +130,15 @@ impl Router {
         &self,
         op: impl FnOnce(&hdx_catalog::Catalog) -> Result<T, hdx_catalog::CatalogError>,
     ) -> Result<T, ErrorKind> {
-        let catalog = self.catalog().ok_or_else(|| ErrorKind::CatalogOp {
-            message: "no catalog mounted (start the server with --catalog <dir>)".to_owned(),
+        let catalog = self
+            .catalog
+            .read()
+            .expect("router catalog poisoned")
+            .clone();
+        let catalog = catalog.ok_or_else(|| {
+            ErrorKind::catalog("no catalog mounted (start the server with --catalog <dir>)")
         })?;
-        op(&catalog).map_err(|e| ErrorKind::CatalogOp {
-            message: e.to_string(),
-        })
+        op(&catalog).map_err(ErrorKind::catalog)
     }
 
     /// The catalog index flattened into protocol listing entries, in
@@ -186,14 +170,11 @@ impl Router {
         &self.cfg
     }
 
-    /// Folds a dropped bundle's counters into the retired totals (the
-    /// aggregate `stats` line stays monotonic).
+    /// Folds a dropped bundle's served count into the retired total
+    /// (the aggregate `stats` line stays monotonic).
     fn retire(&self, service: &TaskService) {
-        let stats = service.stats();
-        self.retired_served
-            .fetch_add(stats.served, Ordering::Relaxed);
-        self.retired_steps_used
-            .fetch_add(stats.steps_used, Ordering::Relaxed);
+        let served = service.stats().served;
+        self.retired_served.fetch_add(served, Ordering::Relaxed);
     }
 
     /// Registers in-process artifacts as the bundle for
@@ -205,32 +186,35 @@ impl Router {
         seed: u64,
         prepared: impl Into<Arc<PreparedContext>>,
     ) -> v1::TaskEntry {
+        self.insert(task, seed, prepared.into(), None)
+    }
+
+    /// Registers a bundle that holds `lease` while it stays loaded.
+    fn insert(
+        &self,
+        task: Task,
+        seed: u64,
+        prepared: Arc<PreparedContext>,
+        lease: Option<hdx_catalog::Lease>,
+    ) -> v1::TaskEntry {
         let service = Arc::new(TaskService::new(task, seed, prepared));
         let entry = service.entry();
-        let key = (task_code(task), seed);
-        // A replaced bundle's catalog lease (if any) lapses with it;
-        // callers that load *from* the catalog re-lease afterwards.
-        self.cat_leases
-            .lock()
-            .expect("router lease table poisoned")
-            .remove(&key);
-        if let Some(replaced) = self
+        let key = (task.index(), seed);
+        let replaced = self
             .services
             .write()
             .expect("router registry poisoned")
-            .insert(key, service)
-        {
+            .insert(key, (service, lease));
+        if let Some((replaced, _)) = replaced {
             self.retire(&replaced);
         }
         entry
     }
 
-    /// Registers loaded bundle artifacts (installs the warm LUTs
+    /// Registers loaded bundle artifacts (installing the warm LUTs
     /// process-wide, exactly like serving a single bundle did).
-    pub fn insert_artifacts(&self, artifacts: Artifacts) -> v1::TaskEntry {
-        let task = artifacts.task;
-        let seed = artifacts.seed;
-        self.insert_prepared(task, seed, artifacts.into_prepared())
+    fn insert_artifacts(&self, a: Artifacts, lease: Option<hdx_catalog::Lease>) -> v1::TaskEntry {
+        self.insert(a.task, a.seed, Arc::new(a.into_prepared()), lease)
     }
 
     /// Loads a bundle file and registers it.
@@ -239,7 +223,7 @@ impl Router {
     ///
     /// Typed [`CkptError`]s from the bundle loader.
     pub fn load_bundle_path(&self, path: &Path) -> Result<v1::TaskEntry, CkptError> {
-        Ok(self.insert_artifacts(load_bundle(path)?))
+        Ok(self.insert_artifacts(load_bundle(path)?, None))
     }
 
     /// Loads a bundle by spec: a `cat:<fingerprint>` ref resolves
@@ -257,55 +241,31 @@ impl Router {
         if !spec.starts_with(hdx_catalog::REF_PREFIX) {
             return self
                 .load_bundle_path(Path::new(spec))
-                .map_err(|e| ErrorKind::Checkpoint {
-                    message: e.to_string(),
-                });
+                .map_err(ErrorKind::checkpoint);
         }
-        let fingerprint = hdx_catalog::parse_ref(spec).ok_or_else(|| ErrorKind::CatalogOp {
-            message: format!("malformed catalog ref {spec:?} (want cat:<16 hex digits>)"),
+        let fingerprint = hdx_catalog::parse_ref(spec).ok_or_else(|| {
+            ErrorKind::catalog(format!(
+                "malformed catalog ref {spec:?} (want cat:<16 hex digits>)"
+            ))
         })?;
-        let catalog = self.catalog().ok_or_else(|| ErrorKind::CatalogOp {
-            message: "no catalog mounted (start the server with --catalog <dir>)".to_owned(),
-        })?;
-        let catalog_err = |e: hdx_catalog::CatalogError| ErrorKind::CatalogOp {
-            message: e.to_string(),
-        };
         // Lease before reading so neither GC nor an explicit evict can
         // delete the object between the read and the registry insert.
-        let lease = catalog.lease(fingerprint).map_err(catalog_err)?;
-        let bytes = catalog.get(fingerprint).map_err(catalog_err)?;
-        let artifacts = load_bundle_bytes(&bytes).map_err(|e| ErrorKind::Checkpoint {
-            message: e.to_string(),
-        })?;
-        let key = (task_code(artifacts.task), artifacts.seed);
-        let entry = self.insert_artifacts(artifacts);
-        self.cat_leases
-            .lock()
-            .expect("router lease table poisoned")
-            .insert(key, lease);
-        Ok(entry)
+        let (lease, bytes) =
+            self.with_catalog(|c| Ok((c.lease(fingerprint)?, c.get(fingerprint)?)))?;
+        let artifacts = load_bundle_bytes(&bytes).map_err(ErrorKind::checkpoint)?;
+        Ok(self.insert_artifacts(artifacts, Some(lease)))
     }
 
     /// Drops the bundle registered under `(task, seed)`. Returns
     /// whether one was present. Its serving counters fold into the
     /// retired totals, so aggregate stats never go backwards.
     pub fn unload(&self, task: Task, seed: u64) -> bool {
-        self.cat_leases
-            .lock()
-            .expect("router lease table poisoned")
-            .remove(&(task_code(task), seed));
         let removed = self
             .services
             .write()
             .expect("router registry poisoned")
-            .remove(&(task_code(task), seed));
-        match removed {
-            Some(service) => {
-                self.retire(&service);
-                true
-            }
-            None => false,
-        }
+            .remove(&(task.index(), seed));
+        removed.map(|(service, _)| self.retire(&service)).is_some()
     }
 
     /// The loaded bundles, in deterministic `(task, seed)` order.
@@ -314,47 +274,31 @@ impl Router {
             .read()
             .expect("router registry poisoned")
             .values()
-            .map(|s| s.entry())
+            .map(|(s, _)| s.entry())
             .collect()
     }
 
-    /// Resolves the bundle a request routes to: exact `(task,
+    /// Resolves the bundle a job routes to — exact `(task,
     /// bundle_seed)` when pinned, else the lowest-seed bundle for the
-    /// task.
+    /// task — after rejecting a job whose deterministic step budget
+    /// exceeds the configured deadline.
     fn route(&self, req: &SearchRequest) -> Result<Arc<TaskService>, ProtoError> {
+        let fail = |kind| ProtoError::new(req.id, kind);
+        let budget = req.step_budget();
+        if let Some(limit) = self.cfg.deadline_steps.filter(|&limit| budget > limit) {
+            return Err(fail(ErrorKind::DeadlineExceeded { budget, limit }));
+        }
         let services = self.services.read().expect("router registry poisoned");
-        let code = task_code(req.task);
+        let code = req.task.index();
         let found = match req.bundle_seed {
-            Some(seed) => services.get(&(code, seed)).cloned(),
+            Some(seed) => services.get(&(code, seed)),
             None => services
                 .range((code, 0)..=(code, u64::MAX))
                 .next()
-                .map(|(_, s)| Arc::clone(s)),
+                .map(|(_, b)| b),
         };
-        found.ok_or_else(|| {
-            ProtoError::new(
-                req.id,
-                ErrorKind::TaskUnavailable {
-                    task: task_label(req.task).to_owned(),
-                    bundle_seed: req.bundle_seed,
-                },
-            )
-        })
-    }
-
-    /// Rejects a job whose deterministic step budget exceeds the
-    /// configured deadline.
-    fn check_deadline(&self, req: &SearchRequest) -> Result<(), ProtoError> {
-        match self.cfg.deadline_steps {
-            Some(limit) if req.step_budget() > limit => Err(ProtoError::new(
-                req.id,
-                ErrorKind::DeadlineExceeded {
-                    budget: req.step_budget(),
-                    limit,
-                },
-            )),
-            _ => Ok(()),
-        }
+        let found = found.map(|(service, _)| Arc::clone(service));
+        found.ok_or_else(|| fail(ErrorKind::unavailable(req.task, req.bundle_seed)))
     }
 
     /// Expands λ-grids and fans the resulting independent jobs across
@@ -375,15 +319,12 @@ impl Router {
         // Route and deadline-check before the fan-out: registry
         // mutations mid-batch must not change which bundle answers,
         // and rejected jobs burn no worker time.
-        let dispatch: Vec<(SearchRequest, Result<Arc<TaskService>, ProtoError>)> = expanded
+        let dispatch: Vec<(Result<Arc<TaskService>, ProtoError>, SearchRequest)> = expanded
             .into_iter()
-            .map(|req| {
-                let resolved = self.check_deadline(&req).and_then(|()| self.route(&req));
-                (req, resolved)
-            })
+            .map(|req| (self.route(&req), req))
             .collect();
         let jobs = if jobs == 0 { self.cfg.jobs } else { jobs };
-        hdx_tensor::parallel_map(&dispatch, jobs, |pos, (req, resolved)| {
+        hdx_tensor::parallel_map(&dispatch, jobs, |pos, (resolved, req)| {
             let service = resolved.as_ref().map_err(ProtoError::clone)?;
             service
                 .run_one(req)
@@ -406,7 +347,7 @@ impl Router {
             .read()
             .expect("router registry poisoned")
             .values()
-            .map(|s| s.stats())
+            .map(|(s, _)| s.stats())
             .collect();
         v1::StatsReport {
             programs: bank.programs as u64,
@@ -421,35 +362,49 @@ impl Router {
         }
     }
 
-    /// The v0 `stats …` response line — the PR-4 field set, byte-stable
-    /// for v0 clients (per-task rows are a v1-only addition).
-    pub fn stats_line_v0(&self) -> String {
-        let s = self.stats();
-        format!(
-            "stats programs={} idle_sessions={} hits={} misses={} evictions={} bank_cap={} \
-             requests_served={}",
-            s.programs,
-            s.idle_sessions,
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.bank_cap
-                .map_or_else(|| "none".to_owned(), |c| c.to_string()),
-            s.requests_served
-        )
+    /// Answers one control request — every verb but the batched
+    /// search verbs, which queue for the connection's next flush.
+    fn control(&self, body: v1::RequestBody) -> Result<v1::ResponseBody, ErrorKind> {
+        use v1::{RequestBody as Req, ResponseBody as Resp};
+        Ok(match body {
+            Req::Stats => Resp::Stats(self.stats()),
+            Req::Ping => Resp::Pong,
+            Req::ListTasks => Resp::Tasks(self.tasks()),
+            Req::Metrics => Resp::Metrics(hdx_obs::snapshot()),
+            Req::LoadBundle { path } => Resp::Loaded(self.load_bundle_ref(&path)?),
+            Req::UnloadBundle { task, bundle_seed } => {
+                if !self.unload(task, bundle_seed) {
+                    return Err(ErrorKind::unavailable(task, Some(bundle_seed)));
+                }
+                Resp::Unloaded { task, bundle_seed }
+            }
+            Req::CatalogList => Resp::Catalog(self.catalog_entries()?),
+            Req::CatalogPin { fingerprint, on } => {
+                self.with_catalog(|c| c.pin(fingerprint, on))?;
+                Resp::Pinned { fingerprint, on }
+            }
+            Req::CatalogEvict { fingerprint } => Resp::Evicted {
+                fingerprint,
+                freed: self.with_catalog(|c| c.evict(fingerprint))?,
+            },
+            Req::Search(_) | Req::Grid(_) | Req::Meta(_) | Req::Resume(_) => {
+                unreachable!("batched verbs queue for the next flush")
+            }
+        })
     }
 
     /// Serves the line protocol over a reader/writer pair until EOF.
     ///
     /// Version negotiation is per line ([`v1::sniff`]): v0 lines are
     /// answered in v0 framing, v1 lines in v1 framing, on the same
-    /// connection. Consecutive search-type lines accumulate into one
-    /// batch that is flushed — fanned across the worker pool, reports
-    /// written in request order, each in its request's framing — when a
-    /// control line (`stats`, `ping`, a registry verb, a malformed
-    /// line) or EOF arrives. A client that writes N requests and shuts
-    /// down its write side therefore gets all N reports with full
-    /// parallelism.
+    /// connection. Both framings decode to a [`v1::RequestBody`] and
+    /// take one of two paths: search-type bodies accumulate into one
+    /// batch, and everything else — a control verb, a malformed line,
+    /// or EOF — first flushes that batch (fanned across the worker
+    /// pool, reports written in request order, each in its request's
+    /// framing) and is then answered by `Router::control`. A client
+    /// that writes N requests and shuts down its write side therefore
+    /// gets all N reports with full parallelism.
     ///
     /// Replies are buffered: each batch flush and each control reply
     /// reaches `writer` as one `write` (unless it outgrows the buffer)
@@ -471,8 +426,9 @@ impl Router {
         // `Drop`), so nothing stays buffered while the loop waits for
         // input.
         let mut writer = BufWriter::new(writer);
-        // Each pending job remembers its framing so its report is
-        // encoded the way the request arrived.
+        // Pending jobs, λ-grids already expanded, each remembering
+        // whether it arrived in v0 framing so its report is encoded the
+        // way the request arrived.
         let mut pending: Vec<(bool, SearchRequest)> = Vec::new();
         let flush_batch = |pending: &mut Vec<(bool, SearchRequest)>,
                            writer: &mut BufWriter<W>|
@@ -481,40 +437,14 @@ impl Router {
                 return Ok(());
             }
             let _span = hdx_obs::span("router.flush");
-            // Expansion order matches request order, so zip the
-            // per-request framing over the expanded outcome list (a
-            // request expands to one job per grid entry).
-            let framings: Vec<bool> = pending
-                .iter()
-                .flat_map(|(is_v1, req)| std::iter::repeat_n(*is_v1, req.lambda_grid.len().max(1)))
-                .collect();
-            let requests: Vec<SearchRequest> = pending.iter().map(|(_, req)| req.clone()).collect();
-            for (is_v1, outcome) in framings
+            let (framings, jobs): (Vec<bool>, Vec<SearchRequest>) = pending.drain(..).unzip();
+            for (v0, outcome) in framings
                 .into_iter()
-                .zip(self.run_batch(&requests, self.cfg.jobs))
+                .zip(self.run_batch(&jobs, self.cfg.jobs))
             {
-                let line = match (is_v1, outcome) {
-                    (false, Ok(report)) => report.encode(),
-                    (false, Err(err)) => err.encode(),
-                    (true, Ok(report)) => report.encode_v1(),
-                    (true, Err(err)) => err.encode_v1(),
-                };
-                writeln!(writer, "{line}")?;
+                let body = outcome.map_or_else(v1::ResponseBody::Error, v1::ResponseBody::Report);
+                writeln!(writer, "{}", reply_line(v0, 0, body))?;
             }
-            pending.clear();
-            writer.flush()
-        };
-        // Control responses are computed *after* the pending batch
-        // flushes (hence the thunk): stats must see the flushed jobs'
-        // counters, and registry mutations (load/unload) must not
-        // retroactively change how already-queued work routes.
-        let respond = |pending: &mut Vec<(bool, SearchRequest)>,
-                       writer: &mut BufWriter<W>,
-                       make: &mut dyn FnMut() -> String|
-         -> std::io::Result<()> {
-            flush_batch(pending, writer)?;
-            let line = make();
-            writeln!(writer, "{line}")?;
             writer.flush()
         };
 
@@ -525,166 +455,46 @@ impl Router {
                 continue;
             }
             let framing = v1::sniff(&line);
+            let v0 = framing == v1::Framing::V0;
             seen += 1;
-            if let Some(limit) = self.cfg.max_requests_per_conn {
-                if seen > limit {
-                    // The overflowing request is answered in-band (in
-                    // its own framing) and the connection closes; the
-                    // work already accepted still flushes first.
-                    let err = ProtoError::new(0, ErrorKind::QuotaExceeded { limit });
-                    let encoded = match framing {
-                        v1::Framing::V0 => err.encode(),
-                        _ => err.encode_v1(),
-                    };
-                    respond(&mut pending, &mut writer, &mut || encoded.clone())?;
-                    return Ok(());
-                }
+            let quota = self.cfg.max_requests_per_conn.filter(|&limit| seen > limit);
+            let decoded = match quota {
+                // The overflowing request is answered in-band (in its
+                // own framing) and the connection closes; the work
+                // already accepted still flushes first.
+                Some(limit) => Err(ProtoError::new(0, ErrorKind::QuotaExceeded { limit })),
+                None => decode(framing, &line).inspect_err(|_| OBS_PROTO_ERRORS.incr()),
+            };
+            if let Ok(env) = &decoded {
+                verb_counter(env.body.verb_index()).incr();
             }
-            match framing {
-                v1::Framing::Unsupported { token, offset } => {
-                    OBS_PROTO_ERRORS.incr();
-                    let err = ProtoError::new(0, ErrorKind::VersionMismatch { token, offset });
-                    respond(&mut pending, &mut writer, &mut || err.encode_v1())?;
+            let (id, body) = match decoded {
+                Ok(v1::Envelope {
+                    body:
+                        v1::RequestBody::Search(req)
+                        | v1::RequestBody::Grid(req)
+                        | v1::RequestBody::Meta(req)
+                        | v1::RequestBody::Resume(req),
+                    ..
+                }) => {
+                    pending.extend(req.expand().into_iter().map(|job| (v0, job)));
+                    continue;
                 }
-                v1::Framing::V0 => match parse_request(&line) {
-                    Ok(Request::Search(req)) => {
-                        OBS_VERB_SEARCH.incr();
-                        pending.push((false, *req));
-                    }
-                    Ok(Request::Stats) => {
-                        OBS_VERB_STATS.incr();
-                        respond(&mut pending, &mut writer, &mut || self.stats_line_v0())?;
-                    }
-                    Ok(Request::Ping) => {
-                        OBS_VERB_PING.incr();
-                        respond(&mut pending, &mut writer, &mut || "pong".to_owned())?;
-                    }
-                    Err(err) => {
-                        OBS_PROTO_ERRORS.incr();
-                        respond(&mut pending, &mut writer, &mut || err.encode())?;
-                    }
-                },
-                v1::Framing::V1 => match v1::decode_request(&line) {
-                    Ok(env) => {
-                        let id = env.request_id;
-                        let reply = |body: v1::ResponseBody| {
-                            v1::encode_response(&v1::Envelope::v1(id, body))
-                        };
-                        match env.body {
-                            v1::RequestBody::Search(req) => {
-                                OBS_VERB_SEARCH.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Grid(req) => {
-                                OBS_VERB_GRID.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Meta(req) => {
-                                OBS_VERB_META.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Resume(req) => {
-                                OBS_VERB_RESUME.incr();
-                                pending.push((true, req));
-                            }
-                            v1::RequestBody::Stats => {
-                                OBS_VERB_STATS.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Stats(self.stats()))
-                                })?;
-                            }
-                            v1::RequestBody::Ping => {
-                                OBS_VERB_PING.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Pong)
-                                })?;
-                            }
-                            v1::RequestBody::ListTasks => {
-                                OBS_VERB_LIST_TASKS.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Tasks(self.tasks()))
-                                })?;
-                            }
-                            v1::RequestBody::Metrics => {
-                                OBS_VERB_METRICS.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    reply(v1::ResponseBody::Metrics(hdx_obs::snapshot()))
-                                })?;
-                            }
-                            v1::RequestBody::LoadBundle { path } => {
-                                OBS_VERB_LOAD_BUNDLE.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.load_bundle_ref(&path) {
-                                        Ok(entry) => v1::ResponseBody::Loaded(entry),
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::CatalogList => {
-                                OBS_VERB_CATALOG_LIST.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.catalog_entries() {
-                                        Ok(entries) => v1::ResponseBody::Catalog(entries),
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::CatalogPin { fingerprint, on } => {
-                                OBS_VERB_CATALOG_PIN.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.with_catalog(|c| c.pin(fingerprint, on)) {
-                                        Ok(_) => v1::ResponseBody::Pinned { fingerprint, on },
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::CatalogEvict { fingerprint } => {
-                                OBS_VERB_CATALOG_EVICT.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = match self.with_catalog(|c| c.evict(fingerprint)) {
-                                        Ok(freed) => {
-                                            v1::ResponseBody::Evicted { fingerprint, freed }
-                                        }
-                                        Err(kind) => {
-                                            v1::ResponseBody::Error(ProtoError::new(id, kind))
-                                        }
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                            v1::RequestBody::UnloadBundle { task, bundle_seed } => {
-                                OBS_VERB_UNLOAD_BUNDLE.incr();
-                                respond(&mut pending, &mut writer, &mut || {
-                                    let body = if self.unload(task, bundle_seed) {
-                                        v1::ResponseBody::Unloaded { task, bundle_seed }
-                                    } else {
-                                        v1::ResponseBody::Error(ProtoError::new(
-                                            id,
-                                            ErrorKind::TaskUnavailable {
-                                                task: task_label(task).to_owned(),
-                                                bundle_seed: Some(bundle_seed),
-                                            },
-                                        ))
-                                    };
-                                    reply(body)
-                                })?;
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        OBS_PROTO_ERRORS.incr();
-                        respond(&mut pending, &mut writer, &mut || err.encode_v1())?;
-                    }
-                },
+                Ok(env) => (env.request_id, Ok(env.body)),
+                Err(err) => (0, Err(err)),
+            };
+            // A reply is computed after the pending batch flushes:
+            // stats must see the flushed jobs' counters, and a
+            // load/unload must not retroactively change how
+            // already-queued work routes.
+            flush_batch(&mut pending, &mut writer)?;
+            let reply = body
+                .and_then(|body| self.control(body).map_err(|kind| ProtoError::new(id, kind)))
+                .unwrap_or_else(v1::ResponseBody::Error);
+            writeln!(writer, "{}", reply_line(v0, id, reply))?;
+            writer.flush()?;
+            if quota.is_some() {
+                return Ok(());
             }
         }
         flush_batch(&mut pending, &mut writer)
@@ -722,11 +532,130 @@ impl Router {
     }
 }
 
+/// A reply line in the framing its request arrived in.
+fn reply_line(v0: bool, id: u64, body: v1::ResponseBody) -> String {
+    if v0 {
+        v1::encode_response_v0(&body)
+    } else {
+        v1::encode_response(&v1::Envelope::v1(id, body))
+    }
+}
+
+/// Decodes one line in the framing [`v1::sniff`] gave it. A v0
+/// request lifts into its v1 body (its replies never carry an id).
+fn decode(framing: v1::Framing, line: &str) -> Result<v1::Envelope<v1::RequestBody>, ProtoError> {
+    match framing {
+        v1::Framing::V0 => Ok(v1::Envelope::v1(0, parse_request(line)?.into_body())),
+        v1::Framing::V1 => v1::decode_request(line),
+        v1::Framing::Unsupported { token, offset } => Err(ProtoError::new(
+            0,
+            ErrorKind::VersionMismatch { token, offset },
+        )),
+    }
+}
+
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
             .field("bundles", &self.tasks().len())
             .field("cfg", &self.cfg)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdx_core::Constraint;
+
+    /// One canonical request body per verb, in [`v1::VERBS`] order.
+    fn sample_bodies() -> Vec<v1::RequestBody> {
+        use v1::RequestBody as Body;
+        let search = SearchRequest {
+            id: 1,
+            ..SearchRequest::default()
+        };
+        vec![
+            Body::Search(search.clone()),
+            Body::Grid(SearchRequest {
+                lambda_grid: vec![0.1, 0.2],
+                ..search.clone()
+            }),
+            Body::Meta(SearchRequest {
+                max_searches: 2,
+                constraints: vec![Constraint::fps(30.0)],
+                ..search.clone()
+            }),
+            Body::Resume(SearchRequest {
+                checkpoint: Some("/tmp/r.ckpt".to_owned()),
+                resume_from_checkpoint: true,
+                ..search
+            }),
+            Body::Stats,
+            Body::Ping,
+            Body::LoadBundle {
+                path: "/tmp/b.ckpt".to_owned(),
+            },
+            Body::UnloadBundle {
+                task: Task::ImageNet,
+                bundle_seed: 3,
+            },
+            Body::ListTasks,
+            Body::Metrics,
+            Body::CatalogList,
+            Body::CatalogPin {
+                fingerprint: 0xff,
+                on: true,
+            },
+            Body::CatalogEvict { fingerprint: 0xff },
+        ]
+    }
+
+    /// The `(request verb, response verb)` rows of a markdown verb
+    /// table: the first backticked word of the first and last cells.
+    fn doc_rows(text: &str) -> Vec<(String, String)> {
+        let ticked = |cell: &str| cell.split('`').nth(1).unwrap_or_default().to_owned();
+        text.lines()
+            .map(|l| l.trim_start_matches("//!").trim())
+            .skip_while(|l| !l.starts_with("| request verb"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                let cells: Vec<&str> = l.split('|').collect();
+                (ticked(cells[1]), ticked(cells[cells.len() - 2]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn verb_table_drives_codec_counters_classes_and_docs() {
+        let bodies = sample_bodies();
+        assert_eq!(bodies.len(), v1::VERBS.len());
+        for (i, (verb, body)) in v1::VERBS.iter().zip(bodies).enumerate() {
+            // The body maps back to its row, and its canonical line
+            // leads with the verb and round-trips.
+            assert_eq!(body.verb_index(), i, "{verb:?}");
+            if let v1::RequestBody::Search(r)
+            | v1::RequestBody::Grid(r)
+            | v1::RequestBody::Meta(r)
+            | v1::RequestBody::Resume(r) = &body
+            {
+                assert_eq!(r.verb_index(), i, "job class of {verb:?}");
+            }
+            assert_eq!(verb.batched, i < 4, "batched verbs lead: {verb:?}");
+            let env = v1::Envelope::v1(1, body);
+            let line = v1::encode_request(&env);
+            let head = format!("{} {} ", v1::VERSION_TOKEN, verb.name);
+            assert!(line.starts_with(&head), "{line}");
+            assert_eq!(v1::decode_request(&line), Ok(env), "{line}");
+            assert_eq!(verb_counter(i).name(), format!("router.verb.{}", verb.name));
+        }
+        // DESIGN.md and the v1 module docs list exactly these rows.
+        let expected: Vec<(String, String)> = v1::VERBS
+            .iter()
+            .map(|v| (v.name.to_owned(), v.reply.to_owned()))
+            .collect();
+        assert_eq!(doc_rows(include_str!("../../../DESIGN.md")), expected);
+        assert_eq!(doc_rows(include_str!("proto/v1.rs")), expected);
     }
 }

@@ -31,8 +31,8 @@ pub(crate) struct TaskService {
     prepared: Arc<PreparedContext>,
     served: AtomicU64,
     steps_used: AtomicU64,
-    // Per-verb breakdown of `served` (search/grid/meta/resume), in
-    // the classification order of `run_one`.
+    // Per-verb breakdown of `served`, indexed by
+    // `SearchRequest::verb_index` (search/grid/meta/resume).
     verb_counts: [AtomicU64; 4],
 }
 
@@ -53,21 +53,6 @@ impl TaskService {
             served: AtomicU64::new(0),
             steps_used: AtomicU64::new(0),
             verb_counts: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Which per-verb counter a job lands in. Resume beats meta beats
-    /// grid so a v0 line combining options is classified by the
-    /// strongest branch — the same precedence `run_one` executes.
-    fn verb_slot(req: &SearchRequest) -> usize {
-        if req.resume_from_checkpoint {
-            3
-        } else if req.max_searches > 1 {
-            2
-        } else if req.sub.is_some() {
-            1
-        } else {
-            0
         }
     }
 
@@ -97,11 +82,6 @@ impl TaskService {
         }
     }
 
-    /// Jobs completed by this bundle since startup.
-    pub(crate) fn requests_served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
     /// Runs one expanded job to completion (a plain search, a
     /// meta-search, or a checkpoint resume).
     ///
@@ -110,30 +90,16 @@ impl TaskService {
     /// [`ProtoError`] when the request names a task this bundle does
     /// not cover, or when its checkpoint cannot be loaded/written.
     pub(crate) fn run_one(&self, req: &SearchRequest) -> Result<SearchReport, ProtoError> {
+        let fail = |kind| ProtoError::new(req.id, kind);
         if req.task != self.task {
-            return Err(ProtoError::new(
-                req.id,
-                ErrorKind::TaskUnavailable {
-                    task: crate::proto::task_label(req.task).to_owned(),
-                    bundle_seed: req.bundle_seed,
-                },
-            ));
+            return Err(fail(ErrorKind::unavailable(req.task, req.bundle_seed)));
         }
         let ctx = self.prepared.context();
         let opts = req.options();
-        let ckpt_err = |e: hdx_tensor::ckpt::CkptError| {
-            ProtoError::new(
-                req.id,
-                ErrorKind::Checkpoint {
-                    message: e.to_string(),
-                },
-            )
-        };
+        let ckpt_err = |e: hdx_tensor::ckpt::CkptError| fail(ErrorKind::checkpoint(e));
         let report = if req.resume_from_checkpoint {
-            let path = req
-                .checkpoint
-                .as_deref()
-                .ok_or_else(|| ProtoError::new(req.id, ErrorKind::MissingField { key: "ckpt" }))?;
+            let path = req.checkpoint.as_deref();
+            let path = path.ok_or_else(|| fail(ErrorKind::MissingField { key: "ckpt" }))?;
             let snapshot = SearchCheckpoint::load(Path::new(path)).map_err(ckpt_err)?;
             let result = resume_search(&ctx, &opts, &snapshot).map_err(ckpt_err)?;
             let satisfied = result.in_constraint;
@@ -153,7 +119,7 @@ impl TaskService {
         self.served.fetch_add(1, Ordering::Relaxed);
         self.steps_used
             .fetch_add(report.steps_used, Ordering::Relaxed);
-        self.verb_counts[Self::verb_slot(req)].fetch_add(1, Ordering::Relaxed);
+        self.verb_counts[req.verb_index()].fetch_add(1, Ordering::Relaxed);
         Ok(report)
     }
 }
@@ -163,7 +129,7 @@ impl std::fmt::Debug for TaskService {
         f.debug_struct("TaskService")
             .field("task", &self.task)
             .field("seed", &self.seed)
-            .field("requests_served", &self.requests_served())
+            .field("served", &self.served)
             .finish()
     }
 }

@@ -118,7 +118,7 @@ impl Estimator {
     /// returns the final epoch's mean training loss.
     ///
     /// Each minibatch gradient is computed as a weighted sum over
-    /// fixed-size microbatch shards (see [`Estimator::batch_gradients`]),
+    /// fixed-size microbatch shards (see `Estimator::batch_gradients`),
     /// fanned out over [`EstimatorConfig::jobs`] worker threads. The
     /// shard decomposition is independent of the worker count, and the
     /// shard results are merged in shard order, so training is

@@ -16,7 +16,7 @@
 //! appears in a report.
 
 use crate::trace::{Trace, TraceError};
-use hdx_serve::{parse_request, v1, Request, SearchReport, SearchRequest};
+use hdx_serve::{parse_request, v1, SearchReport, SearchRequest};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -106,15 +106,7 @@ pub struct ServeBench {
     pub env: ReplayEnv,
 }
 
-/// FNV-1a over arbitrary bytes (the same digest family `ckpt` uses).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use hdx_tensor::ckpt::fnv1a;
 
 /// Digest of a trace's logical content: every request and expected
 /// response line, newline-joined in entry order.
@@ -138,36 +130,21 @@ pub fn trace_fnv(trace: &Trace) -> u64 {
 fn classify_request(line: &str) -> Result<(usize, Option<u64>), TraceError> {
     let per_search =
         |req: &SearchRequest| req.epochs as u64 * req.steps as u64 + req.final_train as u64;
-    match v1::sniff(line) {
-        v1::Framing::V1 => {
-            let env = v1::decode_request(line).map_err(TraceError::Proto)?;
-            Ok(match env.body {
-                v1::RequestBody::Search(req) => (0, Some(per_search(&req))),
-                v1::RequestBody::Grid(req) => (1, Some(per_search(&req))),
-                v1::RequestBody::Meta(req) => (2, Some(per_search(&req))),
-                v1::RequestBody::Resume(req) => (3, Some(per_search(&req))),
-                // Control verbs produce no jobs; attribute nothing.
-                _ => (0, None),
-            })
+    let body = match v1::sniff(line) {
+        v1::Framing::V1 => v1::decode_request(line).map_err(TraceError::Proto)?.body,
+        _ => parse_request(line).map_err(TraceError::Proto)?.into_body(),
+    };
+    Ok(match &body {
+        // A `search` body — every v0 search line among them — counts
+        // under the verb its options imply, the same precedence the
+        // per-bundle verb counters use.
+        v1::RequestBody::Search(req) => (req.verb_index(), Some(per_search(req))),
+        v1::RequestBody::Grid(req) | v1::RequestBody::Meta(req) | v1::RequestBody::Resume(req) => {
+            (body.verb_index(), Some(per_search(req)))
         }
-        _ => match parse_request(line).map_err(TraceError::Proto)? {
-            // v0 `search` counts under the verb its options imply —
-            // the same precedence the router's per-verb counters use.
-            Request::Search(req) => {
-                let slot = if req.resume_from_checkpoint {
-                    3
-                } else if req.max_searches > 1 {
-                    2
-                } else if !req.lambda_grid.is_empty() {
-                    1
-                } else {
-                    0
-                };
-                Ok((slot, Some(per_search(&req))))
-            }
-            _ => Ok((0, None)),
-        },
-    }
+        // Control verbs produce no jobs; attribute nothing.
+        _ => (0, None),
+    })
 }
 
 /// Decodes a recorded response line as a report if it is one. v0

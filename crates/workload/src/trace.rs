@@ -26,7 +26,7 @@
 //! recorder rejects them with [`TraceError::UnstableRequest`] instead
 //! of writing a trace that only replays at one concurrency setting.
 
-use hdx_serve::{parse_request, v1, Request, Router};
+use hdx_serve::{parse_request, v1, Router};
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use std::io::{BufReader, Cursor, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -164,19 +164,15 @@ fn seal_line(i: usize) -> String {
 
 /// Names the verb if `line` is one the recorder must refuse.
 fn unstable_verb(line: &str) -> Option<&'static str> {
-    match v1::sniff(line) {
-        v1::Framing::V0 => match parse_request(line) {
-            Ok(Request::Stats) => Some("stats"),
-            _ => None,
-        },
-        v1::Framing::V1 => match v1::decode_request(line).map(|env| env.body) {
-            Ok(v1::RequestBody::Stats) => Some("stats"),
-            Ok(v1::RequestBody::LoadBundle { .. }) => Some("load_bundle"),
-            Ok(v1::RequestBody::UnloadBundle { .. }) => Some("unload_bundle"),
-            _ => None,
-        },
-        v1::Framing::Unsupported { .. } => None,
-    }
+    let body = match v1::sniff(line) {
+        v1::Framing::V0 => parse_request(line).ok()?.into_body(),
+        v1::Framing::V1 => v1::decode_request(line).ok()?.body,
+        v1::Framing::Unsupported { .. } => return None,
+    };
+    let name = v1::VERBS[body.verb_index()].name;
+    ["stats", "load_bundle", "unload_bundle"]
+        .contains(&name)
+        .then_some(name)
 }
 
 impl Trace {

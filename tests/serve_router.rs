@@ -13,10 +13,15 @@
 //!   run (seeds 0–2, jobs ∈ {1, 2, 4}).
 //! * Trailing garbage after any complete request is a typed error
 //!   naming the offending byte offset (fuzz-style sweep).
+//! * Same bytes: every decoder outcome over the fuzz corpora, and a
+//!   scripted connection covering every verb, fold into two pinned
+//!   FNV-1a digests that a codec or router refactor must not move.
 
 use hdx_core::{prepare_context_with, PreparedContext, Task};
 use hdx_serve::v1;
-use hdx_serve::{parse_request, save_bundle, Router, RouterConfig, SearchRequest};
+use hdx_serve::{
+    parse_request, save_bundle, task_code, Request, Router, RouterConfig, SearchRequest,
+};
 use hdx_surrogate::EstimatorConfig;
 use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
@@ -531,31 +536,35 @@ fn resume_equals_uninterrupted_bit_for_bit() {
     assert_eq!(err.kind.code(), "checkpoint");
 }
 
+/// Complete, valid request lines in both framings — every v1 verb.
+const TRAILING_BASES: [&str; 17] = [
+    "stats",
+    "ping",
+    "hdx1 stats id=1",
+    "hdx1 ping id=1",
+    "hdx1 list_tasks id=1",
+    "search id=1 fps=30",
+    "hdx1 search id=1 fps=30",
+    "hdx1 grid id=1 lambda_grid=0.5,1",
+    "hdx1 meta id=1 fps=30 max_searches=2",
+    "hdx1 resume id=1 ckpt=/tmp/s.ckpt",
+    "hdx1 load_bundle id=1 path=/tmp/b.ckpt",
+    "hdx1 load_bundle id=1 path=cat:00000000000000ff",
+    "hdx1 unload_bundle id=1 task=cifar bundle_seed=0",
+    "hdx1 metrics id=1",
+    "hdx1 catalog_list id=1",
+    "hdx1 catalog_pin id=1 ref=cat:00000000000000ff on=1",
+    "hdx1 catalog_evict id=1 ref=cat:00000000000000ff",
+];
+
+/// A corpus of garbage suffixes: bare tokens, stray verbs, unknown
+/// fields, malformed pairs.
+const TRAILING_GARBAGE: [&str; 8] = ["x", "1", "stats", "ping", "frob=1", "=x", "##", "id"];
+
 #[test]
 fn trailing_garbage_sweep_rejects_with_offsets() {
-    // Complete, valid request lines in both framings — every v1 verb.
-    let bases = [
-        "stats",
-        "ping",
-        "hdx1 stats id=1",
-        "hdx1 ping id=1",
-        "hdx1 list_tasks id=1",
-        "search id=1 fps=30",
-        "hdx1 search id=1 fps=30",
-        "hdx1 grid id=1 lambda_grid=0.5,1",
-        "hdx1 meta id=1 fps=30 max_searches=2",
-        "hdx1 resume id=1 ckpt=/tmp/s.ckpt",
-        "hdx1 load_bundle id=1 path=/tmp/b.ckpt",
-        "hdx1 load_bundle id=1 path=cat:00000000000000ff",
-        "hdx1 unload_bundle id=1 task=cifar bundle_seed=0",
-        "hdx1 metrics id=1",
-        "hdx1 catalog_list id=1",
-        "hdx1 catalog_pin id=1 ref=cat:00000000000000ff on=1",
-        "hdx1 catalog_evict id=1 ref=cat:00000000000000ff",
-    ];
-    // …and a corpus of garbage suffixes: bare tokens, stray verbs,
-    // unknown fields, malformed pairs.
-    let garbage = ["x", "1", "stats", "ping", "frob=1", "=x", "##", "id"];
+    let bases = TRAILING_BASES;
+    let garbage = TRAILING_GARBAGE;
     for base in bases {
         // The base itself parses.
         let ok = if base.starts_with("hdx1") {
@@ -603,13 +612,18 @@ enum FuzzDir {
     V1Response,
 }
 
-#[test]
-fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
+/// Byte substitutions chosen to hit every parser family: alpha, digit,
+/// structural '=', field separator ' ', comment-ish '#'.
+const FUZZ_SUBSTITUTIONS: [u8; 5] = [b'z', b'0', b'=', b' ', b'#'];
+
+/// The byte-mutation corpus: the full v0 grammar plus all thirteen v1
+/// request verbs, built through the real encoders so they are
+/// canonical by construction, and every response verb — a served
+/// report (`report_v1`), a stats reply over `stats`, and the control
+/// responses.
+fn fuzz_corpus(report_v1: String, stats: v1::StatsReport) -> Vec<(String, FuzzDir)> {
     use v1::{Envelope, RequestBody, ResponseBody};
 
-    // Canonical request lines: the full v0 grammar plus all thirteen
-    // v1 verbs, built through the real encoders so they are canonical
-    // by construction.
     let grid_req = SearchRequest {
         lambda_grid: vec![0.001, 0.01],
         ..quick(1, Task::Cifar, 0)
@@ -715,16 +729,6 @@ fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
     .into_iter()
     .collect();
 
-    // Canonical response lines: a live report (both framings answer
-    // with the same body; the v1 tail adds the queue fields), plus
-    // every control response, encoded or actually served.
-    let router = dual_router(RouterConfig::default());
-    let report_v1 = router
-        .run_one(&quick(10, Task::Cifar, 0))
-        .pop()
-        .unwrap()
-        .expect("report")
-        .encode_v1();
     let entry = v1::TaskEntry {
         task: Task::ImageNet,
         bundle_seed: 3,
@@ -732,7 +736,7 @@ fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
     };
     let proto_err = parse_request("bogus").expect_err("bogus line");
     let encr = v1::encode_response;
-    let stats_line = encr(&Envelope::v1(11, ResponseBody::Stats(router.stats())));
+    let stats_line = encr(&Envelope::v1(11, ResponseBody::Stats(stats)));
     let responses: Vec<(String, FuzzDir)> = vec![
         (report_v1, FuzzDir::V1Response),
         (stats_line, FuzzDir::V1Response),
@@ -820,11 +824,27 @@ fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
             FuzzDir::V1Response,
         ),
     ];
+    requests.into_iter().chain(responses).collect()
+}
 
-    let corpus: Vec<(String, FuzzDir)> = requests.into_iter().chain(responses).collect();
-    // Substitutions chosen to hit every parser family: alpha, digit,
-    // structural '=', field separator ' ', comment-ish '#'.
-    let substitutions = [b'z', b'0', b'=', b' ', b'#'];
+/// A served report line in v1 framing (a pure function of the request).
+fn live_report_v1(router: &Router) -> String {
+    router
+        .run_one(&quick(10, Task::Cifar, 0))
+        .pop()
+        .unwrap()
+        .expect("report")
+        .encode_v1()
+}
+
+#[test]
+fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
+    // Canonical response lines include a live report (both framings
+    // answer with the same body; the v1 tail adds the queue fields)
+    // and the router's actual stats.
+    let router = dual_router(RouterConfig::default());
+    let corpus = fuzz_corpus(live_report_v1(&router), router.stats());
+    let substitutions = FUZZ_SUBSTITUTIONS;
 
     for (line, dir) in &corpus {
         // The canonical line itself must decode.
@@ -861,6 +881,390 @@ fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
             }
         }
     }
+}
+
+/// One decoder outcome in canonical form: the re-encoded value on
+/// success (with the envelope's request id), the framing's error line
+/// on failure.
+fn decode_outcome(line: &str, dir: FuzzDir) -> String {
+    match dir {
+        FuzzDir::V0Request => match parse_request(line) {
+            Ok(Request::Search(req)) => req.encode(),
+            Ok(Request::Stats) => "stats".to_owned(),
+            Ok(Request::Ping) => "ping".to_owned(),
+            Err(err) => err.encode(),
+        },
+        FuzzDir::V1Request => match v1::decode_request(line) {
+            Ok(env) => format!("{} {}", env.request_id, v1::encode_request(&env)),
+            Err(err) => err.encode_v1(),
+        },
+        FuzzDir::V1Response => match v1::decode_response(line) {
+            Ok(env) => format!("{} {}", env.request_id, v1::encode_response(&env)),
+            Err(err) => err.encode_v1(),
+        },
+    }
+}
+
+/// Hand-picked lines at the codec's edges: duplicate keys, absent
+/// `count=`, `bank_cap=none`, fields a verb does not take, empty
+/// values, out-of-order entries, and the errors' `id=` carry.
+const EDGE_LINES: &[(&str, FuzzDir)] = &[
+    ("search id=1 id=2 fps=30 fps=20", FuzzDir::V0Request),
+    ("search fps=x id=2", FuzzDir::V0Request),
+    (
+        "search id=9 method=dance method=nas lambda_macs=0.5",
+        FuzzDir::V0Request,
+    ),
+    ("search id=3 max_searches=2", FuzzDir::V0Request),
+    ("search id=4 ckpt=", FuzzDir::V0Request),
+    ("", FuzzDir::V0Request),
+    ("hdx1 ping id=1 id=2", FuzzDir::V1Request),
+    ("hdx1 ping frob=1 id=2", FuzzDir::V1Request),
+    ("hdx1 ping id=2 frob=1", FuzzDir::V1Request),
+    ("hdx1", FuzzDir::V1Request),
+    ("ping", FuzzDir::V1Request),
+    ("", FuzzDir::V1Request),
+    ("hdx1 load_bundle id=1 path=", FuzzDir::V1Request),
+    ("hdx1 load_bundle id=1 path=/a path=/b", FuzzDir::V1Request),
+    ("hdx1 unload_bundle id=4", FuzzDir::V1Request),
+    ("hdx1 unload_bundle id=4 bundle_seed=1", FuzzDir::V1Request),
+    (
+        "hdx1 unload_bundle id=1 task=cifar task=imagenet bundle_seed=0",
+        FuzzDir::V1Request,
+    ),
+    ("hdx1 catalog_pin on=1 id=3", FuzzDir::V1Request),
+    (
+        "hdx1 catalog_pin id=3 ref=cat:00000000000000ff ref=cat:0000000000000001 on=1 on=0",
+        FuzzDir::V1Request,
+    ),
+    ("hdx1 catalog_evict id=5 ref=cat:", FuzzDir::V1Request),
+    ("hdx1 search id=1 lambda_grid=0.1,0.2", FuzzDir::V1Request),
+    ("hdx1 search id=1 fps=30 max_searches=2", FuzzDir::V1Request),
+    ("hdx1 search id=1 ckpt=", FuzzDir::V1Request),
+    ("hdx1 search id=1 bundle_seed=x", FuzzDir::V1Request),
+    ("hdx1 grid id=7", FuzzDir::V1Request),
+    (
+        "hdx1 grid id=7 lambda_grid=0.1 ckpt=/tmp/g.ckpt",
+        FuzzDir::V1Request,
+    ),
+    ("hdx1 meta id=8 fps=30", FuzzDir::V1Request),
+    (
+        "hdx1 meta id=8 fps=30 max_searches=2 ckpt=/tmp/m.ckpt",
+        FuzzDir::V1Request,
+    ),
+    ("hdx1 resume id=9", FuzzDir::V1Request),
+    (
+        "hdx1 resume id=9 ckpt=/tmp/r.ckpt max_searches=2 fps=30",
+        FuzzDir::V1Request,
+    ),
+    (
+        "hdx1 resume id=9 ckpt=/tmp/r.ckpt lambda_grid=0.1",
+        FuzzDir::V1Request,
+    ),
+    ("hdx1 tasks id=1 task=cifar:0:0.5", FuzzDir::V1Response),
+    (
+        "hdx1 tasks id=1 id=2 count=1 task=cifar:0:0.5",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 tasks id=1 count=2 task=cifar:0:0.5",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 tasks id=1 count=0 task=cifar:0", FuzzDir::V1Response),
+    ("hdx1 metrics id=1 bank.hit=1", FuzzDir::V1Response),
+    ("hdx1 metrics id=1 count=2 b=1 a=2", FuzzDir::V1Response),
+    ("hdx1 metrics id=1 count=2 a=1 a=2", FuzzDir::V1Response),
+    ("hdx1 metrics id=1 count=1 a=x", FuzzDir::V1Response),
+    ("hdx1 metrics count=1 id=4 a=1", FuzzDir::V1Response),
+    (
+        "hdx1 catalog id=1 entry=cifar:train:0:1:00000000000000ff:4096:0",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 catalog id=1 count=1 entry=cifar::0:1:00000000000000ff:4096:0",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 catalog id=1 count=1 entry=cifar:train:0:1:ff:4096:0",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 catalog id=1 count=2 entry=cifar:train:0:1:00000000000000ff:4096:1",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 stats id=1 programs=1 idle_sessions=0 hits=0 misses=0 evictions=0 bank_cap=none \
+         requests_served=0",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 stats id=1 hits=3 hits=4 bank_cap=16 bank_cap=none",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 stats id=1 bank_cap=x", FuzzDir::V1Response),
+    (
+        "hdx1 stats id=1 task=cifar:0:1:2:3:4:5",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 stats id=1 task=cifar:0:1:2:3:4:5:6 task=imagenet:1:0:0:0:0:0:0",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 loaded id=1 task=cifar bundle_seed=0",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 loaded id=1 task=cifar bundle_seed=0 bundle_seed=1 estimator_accuracy=0.5",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 loaded id=1 task=cifar bundle_seed=0 estimator_accuracy=x",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 loaded id=1 bundle_seed=0", FuzzDir::V1Response),
+    (
+        "hdx1 unloaded id=1 task=cifar bundle_seed=0 estimator_accuracy=0.5",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 unloaded id=1 task=cifar", FuzzDir::V1Response),
+    ("hdx1 pinned id=1", FuzzDir::V1Response),
+    (
+        "hdx1 pinned id=1 ref=cat:00000000000000ff",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 pinned id=1 ref=cat:00000000000000ff on=2",
+        FuzzDir::V1Response,
+    ),
+    (
+        "hdx1 evicted id=2 ref=cat:00000000000000ff",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 evicted id=2 freed=1", FuzzDir::V1Response),
+    (
+        "hdx1 evicted id=2 ref=cat:00000000000000ff on=1 freed=1",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 error id=3 code=x offset=4 msg=y", FuzzDir::V1Response),
+    ("hdx1 error id=3 code=x msg=y", FuzzDir::V1Response),
+    ("hdx1 error id=3 msg=y", FuzzDir::V1Response),
+    ("hdx1 error id=3 offset=4", FuzzDir::V1Response),
+    ("hdx1 error id=3 offset=x", FuzzDir::V1Response),
+    ("hdx1 pong id=5 id=6", FuzzDir::V1Response),
+    ("hdx1 pong x", FuzzDir::V1Response),
+    ("hdx1 report id=1#2 method=HDX", FuzzDir::V1Response),
+    ("hdx1 report id=1#x", FuzzDir::V1Response),
+    ("hdx1 report id=5 bogus=1", FuzzDir::V1Response),
+    ("hdx1 report id=5 method=hdx", FuzzDir::V1Response),
+    ("hdx1 report id=5 pe=4x", FuzzDir::V1Response),
+    ("hdx1 report id=5 arch=", FuzzDir::V1Response),
+    (
+        "hdx1 report id=5 task=spheres dataflow=OS satisfied=true",
+        FuzzDir::V1Response,
+    ),
+    ("hdx1 launch id=1", FuzzDir::V1Response),
+    ("hdx2 pong id=1", FuzzDir::V1Response),
+];
+
+/// FNV-1a over newline-terminated lines.
+fn digest_lines(lines: &[String]) -> u64 {
+    hdx_tensor::ckpt::fnv1a((lines.join("\n") + "\n").as_bytes())
+}
+
+/// Same-bytes pin for the codec and the connection loop: (a) every
+/// decoder outcome over the byte-mutation and trailing-garbage corpora,
+/// each line's single-byte mutations, and [`EDGE_LINES`]; (b) a
+/// scripted connection covering all thirteen v1 verbs, the v0 verbs, a
+/// mounted catalog, and each control error path. Both digests must
+/// stay fixed across any refactor of the protocol or router.
+#[test]
+fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
+    // (a) Decoder outcomes. The stats row is fixed: live bank counters
+    // are process-wide and move with tests running in parallel.
+    let router = dual_router(RouterConfig::default());
+    let stats = v1::StatsReport {
+        programs: 3,
+        idle_sessions: 1,
+        hits: 40,
+        misses: 2,
+        evictions: 0,
+        bank_cap: Some(256),
+        requests_served: 5,
+        tasks: vec![v1::TaskStats {
+            task: Task::Cifar,
+            bundle_seed: 7,
+            served: 5,
+            steps_used: 230,
+            verbs: v1::VerbCounts {
+                search: 2,
+                grid: 2,
+                meta: 0,
+                resume: 1,
+            },
+        }],
+    };
+    let mut corpus = fuzz_corpus(live_report_v1(&router), stats);
+    for base in TRAILING_BASES {
+        let dir = if base.starts_with("hdx1") {
+            FuzzDir::V1Request
+        } else {
+            FuzzDir::V0Request
+        };
+        corpus.push((base.to_owned(), dir));
+        corpus.extend(
+            TRAILING_GARBAGE
+                .iter()
+                .map(|g| (format!("{base} {g}"), dir)),
+        );
+    }
+    corpus.extend(EDGE_LINES.iter().map(|&(line, dir)| (line.to_owned(), dir)));
+    let mut outcomes = Vec::new();
+    for (line, dir) in &corpus {
+        outcomes.push(decode_outcome(line, *dir));
+        for i in 0..line.len() {
+            if !line.is_char_boundary(i) {
+                continue;
+            }
+            for &sub in &FUZZ_SUBSTITUTIONS {
+                let mut mutated = line.clone();
+                mutated.replace_range(i..i + 1, &char::from(sub).to_string());
+                outcomes.push(decode_outcome(&mutated, *dir));
+            }
+            let mut inserted = line.clone();
+            inserted.insert(i, 'π');
+            outcomes.push(decode_outcome(&inserted, *dir));
+        }
+    }
+    let decoded = digest_lines(&outcomes);
+
+    // (b) The transcript: searches of every class, a resume from a
+    // snapshot, every control verb against a mounted catalog, and the
+    // control error paths.
+    let dir = std::env::temp_dir().join(format!("hdx_same_bytes_pin_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let prepared = cifar();
+    let save = |pairs: usize| {
+        let path = dir.join(format!("cifar_{pairs}.ckpt"));
+        save_bundle(
+            &path,
+            Task::Cifar,
+            7,
+            pairs,
+            prepared.estimator_accuracy,
+            prepared.estimator(),
+            &[],
+        )
+        .expect("save bundle");
+        path
+    };
+    let loose = save(1500);
+    let spare_path = save(1501);
+    let catalog = hdx_catalog::Catalog::open(&dir.join("cat")).expect("open catalog");
+    let cifar_code = u8::try_from(task_code(Task::Cifar)).expect("task code");
+    let publish = |path: &std::path::Path| {
+        let bytes = std::fs::read(path).expect("read bundle");
+        let receipt = catalog
+            .publish(cifar_code, "train", 7, &bytes)
+            .expect("publish");
+        hdx_catalog::format_ref(receipt.fingerprint)
+    };
+    let kept = publish(&loose);
+    let spare = publish(&spare_path);
+    router.mount_catalog(catalog.clone());
+
+    let fields = |req: SearchRequest| {
+        req.encode()
+            .strip_prefix("search ")
+            .expect("search prefix")
+            .to_owned()
+    };
+    let ckpt = dir.join("resume.ckpt").display().to_string();
+    let snapshot = SearchRequest {
+        epochs: 1,
+        checkpoint: Some(ckpt.clone()),
+        ..quick(6, Task::Cifar, 2)
+    };
+    let resume = SearchRequest {
+        epochs: 2,
+        ..snapshot.clone()
+    };
+    let script = [
+        "ping".to_owned(),
+        "hdx1 ping id=1".to_owned(),
+        quick(2, Task::Cifar, 0).encode(),
+        format!("hdx1 search {}", fields(quick(3, Task::ImageNet, 1))),
+        format!(
+            "hdx1 grid {}",
+            fields(SearchRequest {
+                lambda_grid: vec![0.001, 0.01],
+                constraints: Vec::new(),
+                ..quick(4, Task::Cifar, 1)
+            })
+        ),
+        format!(
+            "hdx1 meta {}",
+            fields(SearchRequest {
+                max_searches: 2,
+                ..quick(5, Task::ImageNet, 0)
+            })
+        ),
+        format!("hdx1 search {}", fields(snapshot)),
+        "stats".to_owned(),
+        format!("hdx1 resume {}", fields(resume)),
+        "hdx1 stats id=7".to_owned(),
+        "hdx1 metrics id=8".to_owned(),
+        "hdx1 list_tasks id=9".to_owned(),
+        format!("hdx1 load_bundle id=10 path={}", loose.display()),
+        format!("hdx1 load_bundle id=11 path={kept}"),
+        "hdx1 catalog_list id=12".to_owned(),
+        format!("hdx1 catalog_pin id=13 ref={spare} on=1"),
+        format!("hdx1 catalog_evict id=14 ref={spare}"),
+        format!("hdx1 catalog_pin id=15 ref={spare} on=0"),
+        format!("hdx1 catalog_evict id=16 ref={spare}"),
+        format!("hdx1 catalog_evict id=17 ref={kept}"),
+        "hdx1 catalog_list id=18".to_owned(),
+        "hdx1 unload_bundle id=19 task=imagenet bundle_seed=3".to_owned(),
+        "hdx1 unload_bundle id=20 task=imagenet bundle_seed=3".to_owned(),
+        format!("hdx1 search {}", fields(quick(21, Task::ImageNet, 0))),
+        "hdx1 list_tasks id=22".to_owned(),
+        "search id=23 frob=1".to_owned(),
+        "hdx1 ping id=24 frob=1".to_owned(),
+        "hdx2 ping id=25".to_owned(),
+        "stats trailing".to_owned(),
+    ];
+    let mut transcript = serve_lines(&router, &(script.join("\n") + "\n"));
+    // A router without a catalog answers catalog verbs in-band.
+    let bare = Router::new(RouterConfig::default());
+    transcript.extend(serve_lines(
+        &bare,
+        &format!(
+            "hdx1 catalog_list id=26\nhdx1 catalog_pin id=27 ref={kept} on=1\n\
+             hdx1 catalog_evict id=28 ref={kept}\nhdx1 load_bundle id=29 path={kept}\n"
+        ),
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    // `stats` and `metrics` values are process-wide: keep kind and id.
+    let folded: Vec<String> = transcript
+        .iter()
+        .map(|line| {
+            let keep = match line.split(' ').take(2).collect::<Vec<_>>()[..] {
+                ["stats", ..] => 1,
+                ["hdx1", "stats" | "metrics"] => 3,
+                _ => usize::MAX,
+            };
+            line.split(' ').take(keep).collect::<Vec<_>>().join(" ")
+        })
+        .collect();
+    assert_eq!(folded.len(), 34, "{folded:#?}");
+    let served = digest_lines(&folded);
+
+    assert_eq!(
+        (decoded, served),
+        (0xbeee_c29d_80d3_ab53, 0x0084_1bd2_4f9d_d800),
+        "same-bytes digests moved: decoded={decoded:#018x} served={served:#018x}\n{folded:#?}"
+    );
 }
 
 #[test]
