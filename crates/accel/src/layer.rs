@@ -48,7 +48,7 @@ impl ConvLayer {
             "ConvLayer: all dimensions must be positive"
         );
         assert!(
-            c_in % groups == 0 && c_out % groups == 0,
+            c_in.is_multiple_of(groups) && c_out.is_multiple_of(groups),
             "ConvLayer: channels (in {c_in}, out {c_out}) must divide groups {groups}"
         );
         Self {

@@ -629,17 +629,56 @@ fn bench_serve_oneshot(report: &mut Report) {
 /// decode head. GFLOP/s (2·m·k·n flops per matmul) land in the JSON
 /// counters so kernel regressions are visible without a full replay.
 fn bench_raw_kernels(report: &mut Report) {
-    use hdx_tensor::kernels::{decode_head_into, matmul_blocked, DecodeAct};
+    use hdx_tensor::kernels::{decode_head_into, matmul_view, DecodeAct, Epilogue, MatRef, Tier};
     let mut rng = Rng::new(33);
-    for (m, k, n) in [(32usize, 114usize, 64usize), (32, 64, 64), (114, 32, 64)] {
+    // The estimator's wide shapes (panel kernels); the supernet's
+    // narrow search-path linears (row-lane kernels): `x·W1`, `ĝ·W2ᵀ`,
+    // `h·W2`, and `Xᵀ·ĝ` of a `20 → h → 20` block at batch 32; then
+    // widths on both sides of the lane/panel cutover (n ≤ 48 at
+    // AVX-512, n ≤ 24 at AVX2). Rows run at the detected tier, and the
+    // narrow and cutover shapes again at AVX2 when the host is wider.
+    let narrow = [
+        (32usize, 20usize, 4usize),
+        (32, 20, 9),
+        (32, 9, 20),
+        (20, 32, 9),
+    ];
+    let cutover = [
+        (32usize, 20usize, 24usize),
+        (32, 20, 32),
+        (32, 20, 48),
+        (32, 20, 64),
+    ];
+    let wide = [(32usize, 114usize, 64usize), (32, 64, 64), (114, 32, 64)];
+    let detected = Tier::detected();
+    let mut runs: Vec<(Tier, (usize, usize, usize))> = wide
+        .iter()
+        .chain(&narrow)
+        .chain(&cutover)
+        .map(|&s| (detected, s))
+        .collect();
+    if detected > Tier::Avx2 {
+        runs.extend(narrow.iter().chain(&cutover).map(|&s| (Tier::Avx2, s)));
+    }
+    for (tier, (m, k, n)) in runs {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let mut out = vec![0.0f32; m * n];
+        let prefix = if tier == detected { "" } else { "avx2_" };
         let per = bench(
             report,
-            &format!("tensor/matmul_blocked_{m}x{k}x{n}"),
+            &format!("tensor/matmul_blocked_{prefix}{m}x{k}x{n}"),
             || {
-                matmul_blocked(black_box(a.data()), black_box(b.data()), &mut out, m, k, n);
+                matmul_view(
+                    tier,
+                    MatRef::rows(black_box(a.data()), k),
+                    MatRef::rows(black_box(b.data()), n),
+                    &mut out,
+                    m,
+                    k,
+                    n,
+                    &Epilogue::default(),
+                );
                 black_box(&out);
             },
         );
@@ -647,7 +686,7 @@ fn bench_raw_kernels(report: &mut Report) {
         println!("    -> {gflops:.2} GFLOP/s");
         report
             .counters
-            .push((format!("raw.matmul_{m}x{k}x{n}_gflops"), gflops));
+            .push((format!("raw.matmul_{prefix}{m}x{k}x{n}_gflops"), gflops));
     }
 
     // The generator's decode head at its serving shape: one row,

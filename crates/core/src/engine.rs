@@ -331,8 +331,10 @@ fn search_inner(
     // carry step counts, never seconds (rule HDX011 enforces this).
     let _search_span = hdx_obs::span("engine.search");
     OBS_SEARCHES.incr();
-    // Phase spans under `engine.search`: setup, the epochs, final
-    // solution selection, the final-net retrain, and its evaluation.
+    // Phase spans under `engine.search`: setup, the epochs (each step
+    // split into the w-step, the α-step's task branch, and the
+    // hardware head), final solution selection, the final-net
+    // retrain, and its evaluation.
     let setup_span = hdx_obs::span("engine.setup");
     let mut rng = Rng::new(opts.seed);
     let mut supernet = Supernet::new(
@@ -465,6 +467,7 @@ fn search_inner(
         for _ in 0..opts.steps_per_epoch {
             // --- w-step on a training batch -------------------------
             {
+                let _w_span = hdx_obs::span("engine.w_step");
                 let batch = ctx.dataset.train_batch(opts.batch, &mut rng);
                 let mut collected = match &mut task_exec {
                     TaskExec::Full(tr) => tr.w_step(&supernet, &batch),
@@ -485,6 +488,7 @@ fn search_inner(
             // (replayed when the mixture topology is compiled or
             // bank-cached, fresh-recorded otherwise) + replayed
             // hardware head ------------------------------------------
+            let alpha_span = hdx_obs::span("engine.alpha_step");
             let batch = ctx.dataset.val_batch(opts.batch, &mut rng);
             let (task_value, task_alpha_grads) = match &mut task_exec {
                 TaskExec::Full(tr) => tr.alpha_step(&supernet, &batch),
@@ -500,7 +504,9 @@ fn search_inner(
                     )
                 }
             };
+            drop(alpha_span);
 
+            let head_span = hdx_obs::span("engine.hw_head");
             head.eval(
                 ctx,
                 opts,
@@ -512,6 +518,7 @@ fn search_inner(
                 &macs_norm,
                 &mut head_eval,
             );
+            drop(head_span);
 
             // Violation test from the estimator's metrics (Eq. 5/9).
             let violated = head_eval.est.is_some_and(|m| !all_satisfied(&steering, &m));

@@ -79,7 +79,7 @@ impl Architecture {
     pub fn from_distribution(probs: &[f32]) -> Self {
         let k = OP_SET.len();
         assert!(
-            !probs.is_empty() && probs.len() % k == 0,
+            !probs.is_empty() && probs.len().is_multiple_of(k),
             "from_distribution: length {} is not a positive multiple of {k}",
             probs.len()
         );

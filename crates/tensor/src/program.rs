@@ -67,7 +67,8 @@
 //! ```
 
 use crate::kernels::{
-    decode_head_into, matmul_blocked, softmax_rows_into, transpose_into, DecodeAct, ROW_BLOCK,
+    decode_head_into, matmul_view, softmax_rows_into, transpose_into, DecodeAct, Epilogue, MatRef,
+    Tier, ROW_BLOCK,
 };
 use crate::par::WorkerPool;
 use crate::tape::{lut_cell, Op, Tape, Var};
@@ -304,11 +305,11 @@ pub struct Program {
     reach: Vec<Vec<bool>>,
     /// Leaf node ids (rebindable inputs).
     leaves: Vec<bool>,
-    /// Scratch sizes: gated-gradient / contribution, transpose temp,
-    /// matmul-result temp.
-    s0_len: usize,
-    s1_len: usize,
-    s2_len: usize,
+    /// Scratch sizes: the fused steps' gated gradient, and the staging
+    /// buffer a multi-contribution gradient is folded into before it is
+    /// accumulated.
+    gated_len: usize,
+    stage_len: usize,
     /// Default targets of each cross-entropy step (rebindable per
     /// session via [`Session::set_targets`]).
     targets: Vec<Vec<usize>>,
@@ -743,22 +744,18 @@ impl Program {
         }
 
         // ---- scratch sizing -------------------------------------------
-        let (mut s0_len, mut s1_len, mut s2_len) = (0usize, 0usize, 0usize);
+        let (mut gated_len, mut stage_len) = (0usize, 0usize);
         for (idx, step) in steps.iter().enumerate() {
             if !union[idx] {
                 continue;
             }
             let len_of = |i: usize| shape[i].0 * shape[i].1;
             match step {
-                Step::MatMul(a, b) => {
-                    s1_len = s1_len.max(len_of(*a)).max(len_of(*b));
-                    s2_len = s2_len.max(len_of(*a)).max(len_of(*b));
-                }
-                Step::AddBias(_, bias) => s1_len = s1_len.max(len_of(*bias)),
+                Step::MatMul(a, b) => stage_len = stage_len.max(len_of(*a)).max(len_of(*b)),
+                Step::AddBias(_, bias) => stage_len = stage_len.max(len_of(*bias)),
                 Step::FusedLinear { x, w, bias, .. } | Step::FusedLinearAdd { x, w, bias, .. } => {
-                    s0_len = s0_len.max(len_of(idx));
-                    s1_len = s1_len.max(len_of(*w)).max(len_of(*x)).max(len_of(*bias));
-                    s2_len = s2_len.max(len_of(*x)).max(len_of(*w));
+                    gated_len = gated_len.max(len_of(idx));
+                    stage_len = stage_len.max(len_of(*x)).max(len_of(*w)).max(len_of(*bias));
                 }
                 _ => {}
             }
@@ -809,9 +806,8 @@ impl Program {
             outputs: outputs.iter().map(|v| v.index()).collect(),
             reach,
             leaves,
-            s0_len,
-            s1_len,
-            s2_len,
+            gated_len,
+            stage_len,
             targets,
             tables,
             single_contrib,
@@ -893,9 +889,8 @@ pub struct Session {
     vals: Vec<f32>,
     grads: Vec<f32>,
     aux: Vec<f32>,
-    s0: Vec<f32>,
-    s1: Vec<f32>,
-    s2: Vec<f32>,
+    gated: Vec<f32>,
+    stage: Vec<f32>,
     targets: Vec<Vec<usize>>,
     /// Which output the gradient arena currently reflects.
     last_backward: Option<usize>,
@@ -912,9 +907,8 @@ impl Session {
             vals: prog.init.clone(),
             grads: vec![0.0; prog.grad_len],
             aux: vec![0.0; prog.aux_len],
-            s0: vec![0.0; prog.s0_len],
-            s1: vec![0.0; prog.s1_len],
-            s2: vec![0.0; prog.s2_len],
+            gated: vec![0.0; prog.gated_len],
+            stage: vec![0.0; prog.stage_len],
             targets: prog.targets.clone(),
             last_backward: None,
             pool: None,
@@ -1118,9 +1112,8 @@ impl Session {
                 &self.vals,
                 &mut self.grads,
                 &self.aux,
-                &mut self.s0,
-                &mut self.s1,
-                &mut self.s2,
+                &mut self.gated,
+                &mut self.stage,
                 &self.targets,
                 self.pool.as_ref(),
             );
@@ -1146,22 +1139,23 @@ fn exec_forward(
     };
     let (m, n) = prog.shape[idx];
     let slot = |p: usize| prog.val[p].expect("input slot");
+    // Elementwise steps iterate disjoint arena slices, so the loops
+    // vectorize.
     macro_rules! unary {
         ($a:expr, $f:expr) => {{
-            let a = slot($a);
+            let (src, dst) = split_two(vals, slot($a), out);
             let f = $f;
-            for j in 0..out.len {
-                vals[out.off + j] = f(vals[a.off + j]);
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = f(x);
             }
         }};
     }
     macro_rules! binary {
         ($a:expr, $b:expr, $f:expr) => {{
-            let a = slot($a);
-            let b = slot($b);
+            let ([xs, ys], dst) = split_reads(vals, [slot($a), slot($b)], out);
             let f = $f;
-            for j in 0..out.len {
-                vals[out.off + j] = f(vals[a.off + j], vals[b.off + j]);
+            for ((d, &x), &y) in dst.iter_mut().zip(xs).zip(ys) {
+                *d = f(x, y);
             }
         }};
     }
@@ -1196,8 +1190,9 @@ fn exec_forward(
         }
         Step::MatMul(a, b) => {
             let (am, ak) = prog.shape[*a];
-            let (a_slice, b_slice, out_slice) = split_three(vals, slot(*a), slot(*b), out);
-            matmul_par(a_slice, b_slice, out_slice, am, ak, n, pool);
+            let ([a_slice, b_slice], out_slice) = split_reads(vals, [slot(*a), slot(*b)], out);
+            let (a_view, b_view) = (MatRef::rows(a_slice, ak), MatRef::rows(b_slice, n));
+            matmul_par(a_view, b_view, out_slice, am, ak, n, &NO_EPI, pool);
         }
         Step::Transpose(a) => {
             let (am, an) = prog.shape[*a];
@@ -1205,10 +1200,10 @@ fn exec_forward(
             transpose_into(a_slice, out_slice, am, an);
         }
         Step::AddBias(x, bias) => {
-            let (xb, bb) = (slot(*x), slot(*bias));
-            for i in 0..m {
-                for j in 0..n {
-                    vals[out.off + i * n + j] = vals[xb.off + i * n + j] + vals[bb.off + j];
+            let ([xs, bs], dst) = split_reads(vals, [slot(*x), slot(*bias)], out);
+            for (drow, xrow) in dst.chunks_exact_mut(n).zip(xs.chunks_exact(n)) {
+                for ((d, &xv), &bv) in drow.iter_mut().zip(xrow).zip(bs) {
+                    *d = xv + bv;
                 }
             }
         }
@@ -1308,32 +1303,13 @@ fn exec_forward(
         }
         Step::FusedLinear { x, w, bias, relu } => {
             let (xm, xk) = prog.shape[*x];
-            let bb = slot(*bias);
-            // SAFETY: the arena planner never hands a step an output
-            // buffer overlapping any input, so the immutable views of
-            // x/w/bias and the mutable view of out are disjoint (inputs
-            // may alias each other; all are reads). Checked in every
-            // build profile — three integer comparisons guarding
-            // aliased-mutation UB against future planner changes.
-            let (x_slice, w_slice, bias_slice, out_slice) = unsafe {
-                let base = vals.as_mut_ptr();
-                let xb = slot(*x);
-                let wb = slot(*w);
-                let disjoint = |b: Buf| b.off + b.len <= out.off || out.off + out.len <= b.off;
-                assert!(
-                    disjoint(xb) && disjoint(wb) && disjoint(bb),
-                    "fused-linear output aliases an input buffer"
-                );
-                (
-                    std::slice::from_raw_parts(base.add(xb.off), xb.len),
-                    std::slice::from_raw_parts(base.add(wb.off), wb.len),
-                    std::slice::from_raw_parts(base.add(bb.off), bb.len),
-                    std::slice::from_raw_parts_mut(base.add(out.off), out.len),
-                )
+            let ([xs, ws, bs], dst) = split_reads(vals, [slot(*x), slot(*w), slot(*bias)], out);
+            let epi = Epilogue {
+                bias: Some(bs),
+                relu: *relu,
+                ..NO_EPI
             };
-            fused_linear_forward(
-                x_slice, w_slice, bias_slice, out_slice, xm, xk, n, *relu, pool,
-            );
+            fused_linear_forward(xs, ws, dst, None, (xm, xk, n), epi, pool);
         }
         Step::FusedLinearAdd {
             x,
@@ -1344,33 +1320,17 @@ fn exec_forward(
             res_first,
         } => {
             let (xm, xk) = prog.shape[*x];
-            // SAFETY: the arena planner never hands a step an output
-            // buffer overlapping any input, so the immutable views of
-            // x/w/bias/res and the mutable view of out are disjoint
-            // (inputs may alias each other; all are reads). Checked in
-            // every build profile.
-            let (x_slice, w_slice, bias_slice, res_slice, out_slice) = unsafe {
-                let base = vals.as_mut_ptr();
-                let (xb, wb, bb, rb) = (slot(*x), slot(*w), slot(*bias), slot(*res));
-                let disjoint = |b: Buf| b.off + b.len <= out.off || out.off + out.len <= b.off;
-                assert!(
-                    disjoint(xb) && disjoint(wb) && disjoint(bb) && disjoint(rb),
-                    "fused-linear-add output aliases an input buffer"
-                );
-                (
-                    std::slice::from_raw_parts(base.add(xb.off), xb.len),
-                    std::slice::from_raw_parts(base.add(wb.off), wb.len),
-                    std::slice::from_raw_parts(base.add(bb.off), bb.len),
-                    std::slice::from_raw_parts(base.add(rb.off), rb.len),
-                    std::slice::from_raw_parts_mut(base.add(out.off), out.len),
-                )
-            };
+            let ins = [slot(*x), slot(*w), slot(*bias), slot(*res)];
+            let ([xs, ws, bs, rs], dst) = split_reads(vals, ins, out);
             let act = prog.aux[idx].map(|ab| &mut aux[ab.range()]);
-            fused_linear_add_forward(
-                x_slice, w_slice, bias_slice, res_slice, act, out_slice, xm, xk, n, *res_first,
-                pool,
-            );
-            debug_assert!(prog.aux[idx].is_some() == *relu);
+            debug_assert!(act.is_some() == *relu);
+            let epi = Epilogue {
+                bias: Some(bs),
+                relu: *relu,
+                res: Some(rs),
+                res_first: *res_first,
+            };
+            fused_linear_forward(xs, ws, dst, act, (xm, xk, n), epi, pool);
         }
         Step::FusedDecodeHead { input, parts } => {
             let (src, dst) = split_two(vals, slot(*input), out);
@@ -1387,9 +1347,8 @@ fn exec_backward(
     vals: &[f32],
     grads: &mut [f32],
     aux: &[f32],
-    s0: &mut [f32],
-    s1: &mut [f32],
-    s2: &mut [f32],
+    gated: &mut [f32],
+    stage: &mut [f32],
     targets: &[Vec<usize>],
     pool: Option<&WorkerPool>,
 ) {
@@ -1505,13 +1464,17 @@ fn exec_backward(
             let (am, ak) = prog.shape[*a];
             let (bk, bn) = prog.shape[*b];
             let (av, bv) = (slot(*a), slot(*b));
-            // ga = g · bᵀ, staged through scratch exactly like the
-            // fresh path (temp folded from zero, then accumulated) —
-            // or straight into the slot when this is the node's only
-            // contribution (the fresh path's first-assign). Row-vector
-            // products (m = 1) use the transpose-free forms, which are
-            // bit-identical: same per-element fold order, same
-            // zero-skip.
+            // ga = g · bᵀ and gb = aᵀ · g, reading `b` and `a` through
+            // transposed views (no staging copy). Single-contribution
+            // slots are written directly (the fresh path's first-
+            // assign); others are folded from zero in scratch and then
+            // accumulated, exactly like the fresh path. Row-vector
+            // products (m = 1) keep the dedicated row kernels (same
+            // per-element fold order; see `row_times_bt_into` for its
+            // zero terms): through `matmul_view`, `ga`'s panels pack all
+            // of the strided `bᵀ` for one row and `gb` is a k = 1 outer
+            // product, and the hardware-head step replay
+            // (`core/hw_head_step`, micro bench) ran 1.6–2.7× slower.
             if let Some(pb) = prog.grad[*a] {
                 if am == 1 {
                     let (g, dst) = split_two(grads, g_buf, pb);
@@ -1525,27 +1488,13 @@ fn exec_backward(
                         pool,
                     );
                 } else {
-                    transpose_into(&vals[bv.range()], &mut s1[..bk * bn], bk, bn);
-                    if prog.single_contrib[*a] {
-                        let (g, dst) = split_two(grads, g_buf, pb);
-                        matmul_par(g, &s1[..bk * bn], dst, am, bn, bk, pool);
-                    } else {
-                        matmul_par(
-                            &grads[g_buf.range()],
-                            &s1[..bk * bn],
-                            &mut s2[..am * ak],
-                            am,
-                            bn,
-                            bk,
-                            pool,
-                        );
-                        for (d, &c) in grads[pb.range()].iter_mut().zip(&s2[..pb.len]) {
-                            *d += c;
-                        }
-                    }
+                    let bt = MatRef::transposed(&vals[bv.range()], bn);
+                    let single = prog.single_contrib[*a];
+                    write_grad(grads, g_buf, pb, single, stage, |g, dst| {
+                        matmul_par(MatRef::rows(g, bn), bt, dst, am, bn, bk, &NO_EPI, pool);
+                    });
                 }
             }
-            // gb = aᵀ · g.
             if let Some(pb) = prog.grad[*b] {
                 if am == 1 {
                     let (g, dst) = split_two(grads, g_buf, pb);
@@ -1559,24 +1508,11 @@ fn exec_backward(
                         pool,
                     );
                 } else {
-                    transpose_into(&vals[av.range()], &mut s1[..am * ak], am, ak);
-                    if prog.single_contrib[*b] {
-                        let (g, dst) = split_two(grads, g_buf, pb);
-                        matmul_par(&s1[..am * ak], g, dst, ak, am, bn, pool);
-                    } else {
-                        matmul_par(
-                            &s1[..am * ak],
-                            &grads[g_buf.range()],
-                            &mut s2[..bk * bn],
-                            ak,
-                            am,
-                            bn,
-                            pool,
-                        );
-                        for (d, &c) in grads[pb.range()].iter_mut().zip(&s2[..pb.len]) {
-                            *d += c;
-                        }
-                    }
+                    let at = MatRef::transposed(&vals[av.range()], ak);
+                    let single = prog.single_contrib[*b];
+                    write_grad(grads, g_buf, pb, single, stage, |g, dst| {
+                        matmul_par(at, MatRef::rows(g, bn), dst, ak, am, bn, &NO_EPI, pool);
+                    });
                 }
             }
         }
@@ -1591,26 +1527,10 @@ fn exec_backward(
         Step::AddBias(x, bias) => {
             acc!(*x, g_buf.len, |g, j| g[j]);
             if let Some(pb) = prog.grad[*bias] {
-                if prog.single_contrib[*bias] {
-                    let (g, dst) = split_two(grads, g_buf, pb);
-                    dst.fill(0.0);
-                    for i in 0..m {
-                        for j in 0..n {
-                            dst[j] += g[i * n + j];
-                        }
-                    }
-                } else {
-                    let s1 = &mut s1[..n];
-                    s1.fill(0.0);
-                    for i in 0..m {
-                        for j in 0..n {
-                            s1[j] += grads[g_buf.off + i * n + j];
-                        }
-                    }
-                    for j in 0..n {
-                        grads[pb.off + j] += s1[j];
-                    }
-                }
+                let single = prog.single_contrib[*bias];
+                write_grad(grads, g_buf, pb, single, stage, |g, dst| {
+                    sum_rows(g, n, dst);
+                });
             }
         }
         Step::Sum(a) => {
@@ -1765,26 +1685,15 @@ fn exec_backward(
             // Gated upstream gradient ĝ (the relu gate tests the
             // post-activation output, positive exactly when the
             // pre-activation is).
-            let glen = g_buf.len;
+            let gated = &mut gated[..g_buf.len];
             if *relu {
                 let yv = prog.val[idx].expect("saved output");
-                relu_gate(&grads[g_buf.range()], &vals[yv.range()], &mut s0[..glen]);
+                relu_gate(&grads[g_buf.range()], &vals[yv.range()], gated);
             } else {
-                s0[..glen].copy_from_slice(&grads[g_buf.range()]);
+                gated.copy_from_slice(&grads[g_buf.range()]);
             }
             fused_linear_backward_core(
-                *x,
-                *w,
-                *bias,
-                prog,
-                vals,
-                grads,
-                &s0[..glen],
-                s1,
-                s2,
-                m,
-                n,
-                pool,
+                *x, *w, *bias, prog, vals, grads, g_buf, gated, stage, n, pool,
             );
         }
         Step::FusedLinearAdd {
@@ -1804,26 +1713,15 @@ fn exec_backward(
             // The gate cannot read the fused output (it holds
             // activation + residual), so the forward pass saved the
             // pre-residual activation in the aux arena.
-            let glen = g_buf.len;
+            let gated = &mut gated[..g_buf.len];
             if *relu {
                 let ab = prog.aux[idx].expect("relu residual fusion saves its activation");
-                relu_gate(&grads[g_buf.range()], &aux[ab.range()], &mut s0[..glen]);
+                relu_gate(&grads[g_buf.range()], &aux[ab.range()], gated);
             } else {
-                s0[..glen].copy_from_slice(&grads[g_buf.range()]);
+                gated.copy_from_slice(&grads[g_buf.range()]);
             }
             fused_linear_backward_core(
-                *x,
-                *w,
-                *bias,
-                prog,
-                vals,
-                grads,
-                &s0[..glen],
-                s1,
-                s2,
-                m,
-                n,
-                pool,
+                *x, *w, *bias, prog, vals, grads, g_buf, gated, stage, n, pool,
             );
         }
         Step::FusedDecodeHead { input, parts } => {
@@ -1881,10 +1779,10 @@ fn relu_gate(g: &[f32], act: &[f32], dst: &mut [f32]) {
 }
 
 /// Shared backward tail of the fused linear step kinds: given the
-/// (gated) upstream gradient ĝ in `s0`, accumulates the bias, `x`,
-/// and `w` contributions with the same staging, kernels, and ordering
-/// the unfused plan used — bias, then x, then w, mirroring the fresh
-/// path's contribution order.
+/// (gated) upstream gradient ĝ, accumulates the bias, `x`, and `w`
+/// contributions with the same staging and ordering the unfused plan
+/// used — bias, then x, then w, mirroring the fresh path's
+/// contribution order.
 #[allow(clippy::too_many_arguments)]
 fn fused_linear_backward_core(
     x: usize,
@@ -1893,48 +1791,29 @@ fn fused_linear_backward_core(
     prog: &Program,
     vals: &[f32],
     grads: &mut [f32],
-    s0: &[f32],
-    s1: &mut [f32],
-    s2: &mut [f32],
-    m: usize,
+    g_buf: Buf,
+    gated: &[f32],
+    stage: &mut [f32],
     n: usize,
     pool: Option<&WorkerPool>,
 ) {
     let (xm, xk) = prog.shape[x];
-    let glen = m * n;
     let (xv, wv) = (
         prog.val[x].expect("saved input slot"),
         prog.val[w].expect("saved input slot"),
     );
-    // Single-contribution slots are written directly (the fresh
-    // path's first-assign), others staged and accumulated.
     if let Some(pb) = prog.grad[bias] {
-        if prog.single_contrib[bias] {
-            let dst = &mut grads[pb.range()];
-            dst.fill(0.0);
-            for i in 0..m {
-                for j in 0..n {
-                    dst[j] += s0[i * n + j];
-                }
-            }
-        } else {
-            let s1 = &mut s1[..n];
-            s1.fill(0.0);
-            for i in 0..m {
-                for j in 0..n {
-                    s1[j] += s0[i * n + j];
-                }
-            }
-            for j in 0..n {
-                grads[pb.off + j] += s1[j];
-            }
-        }
+        let single = prog.single_contrib[bias];
+        write_grad(grads, g_buf, pb, single, stage, |_, dst| {
+            sum_rows(gated, n, dst);
+        });
     }
-    // gx = ĝ · Wᵀ.
+    // gx = ĝ · Wᵀ, reading W through a transposed view.
+    // Row vectors (m = 1) keep the row kernels, as in `MatMul`.
     if let Some(pb) = prog.grad[x] {
         if xm == 1 {
             row_grad_wrt_a(
-                &s0[..glen],
+                gated,
                 &vals[wv.range()],
                 &mut grads[pb.range()],
                 xk,
@@ -1943,39 +1822,18 @@ fn fused_linear_backward_core(
                 pool,
             );
         } else {
-            transpose_into(&vals[wv.range()], &mut s1[..xk * n], xk, n);
-            if prog.single_contrib[x] {
-                matmul_par(
-                    &s0[..glen],
-                    &s1[..xk * n],
-                    &mut grads[pb.range()],
-                    xm,
-                    n,
-                    xk,
-                    pool,
-                );
-            } else {
-                matmul_par(
-                    &s0[..glen],
-                    &s1[..xk * n],
-                    &mut s2[..xm * xk],
-                    xm,
-                    n,
-                    xk,
-                    pool,
-                );
-                for (d, &c) in grads[pb.range()].iter_mut().zip(&s2[..pb.len]) {
-                    *d += c;
-                }
-            }
+            let wt = MatRef::transposed(&vals[wv.range()], n);
+            write_grad(grads, g_buf, pb, prog.single_contrib[x], stage, |_, dst| {
+                matmul_par(MatRef::rows(gated, n), wt, dst, xm, n, xk, &NO_EPI, pool);
+            });
         }
     }
-    // gW = Xᵀ · ĝ.
+    // gW = Xᵀ · ĝ: each row of X is already one lane vector of Xᵀ.
     if let Some(pb) = prog.grad[w] {
         if xm == 1 {
             row_grad_wrt_b(
                 &vals[xv.range()],
-                &s0[..glen],
+                gated,
                 &mut grads[pb.range()],
                 xk,
                 n,
@@ -1983,31 +1841,47 @@ fn fused_linear_backward_core(
                 pool,
             );
         } else {
-            transpose_into(&vals[xv.range()], &mut s1[..xm * xk], xm, xk);
-            if prog.single_contrib[w] {
-                matmul_par(
-                    &s1[..xm * xk],
-                    &s0[..glen],
-                    &mut grads[pb.range()],
-                    xk,
-                    xm,
-                    n,
-                    pool,
-                );
-            } else {
-                matmul_par(
-                    &s1[..xm * xk],
-                    &s0[..glen],
-                    &mut s2[..xk * n],
-                    xk,
-                    xm,
-                    n,
-                    pool,
-                );
-                for (d, &c) in grads[pb.range()].iter_mut().zip(&s2[..pb.len]) {
-                    *d += c;
-                }
-            }
+            let xt = MatRef::transposed(&vals[xv.range()], xk);
+            write_grad(grads, g_buf, pb, prog.single_contrib[w], stage, |_, dst| {
+                matmul_par(xt, MatRef::rows(gated, n), dst, xk, xm, n, &NO_EPI, pool);
+            });
+        }
+    }
+}
+
+/// Writes one backward product into the gradient slot `pb`: straight
+/// into the slot when it has a single contribution (the fresh path's
+/// first-assign), else folded from zero in `stage` and then accumulated,
+/// exactly like the fresh path. `product(g, dst)` receives the step's
+/// upstream gradient slice and the destination.
+fn write_grad(
+    grads: &mut [f32],
+    g_buf: Buf,
+    pb: Buf,
+    single: bool,
+    stage: &mut [f32],
+    product: impl FnOnce(&[f32], &mut [f32]),
+) {
+    if single {
+        let (g, dst) = split_two(grads, g_buf, pb);
+        product(g, dst);
+    } else {
+        let stage = &mut stage[..pb.len];
+        product(&grads[g_buf.range()], stage);
+        for (d, &c) in grads[pb.range()].iter_mut().zip(stage.iter()) {
+            *d += c;
+        }
+    }
+}
+
+/// `dst[j] = Σ_i g[i][j]` over the rows of `g` (row-major, `n`
+/// columns), folded from zero in ascending `i` — the bias gradient of
+/// the fresh path, one contiguous row at a time.
+fn sum_rows(g: &[f32], n: usize, dst: &mut [f32]) {
+    dst.fill(0.0);
+    for row in g.chunks_exact(n) {
+        for (d, &v) in dst.iter_mut().zip(row) {
+            *d += v;
         }
     }
 }
@@ -2110,143 +1984,83 @@ fn par_rows(
     }
 }
 
-/// [`matmul_into`] with the output rows partitioned over the pool.
-/// Each output row folds over `p` exactly as in the sequential kernel,
-/// so the result is bit-identical at any worker count.
+/// The no-op epilogue: a plain product.
+const NO_EPI: Epilogue<'static> = Epilogue {
+    bias: None,
+    relu: false,
+    res: None,
+    res_first: false,
+};
+
+/// `out = epi(a · b)` ([`matmul_view`] at the host's tier) with the
+/// output rows partitioned over the pool. Each output element folds
+/// over `p` exactly as in the sequential kernel, and its epilogue reads
+/// only its own column's bias and its own residual element, so the
+/// result is bit-identical at any worker count.
+#[allow(clippy::too_many_arguments)]
 fn matmul_par(
-    a: &[f32],
-    b: &[f32],
+    a: MatRef,
+    b: MatRef,
     out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
+    epi: &Epilogue,
     pool: Option<&WorkerPool>,
 ) {
     let out_ptr = SendPtr(out.as_mut_ptr());
+    let tier = Tier::detected();
     par_rows(pool, m, m * k * n, &|lo, hi| {
         let rows = hi - lo;
         // SAFETY: chunk [lo*n, hi*n) is this worker's exclusive slice.
         let dst = unsafe { std::slice::from_raw_parts_mut(out_ptr.ptr().add(lo * n), rows * n) };
-        matmul_blocked(&a[lo * k..hi * k], b, dst, rows, k, n);
+        let epi = Epilogue {
+            res: epi.res.map(|r| &r[lo * n..hi * n]),
+            ..*epi
+        };
+        matmul_view(tier, a.skip_rows(lo), b, dst, rows, k, n, &epi);
     });
 }
 
-/// The fused `matmul → add_bias (→ relu)` forward kernel, row-
-/// partitioned over the pool: each worker multiplies, biases, and
-/// gates its own output rows in one dispatch.
-#[allow(clippy::too_many_arguments)]
+/// Fused `matmul → add_bias (→ relu) (→ add residual)` forward.
+///
+/// `act` is `Some` exactly when a residual step has a relu: the gate's
+/// backward needs the pre-residual activation, which is not
+/// recoverable from `out` (it holds activation + residual), so that
+/// variant stages the activation into the step's aux window and then
+/// adds the residual. The residual add honors the recorded operand
+/// order (`res_first`) so even NaN-payload propagation matches the
+/// unfused `Add` step bit-for-bit.
+// The `res_first` branches look commutative-identical to clippy, but
+// spell out the recorded operand order of the unfused `Add`.
+#[allow(clippy::if_same_then_else)]
 fn fused_linear_forward(
     x: &[f32],
     w: &[f32],
-    bias: &[f32],
     out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    relu: bool,
-    pool: Option<&WorkerPool>,
-) {
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    par_rows(pool, m, m * k * n, &|lo, hi| {
-        let rows = hi - lo;
-        // SAFETY: chunk [lo*n, hi*n) is this worker's exclusive slice.
-        let dst = unsafe { std::slice::from_raw_parts_mut(out_ptr.ptr().add(lo * n), rows * n) };
-        matmul_blocked(&x[lo * k..hi * k], w, dst, rows, k, n);
-        for i in 0..rows {
-            for j in 0..n {
-                dst[i * n + j] += bias[j];
-            }
-        }
-        if relu {
-            for v in dst.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-    });
-}
-
-/// Fused `matmul → add_bias (→ relu) → add residual` forward.
-///
-/// `act` is `Some` exactly when the step has a relu: the gate's
-/// backward needs the pre-residual activation, which is not
-/// recoverable from `out` (it holds activation + residual), so the
-/// relu variant stages into the step's aux window and then combines
-/// with the residual. The residual add honors the recorded operand
-/// order (`res_first`) so even NaN-payload propagation matches the
-/// unfused `Add` step bit-for-bit.
-// The `res_first` branches look commutative-identical to clippy, and
-// `*d = rv + *d` looks like `+=`, but both spell out the recorded
-// operand order of the unfused `Add` they replace.
-#[allow(
-    clippy::too_many_arguments,
-    clippy::if_same_then_else,
-    clippy::assign_op_pattern
-)]
-fn fused_linear_add_forward(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    res: &[f32],
     act: Option<&mut [f32]>,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    res_first: bool,
+    (m, k, n): (usize, usize, usize),
+    epi: Epilogue,
     pool: Option<&WorkerPool>,
 ) {
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let act_ptr = act.map(|a| SendPtr(a.as_mut_ptr()));
-    par_rows(pool, m, m * k * n, &|lo, hi| {
-        let rows = hi - lo;
-        // SAFETY: chunk [lo*n, hi*n) is this worker's exclusive slice
-        // of the output (and, below, of the aux window).
-        let dst = unsafe { std::slice::from_raw_parts_mut(out_ptr.ptr().add(lo * n), rows * n) };
-        let rchunk = &res[lo * n..hi * n];
-        match &act_ptr {
-            Some(a) => {
-                // SAFETY: workers touch disjoint row ranges of the aux
-                // window, mirroring the output partition.
-                let stage =
-                    unsafe { std::slice::from_raw_parts_mut(a.ptr().add(lo * n), rows * n) };
-                matmul_blocked(&x[lo * k..hi * k], w, stage, rows, k, n);
-                for i in 0..rows {
-                    for j in 0..n {
-                        stage[i * n + j] += bias[j];
-                    }
+    let (xv, wv) = (MatRef::rows(x, k), MatRef::rows(w, n));
+    match (act, epi.res) {
+        (Some(stage), Some(res)) => {
+            let act_epi = Epilogue { res: None, ..epi };
+            matmul_par(xv, wv, stage, m, k, n, &act_epi, pool);
+            let pairs = out.iter_mut().zip(stage.iter()).zip(res);
+            if epi.res_first {
+                for ((d, &av), &rv) in pairs {
+                    *d = rv + av;
                 }
-                for v in stage.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                if res_first {
-                    for ((d, &av), &rv) in dst.iter_mut().zip(stage.iter()).zip(rchunk) {
-                        *d = rv + av;
-                    }
-                } else {
-                    for ((d, &av), &rv) in dst.iter_mut().zip(stage.iter()).zip(rchunk) {
-                        *d = av + rv;
-                    }
-                }
-            }
-            None => {
-                matmul_blocked(&x[lo * k..hi * k], w, dst, rows, k, n);
-                for i in 0..rows {
-                    for j in 0..n {
-                        dst[i * n + j] += bias[j];
-                    }
-                }
-                if res_first {
-                    for (d, &rv) in dst.iter_mut().zip(rchunk) {
-                        *d = rv + *d;
-                    }
-                } else {
-                    for (d, &rv) in dst.iter_mut().zip(rchunk) {
-                        *d += rv;
-                    }
+            } else {
+                for ((d, &av), &rv) in pairs {
+                    *d = av + rv;
                 }
             }
         }
-    });
+        _ => matmul_par(xv, wv, out, m, k, n, &epi, pool),
+    }
 }
 
 /// Disjoint mutable/immutable views of two arena ranges.
@@ -2266,20 +2080,38 @@ fn split_two(vals: &mut [f32], a: Buf, out: Buf) -> (&[f32], &mut [f32]) {
     }
 }
 
-/// Disjoint views of three arena ranges (two inputs, one output).
-fn split_three(vals: &mut [f32], a: Buf, b: Buf, out: Buf) -> (&[f32], &[f32], &mut [f32]) {
-    debug_assert!(a.off + a.len <= out.off || out.off + out.len <= a.off);
-    debug_assert!(b.off + b.len <= out.off || out.off + out.len <= b.off);
-    // SAFETY: the arena planner never hands a step an output buffer
-    // overlapping any of its inputs (outputs are allocated before the
-    // inputs' slots can be recycled), so the immutable views of `a`/`b`
-    // and the mutable view of `out` are disjoint.
+/// Disjoint views of `N` input arena ranges and one output range. The
+/// inputs may alias each other (they are all reads).
+///
+/// # Panics
+///
+/// Panics if an input overlaps the output — checked in every build
+/// profile: `N` integer comparisons guarding aliased-mutation UB
+/// against future planner changes.
+fn split_reads<const N: usize>(
+    vals: &mut [f32],
+    ins: [Buf; N],
+    out: Buf,
+) -> ([&[f32]; N], &mut [f32]) {
+    assert!(out.off + out.len <= vals.len());
+    for b in ins {
+        assert!(b.off + b.len <= vals.len());
+        assert!(
+            b.off + b.len <= out.off || out.off + out.len <= b.off,
+            "step output aliases an input buffer"
+        );
+    }
+    let base = vals.as_mut_ptr();
+    // SAFETY: every range is in bounds (asserted above), and the arena
+    // planner never hands a step an output buffer overlapping any of
+    // its inputs (outputs are allocated before the inputs' slots can be
+    // recycled; asserted above), so the shared views of the inputs and
+    // the mutable view of `out` are disjoint.
     unsafe {
-        let base = vals.as_mut_ptr();
-        let a_slice = std::slice::from_raw_parts(base.add(a.off), a.len);
-        let b_slice = std::slice::from_raw_parts(base.add(b.off), b.len);
-        let out_slice = std::slice::from_raw_parts_mut(base.add(out.off), out.len);
-        (a_slice, b_slice, out_slice)
+        (
+            ins.map(|b| std::slice::from_raw_parts(base.add(b.off).cast_const(), b.len)),
+            std::slice::from_raw_parts_mut(base.add(out.off), out.len),
+        )
     }
 }
 

@@ -6,13 +6,15 @@
 //! are the contract, and tiling/vectorization only reorder *across*
 //! output elements, never within a fold. These tests pin that promise
 //! across odd shapes (everything below the 8-row tile and the panel
-//! widths, plus the 32/64 boundaries), with `-0.0`, subnormals, and
-//! NaN routed through (and around) the zero-skip, for the standalone
-//! kernels and for the fused program paths built on them.
+//! widths, the 8/16-row lane edges, the row-lane/panel cutover, plus
+//! the 32/64 boundaries), with `-0.0`, subnormals, and NaN routed
+//! through (and around) the zero-skip, at every SIMD tier the host
+//! supports, for the standalone kernels and for the fused program
+//! paths built on them.
 
 use hdx_tensor::kernels::{
-    decode_head_into, matmul_blocked, matmul_into, row_outer_into, row_times_bt_into,
-    softmax_rows_into, transpose_into, DecodeAct,
+    decode_head_into, matmul_blocked, matmul_into, matmul_view, row_outer_into, row_times_bt_into,
+    softmax_rows_into, transpose_into, DecodeAct, Epilogue, MatRef, Tier,
 };
 use hdx_tensor::{Program, Rng, Session, Tape, Tensor, Var};
 use std::sync::Arc;
@@ -52,6 +54,21 @@ fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
     }
 }
 
+/// Row-major `a · b` at `tier` through the general strided entry.
+fn matmul_at(tier: Tier, a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
+    let epi = Epilogue::default();
+    matmul_view(
+        tier,
+        MatRef::rows(a, k),
+        MatRef::rows(b, n),
+        out,
+        m,
+        k,
+        n,
+        &epi,
+    );
+}
+
 #[test]
 fn blocked_matmul_matches_reference_bitwise_across_odd_shapes() {
     let max = *DIMS.last().expect("non-empty");
@@ -70,6 +87,177 @@ fn blocked_matmul_matches_reference_bitwise_across_odd_shapes() {
                     &reference[..m * n],
                     &format!("matmul m={m} k={k} n={n}"),
                 );
+                for tier in Tier::supported() {
+                    matmul_at(tier, &a, &b, &mut blocked[..m * n], (m, k, n));
+                    assert_bits_eq(
+                        &blocked[..m * n],
+                        &reference[..m * n],
+                        &format!("matmul {tier:?} m={m} k={k} n={n}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The narrow shapes of the supernet's linears, swept densely across
+/// the row-lane kernel's edges: m across the 8- and 16-row lane
+/// widths, every k in 1–40, every n in 1–33 plus 47–49 (across the
+/// lane/panel cutovers at n = 24 for AVX2 and n = 48 for AVX-512), at
+/// every SIMD tier. Each instance carries `-0.0`,
+/// subnormals, one NaN in `a` (an included term: its row must come out
+/// NaN) and one NaN in `b` behind the zero-skip (only the single row
+/// with a nonzero `a` at that step may see it).
+#[test]
+fn row_lane_sweep_matches_reference_at_every_tier() {
+    // Miri interprets every flop; it checks the same code paths on a
+    // sparser grid of the same edges.
+    let (ms, ks, ns): (Vec<usize>, Vec<usize>, Vec<usize>) = if cfg!(miri) {
+        (
+            vec![8, 16, 17],
+            vec![1, 2, 8, 9, 40],
+            vec![1, 7, 8, 9, 24, 25, 48, 49],
+        )
+    } else {
+        (
+            vec![7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33],
+            (1..=40).collect(),
+            (1..=33).chain(47..=49).collect(),
+        )
+    };
+    let tiers = Tier::supported();
+    for &m in &ms {
+        for &k in &ks {
+            for &n in &ns {
+                let seed = (m * 1_000_000 + k * 1_000 + n) as u64 ^ 0x1a7e;
+                let mut a = salted(&[m, k], seed);
+                let mut b = salted(&[k, n], seed ^ 0x9e37_79b9);
+                let (nan_row, seen_row) = (m / 3, m - 1);
+                let skip_p = k - 1;
+                for i in 0..m {
+                    a[i * k + skip_p] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                a[seen_row * k + skip_p] = 0.75;
+                b[skip_p * n + n / 2] = f32::NAN;
+                if k >= 2 {
+                    a[nan_row * k + k / 3] = f32::NAN;
+                }
+                let mut reference = vec![0.0f32; m * n];
+                matmul_into(&a, &b, &mut reference, m, k, n);
+                let ctx = format!("m={m} k={k} n={n}");
+                for i in 0..m {
+                    let row = &reference[i * n..(i + 1) * n];
+                    let poisoned = (k >= 2 && i == nan_row) || i == seen_row;
+                    assert_eq!(
+                        row.iter().any(|x| x.is_nan()),
+                        poisoned,
+                        "{ctx}: reference row {i} NaN placement"
+                    );
+                }
+                for &tier in &tiers {
+                    let mut got = vec![f32::INFINITY; m * n];
+                    matmul_at(tier, &a, &b, &mut got, (m, k, n));
+                    assert_bits_eq(&got, &reference, &format!("{tier:?} {ctx}"));
+                }
+            }
+        }
+    }
+}
+
+/// The backward products read their transposed operand in place:
+/// `ĝ · Wᵀ` through a transposed view of `W`, `Xᵀ · ĝ` through a
+/// transposed view of `X`. Both must equal the staged
+/// `transpose_into` + `matmul_into` path bit for bit, at every tier,
+/// on both sides of the lane/panel cutover.
+#[test]
+fn transpose_free_views_match_staged_transpose_at_every_tier() {
+    let rows = [1usize, 3, 8, 9, 16, 17, 20, 32, 33, 114];
+    let inner = [1usize, 5, 20, 32, 33];
+    let cols = [1usize, 4, 9, 16, 20, 24, 25, 32, 33, 48, 49, 64, 65];
+    for &m in &rows {
+        for &k in &inner {
+            for &n in &cols {
+                let seed = (m * 1_000_000 + k * 1_000 + n) as u64 ^ 0x7ea5;
+                let epi = Epilogue::default();
+                let mut staged = vec![0.0f32; m.max(k) * m.max(k).max(n)];
+                let mut want = vec![0.0f32; m * n];
+                // gx-style: a [m,k] · (w [n,k])ᵀ.
+                let g = salted(&[m, k], seed);
+                let w = salted(&[n, k], seed ^ 0x51);
+                transpose_into(&w, &mut staged[..n * k], n, k);
+                matmul_into(&g, &staged[..n * k], &mut want, m, k, n);
+                // gW-style: (x [k,m])ᵀ · g [k,n].
+                let x = salted(&[k, m], seed ^ 0x52);
+                let g2 = salted(&[k, n], seed ^ 0x53);
+                let mut want2 = vec![0.0f32; m * n];
+                transpose_into(&x, &mut staged[..k * m], k, m);
+                matmul_into(&staged[..k * m], &g2, &mut want2, m, k, n);
+                for tier in Tier::supported() {
+                    let ctx = format!("{tier:?} m={m} k={k} n={n}");
+                    let mut got = vec![f32::INFINITY; m * n];
+                    let (gv, wt) = (MatRef::rows(&g, k), MatRef::transposed(&w, k));
+                    matmul_view(tier, gv, wt, &mut got, m, k, n, &epi);
+                    assert_bits_eq(&got, &want, &format!("g·wᵀ {ctx}"));
+                    let (xt, g2v) = (MatRef::transposed(&x, m), MatRef::rows(&g2, n));
+                    matmul_view(tier, xt, g2v, &mut got, m, k, n, &epi);
+                    assert_bits_eq(&got, &want2, &format!("xᵀ·g {ctx}"));
+                }
+            }
+        }
+    }
+}
+
+/// The epilogue applied in registers equals the unfused chain: fold,
+/// `+ bias[j]`, `max(0.0)` (NaN → 0), then the residual add in the
+/// recorded operand order — on both paths, at every tier.
+#[test]
+fn fused_epilogue_matches_unfused_sequence_at_every_tier() {
+    for &(m, k, n) in &[
+        (8usize, 20usize, 4usize),
+        (32, 20, 9),
+        (17, 9, 20),
+        (33, 20, 32),
+        (16, 5, 48),
+        (9, 31, 65),
+    ] {
+        let seed = (m * 1_000 + k * 10 + n) as u64;
+        let mut a = salted(&[m, k], seed);
+        a[k + 1] = f32::NAN; // row 1 is NaN before the relu
+        let b = salted(&[k, n], seed ^ 0x61);
+        let bias = salted(&[1, n], seed ^ 0x62);
+        let res = salted(&[m, n], seed ^ 0x63);
+        let mut fold = vec![0.0f32; m * n];
+        matmul_into(&a, &b, &mut fold, m, k, n);
+        for relu in [false, true] {
+            for residual in [None, Some(false), Some(true)] {
+                let want: Vec<f32> = fold
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &v)| {
+                        let mut v = v + bias[idx % n];
+                        if relu {
+                            v = v.max(0.0);
+                        }
+                        match residual {
+                            Some(true) => res[idx] + v,
+                            Some(false) => v + res[idx],
+                            None => v,
+                        }
+                    })
+                    .collect();
+                let epi = Epilogue {
+                    bias: Some(&bias),
+                    relu,
+                    res: residual.map(|_| res.as_slice()),
+                    res_first: residual == Some(true),
+                };
+                for tier in Tier::supported() {
+                    let mut got = vec![f32::INFINITY; m * n];
+                    let (av, bv) = (MatRef::rows(&a, k), MatRef::rows(&b, n));
+                    matmul_view(tier, av, bv, &mut got, m, k, n, &epi);
+                    let ctx = format!("{tier:?} m={m} k={k} n={n} relu={relu} res={residual:?}");
+                    assert_bits_eq(&got, &want, &ctx);
+                }
             }
         }
     }
@@ -88,6 +276,10 @@ fn nan_flows_through_included_terms_and_is_skipped_with_zero() {
     matmul_into(&a, &b, &mut reference, m, k, n);
     matmul_blocked(&a, &b, &mut blocked, m, k, n);
     assert_bits_eq(&blocked, &reference, "matmul with NaN in a");
+    for tier in Tier::supported() {
+        matmul_at(tier, &a, &b, &mut blocked, (m, k, n));
+        assert_bits_eq(&blocked, &reference, &format!("{tier:?} NaN in a"));
+    }
     assert!(reference[3 * n..4 * n].iter().all(|x| x.is_nan()));
     assert!(reference[..3 * n].iter().all(|x| !x.is_nan()));
 
@@ -106,6 +298,14 @@ fn nan_flows_through_included_terms_and_is_skipped_with_zero() {
     matmul_into(&a, &b, &mut reference, m, k, n);
     matmul_blocked(&a, &b, &mut blocked, m, k, n);
     assert_bits_eq(&blocked, &reference, "matmul with NaN behind the zero-skip");
+    for tier in Tier::supported() {
+        matmul_at(tier, &a, &b, &mut blocked, (m, k, n));
+        assert_bits_eq(
+            &blocked,
+            &reference,
+            &format!("{tier:?} NaN behind the zero-skip"),
+        );
+    }
     assert!(reference[2 * n..3 * n].iter().all(|x| x.is_nan()));
     assert!(
         reference

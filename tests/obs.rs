@@ -179,6 +179,9 @@ fn trace_sink_never_reaches_response_bytes() {
         "engine.search",
         "engine.setup",
         "engine.epoch",
+        "engine.w_step",
+        "engine.alpha_step",
+        "engine.hw_head",
         "engine.final_select",
         "engine.final_train",
         "engine.final_eval",
@@ -187,6 +190,35 @@ fn trace_sink_never_reaches_response_bytes() {
             text.contains(&format!("\"name\":\"{name}\"")),
             "trace missing span {name}"
         );
+    }
+    // The per-step sub-spans nest inside an epoch on the same thread,
+    // so the epoch's time is attributed layer by layer. (Start and
+    // duration are truncated to whole microseconds separately, so an
+    // end may overshoot its parent's by 1 µs.)
+    let spans: Vec<(u64, &str, u64, u64)> = text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"span\""))
+        .map(|l| {
+            let num = |key: &str| -> u64 {
+                let rest = &l[l.find(&format!("\"{key}\":")).expect(key) + key.len() + 3..];
+                let end = rest.find([',', '}']).expect("number end");
+                rest[..end].parse().expect("u64 field")
+            };
+            let name_at = l.find("\"name\":\"").expect("name") + 8;
+            let name = &l[name_at..name_at + l[name_at..].find('"').expect("name end")];
+            (num("tid"), name, num("start_us"), num("dur_us"))
+        })
+        .collect();
+    for &(tid, name, start, dur) in &spans {
+        if ["engine.w_step", "engine.alpha_step", "engine.hw_head"].contains(&name) {
+            assert!(
+                spans.iter().any(|&(t, n, s, d)| t == tid
+                    && n == "engine.epoch"
+                    && s <= start
+                    && start + dur <= s + d + 1),
+                "{name} span at {start}us (tid {tid}) is not inside an engine.epoch span"
+            );
+        }
     }
 
     // The metrics verb: step-based, strictly sorted (the decoder
