@@ -545,7 +545,7 @@ fn bench_final_net_replay(report: &mut Report) {
             &mut rng,
         );
         let watch = Stopwatch::start();
-        black_box(net.train_exec(&ds, steps, 32, &mut rng, exec));
+        black_box(net.train_exec_jobs(&ds, steps, 32, &mut rng, exec, 1));
         steps as f64 / watch.seconds()
     };
     let fresh = run(ExecMode::FreshRecord);

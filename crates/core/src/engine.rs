@@ -22,7 +22,7 @@ use crate::constraint::{all_satisfied, Constraint};
 use crate::gradmanip::{manipulate, DeltaPolicy, ManipulationKind};
 use hdx_accel::{evaluate_network, AccelConfig, CostWeights, HwMetrics, Metric};
 use hdx_nas::supernet::{FinalNet, Supernet, TaskStepVars};
-use hdx_nas::{Architecture, Batch, Dataset, NetworkPlan, SupernetConfig, OP_SET};
+use hdx_nas::{Architecture, Batch, Dataset, NetworkPlan, SupernetConfig};
 use hdx_surrogate::dataset::expected_metrics;
 use hdx_surrogate::{Estimator, Generator};
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
@@ -115,11 +115,12 @@ pub struct SearchOptions {
     /// drives (the exhaustive hardware searches; `0` = auto, `1` =
     /// sequential). Results are bit-identical at every worker count.
     pub jobs: usize,
-    /// Execution engine for the static step graphs (the hardware head
-    /// and final-network retraining): compiled replay (default) or the
-    /// fresh-record reference path. Both are bit-identical; the
-    /// path-sampled supernet branch always fresh-records because its
-    /// topology changes per step.
+    /// Execution engine for every step graph (the supernet task branch,
+    /// the hardware head, final-network retraining and evaluation):
+    /// compiled replay (default) or the fresh-record reference path.
+    /// Both are bit-identical; single-path mixtures
+    /// (`supernet.num_paths == 1`) always fresh-record their task
+    /// branch because their graphs bake per-step constants.
     pub exec: ExecMode,
     /// Mid-search checkpointing: when set, the engine snapshots the
     /// full optimization state ([`SearchCheckpoint`]) to
@@ -162,7 +163,7 @@ impl Default for SearchOptions {
             supernet: SupernetConfig::default(),
             safety_margin: 0.10,
             jobs: 0,
-            exec: ExecMode::auto(),
+            exec: ExecMode::Compiled,
             checkpoint: None,
         }
     }
@@ -430,23 +431,17 @@ fn search_inner(
         ),
         ExecMode::FreshRecord => HeadExec::Fresh { tape: Tape::new() },
     };
-    // The task branch: with sampling disabled
-    // (num_paths == OP_SET.len()) the full mixture is static and the
-    // w-step / α-step graphs replay from the bank. With sampling on
-    // (2 ≤ num_paths < 6) the topology changes per step, but it is a
-    // pure function of the sampled path sets — so each step samples
-    // *outside* the graph (consuming the RNG exactly as fresh
-    // recording would) and leases a program compiled for that choice
-    // from the bank; as softmax(α) sharpens the same sets recur and
-    // most steps replay. Single-path mixtures bake per-step constants
-    // and always fresh-record.
+    // The task branch: the mixture topology is a pure function of the
+    // sampled path sets, so each step samples *outside* the graph
+    // (consuming the RNG exactly as fresh recording would) and leases a
+    // program compiled for that choice from the bank. The full mixture
+    // (num_paths == OP_SET.len()) is the choice of every path at every
+    // step, so it leases once per side per search. Single-path
+    // mixtures bake per-step constants and always fresh-record.
     let mut task_exec = match opts.exec {
-        ExecMode::Compiled if opts.supernet.num_paths == OP_SET.len() => {
-            TaskExec::Full(Box::new(TaskReplay::checkout(&supernet, opts)))
-        }
-        ExecMode::Compiled if opts.supernet.num_paths >= 2 => TaskExec::Sampled(SampledReplay {
-            jobs: hdx_tensor::num_jobs(opts.jobs),
-        }),
+        ExecMode::Compiled if opts.supernet.num_paths >= 2 => TaskExec::Sampled(Box::new(
+            SampledReplay::new(SessionBank::global(), hdx_tensor::num_jobs(opts.jobs)),
+        )),
         _ => TaskExec::Fresh,
     };
     let mut head_eval = HeadEval::default();
@@ -470,7 +465,6 @@ fn search_inner(
                 let _w_span = hdx_obs::span("engine.w_step");
                 let batch = ctx.dataset.train_batch(opts.batch, &mut rng);
                 let mut collected = match &mut task_exec {
-                    TaskExec::Full(tr) => tr.w_step(&supernet, &batch),
                     TaskExec::Sampled(sr) => sr.w_step(&supernet, &batch, &mut rng),
                     TaskExec::Fresh => {
                         w_tape.clear();
@@ -491,7 +485,6 @@ fn search_inner(
             let alpha_span = hdx_obs::span("engine.alpha_step");
             let batch = ctx.dataset.val_batch(opts.batch, &mut rng);
             let (task_value, task_alpha_grads) = match &mut task_exec {
-                TaskExec::Full(tr) => tr.alpha_step(&supernet, &batch),
                 TaskExec::Sampled(sr) => sr.alpha_step(&supernet, &batch, &mut rng),
                 TaskExec::Fresh => {
                     task_tape.clear();
@@ -690,7 +683,7 @@ fn search_inner(
         (err, f64::from(ce))
     } else {
         let _eval_span = hdx_obs::span("engine.final_eval");
-        let err = supernet.error_rate(&ctx.dataset.test_all(), &mut rng);
+        let err = supernet.error_rate(&ctx.dataset.test_all());
         (err, trajectory.last().map_or(f64::NAN, |t| t.task_loss))
     };
     let global_loss = final_ce + opts.lambda_cost * cost_hw;
@@ -1441,36 +1434,68 @@ impl HeadExec {
 
 /// How the supernet task branch executes one step.
 enum TaskExec {
-    /// Full mixture: one static pair of programs, leased once.
-    Full(Box<TaskReplay>),
-    /// Sampled mixture: per-step bank leases keyed by the sampled
-    /// path sets.
-    Sampled(SampledReplay),
+    /// Bank-cached replay keyed by the sampled path sets.
+    Sampled(Box<SampledReplay<'static>>),
     /// Fresh-record reference (and the single-path mixture, whose
     /// graphs bake per-step constants).
     Fresh,
 }
 
-/// Bank-cached replay of *sampled*-mixture supernet steps
-/// (`2 ≤ num_paths < OP_SET.len()`). Each step samples its path sets
-/// outside the graph ([`Supernet::sample_step_paths`] consumes the RNG
-/// exactly as fresh recording would), then leases a program compiled
-/// for that topology from the [`SessionBank`]. Early in a search the
-/// sets churn and most checkouts compile; as softmax(α) sharpens the
-/// same sets recur and steps replay — with `HDX_BANK_CAP` bounding the
-/// worst-case program count on long-lived servers.
-struct SampledReplay {
+/// A bank lease held together with the key it was checked out for.
+type HeldLease<'b> = Option<(u64, SessionLease<'b>)>;
+
+/// Bank-cached replay of the supernet task branch (`num_paths ≥ 2`).
+/// Each step samples its path sets outside the graph
+/// ([`Supernet::sample_step_paths`] consumes the RNG exactly as fresh
+/// recording would), then replays a program compiled for that topology
+/// from the [`SessionBank`]. Early in a search the sets churn and most
+/// checkouts compile; as softmax(α) sharpens the same sets recur and
+/// steps replay — with `HDX_BANK_CAP` bounding the worst-case program
+/// count on long-lived servers.
+///
+/// The w-side and α-side each hold their lease while the step's key
+/// repeats and check out again only when it changes. The full mixture
+/// chooses every path at every step, so a full-mixture search checks
+/// out once per side; re-leasing every step would rebuild the session's
+/// worker pool each time, because a check-in drops it.
+struct SampledReplay<'b> {
+    bank: &'b SessionBank,
     jobs: usize,
+    w: HeldLease<'b>,
+    alpha: HeldLease<'b>,
 }
 
-impl SampledReplay {
-    /// The step-program fingerprint: everything [`TaskReplay::key`]
-    /// covers, plus the sampled per-layer path sets that fix this
-    /// step's topology.
-    fn key(tag: &str, supernet: &Supernet, batch_rows: usize, chosen: &[Vec<usize>]) -> u64 {
+impl<'b> SampledReplay<'b> {
+    fn new(bank: &'b SessionBank, jobs: usize) -> Self {
+        SampledReplay {
+            bank,
+            jobs,
+            w: None,
+            alpha: None,
+        }
+    }
+
+    /// The w-side (`w_sinks`) or α-side lease for this step's program,
+    /// checking out a new one when the key differs from the held one.
+    /// The fingerprint covers the whole topology: the parameter shapes
+    /// (layers, per-op block widths, feature/class dims), the
+    /// temperature (baked as a scale constant), the batch row count
+    /// (leaf and target shapes), and the per-layer path sets. Weights,
+    /// logits, inputs, and targets are all rebound every step.
+    fn lease(
+        &mut self,
+        w_sinks: bool,
+        supernet: &Supernet,
+        batch_rows: usize,
+        chosen: &[Vec<usize>],
+    ) -> &mut SessionLease<'b> {
         let shapes: Vec<&[usize]> = supernet.w_store().iter().map(|(_, t)| t.shape()).collect();
-        bank_key(
-            tag,
+        let key = bank_key(
+            if w_sinks {
+                "supernet-task-sampled-w"
+            } else {
+                "supernet-task-sampled-alpha"
+            },
             &(
                 shapes,
                 supernet.alpha_store().len(),
@@ -1478,196 +1503,83 @@ impl SampledReplay {
                 batch_rows,
                 chosen,
             ),
-        )
-    }
-
-    fn checkout<'a>(
-        &self,
-        tag: &str,
-        supernet: &Supernet,
-        batch_rows: usize,
-        chosen: &[Vec<usize>],
-        w_sinks: bool,
-    ) -> SessionLease<'a> {
-        SessionBank::global().checkout(
-            Self::key(tag, supernet, batch_rows, chosen),
-            self.jobs,
-            || {
+        );
+        let held = if w_sinks {
+            &mut self.w
+        } else {
+            &mut self.alpha
+        };
+        if held.as_ref().is_none_or(|(k, _)| *k != key) {
+            // Check the old session in before checking out the new one.
+            *held = None;
+            let lease = self.bank.checkout(key, self.jobs, || {
                 let mut tape = Tape::new();
                 let vars = supernet.record_sampled_task_step(&mut tape, batch_rows, chosen);
                 let sinks = if w_sinks {
-                    vars.w_vars.clone()
+                    &vars.w_vars
                 } else {
-                    vars.alpha_vars.clone()
+                    &vars.alpha_vars
                 };
-                (
-                    Program::compile_with_sinks(&tape, &[vars.loss], &[], &sinks),
-                    vars,
-                )
-            },
-        )
+                let prog = Program::compile_with_sinks(&tape, &[vars.loss], &[], sinks);
+                (prog, vars)
+            });
+            *held = Some((key, lease));
+        }
+        &mut held.as_mut().expect("lease just checked out").1
     }
 
-    /// One sampled w-step: returns per-parameter backbone gradients
-    /// aligned with the `w` store (`None` for blocks outside the
-    /// sampled paths, mirroring `Binding::gradients`).
+    /// One w-step: returns per-parameter backbone gradients aligned
+    /// with the `w` store (`None` for blocks outside the sampled paths,
+    /// mirroring `Binding::gradients`).
     fn w_step(&mut self, supernet: &Supernet, batch: &Batch, rng: &mut Rng) -> Vec<Option<Tensor>> {
         let chosen = supernet.sample_step_paths(rng);
-        let mut lease = self.checkout(
-            "supernet-task-sampled-w",
-            supernet,
-            batch.len(),
-            &chosen,
-            true,
-        );
-        replay_w_step(&mut lease, supernet, batch, "supernet sampled w-step")
+        let lease = self.lease(true, supernet, batch.len(), &chosen);
+        let (sess, sv) = replay_task_step(lease, supernet, batch);
+        sv.w_vars
+            .iter()
+            .zip(supernet.w_store().iter())
+            .map(|(&v, (_, t))| {
+                sess.grad(v)
+                    .map(|g| Tensor::from_vec(g.to_vec(), t.shape()))
+            })
+            .collect()
     }
 
-    /// One sampled α-step task branch: the task-loss value and
-    /// ∂task/∂α flattened in layer order.
+    /// One α-step task branch: the task-loss value and ∂task/∂α
+    /// flattened in layer order (mirroring [`flatten`]).
     fn alpha_step(&mut self, supernet: &Supernet, batch: &Batch, rng: &mut Rng) -> (f64, Vec<f32>) {
         let chosen = supernet.sample_step_paths(rng);
-        let mut lease = self.checkout(
-            "supernet-task-sampled-alpha",
-            supernet,
-            batch.len(),
-            &chosen,
-            false,
-        );
-        replay_alpha_step(&mut lease, supernet, batch, "supernet sampled α-step")
+        let lease = self.lease(false, supernet, batch.len(), &chosen);
+        let (sess, sv) = replay_task_step(lease, supernet, batch);
+        let mut grads = Vec::new();
+        collect_replay_grads(sess, &sv.alpha_vars, supernet.alpha_store(), &mut grads);
+        (f64::from(sess.scalar(sv.loss)), grads)
     }
 }
 
-/// Binds and replays one leased task-step program for a w-step,
-/// collecting per-parameter backbone gradients aligned with the `w`
-/// store (mirroring `Binding::gradients`; `None` for blocks the loss
-/// does not touch). Shared by the full-mixture and sampled replays.
-fn replay_w_step(
-    lease: &mut SessionLease<'_>,
+/// Rebinds everything a leased task step depends on — backbone weights,
+/// α logits, batch inputs, batch labels — and replays forward and
+/// backward from the loss.
+fn replay_task_step<'l>(
+    lease: &'l mut SessionLease<'_>,
     supernet: &Supernet,
     batch: &Batch,
-    label: &str,
-) -> Vec<Option<Tensor>> {
+) -> (&'l Session, Arc<TaskStepVars>) {
     let sv: Arc<TaskStepVars> = lease.meta();
     let sess = lease.session();
-    TaskReplay::bind(sess, &sv, supernet, batch);
+    for (i, (_, t)) in supernet.w_store().iter().enumerate() {
+        sess.bind(sv.w_vars[i], t.data());
+    }
+    for (l, (_, t)) in supernet.alpha_store().iter().enumerate() {
+        sess.bind(sv.alpha_vars[l], t.data());
+    }
+    sess.bind_tensor(sv.x0, &batch.x);
+    sess.try_set_targets(sv.loss, &batch.y)
+        .unwrap_or_else(|e| panic!("supernet task step: {e}"));
     sess.forward();
     sess.try_backward(sv.loss)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
-    sv.w_vars
-        .iter()
-        .zip(supernet.w_store().iter())
-        .map(|(&v, (_, t))| {
-            sess.grad(v)
-                .map(|g| Tensor::from_vec(g.to_vec(), t.shape()))
-        })
-        .collect()
-}
-
-/// Binds and replays one leased task-step program for an α-step task
-/// branch: the task-loss value plus ∂task/∂α flattened in layer order
-/// (mirroring [`flatten`]). Shared by the full-mixture and sampled
-/// replays.
-fn replay_alpha_step(
-    lease: &mut SessionLease<'_>,
-    supernet: &Supernet,
-    batch: &Batch,
-    label: &str,
-) -> (f64, Vec<f32>) {
-    let sv: Arc<TaskStepVars> = lease.meta();
-    let sess = lease.session();
-    TaskReplay::bind(sess, &sv, supernet, batch);
-    sess.forward();
-    sess.try_backward(sv.loss)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let mut grads = Vec::new();
-    collect_replay_grads(sess, &sv.alpha_vars, supernet.alpha_store(), &mut grads);
-    (f64::from(sess.scalar(sv.loss)), grads)
-}
-
-/// Bank-leased compiled replay of the full-mixture supernet step
-/// (`num_paths == OP_SET.len()`, so the topology is static and
-/// `sample_paths` consumes no RNG). The w-step and α-step replay the
-/// same graph with different gradient sinks, hence two programs.
-struct TaskReplay {
-    w_lease: SessionLease<'static>,
-    a_lease: SessionLease<'static>,
-}
-
-impl TaskReplay {
-    /// The step-program fingerprint: the parameter shapes encode the
-    /// whole topology (layers, per-op block widths, feature/class
-    /// dims); the temperature is baked as a scale constant; the batch
-    /// row count fixes the leaf and target shapes. Weights, logits,
-    /// inputs, and targets are all rebound every step.
-    fn key(tag: &str, supernet: &Supernet, batch_rows: usize) -> u64 {
-        let shapes: Vec<&[usize]> = supernet.w_store().iter().map(|(_, t)| t.shape()).collect();
-        bank_key(
-            tag,
-            &(
-                shapes,
-                supernet.alpha_store().len(),
-                supernet.config().temperature.to_bits(),
-                batch_rows,
-            ),
-        )
-    }
-
-    fn checkout(supernet: &Supernet, opts: &SearchOptions) -> TaskReplay {
-        let compile = |w_sinks: bool| {
-            move || {
-                let mut tape = Tape::new();
-                let vars = supernet.record_task_step(&mut tape, opts.batch);
-                let sinks = if w_sinks {
-                    vars.w_vars.clone()
-                } else {
-                    vars.alpha_vars.clone()
-                };
-                (
-                    Program::compile_with_sinks(&tape, &[vars.loss], &[], &sinks),
-                    vars,
-                )
-            }
-        };
-        let jobs = hdx_tensor::num_jobs(opts.jobs);
-        let w_lease = SessionBank::global().checkout(
-            Self::key("supernet-task-w", supernet, opts.batch),
-            jobs,
-            compile(true),
-        );
-        let a_lease = SessionBank::global().checkout(
-            Self::key("supernet-task-alpha", supernet, opts.batch),
-            jobs,
-            compile(false),
-        );
-        TaskReplay { w_lease, a_lease }
-    }
-
-    /// Rebinds everything a step depends on: backbone weights, α
-    /// logits, batch inputs, batch labels.
-    fn bind(sess: &mut Session, sv: &TaskStepVars, supernet: &Supernet, batch: &Batch) {
-        for (i, (_, t)) in supernet.w_store().iter().enumerate() {
-            sess.bind(sv.w_vars[i], t.data());
-        }
-        for (l, (_, t)) in supernet.alpha_store().iter().enumerate() {
-            sess.bind(sv.alpha_vars[l], t.data());
-        }
-        sess.bind_tensor(sv.x0, &batch.x);
-        sess.try_set_targets(sv.loss, &batch.y)
-            .unwrap_or_else(|e| panic!("supernet task step: {e}"));
-    }
-
-    /// One replayed w-step: returns per-parameter backbone gradients
-    /// aligned with the `w` store (mirroring `Binding::gradients`).
-    fn w_step(&mut self, supernet: &Supernet, batch: &Batch) -> Vec<Option<Tensor>> {
-        replay_w_step(&mut self.w_lease, supernet, batch, "supernet w-step")
-    }
-
-    /// One replayed α-step task branch: returns the task-loss value and
-    /// ∂task/∂α flattened in layer order (mirroring [`flatten`]).
-    fn alpha_step(&mut self, supernet: &Supernet, batch: &Batch) -> (f64, Vec<f32>) {
-        replay_alpha_step(&mut self.a_lease, supernet, batch, "supernet α-step")
-    }
+        .unwrap_or_else(|e| panic!("supernet task step: {e}"));
+    (sess, sv)
 }
 
 /// Flattens the session gradients of `vars` into `out` in parameter
@@ -2032,6 +1944,42 @@ mod tests {
             assert_eq!(c.est, f.est, "epoch {}", c.epoch);
             assert_eq!(c.violated, f.violated, "epoch {}", c.epoch);
         }
+    }
+
+    #[test]
+    fn full_mixture_replay_holds_one_lease_per_side() {
+        // The full mixture chooses every path at every step, so the
+        // task replay's key never changes: each side checks out once
+        // and keeps its session (and its worker pool) for the search.
+        let spec = hdx_nas::TaskSpec {
+            train: 256,
+            val: 64,
+            test: 64,
+            ..hdx_nas::TaskSpec::cifar_like(2)
+        };
+        let ds = Dataset::generate(&spec);
+        let mut rng = Rng::new(4);
+        let cfg = SupernetConfig {
+            num_paths: hdx_nas::OP_SET.len(),
+            ..SupernetConfig::default()
+        };
+        let mut supernet = Supernet::new(4, spec.feature_dim, spec.num_classes, cfg, &mut rng);
+        let bank = SessionBank::new();
+        let mut replay = SampledReplay::new(&bank, 2);
+        let mut w_opt = Adam::new(1e-2);
+        for _ in 0..5 {
+            let batch = ds.train_batch(16, &mut rng);
+            let grads = replay.w_step(&supernet, &batch, &mut rng);
+            w_opt.step(supernet.w_store_mut(), &grads);
+            let batch = ds.val_batch(16, &mut rng);
+            let (loss, _) = replay.alpha_step(&supernet, &batch, &mut rng);
+            assert!(loss.is_finite());
+        }
+        let stats = bank.stats();
+        assert_eq!(stats.hits + stats.misses, 2, "{stats:?}");
+        assert_eq!(stats.programs, 2, "{stats:?}");
+        drop(replay);
+        assert_eq!(bank.stats().idle_sessions, 2);
     }
 
     #[test]

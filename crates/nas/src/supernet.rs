@@ -26,10 +26,10 @@ use crate::data::Batch;
 use crate::ops::OP_SET;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
-    bank_key, Binding, CosineLr, ExecMode, Linear, ParamStore, Program, Rng, Session, SessionBank,
-    Sgd, Tape, Tensor, Var,
+    bank_key, sharded_step, Binding, CosineLr, ExecMode, Linear, ParamStore, Program, Rng, Session,
+    Sgd, ShardStep, Tape, Tensor, Var,
 };
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Hyper-parameters of the supernet proxy.
@@ -259,7 +259,8 @@ impl Supernet {
         tape.cross_entropy_logits(logits, &batch.y)
     }
 
-    /// Forward pass producing classifier logits for a batch.
+    /// Forward pass producing classifier logits for a batch, over the
+    /// paths [`Supernet::sample_step_paths`] draws from `rng`.
     pub fn forward_logits(
         &self,
         tape: &mut Tape,
@@ -269,27 +270,13 @@ impl Supernet {
         rng: &mut Rng,
     ) -> Var {
         let x0 = tape.leaf(batch.x.clone());
-        self.forward_logits_from(tape, w, alpha, x0, rng)
-    }
-
-    /// [`Supernet::forward_logits`] from an already-placed input leaf
-    /// (so a compiled replay can rebind the batch through the returned
-    /// var).
-    pub fn forward_logits_from(
-        &self,
-        tape: &mut Tape,
-        w: &Binding,
-        alpha: &Binding,
-        x0: Var,
-        rng: &mut Rng,
-    ) -> Var {
         let chosen = self.sample_step_paths(rng);
         self.forward_logits_chosen(tape, w, alpha, x0, &chosen)
     }
 
     /// Samples one step's per-layer path sets from the current
     /// softmax(α) distribution, consuming the RNG exactly as
-    /// [`Supernet::forward_logits_from`] does (one `sample_paths`
+    /// [`Supernet::forward_logits`] does (one `sample_paths`
     /// call per layer, in layer order, over bit-identical
     /// probabilities — the tape's `scale`/`softmax_rows` and the
     /// store-side tensor ops share kernels). This is the replay hook
@@ -375,48 +362,11 @@ impl Supernet {
         self.classifier.forward(tape, w, acc)
     }
 
-    /// Records the full-mixture training-step graph — bind `(w, α)`,
-    /// batch-input leaf, [`Supernet::forward_logits_from`],
-    /// cross-entropy — for a fixed batch size, returning the handles a
-    /// compiled replay rebinds each step.
-    ///
-    /// Only valid when path sampling is disabled
-    /// (`num_paths == OP_SET.len()`): the topology is then static and
-    /// `sample_paths` consumes no RNG, so a compiled replay of this
-    /// graph is bit-identical to fresh-recording every step, with the
-    /// same RNG stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.num_paths != OP_SET.len()` (a sampled mixture
-    /// changes topology per step and cannot compile).
-    pub fn record_task_step(&self, tape: &mut Tape, batch_rows: usize) -> TaskStepVars {
-        assert_eq!(
-            self.cfg.num_paths,
-            OP_SET.len(),
-            "record_task_step requires the full mixture (num_paths == {})",
-            OP_SET.len()
-        );
-        let (w, a) = self.bind(tape);
-        let x0 = tape.leaf(Tensor::zeros(&[batch_rows, self.input.in_features()]));
-        // The full mixture consumes no randomness; any RNG works.
-        let mut rng = Rng::new(0);
-        let logits = self.forward_logits_from(tape, &w, &a, x0, &mut rng);
-        let loss = tape.cross_entropy_logits(logits, &vec![0; batch_rows]);
-        TaskStepVars {
-            w_vars: (0..self.w.len()).map(|i| w.var(self.w.id(i))).collect(),
-            alpha_vars: (0..self.alpha.len())
-                .map(|l| a.var(self.alpha.id(l)))
-                .collect(),
-            x0,
-            loss,
-        }
-    }
-
-    /// Records the *sampled*-mixture training-step graph for an
-    /// explicit per-layer path choice (as sampled by
-    /// [`Supernet::sample_step_paths`]), returning the handles a
-    /// compiled replay rebinds each step. The graph topology is a pure
+    /// Records the mixture training-step graph for an explicit
+    /// per-layer path choice (as sampled by
+    /// [`Supernet::sample_step_paths`]; the full mixture chooses every
+    /// path at every layer), returning the handles a compiled replay
+    /// rebinds each step. The graph topology is a pure
     /// function of the choice set, so the session bank can cache one
     /// program per distinct set — as the search's softmax(α) sharpens,
     /// the same sets recur and most sampled steps replay instead of
@@ -459,25 +409,20 @@ impl Supernet {
     }
 
     /// Classification error rate (fraction wrong) on a batch, using the
-    /// full (non-sampled) mixture weighted by softmax(α).
-    pub fn error_rate(&self, batch: &Batch, rng: &mut Rng) -> f64 {
+    /// full (non-sampled) mixture weighted by softmax(α): every path
+    /// chosen at every layer.
+    pub fn error_rate(&self, batch: &Batch) -> f64 {
         let mut tape = Tape::new();
         let (w, a) = self.bind(&mut tape);
-        // Use all paths for deterministic evaluation.
-        let full = Supernet {
-            cfg: SupernetConfig {
-                num_paths: OP_SET.len(),
-                ..self.cfg
-            },
-            ..clone_parts(self)
-        };
-        let logits = full.forward_logits(&mut tape, &w, &a, batch, rng);
+        let x0 = tape.leaf(batch.x.clone());
+        let all = vec![(0..OP_SET.len()).collect(); self.num_layers];
+        let logits = self.forward_logits_chosen(&mut tape, &w, &a, x0, &all);
         error_from_logits(tape.value(logits), &batch.y)
     }
 }
 
-/// Handles of one recorded full-mixture training-step graph
-/// ([`Supernet::record_task_step`]): bind vars for `w` and `α` in
+/// Handles of one recorded training-step graph
+/// ([`Supernet::record_sampled_task_step`]): bind vars for `w` and `α` in
 /// allocation order, the batch-input leaf, and the cross-entropy loss
 /// (its integer targets rebind via `Session::set_targets`).
 #[derive(Debug, Clone)]
@@ -490,21 +435,6 @@ pub struct TaskStepVars {
     pub x0: Var,
     /// The scalar cross-entropy loss.
     pub loss: Var,
-}
-
-/// Shallow structural clone for read-only forward passes (weights are
-/// cloned tensors; cheap relative to a training step).
-fn clone_parts(net: &Supernet) -> Supernet {
-    Supernet {
-        cfg: net.cfg,
-        num_layers: net.num_layers,
-        num_classes: net.num_classes,
-        w: net.w.clone(),
-        alpha: net.alpha.clone(),
-        input: net.input.clone(),
-        classifier: net.classifier.clone(),
-        blocks: net.blocks.clone(),
-    }
 }
 
 /// Fraction of rows whose arg-max logit disagrees with the label.
@@ -539,15 +469,6 @@ fn sample_paths(probs: &[f32], n: usize, rng: &mut Rng) -> Vec<usize> {
     }
     chosen.sort_unstable();
     chosen
-}
-
-/// The [`SessionBank`] metadata of one compiled final-net step: weight
-/// leaves in allocation order, the batch-input leaf, and the loss.
-#[derive(Debug)]
-struct FinalStepVars {
-    w_vars: Vec<Var>,
-    x0: Var,
-    loss: Var,
 }
 
 /// A discretized final network: the chosen block per layer, trained
@@ -707,180 +628,9 @@ impl FinalNet {
         self.classifier.forward(tape, w, acc)
     }
 
-    /// Rows per microbatch shard of one gradient step, mirroring
-    /// `Estimator::train`'s sharding. Fixed (not derived from the
-    /// worker count) so the shard decomposition — and with it every
-    /// floating-point sum — is the same no matter how many threads
-    /// execute the shards. A batch of at most `SHARD_ROWS` is a single
-    /// shard weighted 1.0, i.e. exactly the unsharded step.
-    const SHARD_ROWS: usize = 32;
-
-    /// The contiguous row ranges of one batch's shards.
-    fn shard_ranges(batch_rows: usize) -> Vec<std::ops::Range<usize>> {
-        (0..batch_rows)
-            .step_by(Self::SHARD_ROWS)
-            .map(|r0| r0..(r0 + Self::SHARD_ROWS).min(batch_rows))
-            .collect()
-    }
-
-    /// Compiles the shard training graph (bind weights, shard input
-    /// leaf, logits, cross-entropy) for a fixed row count. The weight
-    /// leaves are the only gradient sinks (batch inputs are pruned),
-    /// and every leaf — weights, shard rows, targets — is rebound each
-    /// replay.
-    fn compile_shard(&self, rows: usize) -> (Program, FinalStepVars) {
-        let mut tape = Tape::new();
-        let w = self.w.bind(&mut tape);
-        let x0 = tape.leaf(Tensor::zeros(&[rows, self.input.in_features()]));
-        let logits = self.forward_from(&mut tape, &w, x0);
-        let loss = tape.cross_entropy_logits(logits, &vec![0; rows]);
-        let w_vars: Vec<Var> = self.w.iter().map(|(id, _)| w.var(id)).collect();
-        let prog = Program::compile_with_sinks(&tape, &[loss], &[], &w_vars);
-        (prog, FinalStepVars { w_vars, x0, loss })
-    }
-
-    /// The [`SessionBank`] fingerprint of one shard program: everything
-    /// baked into the plan is a pure function of the parameter shapes
-    /// (which encode in/feature/class dims and the chosen block widths)
-    /// and the shard row count.
-    fn shard_key(&self, rows: usize) -> u64 {
-        let shapes: Vec<&[usize]> = self.w.iter().map(|(_, t)| t.shape()).collect();
-        bank_key("final-net-shard", &(shapes, rows))
-    }
-
-    /// Loss and weight gradients of one minibatch on the fresh-record
-    /// reference path: per-shard tapes fanned out over `jobs` workers,
-    /// merged in shard order weighted by row fraction (cross-entropy
-    /// averages over rows, so the weighted sum equals the full-batch
-    /// objective). `jobs` must already be resolved.
-    fn batch_gradients_fresh(&self, batch: &Batch, jobs: usize) -> (f32, Vec<Option<Tensor>>) {
-        let dim = self.input.in_features();
-        let shards = Self::shard_ranges(batch.len());
-        let results = hdx_tensor::parallel_map(&shards, jobs, |_, range| {
-            let rows = range.len();
-            let mut tape = Tape::new();
-            let w = self.w.bind(&mut tape);
-            let x0 = tape.leaf(Tensor::from_vec(
-                batch.x.data()[range.start * dim..range.end * dim].to_vec(),
-                &[rows, dim],
-            ));
-            let logits = self.forward_from(&mut tape, &w, x0);
-            let loss = tape.cross_entropy_logits(logits, &batch.y[range.clone()]);
-            let value = tape.value(loss).item();
-            let grads = tape.backward(loss);
-            (value, w.gradients(&grads), rows)
-        });
-        self.merge_shards(batch.len(), results)
-    }
-
-    /// [`FinalNet::batch_gradients_fresh`] on the compiled replay
-    /// engine: identical shard decomposition and merge order (so the
-    /// result is bit-identical to the fresh path at every worker
-    /// count), but each shard rebinds and replays a session leased
-    /// from the process-wide [`SessionBank`]. Workers left over after
-    /// the shard fan-out go to each session's row-parallel kernels.
-    fn batch_gradients_replay(&self, batch: &Batch, jobs: usize) -> (f32, Vec<Option<Tensor>>) {
-        let dim = self.input.in_features();
-        let shards = Self::shard_ranges(batch.len());
-        let workers = jobs.min(shards.len()).max(1);
-        let session_jobs = (jobs / workers).max(1);
-        let per = shards.len().div_ceil(workers);
-        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|w| w * per..((w + 1) * per).min(shards.len()))
-            .collect();
-        let worker_results = hdx_tensor::parallel_map(&ranges, workers, |_, shard_range| {
-            // One lease per shard size, held for the whole range.
-            let mut leases = BTreeMap::new();
-            shard_range
-                .clone()
-                .map(|s| {
-                    let rows_range = &shards[s];
-                    let rows = rows_range.len();
-                    let lease = leases.entry(rows).or_insert_with(|| {
-                        SessionBank::global().checkout(self.shard_key(rows), session_jobs, || {
-                            self.compile_shard(rows)
-                        })
-                    });
-                    let sv: Arc<FinalStepVars> = lease.meta();
-                    let sess = lease.session();
-                    for (i, (_, tensor)) in self.w.iter().enumerate() {
-                        sess.bind_tensor(sv.w_vars[i], tensor);
-                    }
-                    sess.leaf_mut(sv.x0).copy_from_slice(
-                        &batch.x.data()[rows_range.start * dim..rows_range.end * dim],
-                    );
-                    sess.try_set_targets(sv.loss, &batch.y[rows_range.clone()])
-                        .unwrap_or_else(|e| panic!("final-net shard: {e}"));
-                    sess.forward();
-                    sess.try_backward(sv.loss)
-                        .unwrap_or_else(|e| panic!("final-net shard: {e}"));
-                    let value = sess.scalar(sv.loss);
-                    let grads: Vec<Option<Tensor>> = sv
-                        .w_vars
-                        .iter()
-                        .zip(self.w.iter())
-                        .map(|(&v, (_, t))| {
-                            Some(Tensor::from_vec(
-                                sess.grad(v)
-                                    .expect("every final-net parameter receives a gradient")
-                                    .to_vec(),
-                                t.shape(),
-                            ))
-                        })
-                        .collect();
-                    (value, grads, rows)
-                })
-                .collect::<Vec<_>>()
-        });
-        self.merge_shards(batch.len(), worker_results.into_iter().flatten().collect())
-    }
-
-    /// Merges per-shard `(loss, gradients, rows)` results in shard
-    /// order, each weighted by its row fraction — the same arithmetic
-    /// on both execution paths, independent of the worker count.
-    fn merge_shards(
-        &self,
-        batch_rows: usize,
-        results: Vec<(f32, Vec<Option<Tensor>>, usize)>,
-    ) -> (f32, Vec<Option<Tensor>>) {
-        let n = batch_rows as f32;
-        let mut total_loss = 0.0f32;
-        let mut merged: Vec<Option<Tensor>> = vec![None; self.w.len()];
-        for (value, grads, rows) in results {
-            let w = rows as f32 / n;
-            total_loss += w * value;
-            for (slot, g) in merged.iter_mut().zip(grads) {
-                let Some(mut g) = g else { continue };
-                for v in g.data_mut() {
-                    *v *= w;
-                }
-                match slot {
-                    Some(acc) => {
-                        for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-                            *a += b;
-                        }
-                    }
-                    None => *slot = Some(g),
-                }
-            }
-        }
-        (total_loss, merged)
-    }
-
     /// Trains from scratch with SGD + Nesterov momentum and a cosine
-    /// schedule (§5.1), returning the final training loss.
-    ///
-    /// Each minibatch gradient is computed as a weighted sum over
-    /// fixed-size microbatch shards (mirroring `Estimator::train`'s
-    /// decomposition), fanned out over worker threads — the proxy's
-    /// 20-wide matmuls sit under the kernel pool's dispatch threshold,
-    /// so shard fan-out is how this loop gets multi-core gains. The
-    /// shard split and merge order never depend on the worker count,
-    /// so training is **bit-identical** at every worker count and on
-    /// both execution engines. Runs on the compiled replay engine by
-    /// default (shard programs lease from the process-wide
-    /// [`SessionBank`]); `HDX_EXEC=fresh` or [`FinalNet::train_exec`]
-    /// select the fresh-record reference path.
+    /// schedule (§5.1) on the compiled replay engine with auto workers,
+    /// returning the final training loss; see [`FinalNet::train_exec_jobs`].
     pub fn train(
         &mut self,
         dataset: &crate::data::Dataset,
@@ -888,26 +638,16 @@ impl FinalNet {
         batch_size: usize,
         rng: &mut Rng,
     ) -> f32 {
-        self.train_exec_jobs(dataset, steps, batch_size, rng, ExecMode::auto(), 0)
-    }
-
-    /// [`FinalNet::train`] with an explicit execution engine (single-
-    /// threaded replay).
-    pub fn train_exec(
-        &mut self,
-        dataset: &crate::data::Dataset,
-        steps: usize,
-        batch_size: usize,
-        rng: &mut Rng,
-        exec: ExecMode,
-    ) -> f32 {
-        self.train_exec_jobs(dataset, steps, batch_size, rng, exec, 1)
+        self.train_exec_jobs(dataset, steps, batch_size, rng, ExecMode::Compiled, 0)
     }
 
     /// [`FinalNet::train`] with an explicit execution engine and worker
-    /// count for the shard fan-out (`0` = auto via `HDX_JOBS`). The
-    /// trained weights are **bit-identical** for every `(exec, jobs)`
-    /// combination (`tests/determinism.rs`).
+    /// count (`0` = auto via `HDX_JOBS`). Each minibatch gradient is one
+    /// [`sharded_step`] — the proxy's 20-wide matmuls sit under the
+    /// kernel pool's dispatch threshold, so shard fan-out is how this
+    /// loop gets multi-core gains. The trained weights are
+    /// **bit-identical** for every `(exec, jobs)` combination
+    /// (`tests/determinism.rs`).
     pub fn train_exec_jobs(
         &mut self,
         dataset: &crate::data::Dataset,
@@ -924,15 +664,14 @@ impl FinalNet {
         let sched = CosineLr::new(0.02, steps.max(1));
         // Resolve the worker-count policy once per training run.
         let jobs = hdx_tensor::num_jobs(jobs);
-        let compiled = matches!(exec, ExecMode::Compiled);
         let mut last = f32::NAN;
         for step in 0..steps {
             let batch = dataset.train_batch(batch_size, rng);
-            let (loss, mut collected) = if compiled {
-                self.batch_gradients_replay(&batch, jobs)
-            } else {
-                self.batch_gradients_fresh(&batch, jobs)
+            let train = TrainStep {
+                net: self,
+                batch: &batch,
             };
+            let (loss, mut collected) = sharded_step(&train, batch.len(), jobs, exec);
             last = loss;
             Binding::clip_grad_norm(&mut collected, 5.0);
             opt.step(&mut self.w, &collected, sched.lr(step));
@@ -966,6 +705,46 @@ impl FinalNet {
             (Session::with_jobs(Arc::new(prog), jobs), x0, logits)
         });
         FinalEval { net: self, replay }
+    }
+}
+
+/// One retrain minibatch as a [`ShardStep`]: the network's
+/// cross-entropy over the batch rows (one input leaf, labels rebound
+/// per shard).
+struct TrainStep<'a> {
+    net: &'a FinalNet,
+    batch: &'a Batch,
+}
+
+impl ShardStep for TrainStep<'_> {
+    fn params(&self) -> &ParamStore {
+        &self.net.w
+    }
+
+    fn input_widths(&self) -> Vec<usize> {
+        vec![self.net.input.in_features()]
+    }
+
+    /// Everything baked into the plan is a pure function of the
+    /// parameter shapes (which encode in/feature/class dims and the
+    /// chosen block widths) and the shard row count.
+    fn key(&self, rows: usize) -> u64 {
+        let shapes: Vec<&[usize]> = self.net.w.iter().map(|(_, t)| t.shape()).collect();
+        bank_key("final-net-shard", &(shapes, rows))
+    }
+
+    fn record(&self, tape: &mut Tape, params: &Binding, inputs: &[Var], labels: &[usize]) -> Var {
+        let logits = self.net.forward_from(tape, params, inputs[0]);
+        tape.cross_entropy_logits(logits, labels)
+    }
+
+    fn fill(&self, _: usize, rows: Range<usize>, out: &mut [f32]) {
+        let dim = self.net.input.in_features();
+        out.copy_from_slice(&self.batch.x.data()[rows.start * dim..rows.end * dim]);
+    }
+
+    fn labels(&self, rows: Range<usize>) -> &[usize] {
+        &self.batch.y[rows]
     }
 }
 
@@ -1192,7 +971,7 @@ mod tests {
                 &SupernetConfig::default(),
                 &mut rng,
             );
-            let loss = net.train_exec(&ds, 40, 16, &mut rng, exec);
+            let loss = net.train_exec_jobs(&ds, 40, 16, &mut rng, exec, 1);
             (net, loss)
         };
         let (net_c, loss_c) = run(ExecMode::Compiled);

@@ -6,12 +6,11 @@ use crate::encode::{joint_dim, TargetStats};
 use hdx_nas::NetworkPlan;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
-    bank_key, Adam, Binding, ExecMode, ParamStore, Program, ResidualMlp, Rng, SessionBank, Tape,
-    Tensor, Var,
+    bank_key, sharded_step, Adam, Binding, ExecMode, ParamStore, ResidualMlp, Rng, ShardStep, Tape,
+    Tensor, Var, SHARD_ROWS,
 };
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 
 /// [`Estimator::train`] invocations (a meta-search retrains several).
 static OBS_TRAIN_CALLS: hdx_obs::Counter = hdx_obs::Counter::new("surrogate.train.calls");
@@ -58,7 +57,7 @@ impl Default for EstimatorConfig {
             batch: 256,
             lr: 1e-3,
             jobs: 0,
-            exec: ExecMode::auto(),
+            exec: ExecMode::Compiled,
         }
     }
 }
@@ -117,12 +116,11 @@ impl Estimator {
     /// Pre-trains on a pair set (Adam, MSE in z-scored log space) and
     /// returns the final epoch's mean training loss.
     ///
-    /// Each minibatch gradient is computed as a weighted sum over
-    /// fixed-size microbatch shards (see `Estimator::batch_gradients`),
-    /// fanned out over [`EstimatorConfig::jobs`] worker threads. The
-    /// shard decomposition is independent of the worker count, and the
-    /// shard results are merged in shard order, so training is
-    /// **bit-identical** at every worker count: only the optimizer's
+    /// Each minibatch gradient is one [`sharded_step`]: a weighted sum
+    /// over fixed-size microbatch shards fanned out over
+    /// [`EstimatorConfig::jobs`] worker threads and merged in shard
+    /// order, so training is **bit-identical** at every worker count
+    /// and on both execution engines: only the optimizer's
     /// (single-threaded) update consumes the merged gradient.
     ///
     /// # Panics
@@ -142,7 +140,6 @@ impl Estimator {
         // Resolve the worker-count policy (env read, CPU probe) once per
         // training run, not once per minibatch.
         let jobs = hdx_tensor::num_jobs(self.cfg.jobs);
-        let compiled = matches!(self.cfg.exec, ExecMode::Compiled);
         let mut opt = Adam::new(self.cfg.lr);
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         let mut last_epoch_loss = f32::NAN;
@@ -151,11 +148,13 @@ impl Estimator {
             let mut epoch_loss = 0.0;
             let mut batches = 0;
             for chunk in order.chunks(self.cfg.batch) {
-                let (loss, grads) = if compiled {
-                    self.batch_gradients_replay(pairs, chunk, jobs)
-                } else {
-                    self.batch_gradients(pairs, chunk, jobs)
+                OBS_TRAIN_SHARDS.add(chunk.len().div_ceil(SHARD_ROWS) as u64);
+                let step = TrainStep {
+                    est: self,
+                    pairs,
+                    chunk,
                 };
+                let (loss, grads) = sharded_step(&step, chunk.len(), jobs, self.cfg.exec);
                 epoch_loss += loss;
                 batches += 1;
                 opt.step(&mut self.params, &grads);
@@ -163,201 +162,6 @@ impl Estimator {
             last_epoch_loss = epoch_loss / batches.max(1) as f32;
         }
         last_epoch_loss
-    }
-
-    /// Rows per microbatch shard of one gradient step. Fixed (not
-    /// derived from the worker count) so the shard decomposition — and
-    /// with it every floating-point sum — is the same no matter how
-    /// many threads execute the shards.
-    const SHARD_ROWS: usize = 32;
-
-    /// Loss and parameter gradients of one minibatch.
-    ///
-    /// The minibatch is split into [`Self::SHARD_ROWS`]-row shards;
-    /// each shard runs forward/backward on its own [`Tape`] against the
-    /// shared frozen parameters, and the per-shard results are merged
-    /// sequentially in shard order, each weighted by its row fraction
-    /// (`mse` averages over elements, so the weighted sum equals the
-    /// full-batch objective). `jobs` must already be resolved to a
-    /// concrete worker count by the caller.
-    fn batch_gradients(
-        &self,
-        pairs: &PairSet,
-        chunk: &[usize],
-        jobs: usize,
-    ) -> (f32, Vec<Option<Tensor>>) {
-        let shards: Vec<&[usize]> = chunk.chunks(Self::SHARD_ROWS).collect();
-        OBS_TRAIN_SHARDS.add(shards.len() as u64);
-        let results = hdx_tensor::parallel_map(&shards, jobs, |_, shard| {
-            let (x, t) = pairs.batch(shard);
-            let mut tape = Tape::new();
-            let binding = self.params.bind(&mut tape);
-            let xv = tape.leaf(x);
-            let tv = tape.leaf(t);
-            let pred = self.mlp.forward(&mut tape, &binding, xv);
-            let loss = tape.mse(pred, tv);
-            let value = tape.value(loss).item();
-            let grads = tape.backward(loss);
-            (value, binding.gradients(&grads), shard.len())
-        });
-
-        let n = chunk.len() as f32;
-        let mut total_loss = 0.0f32;
-        let mut merged: Vec<Option<Tensor>> = vec![None; self.params.len()];
-        for (value, grads, rows) in results {
-            let w = rows as f32 / n;
-            total_loss += w * value;
-            for (slot, g) in merged.iter_mut().zip(grads) {
-                let Some(mut g) = g else { continue };
-                for v in g.data_mut() {
-                    *v *= w;
-                }
-                match slot {
-                    Some(acc) => {
-                        for (a, b) in acc.data_mut().iter_mut().zip(g.data()) {
-                            *a += b;
-                        }
-                    }
-                    None => *slot = Some(g),
-                }
-            }
-        }
-        (total_loss, merged)
-    }
-
-    /// Records the shard training graph (bind parameters, forward,
-    /// MSE) for a fixed row count and compiles it for replay.
-    fn compile_shard(&self, rows: usize) -> (Program, ShardVars) {
-        let mut tape = Tape::new();
-        let binding = self.params.bind(&mut tape);
-        let x = tape.leaf(Tensor::zeros(&[rows, self.input_dim]));
-        let t = tape.leaf(Tensor::zeros(&[rows, 3]));
-        let pred = self.mlp.forward(&mut tape, &binding, x);
-        let loss = tape.mse(pred, t);
-        let param_vars: Vec<Var> = (0..self.params.len())
-            .map(|i| binding.var(self.params.id(i)))
-            .collect();
-        // Parameter gradients are the only ones the optimizer
-        // consumes; pruning the batch leaves skips the (large)
-        // input-gradient matmul of the first layer.
-        let prog = Program::compile_with_sinks(&tape, &[loss], &[], &param_vars);
-        (
-            prog,
-            ShardVars {
-                param_vars,
-                x,
-                t,
-                loss,
-            },
-        )
-    }
-
-    /// The [`SessionBank`] fingerprint of one shard program. The graph
-    /// topology and every baked value are pure functions of the MLP
-    /// dimensions and the shard row count — parameters, inputs, and
-    /// targets are all rebound before each replay — so estimators with
-    /// the same architecture share compiled programs and sessions
-    /// across [`Estimator::train`] calls (a meta-search retrains
-    /// several).
-    fn shard_key(&self, rows: usize) -> u64 {
-        bank_key(
-            "estimator-shard",
-            &(self.input_dim, self.cfg.hidden, self.cfg.depth, rows),
-        )
-    }
-
-    /// [`Estimator::batch_gradients`] on the compiled replay engine:
-    /// identical shard decomposition and merge order (so the result is
-    /// bit-identical to the fresh-record path at every worker count),
-    /// but each shard rebinds and replays a session leased from the
-    /// process-wide [`SessionBank`] instead of re-recording the graph —
-    /// zero per-step graph allocations, and zero per-call compilations
-    /// once a (config, shard size) pair has been seen by any estimator.
-    fn batch_gradients_replay(
-        &self,
-        pairs: &PairSet,
-        chunk: &[usize],
-        jobs: usize,
-    ) -> (f32, Vec<Option<Tensor>>) {
-        let shards: Vec<&[usize]> = chunk.chunks(Self::SHARD_ROWS).collect();
-        OBS_TRAIN_SHARDS.add(shards.len() as u64);
-        // Explicit contiguous worker ranges: which worker replays which
-        // shard affects only session reuse, never the results. Workers
-        // left over after the shard fan-out go to each session's own
-        // row-parallel kernels (a single large shard still uses every
-        // core).
-        let workers = jobs.min(shards.len()).max(1);
-        let session_jobs = (jobs / workers).max(1);
-        let per = shards.len().div_ceil(workers);
-        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|w| w * per..((w + 1) * per).min(shards.len()))
-            .collect();
-        let worker_results = hdx_tensor::parallel_map(&ranges, workers, |_, range| {
-            // One lease per shard size, held for the whole range.
-            let mut leases = BTreeMap::new();
-            range
-                .clone()
-                .map(|s| {
-                    let shard = shards[s];
-                    let lease = leases.entry(shard.len()).or_insert_with(|| {
-                        SessionBank::global().checkout(
-                            self.shard_key(shard.len()),
-                            session_jobs,
-                            || self.compile_shard(shard.len()),
-                        )
-                    });
-                    let sv: Arc<ShardVars> = lease.meta();
-                    let sess = lease.session();
-                    for (i, (_, tensor)) in self.params.iter().enumerate() {
-                        sess.bind(sv.param_vars[i], tensor.data());
-                    }
-                    pairs.fill_inputs(shard, sess.leaf_mut(sv.x));
-                    pairs.fill_targets(shard, sess.leaf_mut(sv.t));
-                    sess.forward();
-                    sess.backward(sv.loss);
-                    let value = sess.scalar(sv.loss);
-                    let mut flat = vec![0.0f32; self.params.num_scalars()];
-                    let mut off = 0;
-                    for (i, (_, tensor)) in self.params.iter().enumerate() {
-                        let g = sess
-                            .grad(sv.param_vars[i])
-                            .expect("every estimator parameter receives a gradient");
-                        flat[off..off + tensor.len()].copy_from_slice(g);
-                        off += tensor.len();
-                    }
-                    (value, flat, shard.len())
-                })
-                .collect::<Vec<_>>()
-        });
-
-        // Merge in shard order with the same weighted arithmetic as the
-        // fresh path.
-        let n = chunk.len() as f32;
-        let mut total_loss = 0.0f32;
-        let mut merged: Vec<Option<Tensor>> = vec![None; self.params.len()];
-        for (value, flat, rows) in worker_results.into_iter().flatten() {
-            let w = rows as f32 / n;
-            total_loss += w * value;
-            let mut off = 0;
-            for (slot, (_, tensor)) in merged.iter_mut().zip(self.params.iter()) {
-                let g = &flat[off..off + tensor.len()];
-                off += tensor.len();
-                match slot {
-                    Some(acc) => {
-                        for (a, &b) in acc.data_mut().iter_mut().zip(g) {
-                            *a += b * w;
-                        }
-                    }
-                    None => {
-                        *slot = Some(Tensor::from_vec(
-                            g.iter().map(|&v| v * w).collect(),
-                            tensor.shape(),
-                        ));
-                    }
-                }
-            }
-        }
-        (total_loss, merged)
     }
 
     /// Saves everything a warm start needs — MLP dimensions, trained
@@ -530,15 +334,47 @@ impl Estimator {
     }
 }
 
-/// The vars a shard replay must rebind (parameters in allocation
-/// order, batch input, batch target) — the [`SessionBank`] metadata of
-/// one compiled shard program.
-#[derive(Debug)]
-struct ShardVars {
-    param_vars: Vec<Var>,
-    x: Var,
-    t: Var,
-    loss: Var,
+/// One pre-training minibatch as a [`ShardStep`]: the residual MLP's
+/// MSE against z-scored targets, over the pairs `chunk` selects (input
+/// leaf 0 holds the encodings, leaf 1 the targets).
+struct TrainStep<'a> {
+    est: &'a Estimator,
+    pairs: &'a PairSet,
+    chunk: &'a [usize],
+}
+
+impl ShardStep for TrainStep<'_> {
+    fn params(&self) -> &ParamStore {
+        &self.est.params
+    }
+
+    fn input_widths(&self) -> Vec<usize> {
+        vec![self.est.input_dim, 3]
+    }
+
+    /// The graph is a pure function of the MLP dimensions and the shard
+    /// row count, so estimators with the same architecture share
+    /// compiled programs across [`Estimator::train`] calls (a
+    /// meta-search retrains several).
+    fn key(&self, rows: usize) -> u64 {
+        let cfg = &self.est.cfg;
+        bank_key(
+            "estimator-shard",
+            &(self.est.input_dim, cfg.hidden, cfg.depth, rows),
+        )
+    }
+
+    fn record(&self, tape: &mut Tape, params: &Binding, inputs: &[Var], _: &[usize]) -> Var {
+        let pred = self.est.mlp.forward(tape, params, inputs[0]);
+        tape.mse(pred, inputs[1])
+    }
+
+    fn fill(&self, input: usize, rows: Range<usize>, out: &mut [f32]) {
+        match input {
+            0 => self.pairs.fill_inputs(&self.chunk[rows], out),
+            _ => self.pairs.fill_targets(&self.chunk[rows], out),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! A persistent, process-wide cache of compiled [`Program`]s and their
 //! replay [`Session`]s.
 //!
-//! The training hot loops (`Estimator::train`, `FinalNet::train`, the
-//! engine's hardware head, the supernet task steps) each replay a graph
-//! whose *topology* is a pure function of a handful of configuration
-//! values — MLP dimensions, shard row count, batch size, baked scalar
-//! constants, sampled path sets. A meta-search runs those loops many
+//! The training hot loops — the sharded gradient step
+//! ([`crate::shard`]) behind `Estimator::train` and `FinalNet::train`,
+//! the engine's hardware head, and the engine's task-branch replay of
+//! the supernet w-step and α-step (sampled and full mixture alike) —
+//! each replay a graph whose *topology* is a pure function of a handful
+//! of configuration values — MLP dimensions, shard row count, batch
+//! size, baked scalar constants, sampled path sets. A meta-search runs those loops many
 //! times (several estimators and final networks per Table-1 row), and
 //! before this module each call re-lowered the same tape and
 //! re-allocated the same arenas. The bank keys a compiled program by a

@@ -52,12 +52,6 @@ pub const REGISTRY: &[Knob] = &[
         summary: "global session-bank capacity (compiled programs)",
     },
     Knob {
-        name: "HDX_EXEC",
-        owner: "tensor::program",
-        default: "compiled",
-        summary: "executor selection: \"fresh\" or \"compiled\"",
-    },
-    Knob {
         name: "HDX_EST_PAIRS",
         owner: "core::setup / bench",
         default: "8000 (core), 5000 (bench)",

@@ -36,6 +36,7 @@ pub mod optim;
 pub mod par;
 pub mod program;
 pub mod rng;
+pub mod shard;
 pub mod tape;
 pub mod tensor;
 
@@ -49,6 +50,7 @@ pub use par::{
 };
 pub use program::{ExecMode, Program, ProgramError, Session};
 pub use rng::Rng;
+pub use shard::{sharded_step, ShardStep, SHARD_ROWS};
 pub use tape::{Gradients, Tape, Var};
 pub use tensor::Tensor;
 

@@ -38,11 +38,11 @@
 //!
 //! # When fresh-record is still used
 //!
-//! Compilation requires a static topology and static shapes. Graphs
-//! whose structure changes per step — the path-sampled supernet
-//! mixture, one-off evaluations — keep recording onto a `Tape`; it is
-//! also the reference implementation the equivalence tests replay
-//! against.
+//! Compilation requires a static topology, static shapes, and no
+//! per-step values baked in as constants. Graphs that break this — the
+//! single-path supernet mixture, one-off evaluations — keep recording
+//! onto a `Tape`; it is also the reference implementation
+//! ([`ExecMode::FreshRecord`]) the equivalence tests replay against.
 //!
 //! # Example
 //!
@@ -77,50 +77,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which execution engine a training loop should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Compile the step graph once and replay it (the default).
+    #[default]
     Compiled,
     /// Re-record the graph on a fresh tape every step — the reference
     /// path, and the only option for dynamic topologies.
     FreshRecord,
-}
-
-impl ExecMode {
-    /// The default policy: compiled, unless the `HDX_EXEC` environment
-    /// variable selects `fresh`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `HDX_EXEC` is set to anything other than `fresh` or
-    /// `compiled` (case-insensitive) — a mistyped mode (`frsh`) must
-    /// not silently run the other engine.
-    pub fn auto() -> Self {
-        let env = crate::knobs::raw("HDX_EXEC");
-        match Self::parse_env(env.as_deref()) {
-            Ok(mode) => mode,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// Parses the `HDX_EXEC` environment value: unset defaults to
-    /// [`ExecMode::Compiled`]; `fresh`/`compiled` (case-insensitive)
-    /// select a mode; anything else is an error.
-    pub fn parse_env(value: Option<&str>) -> Result<Self, String> {
-        let Some(raw) = value else {
-            return Ok(ExecMode::Compiled);
-        };
-        let v = raw.trim();
-        if v.eq_ignore_ascii_case("fresh") {
-            Ok(ExecMode::FreshRecord)
-        } else if v.eq_ignore_ascii_case("compiled") {
-            Ok(ExecMode::Compiled)
-        } else {
-            Err(format!(
-                "HDX_EXEC must be \"fresh\" or \"compiled\" (case-insensitive), got \"{raw}\""
-            ))
-        }
-    }
 }
 
 /// A misuse of a compiled [`Program`] / [`Session`] that the engine
@@ -2707,30 +2671,6 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::row(&[1.0, 2.0]));
         let _ = Program::compile(&tape, &[x], &[]);
-    }
-
-    #[test]
-    fn exec_mode_env_parsing_rejects_unknown_values() {
-        assert_eq!(ExecMode::parse_env(None), Ok(ExecMode::Compiled));
-        assert_eq!(
-            ExecMode::parse_env(Some("fresh")),
-            Ok(ExecMode::FreshRecord)
-        );
-        assert_eq!(
-            ExecMode::parse_env(Some("FRESH")),
-            Ok(ExecMode::FreshRecord)
-        );
-        assert_eq!(
-            ExecMode::parse_env(Some("Compiled")),
-            Ok(ExecMode::Compiled)
-        );
-        assert_eq!(
-            ExecMode::parse_env(Some(" compiled ")),
-            Ok(ExecMode::Compiled)
-        );
-        // The bug this pins: a typo used to silently select Compiled.
-        assert!(ExecMode::parse_env(Some("frsh")).is_err());
-        assert!(ExecMode::parse_env(Some("")).is_err());
     }
 
     #[test]

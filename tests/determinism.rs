@@ -336,9 +336,10 @@ fn estimator_pretraining_is_thread_count_invariant() {
 }
 
 /// The full-mixture supernet step (`num_paths == OP_SET.len()`:
-/// sampling disabled, static topology, no RNG consumed) must replay
-/// bit-identically to fresh-recording — every loss value, every `w`
-/// gradient, and every `α` gradient, at every worker count.
+/// sampling disabled, static topology, no RNG consumed) is the sampled
+/// step with every path chosen, and must replay bit-identically to
+/// fresh-recording — every loss value, every `w` gradient, and every
+/// `α` gradient, at every worker count.
 #[test]
 fn full_mixture_supernet_step_replay_matches_fresh_record() {
     let spec = TaskSpec {
@@ -358,10 +359,21 @@ fn full_mixture_supernet_step_replay_matches_fresh_record() {
         let net = Supernet::new(5, spec.feature_dim, spec.num_classes, cfg, &mut rng);
         let batches: Vec<_> = (0..3).map(|_| ds.train_batch(BATCH, &mut rng)).collect();
 
+        // The full mixture samples every path at every layer, without
+        // touching the RNG.
+        let all: Vec<Vec<usize>> = vec![(0..OP_SET.len()).collect(); 5];
+        let mut rng_paths = Rng::new(77);
+        assert_eq!(net.sample_step_paths(&mut rng_paths), all);
+        assert_eq!(
+            rng_paths.next_u64(),
+            Rng::new(77).next_u64(),
+            "full-mixture path sampling must not consume RNG"
+        );
+
         // Compile once; both parameter groups are gradient sinks so one
         // program pins the α and w gradients together.
         let mut tape = Tape::new();
-        let sv = net.record_task_step(&mut tape, BATCH);
+        let sv = net.record_sampled_task_step(&mut tape, BATCH, &all);
         let sinks: Vec<Var> = sv.w_vars.iter().chain(&sv.alpha_vars).copied().collect();
         let prog = Arc::new(Program::compile_with_sinks(&tape, &[sv.loss], &[], &sinks));
 
