@@ -5,7 +5,7 @@
 //! ```text
 //! <root>/
 //!   objects/<fingerprint:016x>.hdxo   one artifact per unique content
-//!   index.hdxi                        versioned, checksummed index
+//!   index.hdxi                        versioned index, a ckpt container
 //! ```
 //!
 //! Objects are [`hdx_tensor::ckpt`] containers (bundles, search
@@ -13,11 +13,12 @@
 //! same stable hash the checkpoint container uses for its trailing
 //! checksum, so a fingerprint printed anywhere in the system always
 //! means the same bytes. The index maps `(task, family, seed)` to an
-//! ordered generation list; both the index and every object are
-//! published via [`hdx_tensor::ckpt::atomic_write`] (temp file, fsync,
-//! then rename), so a crashed publish never leaves a visible partial
-//! object — at worst an orphaned `objects/` entry that the next GC
-//! sweep removes.
+//! ordered generation list and is itself a checkpoint container (one
+//! format, one checksum; see [`Catalog::index_bytes`]). Both the index
+//! and every object are published via
+//! [`hdx_tensor::ckpt::atomic_write`] (temp file, fsync, then rename),
+//! so a crashed publish never leaves a visible partial object — at
+//! worst an orphaned `objects/` entry that the next GC sweep removes.
 //!
 //! # Retention
 //!
@@ -59,8 +60,13 @@ pub const OBJECTS_DIR: &str = "objects";
 /// Object file extension.
 pub const OBJECT_EXT: &str = "hdxo";
 
-const INDEX_MAGIC: [u8; 4] = *b"HDXI";
-const INDEX_VERSION: u32 = 1;
+/// Index schema version, stored in the `catalog.version` section.
+const INDEX_VERSION: u64 = 1;
+const VERSION_SECTION: &str = "catalog.version";
+const RECORDS_SECTION: &str = "catalog.records";
+const FAMILIES_SECTION: &str = "catalog.families";
+/// Words per index record: task, seed, gen, fingerprint, len, pinned.
+const RECORD_WORDS: usize = 6;
 
 /// The `cat:` ref prefix catalog fingerprints travel under on the wire
 /// (`load_bundle path=cat:<16 hex digits>`, `catalog_pin ref=…`).
@@ -136,19 +142,9 @@ pub enum CatalogError {
     Io(std::io::Error),
     /// Published bytes are not a valid checkpoint container.
     Object(CkptError),
-    /// Index file does not start with `HDXI`.
-    BadIndexMagic,
-    /// Index version newer than this build understands.
-    UnsupportedIndexVersion(u32),
-    /// Index file ended mid-record.
-    IndexTruncated,
-    /// Index checksum disagrees with its contents.
-    IndexChecksumMismatch {
-        /// Checksum computed over the body.
-        expected: u64,
-        /// Checksum stored in the file.
-        found: u64,
-    },
+    /// The index file is not a valid checkpoint container (bad magic,
+    /// truncation, checksum, missing section, unknown version, …).
+    Index(CkptError),
     /// Structurally invalid index contents.
     IndexMalformed(String),
     /// Family label is empty or contains non-graphic/`:` characters.
@@ -182,15 +178,7 @@ impl std::fmt::Display for CatalogError {
         match self {
             CatalogError::Io(e) => write!(f, "catalog I/O error: {e}"),
             CatalogError::Object(e) => write!(f, "published bytes are not a valid artifact: {e}"),
-            CatalogError::BadIndexMagic => write!(f, "catalog index is not an HDXI file"),
-            CatalogError::UnsupportedIndexVersion(v) => {
-                write!(f, "catalog index version {v} is newer than this build")
-            }
-            CatalogError::IndexTruncated => write!(f, "catalog index ended mid-record"),
-            CatalogError::IndexChecksumMismatch { expected, found } => write!(
-                f,
-                "catalog index checksum mismatch (computed {expected:#018x}, stored {found:#018x})"
-            ),
+            CatalogError::Index(e) => write!(f, "catalog index: {e}"),
             CatalogError::IndexMalformed(msg) => write!(f, "catalog index malformed: {msg}"),
             CatalogError::BadFamily(fam) => write!(
                 f,
@@ -233,7 +221,7 @@ impl std::error::Error for CatalogError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CatalogError::Io(e) => Some(e),
-            CatalogError::Object(e) => Some(e),
+            CatalogError::Object(e) | CatalogError::Index(e) => Some(e),
             _ => None,
         }
     }
@@ -311,7 +299,8 @@ impl Catalog {
         }
         let index_path = root.join(INDEX_FILE);
         let index = if index_path.exists() {
-            index_from_bytes(&std::fs::read(&index_path)?)?
+            let bytes = std::fs::read(&index_path)?;
+            index_of(&Checkpoint::from_bytes(&bytes).map_err(CatalogError::Index)?)?
         } else {
             Index::new()
         };
@@ -340,7 +329,8 @@ impl Catalog {
     }
 
     fn write_index(&self, index: &Index) -> Result<(), CatalogError> {
-        ckpt::atomic_write(&self.inner.root.join(INDEX_FILE), &index_to_bytes(index))
+        index_checkpoint(index)
+            .save(&self.inner.root.join(INDEX_FILE))
             .map_err(io_of_ckpt)?;
         BYTES.set(resident_bytes(index));
         Ok(())
@@ -365,9 +355,7 @@ impl Catalog {
         seed: u64,
         bytes: &[u8],
     ) -> Result<Receipt, CatalogError> {
-        if family.is_empty() || family.bytes().any(|b| !b.is_ascii_graphic() || b == b':') {
-            return Err(CatalogError::BadFamily(family.to_owned()));
-        }
+        check_family(family)?;
         Checkpoint::from_bytes(bytes).map_err(CatalogError::Object)?;
         let fingerprint = ckpt::fnv1a(bytes);
         let len = bytes.len() as u64;
@@ -641,10 +629,14 @@ impl Catalog {
 
     /// The canonical index bytes as currently held in memory — what
     /// [`Catalog::open`] would read back; tests pin these across runs
-    /// and worker counts.
+    /// and worker counts. A checkpoint container with three sections:
+    /// `catalog.version` (u64 scalar), `catalog.records` (one
+    /// `[records, 6]` u64 matrix of task, seed, gen, fingerprint, len,
+    /// pinned, in BTree order) and `catalog.families` (the records'
+    /// family labels joined by `\n`, via [`Checkpoint::put_bytes`]).
     pub fn index_bytes(&self) -> Vec<u8> {
         let state = self.inner.state.lock().expect("catalog lock");
-        index_to_bytes(&state.index)
+        index_checkpoint(&state.index).to_bytes()
     }
 }
 
@@ -705,58 +697,80 @@ fn remove_object_file(path: &Path) -> Result<(), CatalogError> {
     }
 }
 
-/// Serializes the index to its canonical on-disk bytes: magic,
-/// version, record count, the flattened `(key, generation)` records in
-/// BTree order, and a trailing FNV-1a checksum.
-fn index_to_bytes(index: &Index) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&INDEX_MAGIC);
-    out.extend_from_slice(&INDEX_VERSION.to_le_bytes());
-    let records: u32 = index.values().map(|g| g.len() as u32).sum();
-    out.extend_from_slice(&records.to_le_bytes());
-    for (key, gens) in index {
-        for g in gens {
-            out.push(key.task);
-            out.extend_from_slice(&(key.family.len() as u32).to_le_bytes());
-            out.extend_from_slice(key.family.as_bytes());
-            out.extend_from_slice(&key.seed.to_le_bytes());
-            out.extend_from_slice(&g.gen.to_le_bytes());
-            out.extend_from_slice(&g.fingerprint.to_le_bytes());
-            out.extend_from_slice(&g.len.to_le_bytes());
-            out.push(u8::from(g.pinned));
-        }
+/// Family labels are non-empty ASCII graphic without `:` — which also
+/// keeps the index's `\n`-joined label section unambiguous.
+fn check_family(family: &str) -> Result<(), CatalogError> {
+    if family.is_empty() || family.bytes().any(|b| !b.is_ascii_graphic() || b == b':') {
+        return Err(CatalogError::BadFamily(family.to_owned()));
     }
-    let crc = ckpt::fnv1a(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    Ok(())
 }
 
-/// Parses and validates the canonical index bytes.
-fn index_from_bytes(bytes: &[u8]) -> Result<Index, CatalogError> {
-    let mut r = Cursor { bytes, pos: 0 };
-    if r.take(4)? != INDEX_MAGIC {
-        return Err(CatalogError::BadIndexMagic);
-    }
-    let version = r.u32()?;
-    if version != INDEX_VERSION {
-        return Err(CatalogError::UnsupportedIndexVersion(version));
-    }
-    let records = r.u32()?;
-    let mut index = Index::new();
-    for _ in 0..records {
-        let task = r.take(1)?[0];
-        let family_len = r.u32()? as usize;
-        let family = std::str::from_utf8(r.take(family_len)?)
-            .map_err(|_| CatalogError::IndexMalformed("family is not UTF-8".to_owned()))?
-            .to_owned();
-        if family.is_empty() || family.bytes().any(|b| !b.is_ascii_graphic() || b == b':') {
-            return Err(CatalogError::BadFamily(family));
+/// The index as its canonical container (layout on [`Catalog::index_bytes`]).
+fn index_checkpoint(index: &Index) -> Checkpoint {
+    let mut rows = Vec::new();
+    let mut families = Vec::new();
+    for (key, gens) in index {
+        for g in gens {
+            let task = u64::from(key.task);
+            rows.extend([
+                task,
+                key.seed,
+                g.gen,
+                g.fingerprint,
+                g.len,
+                u64::from(g.pinned),
+            ]);
+            families.push(key.family.as_str());
         }
-        let seed = r.u64()?;
-        let gen = r.u64()?;
-        let fingerprint = r.u64()?;
-        let len = r.u64()?;
-        let pinned = match r.take(1)?[0] {
+    }
+    let mut c = Checkpoint::new();
+    c.put_u64(VERSION_SECTION, &[1], &[INDEX_VERSION]);
+    c.put_u64(RECORDS_SECTION, &[families.len(), RECORD_WORDS], &rows);
+    c.put_bytes(FAMILIES_SECTION, families.join("\n").as_bytes());
+    c
+}
+
+/// Reads and validates the index out of its container.
+fn index_of(c: &Checkpoint) -> Result<Index, CatalogError> {
+    let version = c
+        .get_scalar_u64(VERSION_SECTION)
+        .map_err(CatalogError::Index)?;
+    if version != INDEX_VERSION {
+        let v = u32::try_from(version).unwrap_or(u32::MAX);
+        return Err(CatalogError::Index(CkptError::UnsupportedVersion(v)));
+    }
+    let (shape, rows) = c.get_u64(RECORDS_SECTION).map_err(CatalogError::Index)?;
+    if shape.len() != 2 || shape[1] != RECORD_WORDS {
+        return Err(CatalogError::Index(CkptError::ShapeMismatch {
+            name: RECORDS_SECTION.to_owned(),
+            expected: vec![rows.len() / RECORD_WORDS, RECORD_WORDS],
+            found: shape.to_vec(),
+        }));
+    }
+    let labels = c.get_bytes(FAMILIES_SECTION).map_err(CatalogError::Index)?;
+    let labels = std::str::from_utf8(&labels)
+        .map_err(|_| CatalogError::IndexMalformed("family is not UTF-8".to_owned()))?;
+    let families: Vec<&str> = if labels.is_empty() {
+        Vec::new()
+    } else {
+        labels.split('\n').collect()
+    };
+    if families.len() != shape[0] {
+        return Err(CatalogError::IndexMalformed(format!(
+            "{} family labels for {} records",
+            families.len(),
+            shape[0]
+        )));
+    }
+    let mut index = Index::new();
+    for (row, family) in rows.chunks_exact(RECORD_WORDS).zip(families) {
+        let [task, seed, gen, fingerprint, len, pinned]: [u64; RECORD_WORDS] =
+            row.try_into().expect("exact chunk");
+        check_family(family)?;
+        let task = u8::try_from(task)
+            .map_err(|_| CatalogError::IndexMalformed(format!("task code {task} exceeds 255")))?;
+        let pinned = match pinned {
             0 => false,
             1 => true,
             other => {
@@ -765,7 +779,11 @@ fn index_from_bytes(bytes: &[u8]) -> Result<Index, CatalogError> {
                 )))
             }
         };
-        let key = Key { task, family, seed };
+        let key = Key {
+            task,
+            family: family.to_owned(),
+            seed,
+        };
         let gens: &mut Vec<Generation> = index.entry(key).or_default();
         if gens.last().is_some_and(|prev: &Generation| prev.gen >= gen) {
             return Err(CatalogError::IndexMalformed(
@@ -779,44 +797,7 @@ fn index_from_bytes(bytes: &[u8]) -> Result<Index, CatalogError> {
             pinned,
         });
     }
-    let body_end = r.pos;
-    let found = r.u64()?;
-    if r.pos != bytes.len() {
-        return Err(CatalogError::IndexMalformed(format!(
-            "{} trailing bytes after checksum",
-            bytes.len() - r.pos
-        )));
-    }
-    let expected = ckpt::fnv1a(&bytes[..body_end]);
-    if expected != found {
-        return Err(CatalogError::IndexChecksumMismatch { expected, found });
-    }
     Ok(index)
-}
-
-/// Bounds-checked cursor over untrusted index bytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CatalogError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CatalogError::IndexTruncated);
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, CatalogError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CatalogError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
 }
 
 #[cfg(test)]
@@ -990,23 +971,78 @@ mod tests {
                 pinned: true,
             }],
         );
-        let bytes = index_to_bytes(&index);
-        assert_eq!(index_from_bytes(&bytes).expect("round trip"), index);
+        let load = |b: &[u8]| {
+            Checkpoint::from_bytes(b)
+                .map_err(CatalogError::Index)
+                .and_then(|c| index_of(&c))
+        };
+        let bytes = index_checkpoint(&index).to_bytes();
+        assert_eq!(&bytes[..4], b"HDXC", "the index is a ckpt container");
+        assert_eq!(load(&bytes).expect("round trip"), index);
         assert!(matches!(
-            index_from_bytes(&bytes[..bytes.len() - 1]),
-            Err(CatalogError::IndexTruncated)
+            load(&bytes[..bytes.len() - 1]),
+            Err(CatalogError::Index(CkptError::Truncated))
         ));
         let mut flipped = bytes.clone();
         *flipped.last_mut().expect("crc byte") ^= 1;
         assert!(matches!(
-            index_from_bytes(&flipped),
-            Err(CatalogError::IndexChecksumMismatch { .. })
+            load(&flipped),
+            Err(CatalogError::Index(CkptError::ChecksumMismatch { .. }))
         ));
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(matches!(
-            index_from_bytes(&bad_magic),
-            Err(CatalogError::BadIndexMagic)
+            load(&bad_magic),
+            Err(CatalogError::Index(CkptError::BadMagic))
         ));
+
+        // Checksum-valid containers with invalid contents.
+        let raw = |rows: &[u64], families: &str| {
+            let mut c = Checkpoint::new();
+            c.put_u64(VERSION_SECTION, &[1], &[INDEX_VERSION]);
+            c.put_u64(
+                RECORDS_SECTION,
+                &[rows.len() / RECORD_WORDS, RECORD_WORDS],
+                rows,
+            );
+            c.put_bytes(FAMILIES_SECTION, families.as_bytes());
+            index_of(&c)
+        };
+        let row = [2, 9, 1, 42, 10, 0];
+        assert!(raw(&row, "workload").is_ok());
+        assert!(matches!(raw(&row, "a:b"), Err(CatalogError::BadFamily(_))));
+        assert!(matches!(
+            raw(&row, ""),
+            Err(CatalogError::IndexMalformed(_))
+        ));
+        assert!(matches!(
+            raw(&[2, 9, 1, 42, 10, 2], "w"),
+            Err(CatalogError::IndexMalformed(_))
+        ));
+        assert!(matches!(
+            raw(&[256, 9, 1, 42, 10, 0], "w"),
+            Err(CatalogError::IndexMalformed(_))
+        ));
+        let twice = [row, row].concat();
+        assert!(matches!(
+            raw(&twice, "w\nw"),
+            Err(CatalogError::IndexMalformed(_))
+        ));
+    }
+
+    #[test]
+    fn old_hdxi_index_fails_open_with_a_typed_error() {
+        // The retired bespoke format: `HDXI`, version 1, zero records,
+        // FNV-1a trailer.
+        let mut old = b"HDXI\x01\0\0\0\0\0\0\0".to_vec();
+        old.extend_from_slice(&ckpt::fnv1a(&old).to_le_bytes());
+        let root = temp_root("hdxi");
+        std::fs::create_dir_all(&root).expect("mkdir");
+        std::fs::write(root.join(INDEX_FILE), &old).expect("write");
+        assert!(matches!(
+            Catalog::open(&root),
+            Err(CatalogError::Index(CkptError::BadMagic))
+        ));
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 }

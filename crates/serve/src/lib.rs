@@ -38,6 +38,7 @@
 //! per-bundle serving counters.
 
 pub mod artifact;
+pub mod cli;
 pub mod proto;
 pub mod router;
 pub(crate) mod service;

@@ -23,6 +23,7 @@
 //! bundles at runtime, and resume checkpointed searches.
 
 use hdx_core::Task;
+use hdx_serve::cli::Flags;
 use hdx_serve::{
     load_bundle, save_bundle, task_code, train_artifacts, train_artifacts_from, Router,
     RouterConfig,
@@ -105,77 +106,6 @@ Tracing never changes response bytes — the v1 `metrics` verb reports
 the deterministic counters.
 ";
 
-/// Tiny std-only flag parser: `--key value` pairs after the
-/// subcommand. Repeatable keys keep every occurrence in order.
-struct Flags {
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(key) = it.next() {
-            let key = key
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got \"{key}\""))?;
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{key} requires a value"))?;
-            pairs.push((key.to_owned(), value.clone()));
-        }
-        Ok(Flags { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Every value given for a repeatable flag, in order.
-    fn get_all(&self, keys: &[&str]) -> Vec<&str> {
-        self.pairs
-            .iter()
-            .filter(|(k, _)| keys.contains(&k.as_str()))
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("--{key} is required"))
-    }
-
-    fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value \"{v}\" for --{key}")),
-        }
-    }
-
-    fn parse_opt_num(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value \"{v}\" for --{key}")),
-        }
-    }
-
-    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for (k, _) in &self.pairs {
-            if !known.contains(&k.as_str()) {
-                return Err(format!("unknown flag --{k}"));
-            }
-        }
-        Ok(())
-    }
-}
-
 fn parse_task(flags: &Flags) -> Result<Task, String> {
     let label = flags.get("task").unwrap_or("cifar");
     Task::parse_label(label).ok_or_else(|| {
@@ -185,7 +115,7 @@ fn parse_task(flags: &Flags) -> Result<Task, String> {
 }
 
 fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     flags.reject_unknown(&[
         "out",
         "task",
@@ -306,8 +236,8 @@ fn load_router(flags: &Flags) -> Result<Router, String> {
     }
     let cfg = RouterConfig {
         jobs: flags.parse_num("jobs", 0)?,
-        max_requests_per_conn: flags.parse_opt_num("max-requests-per-conn")?,
-        deadline_steps: flags.parse_opt_num("deadline-steps")?,
+        max_requests_per_conn: flags.parse_opt("max-requests-per-conn")?,
+        deadline_steps: flags.parse_opt("deadline-steps")?,
     };
     let router = Router::new(cfg);
     if let Some(dir) = flags.get("catalog") {
@@ -367,7 +297,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_oneshot(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     flags.reject_unknown(&SERVE_FLAGS)?;
     if flags.get("tcp").is_some() {
         return Err("--tcp belongs to the serve subcommand".to_owned());
@@ -390,7 +320,7 @@ fn cmd_oneshot(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     flags.reject_unknown(&SERVE_FLAGS)?;
     if flags.get("requests").is_some() {
         return Err("--requests belongs to the oneshot subcommand".to_owned());

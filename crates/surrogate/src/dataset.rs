@@ -13,7 +13,7 @@ use crate::encode::{joint_dim, TargetStats};
 use hdx_accel::{evaluate_layer, evaluate_network, AccelConfig, HwMetrics, SearchSpace};
 use hdx_nas::ops::OP_SET;
 use hdx_nas::NetworkPlan;
-use hdx_tensor::{Rng, Tensor};
+use hdx_tensor::Rng;
 
 /// Exact hardware metrics of a relaxed architecture: the per-layer
 /// expectation of each metric under the per-layer op distribution,
@@ -164,19 +164,6 @@ impl PairSet {
         &self.inputs[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Assembles a training batch `(inputs [b, dim], z-scored targets
-    /// [b, 3])` from pair indices.
-    pub fn batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
-        let mut x = vec![0.0; indices.len() * self.dim];
-        let mut t = vec![0.0; indices.len() * 3];
-        self.fill_inputs(indices, &mut x);
-        self.fill_targets(indices, &mut t);
-        (
-            Tensor::from_vec(x, &[indices.len(), self.dim]),
-            Tensor::from_vec(t, &[indices.len(), 3]),
-        )
-    }
-
     /// Writes the batch input rows for `indices` into `x` (a
     /// `[len, dim]` buffer), allocation-free. Used by the compiled
     /// replay path to fill a [`hdx_tensor::Session`] leaf in place.
@@ -261,15 +248,5 @@ mod tests {
                 assert!((s - 1.0).abs() < 1e-4, "pair {i} layer {l} sums to {s}");
             }
         }
-    }
-
-    #[test]
-    fn batch_shapes() {
-        let plan = NetworkPlan::cifar18();
-        let mut rng = Rng::new(2);
-        let pairs = PairSet::sample(&plan, 16, &mut rng);
-        let (x, t) = pairs.batch(&[0, 5, 9]);
-        assert_eq!(x.shape(), &[3, joint_dim(18)]);
-        assert_eq!(t.shape(), &[3, 3]);
     }
 }

@@ -70,8 +70,7 @@
 //! let compile = || {
 //!     let mut tape = Tape::new();
 //!     let x = tape.leaf(Tensor::row(&[0.0, 0.0]));
-//!     let sq = tape.square(x);
-//!     let out = tape.sum(sq);
+//!     let out = tape.dot(x, x); // Σ x²
 //!     (Program::compile(&tape, &[out], &[]), Meta { x, out })
 //! };
 //! let key = bank_key("example-square", &2usize);
@@ -493,8 +492,7 @@ mod tests {
     fn compile_square() -> (Program, Meta) {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::row(&[0.0, 0.0, 0.0]));
-        let sq = tape.square(x);
-        let out = tape.sum(sq);
+        let out = tape.dot(x, x); // Σ x²
         (Program::compile(&tape, &[out], &[]), Meta { x, out })
     }
 

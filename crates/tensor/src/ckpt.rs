@@ -32,8 +32,12 @@
 //! # Error behavior
 //!
 //! Loading never panics on bad input: corrupt, truncated, or
-//! wrong-version files surface as typed [`CkptError`]s (pinned by this
-//! module's tests and `tests/serve.rs`). Section payload lengths are
+//! wrong-version files surface as typed [`CkptError`]s. This module's
+//! tests pin that for the container itself; two loaders built on it
+//! pin it end to end: the bundle loader
+//! (`corrupt_bundles_are_typed_errors_never_panics` in
+//! `tests/serve.rs`) and the catalog index (`hdx-catalog`'s
+//! `index_codec_rejects_corruption`). Section payload lengths are
 //! validated against the remaining buffer *before* any allocation, so
 //! a malicious length prefix cannot OOM the loader.
 

@@ -11,9 +11,9 @@
 //!   by later nodes of the same size (zero allocation on replay);
 //! * **fused kernels** for the dominant patterns: `matmul → add_bias
 //!   (→ relu)` collapses into a single linear-layer kernel whose
-//!   intermediates never materialize, and `log_softmax` /
-//!   `cross_entropy_logits` cache their forward softmax so the
-//!   backward pass never recomputes it;
+//!   intermediates never materialize, and `cross_entropy_logits`
+//!   caches its forward softmax so the backward pass never recomputes
+//!   it;
 //! * **multi-output backward plans**: the engine differentiates one
 //!   forward graph from several scalar heads (global loss, `Cost_HW`,
 //!   constraint loss) without re-running forward.
@@ -53,8 +53,7 @@
 //! // Record the graph shape once.
 //! let mut tape = Tape::new();
 //! let x = tape.leaf(Tensor::row(&[1.0, 2.0]));
-//! let y = tape.square(x);
-//! let loss = tape.sum(y);
+//! let loss = tape.dot(x, x); // Σ x²
 //! let prog = Arc::new(Program::compile(&tape, &[loss], &[]));
 //!
 //! // Replay many times with rebound inputs.
@@ -67,8 +66,7 @@
 //! ```
 
 use crate::kernels::{
-    decode_head_into, matmul_view, softmax_rows_into, transpose_into, DecodeAct, Epilogue, MatRef,
-    Tier, ROW_BLOCK,
+    decode_head_into, matmul_view, softmax_rows_into, DecodeAct, Epilogue, MatRef, Tier, ROW_BLOCK,
 };
 use crate::par::WorkerPool;
 use crate::tape::{lut_cell, Op, Tape, Var};
@@ -161,27 +159,17 @@ enum Step {
     Skip,
     Leaf,
     Add(usize, usize),
-    Sub(usize, usize),
-    Mul(usize, usize),
     Div(usize, usize),
-    Neg(usize),
     Scale(usize, f32),
     AddScalar(usize, f32),
     Relu(usize),
-    LeakyRelu(usize, f32),
     Sigmoid(usize),
-    Tanh(usize),
     Exp(usize),
-    Ln(usize),
-    Square(usize),
     ClampMin(usize, f32),
     MatMul(usize, usize),
-    Transpose(usize),
     AddBias(usize, usize),
     Sum(usize),
-    Mean(usize),
     SoftmaxRows(usize),
-    LogSoftmaxRows(usize),
     CrossEntropy {
         logits: usize,
         targets: usize, // index into Program::targets
@@ -194,7 +182,6 @@ enum Step {
         end: usize,
     },
     Dot(usize, usize),
-    NormSq(usize),
     MulScalarVar {
         x: usize,
         s: usize,
@@ -260,7 +247,8 @@ pub struct Program {
     /// output).
     grad: Vec<Option<Buf>>,
     grad_len: usize,
-    /// Forward-cached auxiliary buffers (softmax of CE / log-softmax).
+    /// Forward-cached auxiliary buffers (softmax of CE, the relu-gated
+    /// residual fusion's pre-residual activation).
     aux: Vec<Option<Buf>>,
     aux_len: usize,
     /// Registered scalar outputs and, per output, which nodes its
@@ -346,27 +334,17 @@ impl Program {
             .map(|node| match &node.op {
                 Op::Leaf => Step::Leaf,
                 Op::Add(a, b) => Step::Add(a.index(), b.index()),
-                Op::Sub(a, b) => Step::Sub(a.index(), b.index()),
-                Op::Mul(a, b) => Step::Mul(a.index(), b.index()),
                 Op::Div(a, b) => Step::Div(a.index(), b.index()),
-                Op::Neg(a) => Step::Neg(a.index()),
                 Op::Scale(a, c) => Step::Scale(a.index(), *c),
                 Op::AddScalar(a, c) => Step::AddScalar(a.index(), *c),
                 Op::Relu(a) => Step::Relu(a.index()),
-                Op::LeakyRelu(a, s) => Step::LeakyRelu(a.index(), *s),
                 Op::Sigmoid(a) => Step::Sigmoid(a.index()),
-                Op::Tanh(a) => Step::Tanh(a.index()),
                 Op::Exp(a) => Step::Exp(a.index()),
-                Op::Ln(a) => Step::Ln(a.index()),
-                Op::Square(a) => Step::Square(a.index()),
                 Op::ClampMin(a, c) => Step::ClampMin(a.index(), *c),
                 Op::MatMul(a, b) => Step::MatMul(a.index(), b.index()),
-                Op::Transpose(a) => Step::Transpose(a.index()),
                 Op::AddBias(x, b) => Step::AddBias(x.index(), b.index()),
                 Op::Sum(a) => Step::Sum(a.index()),
-                Op::Mean(a) => Step::Mean(a.index()),
                 Op::SoftmaxRows(a) => Step::SoftmaxRows(a.index()),
-                Op::LogSoftmaxRows(a) => Step::LogSoftmaxRows(a.index()),
                 Op::CrossEntropyLogits { logits, targets: t } => {
                     targets.push(t.clone());
                     Step::CrossEntropy {
@@ -384,7 +362,6 @@ impl Program {
                     end: *end,
                 },
                 Op::Dot(a, b) => Step::Dot(a.index(), b.index()),
-                Op::NormSq(a) => Step::NormSq(a.index()),
                 Op::MulScalarVar { x, s } => Step::MulScalarVar {
                     x: x.index(),
                     s: s.index(),
@@ -564,8 +541,7 @@ impl Program {
                 continue;
             }
             match step {
-                Step::Mul(a, b)
-                | Step::Div(a, b)
+                Step::Div(a, b)
                 | Step::MatMul(a, b)
                 | Step::Mse(a, b)
                 | Step::Dot(a, b)
@@ -573,14 +549,10 @@ impl Program {
                     saved[*a] = true;
                     saved[*b] = true;
                 }
-                Step::Relu(a)
-                | Step::LeakyRelu(a, _)
-                | Step::Ln(a)
-                | Step::Square(a)
-                | Step::ClampMin(a, _)
-                | Step::NormSq(a)
-                | Step::LutRowInterp { coord: a, .. } => saved[*a] = true,
-                Step::Sigmoid(_) | Step::Tanh(_) | Step::Exp(_) | Step::SoftmaxRows(_) => {
+                Step::Relu(a) | Step::ClampMin(a, _) | Step::LutRowInterp { coord: a, .. } => {
+                    saved[*a] = true
+                }
+                Step::Sigmoid(_) | Step::Exp(_) | Step::SoftmaxRows(_) => {
                     saved[idx] = true; // backward reads own output
                 }
                 Step::FusedLinear { x, w, relu, .. } => {
@@ -690,10 +662,6 @@ impl Program {
             let len = match steps[idx] {
                 Step::CrossEntropy { logits, .. } => {
                     let (m, cols) = shape[logits];
-                    m * cols
-                }
-                Step::LogSoftmaxRows(a) => {
-                    let (m, cols) = shape[a];
                     m * cols
                 }
                 // The relu-gated residual fusion stashes the
@@ -806,33 +774,22 @@ fn step_inputs(step: &Step) -> Vec<usize> {
     match step {
         Step::Skip | Step::Leaf => Vec::new(),
         Step::Add(a, b)
-        | Step::Sub(a, b)
-        | Step::Mul(a, b)
         | Step::Div(a, b)
         | Step::MatMul(a, b)
         | Step::AddBias(a, b)
         | Step::Mse(a, b)
         | Step::Dot(a, b)
         | Step::MulScalarVar { x: a, s: b } => vec![*a, *b],
-        Step::Neg(a)
-        | Step::Scale(a, _)
+        Step::Scale(a, _)
         | Step::AddScalar(a, _)
         | Step::Relu(a)
-        | Step::LeakyRelu(a, _)
         | Step::Sigmoid(a)
-        | Step::Tanh(a)
         | Step::Exp(a)
-        | Step::Ln(a)
-        | Step::Square(a)
         | Step::ClampMin(a, _)
-        | Step::Transpose(a)
         | Step::Sum(a)
-        | Step::Mean(a)
         | Step::SoftmaxRows(a)
-        | Step::LogSoftmaxRows(a)
         | Step::CrossEntropy { logits: a, .. }
         | Step::SliceCols { input: a, .. }
-        | Step::NormSq(a)
         | Step::LutRowInterp { coord: a, .. } => vec![*a],
         Step::ConcatCols(parts) => parts.clone(),
         Step::FusedLinear { x, w, bias, .. } => vec![*x, *w, *bias],
@@ -1126,10 +1083,7 @@ fn exec_forward(
     match step {
         Step::Skip | Step::Leaf => {}
         Step::Add(a, b) => binary!(*a, *b, |x: f32, y: f32| x + y),
-        Step::Sub(a, b) => binary!(*a, *b, |x: f32, y: f32| x - y),
-        Step::Mul(a, b) => binary!(*a, *b, |x: f32, y: f32| x * y),
         Step::Div(a, b) => binary!(*a, *b, |x: f32, y: f32| x / y),
-        Step::Neg(a) => unary!(*a, |x: f32| -x),
         Step::Scale(a, c) => {
             let c = *c;
             unary!(*a, move |x: f32| x * c);
@@ -1139,15 +1093,8 @@ fn exec_forward(
             unary!(*a, move |x: f32| x + c);
         }
         Step::Relu(a) => unary!(*a, |x: f32| x.max(0.0)),
-        Step::LeakyRelu(a, s) => {
-            let s = *s;
-            unary!(*a, move |x: f32| if x > 0.0 { x } else { s * x });
-        }
         Step::Sigmoid(a) => unary!(*a, |x: f32| 1.0 / (1.0 + (-x).exp())),
-        Step::Tanh(a) => unary!(*a, f32::tanh),
         Step::Exp(a) => unary!(*a, f32::exp),
-        Step::Ln(a) => unary!(*a, f32::ln),
-        Step::Square(a) => unary!(*a, |x: f32| x * x),
         Step::ClampMin(a, c) => {
             let c = *c;
             unary!(*a, move |x: f32| x.max(c));
@@ -1157,11 +1104,6 @@ fn exec_forward(
             let ([a_slice, b_slice], out_slice) = split_reads(vals, [slot(*a), slot(*b)], out);
             let (a_view, b_view) = (MatRef::rows(a_slice, ak), MatRef::rows(b_slice, n));
             matmul_par(a_view, b_view, out_slice, am, ak, n, &NO_EPI, pool);
-        }
-        Step::Transpose(a) => {
-            let (am, an) = prog.shape[*a];
-            let (a_slice, out_slice) = split_two(vals, slot(*a), out);
-            transpose_into(a_slice, out_slice, am, an);
         }
         Step::AddBias(x, bias) => {
             let ([xs, bs], dst) = split_reads(vals, [slot(*x), slot(*bias)], out);
@@ -1175,23 +1117,9 @@ fn exec_forward(
             let ab = slot(*a);
             vals[out.off] = vals[ab.range()].iter().sum();
         }
-        Step::Mean(a) => {
-            let ab = slot(*a);
-            let s: f32 = vals[ab.range()].iter().sum();
-            vals[out.off] = s / ab.len as f32;
-        }
         Step::SoftmaxRows(a) => {
             let (a_slice, out_slice) = split_two(vals, slot(*a), out);
             softmax_rows_into(a_slice, out_slice, m, n);
-        }
-        Step::LogSoftmaxRows(a) => {
-            let ab = slot(*a);
-            let (am, an) = prog.shape[*a];
-            let axb = prog.aux[idx].expect("log-softmax caches its softmax");
-            softmax_rows_into(&vals[ab.range()], &mut aux[axb.range()], am, an);
-            for j in 0..out.len {
-                vals[out.off + j] = aux[axb.off + j].max(1e-30).ln();
-            }
         }
         Step::CrossEntropy { logits, targets: t } => {
             let lb = slot(*logits);
@@ -1242,15 +1170,6 @@ fn exec_forward(
             let mut acc = 0.0f32;
             for j in 0..ab.len {
                 acc += vals[ab.off + j] * vals[bb.off + j];
-            }
-            vals[out.off] = acc;
-        }
-        Step::NormSq(a) => {
-            let ab = slot(*a);
-            let mut acc = 0.0f32;
-            for j in 0..ab.len {
-                let x = vals[ab.off + j];
-                acc += x * x;
             }
             vals[out.off] = acc;
         }
@@ -1348,15 +1267,6 @@ fn exec_backward(
             acc!(*a, g_buf.len, |g, j| g[j]);
             acc!(*b, g_buf.len, |g, j| g[j]);
         }
-        Step::Sub(a, b) => {
-            acc!(*a, g_buf.len, |g, j| g[j]);
-            acc!(*b, g_buf.len, |g, j| -g[j]);
-        }
-        Step::Mul(a, b) => {
-            let (av, bv) = (slot(*a), slot(*b));
-            acc!(*a, g_buf.len, |g, j| g[j] * vals[bv.off + j]);
-            acc!(*b, g_buf.len, |g, j| g[j] * vals[av.off + j]);
-        }
         Step::Div(a, b) => {
             let (av, bv) = (slot(*a), slot(*b));
             acc!(*a, g_buf.len, |g, j| g[j] / vals[bv.off + j]);
@@ -1366,7 +1276,6 @@ fn exec_backward(
                 -num / (bi * bi)
             });
         }
-        Step::Neg(a) => acc!(*a, g_buf.len, |g, j| -g[j]),
         Step::Scale(a, c) => {
             let c = *c;
             acc!(*a, g_buf.len, |g, j| g[j] * c);
@@ -1380,15 +1289,6 @@ fn exec_backward(
                 0.0
             });
         }
-        Step::LeakyRelu(a, s) => {
-            let av = slot(*a);
-            let s = *s;
-            acc!(*a, g_buf.len, |g, j| if vals[av.off + j] > 0.0 {
-                g[j]
-            } else {
-                s * g[j]
-            });
-        }
         Step::Sigmoid(a) => {
             let yv = prog.val[idx].expect("saved output");
             acc!(*a, g_buf.len, |g, j| {
@@ -1396,24 +1296,9 @@ fn exec_backward(
                 g[j] * yi * (1.0 - yi)
             });
         }
-        Step::Tanh(a) => {
-            let yv = prog.val[idx].expect("saved output");
-            acc!(*a, g_buf.len, |g, j| {
-                let yi = vals[yv.off + j];
-                g[j] * (1.0 - yi * yi)
-            });
-        }
         Step::Exp(a) => {
             let yv = prog.val[idx].expect("saved output");
             acc!(*a, g_buf.len, |g, j| g[j] * vals[yv.off + j]);
-        }
-        Step::Ln(a) => {
-            let av = slot(*a);
-            acc!(*a, g_buf.len, |g, j| g[j] / vals[av.off + j]);
-        }
-        Step::Square(a) => {
-            let av = slot(*a);
-            acc!(*a, g_buf.len, |g, j| 2.0 * vals[av.off + j] * g[j]);
         }
         Step::ClampMin(a, c) => {
             let av = slot(*a);
@@ -1480,14 +1365,6 @@ fn exec_backward(
                 }
             }
         }
-        Step::Transpose(a) => {
-            // Output is [n_a, m_a]; the contribution to `a` is gᵀ.
-            let (_, an) = prog.shape[*a];
-            acc!(*a, g_buf.len, |g, j| {
-                let (i, jj) = (j / an, j % an);
-                g[jj * n + i]
-            });
-        }
         Step::AddBias(x, bias) => {
             acc!(*x, g_buf.len, |g, j| g[j]);
             if let Some(pb) = prog.grad[*bias] {
@@ -1500,11 +1377,6 @@ fn exec_backward(
         Step::Sum(a) => {
             let alen = prog.shape[*a].0 * prog.shape[*a].1;
             acc!(*a, alen, |g, _j| g[0]);
-        }
-        Step::Mean(a) => {
-            let alen = prog.shape[*a].0 * prog.shape[*a].1;
-            let gi = grads[g_buf.off] / alen as f32;
-            acc!(*a, alen, |_g, _j| gi);
         }
         Step::SoftmaxRows(a) => {
             let sv = prog.val[idx].expect("saved output");
@@ -1523,28 +1395,6 @@ fn exec_backward(
                             dst[i * n + j] = c;
                         } else {
                             dst[i * n + j] += c;
-                        }
-                    }
-                }
-            }
-        }
-        Step::LogSoftmaxRows(a) => {
-            let (am, an) = prog.shape[*a];
-            let axb = prog.aux[idx].expect("cached softmax");
-            if let Some(pb) = prog.grad[*a] {
-                let single = prog.single_contrib[*a];
-                let (g, dst) = split_two(grads, g_buf, pb);
-                for i in 0..am {
-                    let mut rowsum = 0.0f32;
-                    for j in 0..an {
-                        rowsum += g[i * an + j];
-                    }
-                    for j in 0..an {
-                        let c = g[i * an + j] - aux[axb.off + i * an + j] * rowsum;
-                        if single {
-                            dst[i * an + j] = c;
-                        } else {
-                            dst[i * an + j] += c;
                         }
                     }
                 }
@@ -1605,11 +1455,6 @@ fn exec_backward(
             let gi = grads[g_buf.off];
             acc!(*a, av.len, |_g, j| vals[bv.off + j] * gi);
             acc!(*b, bv.len, |_g, j| vals[av.off + j] * gi);
-        }
-        Step::NormSq(a) => {
-            let av = slot(*a);
-            let factor = 2.0 * grads[g_buf.off];
-            acc!(*a, av.len, |_g, j| vals[av.off + j] * factor);
         }
         Step::MulScalarVar { x, s } => {
             let (xv, sv) = (slot(*x), slot(*s));
@@ -2149,15 +1994,15 @@ mod tests {
     fn elementwise_chain_replays_bit_identically() {
         assert_replay_matches(
             |t, v| {
-                let a = t.mul(v[0], v[1]);
+                let a = t.add(v[0], v[1]);
                 let b = t.sigmoid(a);
-                let c = t.tanh(b);
+                let c = t.exp(b);
                 let d = t.div(c, v[2]);
-                let e = t.leaky_relu(d, 0.1);
-                let f = t.square(e);
-                let g = t.add_scalar(f, 0.3);
+                let e = t.scale(d, -1.7);
+                let f = t.add_scalar(e, 1.2);
+                let g = t.relu(f);
                 let h = t.clamp_min(g, 0.4);
-                t.mean(h)
+                t.mse(h, v[1])
             },
             &rand_sets(&[&[3, 4], &[3, 4], &[3, 4]], 5, 1)
                 .into_iter()
@@ -2181,7 +2026,7 @@ mod tests {
                 let lin = t.add_bias(mm, v[2]);
                 let act = t.relu(lin);
                 let s = t.sum(act);
-                let n = t.norm_sq(v[1]);
+                let n = t.dot(v[1], v[1]);
                 t.add(s, n)
             },
             &rand_sets(&[&[4, 3], &[3, 5], &[1, 5]], 4, 2),
@@ -2387,18 +2232,18 @@ mod tests {
     }
 
     #[test]
-    fn softmax_logsoftmax_and_reductions_replay_bit_identically() {
+    fn softmax_and_reductions_replay_bit_identically() {
         assert_replay_matches(
             |t, v| {
                 let s = t.softmax_rows(v[0]);
-                let ls = t.log_softmax_rows(v[1]);
-                let w = t.mul(s, ls);
+                let e = t.exp(v[1]);
+                let w = t.div(s, e);
                 let cat = t.concat_cols(&[w, v[2]]);
                 let mid = t.slice_cols(cat, 1, 4);
-                let tr = t.transpose(mid);
-                let d = t.dot(tr, tr);
+                let d = t.dot(mid, mid);
                 let m = t.mse(v[0], v[1]);
-                t.add(d, m)
+                let dm = t.add(d, m);
+                t.sum(dm)
             },
             &rand_sets(&[&[2, 4], &[2, 4], &[2, 2]], 4, 4),
         );
@@ -2441,9 +2286,9 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.leaf(inputs[0].clone());
         let b = tape.leaf(inputs[1].clone());
-        let prod = tape.mul(a, b);
+        let prod = tape.dot(a, b);
         let o1 = tape.sum(prod);
-        let o2 = tape.norm_sq(a);
+        let o2 = tape.dot(a, a);
         let prog = Arc::new(Program::compile(&tape, &[o1, o2], &[]));
         let mut sess = Session::new(prog);
         sess.forward();
@@ -2463,15 +2308,15 @@ mod tests {
     #[test]
     fn arena_reuses_buffers_of_dead_intermediates() {
         // A deep elementwise chain: none of the intermediates are needed
-        // by backward of the final sum except the squares' inputs, so
-        // the arena must be smaller than one-buffer-per-node.
+        // by backward of the final sum, so the arena must be smaller
+        // than one-buffer-per-node.
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::ones(&[8, 8]));
         let mut h = x;
         for _ in 0..6 {
             let a = tape.add_scalar(h, 1.0);
-            let b = tape.neg(a);
-            h = tape.neg(b);
+            let b = tape.scale(a, -1.0);
+            h = tape.scale(b, -1.0);
         }
         let out = tape.sum(h);
         let prog = Program::compile(&tape, &[out], &[]);
@@ -2493,8 +2338,7 @@ mod tests {
         let table = Tensor::from_vec(vec![0.0, 1.0, 1.0, 3.0, 2.0, 9.0, 3.0, 27.0], &[4, 2]);
         let build = move |t: &mut Tape, v: &[Var]| {
             let row = t.lut_row_interp(v[0], &table);
-            let sq = t.square(row);
-            t.sum(sq)
+            t.dot(row, row)
         };
         let sets: Vec<Vec<Tensor>> = [0.4f32, 1.5, 2.75, 0.0, 5.0]
             .iter()
@@ -2565,7 +2409,7 @@ mod tests {
         let s = tape.scale(a, 2.0); // dead after the softmax below
         let p = tape.softmax_rows(s);
         let w = tape.leaf(Tensor::row(&[5.0, 7.0, 11.0])); // mid-graph leaf
-        let mix = tape.mul(p, w);
+        let mix = tape.dot(p, w);
         let out = tape.sum(mix);
         let prog = Arc::new(Program::compile(&tape, &[out], &[]));
         let mut sess = Session::new(prog);
@@ -2590,8 +2434,7 @@ mod tests {
         let binding = params.bind(&mut tape);
         let xv = tape.leaf(x0.clone());
         let y = mlp.forward(&mut tape, &binding, xv);
-        let sq = tape.square(y);
-        let loss = tape.sum(sq);
+        let loss = tape.dot(y, y);
 
         let sinks: Vec<Var> = params.iter().map(|(id, _)| binding.var(id)).collect();
         let full = Arc::new(Program::compile(&tape, &[loss], &[]));
@@ -2628,8 +2471,8 @@ mod tests {
         let z = tape.add(s, s);
         let a = tape.add_scalar(z, 1.0); // two same-size allocations
         let b = tape.add_scalar(z, 2.0); // that must not share a slot
-        let d = tape.sub(a, b);
-        let sq = tape.square(d);
+        let d = tape.div(a, b);
+        let sq = tape.dot(d, d);
         let out = tape.sum(sq);
         let prog = Arc::new(Program::compile(&tape, &[out], &[]));
         let mut sess = Session::new(prog);
@@ -2658,7 +2501,7 @@ mod tests {
     fn binding_non_leaf_panics() {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::scalar(1.0));
-        let y = tape.square(x);
+        let y = tape.exp(x);
         let out = tape.sum(y);
         let prog = Program::compile(&tape, &[out], &[]);
         let mut sess = Session::new(Arc::new(prog));
@@ -2678,7 +2521,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::row(&[1.0, 2.0, 3.0]));
         let ce = tape.cross_entropy_logits(x, &[0]);
-        let other = tape.square(x);
+        let other = tape.exp(x);
         let out = tape.sum(other);
         let prog = Arc::new(Program::compile(&tape, &[out], &[]));
         let mut sess = Session::new(prog);

@@ -6,12 +6,14 @@
 //! and accumulates gradients of a scalar output with respect to every
 //! node, returning them as [`Gradients`].
 //!
-//! The operation set is exactly what the HDX reproduction needs:
-//! elementwise arithmetic and activations, matrix products, bias adds,
-//! reductions, row softmax / log-softmax, cross-entropy on logits, MSE,
-//! column concatenation/slicing, dot products, and the hinge
-//! `max(x - c, 0)` used by the paper's constraint loss (via
-//! [`Tape::clamp_min`]).
+//! The operation set is exactly what the HDX graphs record: the
+//! supernet mixture (`softmax_rows`, `slice_cols`, `div`,
+//! `mul_scalar_var`, `add`), the residual MLPs (`matmul`, `add_bias`,
+//! `relu`, `scale`), the estimator's cost head (`exp`, `add_scalar`,
+//! `mse`), the hardware generator (`sigmoid`, `concat_cols`, `dot`),
+//! the task losses (`cross_entropy_logits`, `sum`), and the hinge
+//! `max(x - c, 0)` of the paper's constraint loss (Eq. 5) via
+//! [`Tape::hinge_above`].
 
 use crate::tensor::Tensor;
 
@@ -30,31 +32,27 @@ impl Var {
     }
 }
 
+/// The recorded op set: only ops some search, estimator, retrain,
+/// server or bench graph records. Two are kept for other reasons:
+/// `ClampMin` has no direct caller but is what [`Tape::hinge_above`]
+/// (the paper's constraint loss) records, and `LutRowInterp` is the
+/// literal Auto-NBA table-gradient reference (piecewise-linear cost
+/// gradients straight from `LayerLut` rows; `tests/cross_crate.rs`).
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
     Leaf,
     Add(Var, Var),
-    Sub(Var, Var),
-    Mul(Var, Var),
     Div(Var, Var),
-    Neg(Var),
     Scale(Var, f32),
     AddScalar(Var, f32),
     Relu(Var),
-    LeakyRelu(Var, f32),
     Sigmoid(Var),
-    Tanh(Var),
     Exp(Var),
-    Ln(Var),
-    Square(Var),
     ClampMin(Var, f32),
     MatMul(Var, Var),
-    Transpose(Var),
     AddBias(Var, Var),
     Sum(Var),
-    Mean(Var),
     SoftmaxRows(Var),
-    LogSoftmaxRows(Var),
     CrossEntropyLogits {
         logits: Var,
         targets: Vec<usize>,
@@ -67,7 +65,6 @@ pub(crate) enum Op {
         end: usize,
     },
     Dot(Var, Var),
-    NormSq(Var),
     MulScalarVar {
         x: Var,
         s: Var,
@@ -115,9 +112,8 @@ impl Gradients {
 /// use hdx_tensor::{Tape, Tensor};
 /// let mut tape = Tape::new();
 /// let x = tape.leaf(Tensor::row(&[2.0]));
-/// let y = tape.square(x);               // y = x²
-/// let loss = tape.sum(y);
-/// let grads = tape.backward(loss);
+/// let y = tape.dot(x, x);               // y = x·x = x²
+/// let grads = tape.backward(y);
 /// assert_eq!(grads.wrt(x).expect("grad").data(), &[4.0]); // dy/dx = 2x
 /// ```
 #[derive(Debug, Default)]
@@ -227,26 +223,6 @@ impl Tape {
         self.push(Op::Add(a, b), v)
     }
 
-    /// Elementwise `a - b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub(self.value(b));
-        self.push(Op::Sub(a, b), v)
-    }
-
-    /// Elementwise `a * b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).mul(self.value(b));
-        self.push(Op::Mul(a, b), v)
-    }
-
     /// Elementwise `a / b`.
     ///
     /// # Panics
@@ -255,12 +231,6 @@ impl Tape {
     pub fn div(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).zip(self.value(b), |x, y| x / y);
         self.push(Op::Div(a, b), v)
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.value(a).scale(-1.0);
-        self.push(Op::Neg(a), v)
     }
 
     /// Multiplies every element by the constant `c`.
@@ -281,40 +251,16 @@ impl Tape {
         self.push(Op::Relu(a), v)
     }
 
-    /// Leaky ReLU with negative slope `slope`.
-    pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { slope * x });
-        self.push(Op::LeakyRelu(a, slope), v)
-    }
-
     /// Logistic sigmoid `1/(1+e^{-x})`.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
         self.push(Op::Sigmoid(a), v)
     }
 
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
-        self.push(Op::Tanh(a), v)
-    }
-
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
         let v = self.value(a).map(f32::exp);
         self.push(Op::Exp(a), v)
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::ln);
-        self.push(Op::Ln(a), v)
-    }
-
-    /// Elementwise square.
-    pub fn square(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x * x);
-        self.push(Op::Square(a), v)
     }
 
     /// Elementwise `max(x, c)`.
@@ -340,12 +286,6 @@ impl Tape {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul(self.value(b));
         self.push(Op::MatMul(a, b), v)
-    }
-
-    /// Transpose of a 2-D tensor.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose();
-        self.push(Op::Transpose(a), v)
     }
 
     /// Adds a `[1, n]` bias row to every row of a `[m, n]` tensor.
@@ -379,27 +319,10 @@ impl Tape {
         self.push(Op::Sum(a), v)
     }
 
-    /// Mean of all elements (scalar `[1, 1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is empty.
-    pub fn mean(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).mean());
-        self.push(Op::Mean(a), v)
-    }
-
     /// Row-wise softmax of a 2-D tensor.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let v = self.value(a).softmax_rows();
         self.push(Op::SoftmaxRows(a), v)
-    }
-
-    /// Row-wise log-softmax of a 2-D tensor.
-    pub fn log_softmax_rows(&mut self, a: Var) -> Var {
-        let s = self.value(a).softmax_rows();
-        let v = s.map(|x| x.max(1e-30).ln());
-        self.push(Op::LogSoftmaxRows(a), v)
     }
 
     /// Mean cross-entropy between row logits and integer class targets.
@@ -509,12 +432,6 @@ impl Tape {
         self.push(Op::Dot(a, b), v)
     }
 
-    /// Squared L2 norm of all elements (scalar).
-    pub fn norm_sq(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).norm_sq());
-        self.push(Op::NormSq(a), v)
-    }
-
     /// Multiplies a tensor by a scalar-valued variable (`[1, 1]`).
     ///
     /// Used to mix candidate-op outputs by their architecture weights.
@@ -593,33 +510,22 @@ impl Tape {
             Some(match op {
                 Op::Leaf => return None,
                 Op::Add(..) => "add",
-                Op::Sub(..) => "sub",
-                Op::Mul(..) => "mul",
                 Op::Div(..) => "div",
-                Op::Neg(..) => "neg",
                 Op::Scale(..) => "scale",
                 Op::AddScalar(..) => "add_scalar",
                 Op::Relu(..) => "relu",
-                Op::LeakyRelu(..) => "leaky_relu",
                 Op::Sigmoid(..) => "sigmoid",
-                Op::Tanh(..) => "tanh",
                 Op::Exp(..) => "exp",
-                Op::Ln(..) => "ln",
-                Op::Square(..) => "square",
                 Op::ClampMin(..) => "clamp_min",
                 Op::MatMul(..) => "matmul",
-                Op::Transpose(..) => "transpose",
                 Op::AddBias(..) => "add_bias",
                 Op::Sum(..) => "sum",
-                Op::Mean(..) => "mean",
                 Op::SoftmaxRows(..) => "softmax_rows",
-                Op::LogSoftmaxRows(..) => "log_softmax_rows",
                 Op::CrossEntropyLogits { .. } => "cross_entropy_logits",
                 Op::Mse(..) => "mse",
                 Op::ConcatCols(..) => "concat_cols",
                 Op::SliceCols { .. } => "slice_cols",
                 Op::Dot(..) => "dot",
-                Op::NormSq(..) => "norm_sq",
                 Op::MulScalarVar { .. } => "mul_scalar_var",
                 Op::LutRowInterp { .. } => "lut_row_interp",
             })
@@ -628,27 +534,17 @@ impl Tape {
         let samples = [
             Op::Leaf,
             Op::Add(v, v),
-            Op::Sub(v, v),
-            Op::Mul(v, v),
             Op::Div(v, v),
-            Op::Neg(v),
             Op::Scale(v, 1.0),
             Op::AddScalar(v, 0.0),
             Op::Relu(v),
-            Op::LeakyRelu(v, 0.1),
             Op::Sigmoid(v),
-            Op::Tanh(v),
             Op::Exp(v),
-            Op::Ln(v),
-            Op::Square(v),
             Op::ClampMin(v, 0.0),
             Op::MatMul(v, v),
-            Op::Transpose(v),
             Op::AddBias(v, v),
             Op::Sum(v),
-            Op::Mean(v),
             Op::SoftmaxRows(v),
-            Op::LogSoftmaxRows(v),
             Op::CrossEntropyLogits {
                 logits: v,
                 targets: Vec::new(),
@@ -661,7 +557,6 @@ impl Tape {
                 end: 0,
             },
             Op::Dot(v, v),
-            Op::NormSq(v),
             Op::MulScalarVar { x: v, s: v },
             Op::LutRowInterp {
                 coord: v,
@@ -713,14 +608,6 @@ impl Tape {
                 acc(*a, g.clone());
                 acc(*b, g.clone());
             }
-            Op::Sub(a, b) => {
-                acc(*a, g.clone());
-                acc(*b, g.scale(-1.0));
-            }
-            Op::Mul(a, b) => {
-                acc(*a, g.mul(self.value(*b)));
-                acc(*b, g.mul(self.value(*a)));
-            }
             Op::Div(a, b) => {
                 let bv = self.value(*b);
                 acc(*a, g.zip(bv, |gi, bi| gi / bi));
@@ -730,40 +617,19 @@ impl Tape {
                     .zip(bv, |num, bi| -num / (bi * bi));
                 acc(*b, gb);
             }
-            Op::Neg(a) => acc(*a, g.scale(-1.0)),
             Op::Scale(a, c) => acc(*a, g.scale(*c)),
             Op::AddScalar(a, _) => acc(*a, g.clone()),
             Op::Relu(a) => {
                 let av = self.value(*a);
                 acc(*a, g.zip(av, |gi, ai| if ai > 0.0 { gi } else { 0.0 }));
             }
-            Op::LeakyRelu(a, slope) => {
-                let av = self.value(*a);
-                let s = *slope;
-                acc(
-                    *a,
-                    g.zip(av, move |gi, ai| if ai > 0.0 { gi } else { s * gi }),
-                );
-            }
             Op::Sigmoid(a) => {
                 let y = &node.value;
                 acc(*a, g.zip(y, |gi, yi| gi * yi * (1.0 - yi)));
             }
-            Op::Tanh(a) => {
-                let y = &node.value;
-                acc(*a, g.zip(y, |gi, yi| gi * (1.0 - yi * yi)));
-            }
             Op::Exp(a) => {
                 let y = &node.value;
                 acc(*a, g.mul(y));
-            }
-            Op::Ln(a) => {
-                let av = self.value(*a);
-                acc(*a, g.zip(av, |gi, ai| gi / ai));
-            }
-            Op::Square(a) => {
-                let av = self.value(*a);
-                acc(*a, g.zip(av, |gi, ai| 2.0 * ai * gi));
             }
             Op::ClampMin(a, c) => {
                 let av = self.value(*a);
@@ -776,7 +642,6 @@ impl Tape {
                 acc(*a, g.matmul(&bv.transpose()));
                 acc(*b, av.transpose().matmul(g));
             }
-            Op::Transpose(a) => acc(*a, g.transpose()),
             Op::AddBias(x, bias) => {
                 acc(*x, g.clone());
                 let (m, n) = (g.rows(), g.cols());
@@ -793,11 +658,6 @@ impl Tape {
                 let shape = self.value(*a).shape().to_vec();
                 acc(*a, Tensor::full(&shape, g.item()));
             }
-            Op::Mean(a) => {
-                let av = self.value(*a);
-                let shape = av.shape().to_vec();
-                acc(*a, Tensor::full(&shape, g.item() / av.len() as f32));
-            }
             Op::SoftmaxRows(a) => {
                 // dL/dx_row = s ⊙ (g − (g·s)) per row
                 let s = &node.value;
@@ -810,20 +670,6 @@ impl Tape {
                     }
                     for j in 0..n {
                         ga.set(i, j, s.at(i, j) * (g.at(i, j) - dot));
-                    }
-                }
-                acc(*a, ga);
-            }
-            Op::LogSoftmaxRows(a) => {
-                // dL/dx = g − softmax(x) * rowsum(g)
-                let av = self.value(*a);
-                let s = av.softmax_rows();
-                let (m, n) = (s.rows(), s.cols());
-                let mut ga = Tensor::zeros(&[m, n]);
-                for i in 0..m {
-                    let rowsum: f32 = (0..n).map(|j| g.at(i, j)).sum();
-                    for j in 0..n {
-                        ga.set(i, j, g.at(i, j) - s.at(i, j) * rowsum);
                     }
                 }
                 acc(*a, ga);
@@ -881,9 +727,6 @@ impl Tape {
                 acc(*a, self.value(*b).scale(gi));
                 acc(*b, self.value(*a).scale(gi));
             }
-            Op::NormSq(a) => {
-                acc(*a, self.value(*a).scale(2.0 * g.item()));
-            }
             Op::MulScalarVar { x, s } => {
                 let sv = self.value(*s).item();
                 acc(*x, g.scale(sv));
@@ -931,7 +774,7 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.leaf(Tensor::row(&[2.0, 3.0]));
         let b = tape.leaf(Tensor::row(&[5.0, 7.0]));
-        let c = tape.mul(a, b);
+        let c = tape.dot(a, b); // sum(a ⊙ b)
         let loss = tape.sum(c);
         let g = tape.backward(loss);
         assert_eq!(g.wrt(a).unwrap().data(), &[5.0, 7.0]);
@@ -1043,7 +886,7 @@ mod tests {
         // loss = sum(x) + sum(x²) ⇒ dloss/dx = 1 + 2x
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::row(&[1.0, -2.0]));
-        let sq = tape.square(x);
+        let sq = tape.dot(x, x); // sum(x²), reading x twice
         let s1 = tape.sum(x);
         let s2 = tape.sum(sq);
         let loss = tape.add(s1, s2);

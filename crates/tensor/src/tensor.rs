@@ -281,16 +281,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty.
-    pub fn mean(&self) -> f32 {
-        assert!(!self.is_empty(), "mean: empty tensor");
-        self.sum() / self.len() as f32
-    }
-
     /// Squared L2 norm of all elements.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum()
@@ -547,7 +537,7 @@ mod tests {
     fn randn_has_roughly_unit_variance() {
         let mut rng = Rng::new(4);
         let t = Tensor::randn(&[100, 100], 1.0, &mut rng);
-        let mean = t.mean();
+        let mean = t.sum() / t.len() as f32;
         let var = t.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / t.len() as f32;
         assert!(mean.abs() < 0.02);
         assert!((var - 1.0).abs() < 0.05);

@@ -21,6 +21,7 @@
 //! is bit-identical across `--conns`/`--jobs`/`--interleave`.
 
 use hdx_core::Task;
+use hdx_serve::cli::Flags;
 use hdx_serve::{Router, RouterConfig};
 use hdx_workload::{
     reference_requests, reference_specs, spawn_tcp_router, trace_fnv, BundleSpec, Interleave,
@@ -75,79 +76,11 @@ replay       replays the trace against a live TCP router at --conns
              and writes the BENCH_serve.json regression score.
 ";
 
-/// `--key value` flag parser (same shape as hdx-serve's, plus
-/// value-free boolean switches).
-struct Flags {
-    pairs: Vec<(String, String)>,
-}
-
 /// Flags that take no value: present means "true".
-const BOOL_FLAGS: [&str; 2] = ["reference", "small"];
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(key) = it.next() {
-            let key = key
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got \"{key}\""))?;
-            if BOOL_FLAGS.contains(&key) {
-                pairs.push((key.to_owned(), "true".to_owned()));
-                continue;
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{key} requires a value"))?;
-            pairs.push((key.to_owned(), value.clone()));
-        }
-        Ok(Flags { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_all(&self, key: &str) -> Vec<&str> {
-        self.pairs
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("--{key} is required"))
-    }
-
-    fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value \"{v}\" for --{key}")),
-        }
-    }
-
-    fn is_set(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true" | "1" | "yes"))
-    }
-
-    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for (k, _) in &self.pairs {
-            if !known.contains(&k.as_str()) {
-                return Err(format!("unknown flag --{k}"));
-            }
-        }
-        Ok(())
-    }
-}
+const SWITCHES: [&str; 2] = ["reference", "small"];
 
 fn cmd_gen_bundles(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &SWITCHES)?;
     flags.reject_unknown(&[
         "out",
         "reference",
@@ -166,7 +99,7 @@ fn cmd_gen_bundles(args: &[String]) -> Result<(), String> {
         }
         reference_specs()
     } else {
-        let families = flags.get_all("family");
+        let families = flags.get_all(&["family"]);
         if families.is_empty() {
             return Err("either --reference or at least one --family is required".to_owned());
         }
@@ -237,7 +170,7 @@ fn cmd_gen_bundles(args: &[String]) -> Result<(), String> {
 
 /// Builds a router over every `--bundle`.
 fn load_router(flags: &Flags, jobs: usize) -> Result<Router, String> {
-    let bundles = flags.get_all("bundle");
+    let bundles = flags.get_all(&["bundle"]);
     if bundles.is_empty() {
         return Err("at least one --bundle is required".to_owned());
     }
@@ -259,7 +192,7 @@ fn load_router(flags: &Flags, jobs: usize) -> Result<Router, String> {
 }
 
 fn cmd_record(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &SWITCHES)?;
     flags.reject_unknown(&["out", "bundle", "reference", "requests", "jobs"])?;
     let out = PathBuf::from(flags.require("out")?);
     let jobs: usize = flags.parse_num("jobs", 0)?;
@@ -287,7 +220,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &SWITCHES)?;
     flags.reject_unknown(&["trace", "bundle", "conns", "jobs", "interleave", "bench"])?;
     let trace_path = PathBuf::from(flags.require("trace")?);
     let conns: usize = flags.parse_num("conns", 1)?;
