@@ -21,8 +21,8 @@
 use crate::constraint::{all_satisfied, Constraint};
 use crate::gradmanip::{manipulate, DeltaPolicy, ManipulationKind};
 use hdx_accel::{evaluate_network, AccelConfig, CostWeights, HwMetrics, Metric};
-use hdx_nas::supernet::{FinalNet, Supernet, TaskStepVars};
-use hdx_nas::{Architecture, Batch, Dataset, NetworkPlan, SupernetConfig};
+use hdx_nas::supernet::{FinalNet, SampledReplay, Supernet};
+use hdx_nas::{Architecture, Dataset, NetworkPlan, SupernetConfig};
 use hdx_surrogate::dataset::expected_metrics;
 use hdx_surrogate::{Estimator, Generator};
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
@@ -431,16 +431,17 @@ fn search_inner(
         ),
         ExecMode::FreshRecord => HeadExec::Fresh { tape: Tape::new() },
     };
-    // The task branch: the mixture topology is a pure function of the
-    // sampled path sets, so each step samples *outside* the graph
-    // (consuming the RNG exactly as fresh recording would) and leases a
-    // program compiled for that choice from the bank. The full mixture
+    // The task branch: each step samples its path sets *outside* the
+    // graph (consuming the RNG exactly as fresh recording would) and
+    // chains bank-cached programs — a stem, one segment per layer keyed
+    // by that layer's set alone, a tail — so the bank holds a small,
+    // fixed set of programs every search shares. The full mixture
     // (num_paths == OP_SET.len()) is the choice of every path at every
-    // step, so it leases once per side per search. Single-path
-    // mixtures bake per-step constants and always fresh-record.
+    // step. Single-path mixtures bake per-step constants and always
+    // fresh-record.
     let mut task_exec = match opts.exec {
         ExecMode::Compiled if opts.supernet.num_paths >= 2 => TaskExec::Sampled(Box::new(
-            SampledReplay::new(SessionBank::global(), hdx_tensor::num_jobs(opts.jobs)),
+            SampledReplay::new(SessionBank::global(), opts.jobs),
         )),
         _ => TaskExec::Fresh,
     };
@@ -1434,152 +1435,11 @@ impl HeadExec {
 
 /// How the supernet task branch executes one step.
 enum TaskExec {
-    /// Bank-cached replay keyed by the sampled path sets.
+    /// Bank-cached segment-chain replay of the sampled path sets.
     Sampled(Box<SampledReplay<'static>>),
     /// Fresh-record reference (and the single-path mixture, whose
     /// graphs bake per-step constants).
     Fresh,
-}
-
-/// A bank lease held together with the key it was checked out for.
-type HeldLease<'b> = Option<(u64, SessionLease<'b>)>;
-
-/// Bank-cached replay of the supernet task branch (`num_paths ≥ 2`).
-/// Each step samples its path sets outside the graph
-/// ([`Supernet::sample_step_paths`] consumes the RNG exactly as fresh
-/// recording would), then replays a program compiled for that topology
-/// from the [`SessionBank`]. Early in a search the sets churn and most
-/// checkouts compile; as softmax(α) sharpens the same sets recur and
-/// steps replay — with `HDX_BANK_CAP` bounding the worst-case program
-/// count on long-lived servers.
-///
-/// The w-side and α-side each hold their lease while the step's key
-/// repeats and check out again only when it changes. The full mixture
-/// chooses every path at every step, so a full-mixture search checks
-/// out once per side; re-leasing every step would rebuild the session's
-/// worker pool each time, because a check-in drops it.
-struct SampledReplay<'b> {
-    bank: &'b SessionBank,
-    jobs: usize,
-    w: HeldLease<'b>,
-    alpha: HeldLease<'b>,
-}
-
-impl<'b> SampledReplay<'b> {
-    fn new(bank: &'b SessionBank, jobs: usize) -> Self {
-        SampledReplay {
-            bank,
-            jobs,
-            w: None,
-            alpha: None,
-        }
-    }
-
-    /// The w-side (`w_sinks`) or α-side lease for this step's program,
-    /// checking out a new one when the key differs from the held one.
-    /// The fingerprint covers the whole topology: the parameter shapes
-    /// (layers, per-op block widths, feature/class dims), the
-    /// temperature (baked as a scale constant), the batch row count
-    /// (leaf and target shapes), and the per-layer path sets. Weights,
-    /// logits, inputs, and targets are all rebound every step.
-    fn lease(
-        &mut self,
-        w_sinks: bool,
-        supernet: &Supernet,
-        batch_rows: usize,
-        chosen: &[Vec<usize>],
-    ) -> &mut SessionLease<'b> {
-        let shapes: Vec<&[usize]> = supernet.w_store().iter().map(|(_, t)| t.shape()).collect();
-        let key = bank_key(
-            if w_sinks {
-                "supernet-task-sampled-w"
-            } else {
-                "supernet-task-sampled-alpha"
-            },
-            &(
-                shapes,
-                supernet.alpha_store().len(),
-                supernet.config().temperature.to_bits(),
-                batch_rows,
-                chosen,
-            ),
-        );
-        let held = if w_sinks {
-            &mut self.w
-        } else {
-            &mut self.alpha
-        };
-        if held.as_ref().is_none_or(|(k, _)| *k != key) {
-            // Check the old session in before checking out the new one.
-            *held = None;
-            let lease = self.bank.checkout(key, self.jobs, || {
-                let mut tape = Tape::new();
-                let vars = supernet.record_sampled_task_step(&mut tape, batch_rows, chosen);
-                let sinks = if w_sinks {
-                    &vars.w_vars
-                } else {
-                    &vars.alpha_vars
-                };
-                let prog = Program::compile_with_sinks(&tape, &[vars.loss], &[], sinks);
-                (prog, vars)
-            });
-            *held = Some((key, lease));
-        }
-        &mut held.as_mut().expect("lease just checked out").1
-    }
-
-    /// One w-step: returns per-parameter backbone gradients aligned
-    /// with the `w` store (`None` for blocks outside the sampled paths,
-    /// mirroring `Binding::gradients`).
-    fn w_step(&mut self, supernet: &Supernet, batch: &Batch, rng: &mut Rng) -> Vec<Option<Tensor>> {
-        let chosen = supernet.sample_step_paths(rng);
-        let lease = self.lease(true, supernet, batch.len(), &chosen);
-        let (sess, sv) = replay_task_step(lease, supernet, batch);
-        sv.w_vars
-            .iter()
-            .zip(supernet.w_store().iter())
-            .map(|(&v, (_, t))| {
-                sess.grad(v)
-                    .map(|g| Tensor::from_vec(g.to_vec(), t.shape()))
-            })
-            .collect()
-    }
-
-    /// One α-step task branch: the task-loss value and ∂task/∂α
-    /// flattened in layer order (mirroring [`flatten`]).
-    fn alpha_step(&mut self, supernet: &Supernet, batch: &Batch, rng: &mut Rng) -> (f64, Vec<f32>) {
-        let chosen = supernet.sample_step_paths(rng);
-        let lease = self.lease(false, supernet, batch.len(), &chosen);
-        let (sess, sv) = replay_task_step(lease, supernet, batch);
-        let mut grads = Vec::new();
-        collect_replay_grads(sess, &sv.alpha_vars, supernet.alpha_store(), &mut grads);
-        (f64::from(sess.scalar(sv.loss)), grads)
-    }
-}
-
-/// Rebinds everything a leased task step depends on — backbone weights,
-/// α logits, batch inputs, batch labels — and replays forward and
-/// backward from the loss.
-fn replay_task_step<'l>(
-    lease: &'l mut SessionLease<'_>,
-    supernet: &Supernet,
-    batch: &Batch,
-) -> (&'l Session, Arc<TaskStepVars>) {
-    let sv: Arc<TaskStepVars> = lease.meta();
-    let sess = lease.session();
-    for (i, (_, t)) in supernet.w_store().iter().enumerate() {
-        sess.bind(sv.w_vars[i], t.data());
-    }
-    for (l, (_, t)) in supernet.alpha_store().iter().enumerate() {
-        sess.bind(sv.alpha_vars[l], t.data());
-    }
-    sess.bind_tensor(sv.x0, &batch.x);
-    sess.try_set_targets(sv.loss, &batch.y)
-        .unwrap_or_else(|e| panic!("supernet task step: {e}"));
-    sess.forward();
-    sess.try_backward(sv.loss)
-        .unwrap_or_else(|e| panic!("supernet task step: {e}"));
-    (sess, sv)
 }
 
 /// Flattens the session gradients of `vars` into `out` in parameter
@@ -1948,9 +1808,12 @@ mod tests {
 
     #[test]
     fn full_mixture_replay_holds_one_lease_per_side() {
-        // The full mixture chooses every path at every step, so the
-        // task replay's key never changes: each side checks out once
-        // and keeps its session (and its worker pool) for the search.
+        // The held-lease rule, per (side, layer): the full mixture
+        // chooses every path at every step, so no layer's segment key
+        // ever changes. Each side checks out one segment session per
+        // layer, plus one stem and one tail shared by both sides, on
+        // the first step — and the checkout count stays there however
+        // many steps follow (no check-in, no pool rebuild).
         let spec = hdx_nas::TaskSpec {
             train: 256,
             val: 64,
@@ -1963,10 +1826,12 @@ mod tests {
             num_paths: hdx_nas::OP_SET.len(),
             ..SupernetConfig::default()
         };
+        const LAYERS: u64 = 4;
         let mut supernet = Supernet::new(4, spec.feature_dim, spec.num_classes, cfg, &mut rng);
         let bank = SessionBank::new();
         let mut replay = SampledReplay::new(&bank, 2);
         let mut w_opt = Adam::new(1e-2);
+        let mut checkouts = Vec::new();
         for _ in 0..5 {
             let batch = ds.train_batch(16, &mut rng);
             let grads = replay.w_step(&supernet, &batch, &mut rng);
@@ -1974,12 +1839,17 @@ mod tests {
             let batch = ds.val_batch(16, &mut rng);
             let (loss, _) = replay.alpha_step(&supernet, &batch, &mut rng);
             assert!(loss.is_finite());
+            let stats = bank.stats();
+            checkouts.push(stats.hits + stats.misses);
         }
-        let stats = bank.stats();
-        assert_eq!(stats.hits + stats.misses, 2, "{stats:?}");
-        assert_eq!(stats.programs, 2, "{stats:?}");
+        assert!(
+            checkouts.iter().all(|&c| c == 2 + 2 * LAYERS),
+            "{checkouts:?}"
+        );
+        // Stem, tail, and one segment program per side.
+        assert_eq!(bank.stats().programs, 4, "{:?}", bank.stats());
         drop(replay);
-        assert_eq!(bank.stats().idle_sessions, 2);
+        assert_eq!(bank.stats().idle_sessions as u64, 2 + 2 * LAYERS);
     }
 
     #[test]

@@ -42,4 +42,6 @@ pub use arch::Architecture;
 pub use data::{Batch, Dataset, Geometry, TaskSpec};
 pub use geometry::{LayerSlot, NetworkPlan};
 pub use ops::{MbConvOp, OP_SET};
-pub use supernet::{EvalScore, FinalEval, FinalNet, Supernet, SupernetConfig, EVAL_CHUNK};
+pub use supernet::{
+    EvalScore, FinalEval, FinalNet, SampledReplay, Supernet, SupernetConfig, EVAL_CHUNK,
+};

@@ -26,11 +26,14 @@ use crate::data::Batch;
 use crate::ops::OP_SET;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
-    bank_key, sharded_step, Binding, CosineLr, ExecMode, Linear, ParamStore, Program, Rng, Session,
-    Sgd, ShardStep, Tape, Tensor, Var,
+    bank_key, sharded_step, Binding, CosineLr, ExecMode, Linear, ParamId, ParamStore, Program, Rng,
+    Session, Sgd, ShardStep, Tape, Tensor, Var,
 };
 use std::ops::Range;
 use std::sync::Arc;
+
+mod replay;
+pub use replay::SampledReplay;
 
 /// Hyper-parameters of the supernet proxy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +84,13 @@ impl CandidateBlock {
         let h = self.l1.forward(tape, w, x);
         let h = tape.relu(h);
         self.l2.forward(tape, w, h)
+    }
+
+    /// Parameter ids in allocation order: `l1` weight and bias, then
+    /// `l2` weight and bias.
+    fn param_ids(&self) -> [ParamId; 4] {
+        let ((w1, b1), (w2, b2)) = (self.l1.param_ids(), self.l2.param_ids());
+        [w1, b1, w2, b2]
     }
 }
 
@@ -280,8 +290,8 @@ impl Supernet {
     /// call per layer, in layer order, over bit-identical
     /// probabilities — the tape's `scale`/`softmax_rows` and the
     /// store-side tensor ops share kernels). This is the replay hook
-    /// the engine uses to sample *outside* the graph, then lease a
-    /// compiled program for the chosen topology from the session bank.
+    /// [`SampledReplay`] uses to sample *outside* the graph, then chain
+    /// the bank-cached layer segments compiled for the chosen sets.
     ///
     /// With `num_paths == OP_SET.len()` no randomness is consumed (the
     /// full mixture is static).
@@ -299,7 +309,8 @@ impl Supernet {
     }
 
     /// Builds the mixture forward pass over an explicit per-layer path
-    /// choice (the topology [`Supernet::sample_step_paths`] sampled).
+    /// choice (the topology [`Supernet::sample_step_paths`] sampled):
+    /// the stem, one [`Supernet::mix_layer`] per layer, the classifier.
     /// The α bindings are assumed to carry the store's current values,
     /// which every caller in this workspace guarantees (`bind` copies
     /// the store).
@@ -311,101 +322,78 @@ impl Supernet {
         x0: Var,
         chosen_per_layer: &[Vec<usize>],
     ) -> Var {
-        let features = self.input.forward(tape, w, x0);
-        let features = tape.relu(features);
+        let features = self.stem(tape, w, x0);
         let mut acc = features;
         for (l, chosen) in chosen_per_layer.iter().enumerate() {
             let logits = alpha.var(self.alpha.id(l));
-            let scaled = tape.scale(logits, 1.0 / self.cfg.temperature);
-            let probs_var = tape.softmax_rows(scaled);
-
-            // Renormalized mixture over the sampled paths.
-            let slices: Vec<Var> = chosen
-                .iter()
-                .map(|&o| tape.slice_cols(probs_var, o, o + 1))
-                .collect();
-            let denom = match slices.len() {
-                1 => None,
-                _ => {
-                    let mut acc_s = slices[0];
-                    for &s in &slices[1..] {
-                        acc_s = tape.add(acc_s, s);
-                    }
-                    Some(acc_s)
-                }
-            };
-            let mut mixed: Option<Var> = None;
-            for (slice, &op) in slices.iter().zip(chosen) {
-                let weight = match denom {
-                    Some(d) => tape.div(*slice, d),
-                    None => {
-                        // Single path: weight ≡ 1 but keep the α path alive
-                        // by dividing the slice by its own constant value.
-                        // The constant depends on the α value at record
-                        // time, which is why single-path graphs are never
-                        // cached for replay (see record_sampled_task_step).
-                        let c = tape.value(*slice).item().max(1e-6);
-                        tape.scale(*slice, 1.0 / c)
-                    }
-                };
-                // All blocks read the shared features (additive ensemble).
-                let out = self.blocks[l][op].forward(tape, w, features);
-                let contrib = tape.mul_scalar_var(out, weight);
-                mixed = Some(match mixed {
-                    Some(m) => tape.add(m, contrib),
-                    None => contrib,
-                });
-            }
-            let mixed = mixed.expect("at least one path sampled");
-            acc = tape.add(acc, mixed);
+            acc = self.mix_layer(tape, w, l, logits, features, acc, chosen);
         }
         self.classifier.forward(tape, w, acc)
     }
 
-    /// Records the mixture training-step graph for an explicit
-    /// per-layer path choice (as sampled by
-    /// [`Supernet::sample_step_paths`]; the full mixture chooses every
-    /// path at every layer), returning the handles a compiled replay
-    /// rebinds each step. The graph topology is a pure
-    /// function of the choice set, so the session bank can cache one
-    /// program per distinct set — as the search's softmax(α) sharpens,
-    /// the same sets recur and most sampled steps replay instead of
-    /// fresh-recording.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the choice set does not cover every layer, or if any
-    /// layer chooses fewer than two paths: a single-path mixture bakes
-    /// the path's *current probability* into the graph as a constant
-    /// (see the weight normalization in the forward pass), so its
-    /// program is not reusable across steps.
-    pub fn record_sampled_task_step(
+    /// The stem: the input projection and its relu, producing the
+    /// `features` every layer's blocks read.
+    fn stem(&self, tape: &mut Tape, w: &Binding, x0: Var) -> Var {
+        let features = self.input.forward(tape, w, x0);
+        tape.relu(features)
+    }
+
+    /// Records layer `l`'s renormalized mixture over its `chosen`
+    /// paths, weighted by softmax(`logits`/T), and returns
+    /// `acc + mixture`. All blocks read the shared `features` (additive
+    /// ensemble), so nothing here depends on another layer's choice:
+    /// the replay compiles this as a stand-alone layer segment
+    /// (`replay.rs`).
+    #[allow(clippy::too_many_arguments)]
+    fn mix_layer(
         &self,
         tape: &mut Tape,
-        batch_rows: usize,
-        chosen_per_layer: &[Vec<usize>],
-    ) -> TaskStepVars {
-        assert_eq!(
-            chosen_per_layer.len(),
-            self.num_layers,
-            "record_sampled_task_step: choice set must cover every layer"
-        );
-        assert!(
-            chosen_per_layer.iter().all(|c| c.len() >= 2),
-            "record_sampled_task_step: single-path mixtures bake per-step constants and cannot replay"
-        );
-        let (w, a) = self.bind(tape);
-        let x0 = tape.leaf(Tensor::zeros(&[batch_rows, self.input.in_features()]));
-        let logits = self.forward_logits_chosen(tape, &w, &a, x0, chosen_per_layer);
-        let loss = tape.cross_entropy_logits(logits, &vec![0; batch_rows]);
-        TaskStepVars {
-            w_vars: (0..self.w.len()).map(|i| w.var(self.w.id(i))).collect(),
-            alpha_vars: (0..self.alpha.len())
-                .map(|l| a.var(self.alpha.id(l)))
-                .collect(),
-            x0,
-            loss,
+        w: &Binding,
+        l: usize,
+        logits: Var,
+        features: Var,
+        acc: Var,
+        chosen: &[usize],
+    ) -> Var {
+        let scaled = tape.scale(logits, 1.0 / self.cfg.temperature);
+        let probs_var = tape.softmax_rows(scaled);
+        let slices: Vec<Var> = chosen
+            .iter()
+            .map(|&o| tape.slice_cols(probs_var, o, o + 1))
+            .collect();
+        let denom = match slices.len() {
+            1 => None,
+            _ => {
+                let mut acc_s = slices[0];
+                for &s in &slices[1..] {
+                    acc_s = tape.add(acc_s, s);
+                }
+                Some(acc_s)
+            }
+        };
+        let mut mixed: Option<Var> = None;
+        for (slice, &op) in slices.iter().zip(chosen) {
+            let weight = match denom {
+                Some(d) => tape.div(*slice, d),
+                None => {
+                    // Single path: weight ≡ 1 but keep the α path alive
+                    // by dividing the slice by its own constant value.
+                    // The constant depends on the α value at record
+                    // time, which is why the replay never compiles a
+                    // single-path segment (its recorder refuses one).
+                    let c = tape.value(*slice).item().max(1e-6);
+                    tape.scale(*slice, 1.0 / c)
+                }
+            };
+            let out = self.blocks[l][op].forward(tape, w, features);
+            let contrib = tape.mul_scalar_var(out, weight);
+            mixed = Some(match mixed {
+                Some(m) => tape.add(m, contrib),
+                None => contrib,
+            });
         }
+        let mixed = mixed.expect("at least one path sampled");
+        tape.add(acc, mixed)
     }
 
     /// Classification error rate (fraction wrong) on a batch, using the
@@ -419,22 +407,6 @@ impl Supernet {
         let logits = self.forward_logits_chosen(&mut tape, &w, &a, x0, &all);
         error_from_logits(tape.value(logits), &batch.y)
     }
-}
-
-/// Handles of one recorded training-step graph
-/// ([`Supernet::record_sampled_task_step`]): bind vars for `w` and `α` in
-/// allocation order, the batch-input leaf, and the cross-entropy loss
-/// (its integer targets rebind via `Session::set_targets`).
-#[derive(Debug, Clone)]
-pub struct TaskStepVars {
-    /// Backbone weight leaves, in `w`-store allocation order.
-    pub w_vars: Vec<Var>,
-    /// Architecture logit leaves, one per layer.
-    pub alpha_vars: Vec<Var>,
-    /// The `[batch, in_dim]` input leaf.
-    pub x0: Var,
-    /// The scalar cross-entropy loss.
-    pub loss: Var,
 }
 
 /// Fraction of rows whose arg-max logit disagrees with the label.
@@ -830,6 +802,7 @@ impl FinalEval<'_> {
 mod tests {
     use super::*;
     use crate::data::{Dataset, TaskSpec};
+    use hdx_tensor::SessionBank;
 
     fn tiny_setup() -> (Supernet, Dataset, Rng) {
         let mut rng = Rng::new(11);
@@ -1071,74 +1044,108 @@ mod tests {
         ));
     }
 
+    /// Fresh-records one task step over the paths drawn from
+    /// `Rng::new(seed)`, returning the loss, the zero-filled `w`
+    /// gradients in store order, the α gradients flattened in layer
+    /// order, and the RNG's next draw after recording.
+    fn fresh_task_step(
+        net: &Supernet,
+        batch: &Batch,
+        seed: u64,
+    ) -> (f32, Vec<Vec<f32>>, Vec<f32>, u64) {
+        let mut rng = Rng::new(seed);
+        let mut tape = Tape::new();
+        let (wb, ab) = net.bind(&mut tape);
+        let loss = net.task_loss(&mut tape, &wb, &ab, batch, &mut rng);
+        let grads = tape.backward(loss);
+        let w = net
+            .w_store()
+            .iter()
+            .map(|(id, t)| grads.wrt_or_zeros(wb.var(id), t.shape()).data().to_vec())
+            .collect();
+        let alpha = net
+            .alpha_store()
+            .iter()
+            .flat_map(|(id, t)| grads.wrt_or_zeros(ab.var(id), t.shape()).data().to_vec())
+            .collect();
+        (tape.value(loss).item(), w, alpha, rng.next_u64())
+    }
+
     #[test]
     fn sampled_step_replay_matches_fresh_record() {
         // The sampled-mixture replay contract: sampling outside the
-        // graph (sample_step_paths) consumes the RNG identically, and a
-        // program recorded for the chosen topology replays the exact
-        // bits of fresh-recording that step.
-        let (net, ds, mut rng) = tiny_setup();
-        for step in 0..4 {
-            let batch = ds.train_batch(24, &mut rng);
-            // Fresh-record reference, with its own RNG clone.
-            let mut rng_fresh = Rng::new(100 + step);
-            let mut rng_replay = Rng::new(100 + step);
-            let mut tape = Tape::new();
-            let (wb, ab) = net.bind(&mut tape);
-            let loss = net.task_loss(&mut tape, &wb, &ab, &batch, &mut rng_fresh);
-            let fresh_loss = tape.value(loss).item();
-            let grads = tape.backward(loss);
+        // graph (sample_step_paths) consumes the RNG identically, and
+        // the stem → layer segments → tail chain replays the exact bits
+        // of fresh-recording that step — loss, every w gradient, every
+        // α gradient — at every worker count, on leases (and dirty
+        // sessions) held across steps.
+        let (net, ds, _) = tiny_setup();
+        let mut rng = Rng::new(11);
+        let three = Supernet::new(
+            5,
+            net.input.in_features(),
+            net.num_classes(),
+            SupernetConfig {
+                num_paths: 3,
+                ..SupernetConfig::default()
+            },
+            &mut rng,
+        );
+        // Logits peaked on ops 1 and 4: nearly every layer draws the
+        // set {1, 4}, so one program runs in several sessions at once.
+        let mut twins = Supernet::new(
+            6,
+            net.input.in_features(),
+            net.num_classes(),
+            SupernetConfig::default(),
+            &mut rng,
+        );
+        for l in 0..twins.num_layers() {
+            let id = twins.alpha_store().id(l);
+            let peaked = Tensor::row(&[0.0, 8.0, 0.0, 0.0, 8.0, 0.0]);
+            twins.alpha_store_mut().set(id, peaked);
+        }
+        let mut twin_steps = 0;
+        for (name, net) in [("paths2", &net), ("paths3", &three), ("twins", &twins)] {
+            let batches: Vec<Batch> = (0..4).map(|_| ds.train_batch(24, &mut rng)).collect();
+            for jobs in [1, 2, 4] {
+                let bank = SessionBank::new();
+                let mut replay = SampledReplay::new(&bank, jobs);
+                for (step, batch) in (0u64..).zip(&batches) {
+                    let seed = 100 + step;
+                    let chosen = net.sample_step_paths(&mut Rng::new(seed));
+                    if chosen
+                        .iter()
+                        .enumerate()
+                        .any(|(l, c)| chosen[..l].contains(c))
+                    {
+                        twin_steps += usize::from(name == "twins");
+                    }
+                    let (fresh_loss, fresh_w, fresh_alpha, next) =
+                        fresh_task_step(net, batch, seed);
 
-            // Replay path: sample, record for the choice, replay.
-            let chosen = net.sample_step_paths(&mut rng_replay);
-            assert_eq!(
-                rng_fresh.next_u64(),
-                rng_replay.next_u64(),
-                "step {step}: RNG streams diverged after sampling"
-            );
-            let mut rtape = Tape::new();
-            let sv = net.record_sampled_task_step(&mut rtape, 24, &chosen);
-            let sinks: Vec<Var> = sv.w_vars.iter().chain(&sv.alpha_vars).copied().collect();
-            let prog = Arc::new(Program::compile_with_sinks(&rtape, &[sv.loss], &[], &sinks));
-            let mut sess = hdx_tensor::Session::new(prog);
-            for (i, (_, t)) in net.w_store().iter().enumerate() {
-                sess.bind(sv.w_vars[i], t.data());
-            }
-            for (l, (_, t)) in net.alpha_store().iter().enumerate() {
-                sess.bind(sv.alpha_vars[l], t.data());
-            }
-            sess.bind_tensor(sv.x0, &batch.x);
-            sess.set_targets(sv.loss, &batch.y);
-            sess.forward();
-            sess.backward(sv.loss);
-            assert_eq!(sess.scalar(sv.loss), fresh_loss, "step {step}: loss");
-            // Blocks outside the sampled paths receive no gradient on
-            // either engine; zero-fill both sides the way the engine's
-            // gradient collection does.
-            let zeros_of = |len: usize| vec![0.0f32; len];
-            for (id, t) in net.w_store().iter() {
-                let replayed = sess
-                    .grad(sv.w_vars[id.index()])
-                    .map_or_else(|| zeros_of(t.len()), <[f32]>::to_vec);
-                assert_eq!(
-                    replayed,
-                    grads.wrt_or_zeros(wb.var(id), t.shape()).data(),
-                    "step {step}: w grad {}",
-                    id.index()
-                );
-            }
-            for (id, t) in net.alpha_store().iter() {
-                let replayed = sess
-                    .grad(sv.alpha_vars[id.index()])
-                    .map_or_else(|| zeros_of(t.len()), <[f32]>::to_vec);
-                assert_eq!(
-                    replayed,
-                    grads.wrt_or_zeros(ab.var(id), t.shape()).data(),
-                    "step {step}: alpha grad {}",
-                    id.index()
-                );
+                    let (mut rng_w, mut rng_a) = (Rng::new(seed), Rng::new(seed));
+                    let w_grads = replay.w_step(net, batch, &mut rng_w);
+                    let (loss, alpha_grads) = replay.alpha_step(net, batch, &mut rng_a);
+                    assert_eq!(next, rng_w.next_u64(), "{name} step {step}: w-step RNG");
+                    assert_eq!(next, rng_a.next_u64(), "{name} step {step}: α-step RNG");
+
+                    let ctx = format!("{name} jobs {jobs} step {step}");
+                    assert_eq!(loss, f64::from(fresh_loss), "{ctx}: loss");
+                    // Blocks outside the sampled paths receive no
+                    // gradient on either engine; zero-fill the replay
+                    // side the way the fresh side is.
+                    for ((id, t), fresh) in net.w_store().iter().zip(&fresh_w) {
+                        let replayed = w_grads[id.index()]
+                            .as_ref()
+                            .map_or_else(|| vec![0.0; t.len()], |g| g.data().to_vec());
+                        assert_eq!(&replayed, fresh, "{ctx}: w grad {}", id.index());
+                    }
+                    assert_eq!(alpha_grads, fresh_alpha, "{ctx}: alpha grads");
+                }
             }
         }
+        assert!(twin_steps > 0, "no step drew one set at two layers");
     }
 
     #[test]

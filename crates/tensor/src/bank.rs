@@ -48,8 +48,8 @@
 //! # Bounded capacity (LRU)
 //!
 //! A long-lived server would otherwise accumulate one program per
-//! fingerprint forever (sampled-mixture path sets alone are
-//! combinatorial). [`SessionBank::set_capacity`] — or the
+//! fingerprint forever (every final-net architecture keys its own
+//! shard programs). [`SessionBank::set_capacity`] — or the
 //! `HDX_BANK_CAP` environment variable for the global bank — caps the
 //! number of cached programs; inserting past the cap evicts the
 //! least-recently-checked-out entries. Eviction never changes any

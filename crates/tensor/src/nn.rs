@@ -123,8 +123,21 @@ impl ParamStore {
         let vars = self
             .tensors
             .iter()
-            .map(|t| tape.leaf_from_slice(t.data(), t.shape()))
+            .map(|t| Some(tape.leaf_from_slice(t.data(), t.shape())))
             .collect();
+        Binding { vars }
+    }
+
+    /// Binds only the parameters `ids` as leaves on `tape`, in the
+    /// order given. Graphs that read a slice of a large model (one
+    /// layer's blocks, one head) stay that small; looking up any other
+    /// parameter in the returned [`Binding`] panics.
+    pub fn bind_only(&self, tape: &mut Tape, ids: &[ParamId]) -> Binding {
+        let mut vars = vec![None; self.tensors.len()];
+        for &id in ids {
+            let t = &self.tensors[id.0];
+            vars[id.0] = Some(tape.leaf_from_slice(t.data(), t.shape()));
+        }
         Binding { vars }
     }
 }
@@ -132,7 +145,7 @@ impl ParamStore {
 /// The tape [`Var`]s of a [`ParamStore`] bound for one forward/backward pass.
 #[derive(Debug, Clone)]
 pub struct Binding {
-    vars: Vec<Var>,
+    vars: Vec<Option<Var>>,
 }
 
 impl Binding {
@@ -140,23 +153,30 @@ impl Binding {
     /// allocation order. Mainly useful for testing and for wiring
     /// parameters that were placed on the tape manually.
     pub fn from_vars(vars: Vec<Var>) -> Self {
-        Self { vars }
+        Self {
+            vars: vars.into_iter().map(Some).collect(),
+        }
     }
 
     /// The tape variable bound for parameter `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not belong to the bound store.
+    /// Panics if `id` does not belong to the bound store, or was left
+    /// out of a [`ParamStore::bind_only`] binding.
     pub fn var(&self, id: ParamId) -> Var {
-        self.vars[id.0]
+        self.vars[id.0].unwrap_or_else(|| panic!("var: parameter {} is not bound", id.0))
     }
 
     /// Collects per-parameter gradients aligned with the originating store.
     ///
-    /// Parameters the loss does not depend on get `None`.
+    /// Parameters the loss does not depend on (or that were not bound)
+    /// get `None`.
     pub fn gradients(&self, grads: &Gradients) -> Vec<Option<Tensor>> {
-        self.vars.iter().map(|&v| grads.wrt(v).cloned()).collect()
+        self.vars
+            .iter()
+            .map(|v| v.and_then(|v| grads.wrt(v).cloned()))
+            .collect()
     }
 
     /// Global L2 norm over a gradient collection (missing entries count 0).

@@ -295,11 +295,13 @@ impl Program {
     }
 
     /// [`Program::compile`] with an explicit gradient-sink list: only
-    /// the leaves in `grad_sinks` get gradient slots. Leaf gradients
-    /// are pure sinks — no other gradient depends on them — so pruning
-    /// the rest skips their (sometimes large) backward contributions
-    /// without changing any other result bit. Training loops pass their
-    /// parameter leaves here, leaving minibatch input leaves pruned.
+    /// the leaves in `grad_sinks` (plus protected leaves) and the nodes
+    /// computed from them get gradient slots. No kept gradient depends
+    /// on a pruned one, so pruning skips the pruned nodes' (sometimes
+    /// large) backward contributions — an input-leaf `g·Wᵀ`, or a whole
+    /// block backward under an α-only sink list — without changing any
+    /// other result bit. Training loops pass their parameter leaves
+    /// here, leaving minibatch input leaves pruned.
     pub fn compile_with_sinks(
         tape: &Tape,
         outputs: &[Var],
@@ -637,19 +639,31 @@ impl Program {
         }
 
         // ---- gradient + auxiliary arenas ------------------------------
-        // hdx-lint: allow(hash_order) reason="membership queries only (contains); never iterated, so order cannot reach an output byte"
-        let sink_set: Option<std::collections::HashSet<usize>> =
-            grad_sinks.map(|s| s.iter().map(|v| v.index()).collect());
+        // With a sink list, a node gets a gradient slot only if a sink
+        // (or a protected leaf) is among its inputs, transitively:
+        // every other gradient would be computed and then never read.
+        // The executor's slot guards skip every contribution into a
+        // slotless node (including whole matmuls). Contribution counts
+        // of kept nodes cannot change, because every consumer of a
+        // sink-dependent node is itself sink-dependent. Outputs always
+        // keep their slot (backward seeds it).
+        let live: Option<Vec<bool>> = grad_sinks.map(|sinks| {
+            let mut live = vec![false; n];
+            for v in sinks {
+                live[v.index()] = true;
+            }
+            for idx in 0..n {
+                live[idx] = live[idx]
+                    || (matches!(steps[idx], Step::Leaf) && protected[idx])
+                    || step_inputs(&steps[idx]).iter().any(|&p| live[p]);
+            }
+            live
+        });
         let mut grad: Vec<Option<Buf>> = vec![None; n];
         let mut grad_len = 0usize;
         for idx in 0..n {
-            // A leaf's gradient feeds nothing downstream; when a sink
-            // list is given, leaves outside it get no slot, and every
-            // contribution into them (including whole matmuls) is
-            // skipped by the executor's slot guards.
-            let pruned = matches!(steps[idx], Step::Leaf)
-                && !protected[idx]
-                && sink_set.as_ref().is_some_and(|s| !s.contains(&idx));
+            let pruned =
+                live.as_ref().is_some_and(|l| !l[idx]) && !outputs.iter().any(|o| o.index() == idx);
             if union[idx] && !matches!(steps[idx], Step::Skip) && !pruned {
                 let len = shape[idx].0 * shape[idx].1;
                 grad[idx] = Some(Buf { off: grad_len, len });
@@ -758,6 +772,11 @@ impl Program {
     /// Size of the value arena in scalars (after buffer reuse).
     pub fn arena_len(&self) -> usize {
         self.init.len()
+    }
+
+    /// Size of the gradient arena in scalars (after sink pruning).
+    pub fn grad_len(&self) -> usize {
+        self.grad_len
     }
 
     fn output_slot(&self, output: Var) -> Result<usize, ProgramError> {
@@ -976,6 +995,16 @@ impl Session {
     }
     /// Replays the forward plan in place.
     pub fn forward(&mut self) {
+        let pool = self.pool.take();
+        self.forward_with(pool.as_ref());
+        self.pool = pool;
+    }
+
+    /// [`Session::forward`] on a caller-owned worker pool instead of
+    /// the session's own (`None` = sequential). A chain of many small
+    /// sessions shares one pool this way rather than parking one set
+    /// of threads per session. Results are identical at any pool size.
+    pub fn forward_with(&mut self, pool: Option<&WorkerPool>) {
         let prog = Arc::clone(&self.prog);
         for (idx, step) in prog.steps.iter().enumerate() {
             exec_forward(
@@ -985,7 +1014,7 @@ impl Session {
                 &mut self.vals,
                 &mut self.aux,
                 &self.targets,
-                self.pool.as_ref(),
+                pool,
             );
         }
     }
@@ -1015,6 +1044,24 @@ impl Session {
     /// [`ProgramError::NotAnOutput`] if `output` was not registered at
     /// compile time.
     pub fn try_backward(&mut self, output: Var) -> Result<(), ProgramError> {
+        let pool = self.pool.take();
+        let done = self.try_backward_with(output, pool.as_ref());
+        self.pool = pool;
+        done
+    }
+
+    /// [`Session::try_backward`] on a caller-owned worker pool (see
+    /// [`Session::forward_with`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ProgramError::NotAnOutput`] if `output` was not registered at
+    /// compile time.
+    pub fn try_backward_with(
+        &mut self,
+        output: Var,
+        pool: Option<&WorkerPool>,
+    ) -> Result<(), ProgramError> {
         let prog = Arc::clone(&self.prog);
         let k = prog.output_slot(output)?;
         for buf in &prog.multi_slots {
@@ -1036,7 +1083,7 @@ impl Session {
                 &mut self.gated,
                 &mut self.stage,
                 &self.targets,
-                self.pool.as_ref(),
+                pool,
             );
         }
         self.last_backward = Some(k);
@@ -1927,7 +1974,7 @@ fn split_reads<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::{ParamStore, ResidualMlp};
+    use crate::nn::{Linear, ParamStore, ResidualMlp};
     use crate::rng::Rng;
 
     /// Fresh-record reference: rebuild the graph per step and return
@@ -2457,6 +2504,72 @@ mod tests {
                 "param {} grads diverged under sink pruning",
                 id.index()
             );
+        }
+    }
+
+    #[test]
+    fn dead_gradient_pruning_matches_fresh_record() {
+        // A supernet-style mixture: two blocks read shared features and
+        // are weighted by renormalized softmax(α) slices. With α as the
+        // only sink, no block node leads to a sink, so the whole block
+        // backward (g·Wᵀ, Xᵀ·g) is pruned — and the α gradient keeps
+        // every bit of the all-sink compile and of the fresh tape.
+        let mut rng = Rng::new(29);
+        let mut params = ParamStore::new();
+        let blocks: Vec<(Linear, Linear)> = (0..2)
+            .map(|_| {
+                let l1 = Linear::new(&mut params, 5, 4, &mut rng);
+                (l1, Linear::new(&mut params, 4, 5, &mut rng))
+            })
+            .collect();
+        let head = Linear::new(&mut params, 5, 3, &mut rng);
+        let x0 = Tensor::randn(&[6, 5], 1.0, &mut rng);
+        let a0 = Tensor::randn(&[1, 3], 0.5, &mut rng);
+
+        let mut tape = Tape::new();
+        let binding = params.bind(&mut tape);
+        let x = tape.leaf(x0);
+        let alpha = tape.leaf(a0);
+        let probs = tape.softmax_rows(alpha);
+        let slices = [tape.slice_cols(probs, 0, 1), tape.slice_cols(probs, 2, 3)];
+        let denom = tape.add(slices[0], slices[1]);
+        let mut acc = x;
+        for ((l1, l2), &slice) in blocks.iter().zip(&slices) {
+            let h = l1.forward(&mut tape, &binding, x);
+            let h = tape.relu(h);
+            let out = l2.forward(&mut tape, &binding, h);
+            let weight = tape.div(slice, denom);
+            let contrib = tape.mul_scalar_var(out, weight);
+            acc = tape.add(acc, contrib);
+        }
+        let logits = head.forward(&mut tape, &binding, acc);
+        let loss = tape.cross_entropy_logits(logits, &[0, 1, 2, 0, 1, 2]);
+        let fresh = tape.backward(loss);
+
+        let mut all_sinks: Vec<Var> = params.iter().map(|(id, _)| binding.var(id)).collect();
+        all_sinks.push(alpha);
+        let full = Arc::new(Program::compile_with_sinks(&tape, &[loss], &[], &all_sinks));
+        let pruned = Arc::new(Program::compile_with_sinks(&tape, &[loss], &[], &[alpha]));
+        assert!(
+            pruned.grad_len() < full.grad_len(),
+            "α-only sinks must shrink the gradient arena: {} vs {}",
+            pruned.grad_len(),
+            full.grad_len()
+        );
+        for jobs in [1, 2, 4] {
+            let mut s_full = Session::with_jobs(Arc::clone(&full), jobs);
+            let mut s_pruned = Session::with_jobs(Arc::clone(&pruned), jobs);
+            for sess in [&mut s_full, &mut s_pruned] {
+                sess.forward();
+                sess.backward(loss);
+            }
+            let g = s_pruned.grad(alpha).expect("α is a sink");
+            assert_eq!(g, s_full.grad(alpha).unwrap(), "jobs {jobs}");
+            assert_eq!(g, fresh.wrt(alpha).unwrap().data(), "jobs {jobs}");
+            assert_eq!(s_pruned.scalar(loss), tape.value(loss).item());
+            // Block nodes and parameters carry no gradient at all.
+            assert!(s_pruned.grad(binding.var(params.id(0))).is_none());
+            assert!(s_pruned.grad(acc).is_some(), "acc leads to α");
         }
     }
 

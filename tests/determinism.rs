@@ -12,12 +12,13 @@
 use hdx_accel::{exhaustive_search_jobs, CostWeights, Metric};
 use hdx_nas::supernet::FinalNet;
 use hdx_nas::{
-    Architecture, Batch, Dataset, NetworkPlan, Supernet, SupernetConfig, TaskSpec, EVAL_CHUNK,
-    OP_SET,
+    Architecture, Batch, Dataset, NetworkPlan, SampledReplay, Supernet, SupernetConfig, TaskSpec,
+    EVAL_CHUNK, OP_SET,
 };
 use hdx_surrogate::{Estimator, EstimatorConfig, PairSet};
 use hdx_tensor::{
-    parallel_map, Adam, ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, Tape, Tensor, Var,
+    parallel_map, Adam, ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, SessionBank,
+    Tape, Tensor,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -370,31 +371,23 @@ fn full_mixture_supernet_step_replay_matches_fresh_record() {
             "full-mixture path sampling must not consume RNG"
         );
 
-        // Compile once; both parameter groups are gradient sinks so one
-        // program pins the α and w gradients together.
-        let mut tape = Tape::new();
-        let sv = net.record_sampled_task_step(&mut tape, BATCH, &all);
-        let sinks: Vec<Var> = sv.w_vars.iter().chain(&sv.alpha_vars).copied().collect();
-        let prog = Arc::new(Program::compile_with_sinks(&tape, &[sv.loss], &[], &sinks));
-
+        // The stem → layer segments → tail chain, on a private bank:
+        // the w-step yields every w gradient, the α-step the loss and
+        // every α gradient. One replay serves all batches, so later
+        // steps run on held (dirty) sessions.
         let replay = |jobs: usize| {
-            let mut sess = Session::with_jobs(Arc::clone(&prog), jobs);
+            let bank = SessionBank::new();
+            let mut replay = SampledReplay::new(&bank, jobs);
+            let mut rng_paths = Rng::new(5);
             let mut out: Vec<Vec<f32>> = Vec::new();
             for batch in &batches {
-                for (i, (_, t)) in net.w_store().iter().enumerate() {
-                    sess.bind(sv.w_vars[i], t.data());
+                let w_grads = replay.w_step(&net, batch, &mut rng_paths);
+                let (loss, alpha_grads) = replay.alpha_step(&net, batch, &mut rng_paths);
+                let mut step = vec![loss as f32];
+                for g in &w_grads {
+                    step.extend_from_slice(g.as_ref().expect("sink gradient").data());
                 }
-                for (l, (_, t)) in net.alpha_store().iter().enumerate() {
-                    sess.bind(sv.alpha_vars[l], t.data());
-                }
-                sess.bind_tensor(sv.x0, &batch.x);
-                sess.set_targets(sv.loss, &batch.y);
-                sess.forward();
-                sess.backward(sv.loss);
-                let mut step = vec![sess.scalar(sv.loss)];
-                for &v in sv.w_vars.iter().chain(&sv.alpha_vars) {
-                    step.extend_from_slice(sess.grad(v).expect("sink gradient"));
-                }
+                step.extend(alpha_grads);
                 out.push(step);
             }
             out
