@@ -9,6 +9,12 @@
 //!   lookup table over (layer, configuration) pairs; [`build_layer_lut`]
 //!   materializes that table.
 //!
+//! The search reads its per-layer metrics from [`LayerLut::cached`],
+//! which memoizes one row per distinct layer process-wide: a new
+//! architecture only builds the rows of sublayers no earlier network
+//! used, and the cache is bounded by the task plans' distinct
+//! sublayers, not by how many architectures a search visits.
+//!
 //! Both are embarrassingly parallel over the configuration (resp.
 //! layer) axis and fan out over [`hdx_tensor::par`] worker threads. The
 //! parallel paths are **bit-identical** to a single-threaded run: every
@@ -20,9 +26,8 @@ use crate::config::{AccelConfig, SearchSpace};
 use crate::layer::ConvLayer;
 use crate::metrics::{CostWeights, HwMetrics, Metric};
 use crate::model::evaluate_layer;
-use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::par::parallel_map;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Result of an exhaustive hardware search.
@@ -57,11 +62,11 @@ pub fn exhaustive_search(
 /// enumeration order with strict `<`, so the first optimum wins, as in
 /// the sequential loop.
 ///
-/// Per-layer metrics come from the shared [`LayerLut::cached`] table,
-/// so repeated searches over the same layer sequence (the NAS→HW
-/// baseline re-searches every epoch; the HDX repair step re-searches
-/// the found architecture) skip the expensive model evaluations
-/// entirely. `LayerLut::network_metrics` accumulates exactly as
+/// Per-layer metrics come from the shared [`LayerLut::cached`] rows,
+/// so repeated searches over the same layers (the NAS→HW baseline
+/// re-searches every epoch; the HDX repair step re-searches the found
+/// architecture) skip the expensive model evaluations entirely.
+/// `LayerLut::network_metrics` accumulates exactly as
 /// `evaluate_network` does, so the LUT route is bit-identical to
 /// direct evaluation (pinned by `lut_matches_direct_evaluation`).
 pub fn exhaustive_search_jobs(
@@ -101,22 +106,23 @@ pub fn exhaustive_search_jobs(
 /// differentiable baselines (Auto-NBA-like).
 ///
 /// Index order: `lut[layer_index][config_index]` with configurations in
-/// [`SearchSpace::enumerate`] order.
+/// [`SearchSpace::enumerate`] order. Each layer's row is an
+/// [`Arc`]-shared slice, so tables built through [`LayerLut::cached`]
+/// share one row per distinct layer.
 #[derive(Debug, Clone)]
 pub struct LayerLut {
-    configs: Vec<AccelConfig>,
-    entries: Vec<Vec<HwMetrics>>,
+    rows: Vec<Arc<[HwMetrics]>>,
 }
 
 impl LayerLut {
     /// The enumerated configurations (column order of the table).
     pub fn configs(&self) -> &[AccelConfig] {
-        &self.configs
+        paper_configs()
     }
 
     /// Number of layers (rows).
     pub fn num_layers(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// Metrics of `layer_index` on `config_index`.
@@ -125,7 +131,7 @@ impl LayerLut {
     ///
     /// Panics if either index is out of range.
     pub fn metrics(&self, layer_index: usize, config_index: usize) -> &HwMetrics {
-        &self.entries[layer_index][config_index]
+        &self.rows[layer_index][config_index]
     }
 
     /// Network metrics for a configuration: per-layer latency/energy
@@ -140,221 +146,70 @@ impl LayerLut {
     ///
     /// Panics if `config_index` is out of range.
     pub fn network_metrics(&self, config_index: usize) -> HwMetrics {
-        let area = crate::model::config_area(&self.configs[config_index]);
+        let area = crate::model::config_area(&paper_configs()[config_index]);
         let mut total = HwMetrics::new(0.0, 0.0, area);
-        for row in &self.entries {
+        for row in &self.rows {
             total.accumulate(&row[config_index]);
         }
         total
     }
 
-    /// Maximum number of distinct layer sequences kept in the process
-    /// cache. One table is ~2295 × layers × 24 B (≈ 2.5 MB for an
-    /// 18-block network); the bound keeps a long meta-search that
-    /// visits many architectures from growing without limit. On
-    /// overflow the whole cache is dropped (outstanding [`Arc`]s keep
-    /// their tables alive), which is crude but deterministic.
-    const MAX_CACHED: usize = 32;
-
-    /// Memoized, thread-safe LUT lookup: the table for a given layer
-    /// sequence is shared process-wide behind an [`Arc`]. The build
-    /// runs *outside* the cache lock, so concurrent callers for
-    /// distinct layer sequences build in parallel; two racing callers
-    /// for the same sequence may both build, in which case the first
-    /// insertion wins (the tables are identical — the build is
-    /// deterministic).
-    pub fn cached(layers: &[ConvLayer]) -> Arc<LayerLut> {
+    /// Memoized, thread-safe LUT lookup. Rows are cached process-wide
+    /// per layer, so networks that share a sublayer share its row and
+    /// the cache holds one row per distinct layer ever asked for (for
+    /// searches, at most the task plans' sublayers: 48 for the CIFAR
+    /// plan). The missing rows are built *outside* the cache lock; two racing
+    /// callers may both build a row, in which case the first insertion
+    /// wins (the rows are identical — the build is deterministic).
+    pub fn cached(layers: &[ConvLayer]) -> LayerLut {
         Self::cached_jobs(layers, 0)
     }
 
-    /// [`LayerLut::cached`] with an explicit worker count for a cache
-    /// miss's build (`0` = auto).
-    pub fn cached_jobs(layers: &[ConvLayer], jobs: usize) -> Arc<LayerLut> {
-        if let Some(hit) = Self::cache()
-            .lock()
-            .expect("LayerLut cache poisoned")
-            .get(layers)
-        {
-            return Arc::clone(hit);
-        }
-        let built = Arc::new(build_layer_lut_jobs(layers, jobs));
-        Self::insert_cached(layers, built)
-    }
-
-    fn cache() -> &'static Mutex<BTreeMap<Vec<ConvLayer>, Arc<LayerLut>>> {
-        static CACHE: OnceLock<Mutex<BTreeMap<Vec<ConvLayer>, Arc<LayerLut>>>> = OnceLock::new();
-        CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-    }
-
-    fn insert_cached(layers: &[ConvLayer], built: Arc<LayerLut>) -> Arc<LayerLut> {
-        let mut map = Self::cache().lock().expect("LayerLut cache poisoned");
-        if map.len() >= Self::MAX_CACHED {
-            map.clear();
-        }
-        Arc::clone(map.entry(layers.to_vec()).or_insert(built))
-    }
-
-    /// Seeds the process-wide cache with an already-built (e.g.
-    /// checkpoint-loaded) table for `layers`, so later
-    /// [`LayerLut::cached`] lookups — including the ones inside
-    /// [`exhaustive_search_jobs`] — hit without rebuilding. If the
-    /// sequence is already cached the existing table wins (builds are
-    /// deterministic, so both are identical).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lut.num_layers() != layers.len()` — a table seeded
-    /// under the wrong key would silently corrupt every search on that
-    /// layer sequence.
-    pub fn seed_cache(layers: &[ConvLayer], lut: LayerLut) -> Arc<LayerLut> {
-        assert_eq!(
-            lut.num_layers(),
-            layers.len(),
-            "seed_cache: table has {} layer rows for {} layers",
-            lut.num_layers(),
-            layers.len()
-        );
-        Self::insert_cached(layers, Arc::new(lut))
-    }
-
-    /// Serializes the table (plus the layer sequence it was built for)
-    /// as checkpoint sections under `prefix`. Metrics are stored as
-    /// `f64` bit patterns, so a load reproduces every entry exactly and
-    /// a search over the loaded table is bit-identical to one over the
-    /// in-process table.
-    pub fn save_sections(&self, layers: &[ConvLayer], ckpt: &mut Checkpoint, prefix: &str) {
-        assert_eq!(
-            self.num_layers(),
-            layers.len(),
-            "save_sections: table has {} layer rows for {} layers",
-            self.num_layers(),
-            layers.len()
-        );
-        let layer_words: Vec<u64> = layers
+    /// [`LayerLut::cached`] with an explicit worker count for building
+    /// the missing rows (`0` = auto).
+    pub fn cached_jobs(layers: &[ConvLayer], jobs: usize) -> LayerLut {
+        static ROWS: OnceLock<Mutex<BTreeMap<ConvLayer, Arc<[HwMetrics]>>>> = OnceLock::new();
+        let cache = ROWS.get_or_init(|| Mutex::new(BTreeMap::new()));
+        let mut map = cache.lock().expect("LayerLut cache poisoned");
+        let missing: BTreeSet<ConvLayer> = layers
             .iter()
-            .flat_map(|l| {
-                [
-                    l.c_in as u64,
-                    l.c_out as u64,
-                    l.h_in as u64,
-                    l.w_in as u64,
-                    l.kernel as u64,
-                    l.stride as u64,
-                    l.groups as u64,
-                ]
-            })
+            .filter(|l| !map.contains_key(l))
+            .copied()
             .collect();
-        ckpt.put_u64(
-            &format!("{prefix}.layers"),
-            &[layers.len(), 7],
-            &layer_words,
-        );
-        ckpt.put_u64(
-            &format!("{prefix}.configs"),
-            &[1],
-            &[self.configs.len() as u64],
-        );
-        let metrics: Vec<f64> = self
-            .entries
-            .iter()
-            .flat_map(|row| {
-                row.iter()
-                    .flat_map(|m| [m.latency_ms, m.energy_mj, m.area_mm2])
-            })
-            .collect();
-        ckpt.put_f64(
-            &format!("{prefix}.metrics"),
-            &[self.entries.len(), self.configs.len(), 3],
-            &metrics,
-        );
-    }
-
-    /// Restores a `(layers, table)` pair written by
-    /// [`LayerLut::save_sections`]. The configuration axis is
-    /// re-enumerated from [`SearchSpace::paper`] and validated against
-    /// the stored count, so a checkpoint from a different search-space
-    /// build is rejected instead of silently misindexed.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CkptError`]s for missing/misshapen sections, an
-    /// unexpected configuration count, or invalid layer descriptors.
-    pub fn load_sections(
-        ckpt: &Checkpoint,
-        prefix: &str,
-    ) -> Result<(Vec<ConvLayer>, LayerLut), CkptError> {
-        let (shape, words) = ckpt.get_u64(&format!("{prefix}.layers"))?;
-        if shape.len() != 2 || shape[1] != 7 {
-            return Err(CkptError::ShapeMismatch {
-                name: format!("{prefix}.layers"),
-                expected: vec![shape.first().copied().unwrap_or(0), 7],
-                found: shape.to_vec(),
-            });
-        }
-        let mut layers = Vec::with_capacity(shape[0]);
-        for row in words.chunks_exact(7) {
-            let dims: Vec<usize> = row
-                .iter()
-                .map(|&w| {
-                    usize::try_from(w).map_err(|_| {
-                        CkptError::Malformed(format!("{prefix}: layer dimension {w} exceeds usize"))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let [c_in, c_out, h_in, w_in, kernel, stride, groups] = dims[..] else {
-                unreachable!("chunks_exact(7)")
-            };
-            if c_in == 0
-                || c_out == 0
-                || h_in == 0
-                || w_in == 0
-                || kernel == 0
-                || stride == 0
-                || groups == 0
-                || c_in % groups != 0
-                || c_out % groups != 0
-            {
-                return Err(CkptError::Malformed(format!(
-                    "{prefix}: invalid layer descriptor {row:?}"
-                )));
+        if !missing.is_empty() {
+            drop(map);
+            let missing: Vec<ConvLayer> = missing.into_iter().collect();
+            let built = parallel_map(&missing, jobs, |_, layer| build_row(layer));
+            map = cache.lock().expect("LayerLut cache poisoned");
+            for (layer, row) in missing.into_iter().zip(built) {
+                map.entry(layer).or_insert(row);
             }
-            layers.push(ConvLayer::new(
-                c_in, c_out, h_in, w_in, kernel, stride, groups,
-            ));
         }
-        let configs = SearchSpace::paper().enumerate();
-        let stored_count = ckpt.get_scalar_u64(&format!("{prefix}.configs"))?;
-        if stored_count != configs.len() as u64 {
-            return Err(CkptError::Malformed(format!(
-                "{prefix}: checkpoint enumerates {stored_count} configurations, this build \
-                 enumerates {}",
-                configs.len()
-            )));
+        LayerLut {
+            rows: layers.iter().map(|l| Arc::clone(&map[l])).collect(),
         }
-        let (shape, metrics) = ckpt.get_f64(&format!("{prefix}.metrics"))?;
-        if shape != [layers.len(), configs.len(), 3] {
-            return Err(CkptError::ShapeMismatch {
-                name: format!("{prefix}.metrics"),
-                expected: vec![layers.len(), configs.len(), 3],
-                found: shape.to_vec(),
-            });
-        }
-        let entries: Vec<Vec<HwMetrics>> = metrics
-            .chunks_exact(configs.len() * 3)
-            .map(|row| {
-                row.chunks_exact(3)
-                    .map(|m| HwMetrics::new(m[0], m[1], m[2]))
-                    .collect()
-            })
-            .collect();
-        Ok((layers, LayerLut { configs, entries }))
     }
+}
+
+/// The paper's configuration space in [`SearchSpace::enumerate`]
+/// order, enumerated once per process.
+fn paper_configs() -> &'static [AccelConfig] {
+    static CONFIGS: OnceLock<Vec<AccelConfig>> = OnceLock::new();
+    CONFIGS.get_or_init(|| SearchSpace::paper().enumerate())
+}
+
+/// One layer's metrics over every configuration.
+fn build_row(layer: &ConvLayer) -> Arc<[HwMetrics]> {
+    paper_configs()
+        .iter()
+        .map(|cfg| evaluate_layer(layer, cfg))
+        .collect()
 }
 
 /// Builds the per-layer LUT for a fixed set of layers over the whole
 /// accelerator space, fanning the rows out over the default worker
-/// count. Use [`LayerLut::cached`] when the same layer sequence is
-/// evaluated repeatedly.
+/// count. Use [`LayerLut::cached`] when the same layers are evaluated
+/// repeatedly.
 pub fn build_layer_lut(layers: &[ConvLayer]) -> LayerLut {
     build_layer_lut_jobs(layers, 0)
 }
@@ -362,14 +217,9 @@ pub fn build_layer_lut(layers: &[ConvLayer]) -> LayerLut {
 /// [`build_layer_lut`] with an explicit worker count (`0` = auto).
 /// Rows are independent, so every worker count yields identical tables.
 pub fn build_layer_lut_jobs(layers: &[ConvLayer], jobs: usize) -> LayerLut {
-    let configs = SearchSpace::paper().enumerate();
-    let entries = parallel_map(layers, jobs, |_, layer| {
-        configs
-            .iter()
-            .map(|cfg| evaluate_layer(layer, cfg))
-            .collect()
-    });
-    LayerLut { configs, entries }
+    LayerLut {
+        rows: parallel_map(layers, jobs, |_, layer| build_row(layer)),
+    }
 }
 
 #[cfg(test)]
@@ -476,84 +326,73 @@ mod tests {
         let net = small_net();
         let a = LayerLut::cached(&net);
         let b = LayerLut::cached(&net);
-        assert!(Arc::ptr_eq(&a, &b), "same layers must share one cached LUT");
+        assert_eq!(a.num_layers(), net.len());
+        for (ra, rb) in a.rows.iter().zip(&b.rows) {
+            assert!(Arc::ptr_eq(ra, rb), "same layers must share cached rows");
+        }
         let direct = build_layer_lut(&net);
         assert_eq!(a.num_layers(), direct.num_layers());
         let m_cached = a.network_metrics(1234);
         let m_direct = direct.network_metrics(1234);
         assert_eq!(m_cached, m_direct);
 
-        // A different layer sequence gets its own entry.
-        let other = MbConv::new(16, 16, 8, 8, 1, 7, 3).sublayers();
+        // A different network that repeats the first block shares
+        // those rows; its other sublayers get rows of their own.
+        let mut other = MbConv::new(16, 32, 16, 16, 1, 3, 6).sublayers();
+        other.extend(MbConv::new(16, 16, 8, 8, 1, 7, 3).sublayers());
         let c = LayerLut::cached(&other);
-        assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.num_layers(), other.len());
-    }
-
-    #[test]
-    fn lut_checkpoint_round_trip_is_bit_identical() {
-        let net = small_net();
-        let lut = build_layer_lut(&net);
-        let mut ckpt = Checkpoint::new();
-        lut.save_sections(&net, &mut ckpt, "lut");
-        let bytes = ckpt.to_bytes();
-        let back = Checkpoint::from_bytes(&bytes).expect("parse");
-        let (layers, loaded) = LayerLut::load_sections(&back, "lut").expect("load");
-        assert_eq!(layers, net);
-        assert_eq!(loaded.configs(), lut.configs());
-        for layer in 0..net.len() {
-            for idx in 0..lut.configs().len() {
-                let a = lut.metrics(layer, idx);
-                let b = loaded.metrics(layer, idx);
-                assert_eq!(a.latency_ms.to_bits(), b.latency_ms.to_bits());
-                assert_eq!(a.energy_mj.to_bits(), b.energy_mj.to_bits());
-                assert_eq!(a.area_mm2.to_bits(), b.area_mm2.to_bits());
+        for (row, layer) in c.rows.iter().zip(&other) {
+            match net.iter().position(|l| l == layer) {
+                Some(j) => assert!(Arc::ptr_eq(row, &a.rows[j]), "shared sublayer {layer:?}"),
+                None => assert!(!a.rows.iter().any(|r| Arc::ptr_eq(r, row))),
             }
         }
+        assert_eq!(
+            c.network_metrics(1234),
+            evaluate_network(&other, &c.configs()[1234])
+        );
+    }
 
-        // Seeding the cache makes later cached lookups (and thus
-        // exhaustive searches) use the loaded table.
-        let seeded = LayerLut::seed_cache(&layers, loaded);
-        let hit = LayerLut::cached(&net);
-        assert_eq!(hit.network_metrics(123), seeded.network_metrics(123));
+    fn bits(m: &HwMetrics) -> [u64; 3] {
+        [
+            m.latency_ms.to_bits(),
+            m.energy_mj.to_bits(),
+            m.area_mm2.to_bits(),
+        ]
     }
 
     #[test]
-    fn lut_checkpoint_rejects_corrupt_sections() {
-        let net = small_net();
-        let lut = build_layer_lut(&net);
-        let mut ckpt = Checkpoint::new();
-        lut.save_sections(&net, &mut ckpt, "lut");
-
-        // Zero-dimension layer descriptor.
-        let mut bad = Checkpoint::new();
-        bad.put_u64("lut.layers", &[1, 7], &[0, 8, 8, 8, 1, 1, 1]);
-        bad.put_u64("lut.configs", &[1], &[2295]);
-        bad.put_f64("lut.metrics", &[1, 2295, 3], &vec![1.0; 2295 * 3]);
-        assert!(LayerLut::load_sections(&bad, "lut").is_err());
-
-        // Wrong configuration count.
-        let mut bad = Checkpoint::new();
-        bad.put_u64("lut.layers", &[1, 7], &[8, 8, 8, 8, 1, 1, 1]);
-        bad.put_u64("lut.configs", &[1], &[100]);
-        bad.put_f64("lut.metrics", &[1, 100, 3], &vec![1.0; 300]);
-        assert!(LayerLut::load_sections(&bad, "lut").is_err());
-
-        // Missing metrics section.
-        let mut bad = Checkpoint::new();
-        bad.put_u64("lut.layers", &[1, 7], &[8, 8, 8, 8, 1, 1, 1]);
-        bad.put_u64("lut.configs", &[1], &[2295]);
-        assert!(LayerLut::load_sections(&bad, "lut").is_err());
-    }
-
-    #[test]
-    fn parallel_lut_matches_sequential() {
+    fn parallel_lut_is_worker_invariant() {
         let net = small_net();
         let seq = build_layer_lut_jobs(&net, 1);
         let par = build_layer_lut_jobs(&net, 4);
         for layer in 0..net.len() {
             for idx in [0usize, 500, 2294] {
                 assert_eq!(seq.metrics(layer, idx), par.metrics(layer, idx));
+            }
+        }
+
+        // Cached rows built at each worker count (layers no other test
+        // uses, so each count builds its own rows) equal direct
+        // evaluation bit for bit, per layer and summed per network.
+        for jobs in [1usize, 2, 4] {
+            let mut layers = MbConv::new(24, 40, 9 + jobs, 9 + jobs, 1, 5, 4).sublayers();
+            layers.extend(MbConv::new(40, 48, 9 + jobs, 9 + jobs, 2, 3, 2).sublayers());
+            let lut = LayerLut::cached_jobs(&layers, jobs);
+            for (idx, cfg) in lut.configs().iter().enumerate() {
+                for (l, layer) in layers.iter().enumerate() {
+                    assert_eq!(
+                        bits(lut.metrics(l, idx)),
+                        bits(&evaluate_layer(layer, cfg)),
+                        "jobs={jobs} layer {l} config {cfg}"
+                    );
+                }
+                assert_eq!(
+                    bits(&lut.network_metrics(idx)),
+                    bits(&evaluate_network(&layers, cfg)),
+                    "jobs={jobs} config {cfg}"
+                );
             }
         }
     }

@@ -2,20 +2,18 @@
 //! file.
 //!
 //! A bundle records the task identity (task + dataset seed), the
-//! pre-trained estimator, its held-out accuracy, and any number of
-//! pre-built [`LayerLut`] tables. Loading a bundle and serving from it
-//! produces **byte-identical** reports to serving from the in-process
-//! artifacts: the estimator round-trips by bit pattern, the dataset is
-//! regenerated deterministically from `(task, seed)`, and the LUTs —
-//! which are themselves deterministic — are seeded into the process
-//! cache purely to skip rebuild cost.
+//! pre-trained estimator and its held-out accuracy. Loading a bundle
+//! and serving from it produces **byte-identical** reports to serving
+//! from the in-process artifacts: the estimator round-trips by bit
+//! pattern and the dataset is regenerated deterministically from
+//! `(task, seed)`. Cost tables are not bundled: the process builds
+//! each layer's [`hdx_accel::LayerLut`] row once, on first use. The
+//! `lutN.*` sections older bundles carry are ignored on load.
 
-use hdx_accel::{ConvLayer, LayerLut};
-use hdx_core::{Architecture, PreparedContext, Task};
+use hdx_core::{PreparedContext, Task};
 use hdx_surrogate::Estimator;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Trained artifacts loaded from (or destined for) a bundle file.
 #[derive(Debug)]
@@ -30,8 +28,6 @@ pub struct Artifacts {
     pub estimator_accuracy: f64,
     /// The pre-trained estimator.
     pub estimator: Estimator,
-    /// Pre-built cost tables, each with the layer sequence it covers.
-    pub luts: Vec<(Vec<ConvLayer>, LayerLut)>,
 }
 
 /// The persisted task code: the canonical `Task::ALL` position. The
@@ -61,12 +57,6 @@ pub fn task_from_code(code: u64) -> Result<Task, CkptError> {
 /// # Errors
 ///
 /// [`CkptError::Io`] on filesystem failures.
-///
-/// # Panics
-///
-/// Panics if a LUT's layer count does not match its layer sequence
-/// (writer-side programmer error, same contract as
-/// [`LayerLut::save_sections`]).
 pub fn save_bundle(
     path: &Path,
     task: Task,
@@ -74,16 +64,15 @@ pub fn save_bundle(
     pairs: usize,
     estimator_accuracy: f64,
     estimator: &Estimator,
-    luts: &[(Vec<ConvLayer>, Arc<LayerLut>)],
 ) -> Result<(), CkptError> {
     let mut ckpt = Checkpoint::new();
     ckpt.put_u64("bundle.meta", &[3], &[task_code(task), seed, pairs as u64]);
     ckpt.put_f64("bundle.accuracy", &[1], &[estimator_accuracy]);
     estimator.save_sections(&mut ckpt, "est");
-    ckpt.put_u64("bundle.lut_count", &[1], &[luts.len() as u64]);
-    for (i, (layers, lut)) in luts.iter().enumerate() {
-        lut.save_sections(layers, &mut ckpt, &format!("lut{i}"));
-    }
+    // Readers ignore the count. It is still written, always 0, so that
+    // bundle bytes equal those of a LUT-less bundle, and with them the
+    // catalog fingerprints and the serve_router same-bytes digest.
+    ckpt.put_u64("bundle.lut_count", &[1], &[0]);
     ckpt.save(path)
 }
 
@@ -132,32 +121,21 @@ fn artifacts_from(ckpt: &Checkpoint) -> Result<Artifacts, CkptError> {
         .map_err(|_| CkptError::Malformed("bundle.meta pair count exceeds usize".to_owned()))?;
     let accuracy = ckpt.get_scalar_f64("bundle.accuracy")?;
     let estimator = Estimator::load_sections(ckpt, "est", &task.plan())?;
-    let lut_count = ckpt.get_scalar_u64("bundle.lut_count")?;
-    let lut_count = usize::try_from(lut_count)
-        .map_err(|_| CkptError::Malformed("bundle.lut_count exceeds usize".to_owned()))?;
-    let mut luts = Vec::with_capacity(lut_count);
-    for i in 0..lut_count {
-        luts.push(LayerLut::load_sections(ckpt, &format!("lut{i}"))?);
-    }
+    // `bundle.lut_count` and the `lutN.*` sections of older bundles
+    // are skipped; the container checksum has already covered them.
     Ok(Artifacts {
         task,
         seed,
         pairs,
         estimator_accuracy: accuracy,
         estimator,
-        luts,
     })
 }
 
 impl Artifacts {
-    /// Installs the artifacts process-wide and builds the warm search
-    /// context: every LUT is seeded into the [`LayerLut`] cache (so
-    /// exhaustive searches over those layer sequences skip the build)
-    /// and the estimator becomes the context's frozen cost surface.
+    /// Builds the warm search context: the estimator becomes the
+    /// context's frozen cost surface.
     pub fn into_prepared(self) -> PreparedContext {
-        for (layers, lut) in self.luts {
-            LayerLut::seed_cache(&layers, lut);
-        }
         PreparedContext::from_artifacts(
             self.task,
             self.seed,
@@ -167,36 +145,16 @@ impl Artifacts {
     }
 }
 
-/// A warm-LUT set: layer sequences with their shared cost tables, as
-/// bundled by `train-and-save` and consumed by [`save_bundle`].
-pub type WarmLuts = Vec<(Vec<ConvLayer>, Arc<LayerLut>)>;
-
-/// The representative warm-LUT set `train-and-save` bundles: the layer
-/// sequences of the first `count` uniform architectures (one per op
-/// index). Each table is built through [`LayerLut::cached`], so the
-/// training process itself also serves warm afterwards.
-pub fn warm_uniform_luts(task: Task, count: usize, jobs: usize) -> WarmLuts {
-    let plan = task.plan();
-    (0..count.min(hdx_nas::OP_SET.len()))
-        .map(|op| {
-            let layers = plan.layers_for(&Architecture::uniform(plan.num_layers(), op));
-            let lut = LayerLut::cached_jobs(&layers, jobs);
-            (layers, lut)
-        })
-        .collect()
-}
-
-/// Trains the full artifact set for `(task, seed)` — dataset,
-/// estimator (on `pairs` analytical-model-labelled pairs), warm LUTs —
-/// and returns it alongside the ready-to-serve context.
+/// Trains the full artifact set for `(task, seed)` — dataset and
+/// estimator (on `pairs` analytical-model-labelled pairs) — as a
+/// ready-to-serve context.
 pub fn train_artifacts(
     task: Task,
     seed: u64,
     pairs: usize,
     est_epochs: usize,
-    warm_luts: usize,
     jobs: usize,
-) -> (PreparedContext, WarmLuts) {
+) -> PreparedContext {
     let cfg = hdx_surrogate::EstimatorConfig {
         epochs: est_epochs,
         batch: 128,
@@ -204,9 +162,7 @@ pub fn train_artifacts(
         jobs,
         ..Default::default()
     };
-    let prepared = hdx_core::prepare_context_with(task, seed, pairs, cfg);
-    let luts = warm_uniform_luts(task, warm_luts, jobs);
-    (prepared, luts)
+    hdx_core::prepare_context_with(task, seed, pairs, cfg)
 }
 
 /// Incremental pre-training: continues an existing bundle's estimator
@@ -221,19 +177,16 @@ pub fn train_artifacts(
 /// window, disjoint from earlier training *and* holdout draws up to
 /// the usual split-collision odds). The bundle's task/seed identity is
 /// kept — warm-start bit-identity is about the dataset, and that
-/// regenerates from `(task, seed)` as always. The init bundle's warm
-/// LUTs are seeded into the process cache; `warm_luts` more are built
-/// on top.
+/// regenerates from `(task, seed)` as always.
 ///
-/// Returns the context plus the warm-LUT set and the cumulative pair
-/// budget (prior + new) for bundle provenance.
+/// Returns the context plus the cumulative pair budget (prior + new)
+/// for bundle provenance.
 pub fn train_artifacts_from(
     init: Artifacts,
     pairs: usize,
     est_epochs: usize,
-    warm_luts: usize,
     jobs: usize,
-) -> (PreparedContext, WarmLuts, usize) {
+) -> (PreparedContext, usize) {
     let task = init.task;
     let seed = init.seed;
     let total_pairs = init.pairs + pairs;
@@ -251,12 +204,8 @@ pub fn train_artifacts_from(
     estimator.set_training_schedule(est_epochs, 2e-3, jobs);
     estimator.train(&train_pairs, &mut rng);
     let accuracy = estimator.within_tolerance(&holdout, 0.10);
-    for (layers, lut) in init.luts {
-        LayerLut::seed_cache(&layers, lut);
-    }
     let prepared = PreparedContext::from_artifacts(task, seed, estimator, accuracy);
-    let luts = warm_uniform_luts(task, warm_luts, jobs);
-    (prepared, luts, total_pairs)
+    (prepared, total_pairs)
 }
 
 #[cfg(test)]
@@ -285,11 +234,10 @@ mod tests {
     #[test]
     fn bundle_round_trip_preserves_artifacts() {
         let (est, acc) = tiny_estimator(Task::Cifar, 3);
-        let luts = warm_uniform_luts(Task::Cifar, 1, 1);
         let dir = std::env::temp_dir().join("hdx_bundle_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("artifacts.ckpt");
-        save_bundle(&path, Task::Cifar, 3, 200, acc, &est, &luts).expect("save");
+        save_bundle(&path, Task::Cifar, 3, 200, acc, &est).expect("save");
 
         let loaded = load_bundle(&path).expect("load");
         assert_eq!(loaded.task, Task::Cifar);
@@ -299,12 +247,6 @@ mod tests {
         for (id, t) in est.params().iter() {
             assert_eq!(loaded.estimator.params().get(id).data(), t.data());
         }
-        assert_eq!(loaded.luts.len(), 1);
-        assert_eq!(loaded.luts[0].0, luts[0].0);
-        assert_eq!(
-            loaded.luts[0].1.network_metrics(42),
-            luts[0].1.network_metrics(42)
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -314,7 +256,7 @@ mod tests {
         let dir = std::env::temp_dir().join("hdx_bundle_test_trunc");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("artifacts.ckpt");
-        save_bundle(&path, Task::Cifar, 5, 200, acc, &est, &[]).expect("save");
+        save_bundle(&path, Task::Cifar, 5, 200, acc, &est).expect("save");
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
         assert!(matches!(

@@ -6,9 +6,10 @@
 //!
 //! * **train once** — `hdx-serve train-and-save` pre-trains the
 //!   estimator (optionally continuing from an existing bundle via
-//!   `--init-bundle`), builds a representative warm set of
-//!   [`hdx_accel::LayerLut`] tables, and writes everything to a single
-//!   versioned checkpoint bundle ([`artifact`], on `hdx_tensor::ckpt`);
+//!   `--init-bundle`) and writes it to a single versioned checkpoint
+//!   bundle ([`artifact`], on `hdx_tensor::ckpt`). Cost tables are not
+//!   bundled: [`hdx_accel::LayerLut`] rows are built once per layer in
+//!   the serving process;
 //! * **serve many** — `hdx-serve serve` / `oneshot` load any number of
 //!   `(task, seed)` bundles into one [`Router`] and answer requests
 //!   over a versioned line protocol ([`proto`]): the typed v1 envelope
@@ -45,7 +46,7 @@ pub(crate) mod service;
 
 pub use artifact::{
     load_bundle, load_bundle_bytes, save_bundle, task_code, task_from_code, train_artifacts,
-    train_artifacts_from, warm_uniform_luts, Artifacts, WarmLuts,
+    train_artifacts_from, Artifacts,
 };
 pub use proto::{parse_request, v1, ErrorKind, ProtoError, Request, SearchReport, SearchRequest};
 pub use router::{Router, RouterConfig};

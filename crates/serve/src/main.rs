@@ -1,7 +1,7 @@
 //! The `hdx-serve` binary: train-once / serve-many, multi-tenant.
 //!
 //! ```sh
-//! # One-time: pre-train the estimator + warm LUTs, write the bundle.
+//! # One-time: pre-train the estimator, write the bundle.
 //! hdx-serve train-and-save --out cifar.ckpt --task cifar --seed 0
 //!
 //! # Continue pre-training an existing bundle on more pairs.
@@ -67,7 +67,7 @@ hdx-serve — persistent multi-tenant co-design search service
 
 USAGE:
   hdx-serve train-and-save --out FILE [--task cifar|imagenet] [--seed N]
-                           [--pairs N] [--est-epochs N] [--warm-luts 0..=6]
+                           [--pairs N] [--est-epochs N]
                            [--init-bundle FILE] [--jobs N] [--catalog DIR]
   hdx-serve oneshot --bundle SPEC [--bundle SPEC …] [--requests FILE]
                     [--jobs N] [--max-requests-per-conn N] [--deadline-steps N]
@@ -78,7 +78,7 @@ USAGE:
   hdx-serve trace-check FILE
 
 train-and-save  pre-trains the estimator on analytical-model pairs,
-                builds warm LayerLut tables, writes one bundle file.
+                writes one bundle file.
                 --init-bundle continues an existing bundle's estimator
                 on fresh pairs instead of starting from scratch.
 oneshot         reads request lines (file or stdin), runs them as a
@@ -122,7 +122,6 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
         "seed",
         "pairs",
         "est-epochs",
-        "warm-luts",
         "init-bundle",
         "jobs",
         "catalog",
@@ -130,11 +129,10 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
     let out = PathBuf::from(flags.require("out")?);
     let pairs: usize = flags.parse_num("pairs", 8_000)?;
     let est_epochs: usize = flags.parse_num("est-epochs", 30)?;
-    let warm_luts: usize = flags.parse_num("warm-luts", 6)?;
     let jobs: usize = flags.parse_num("jobs", 0)?;
 
     let watch = hdx_obs::Stopwatch::start();
-    let (task, seed, prepared, luts, total_pairs) = match flags.get("init-bundle") {
+    let (task, seed, prepared, total_pairs) = match flags.get("init-bundle") {
         Some(init_path) => {
             if flags.get("task").is_some() || flags.get("seed").is_some() {
                 return Err("--init-bundle fixes the task and seed; drop --task/--seed".to_owned());
@@ -146,26 +144,24 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
                  (+{pairs} fresh, est_epochs={est_epochs})",
                 init.pairs
             );
-            let (prepared, luts, total) =
-                train_artifacts_from(init, pairs, est_epochs, warm_luts, jobs);
-            (task, seed, prepared, luts, total)
+            let (prepared, total) = train_artifacts_from(init, pairs, est_epochs, jobs);
+            (task, seed, prepared, total)
         }
         None => {
             let task = parse_task(&flags)?;
             let seed: u64 = flags.parse_num("seed", 0)?;
             eprintln!(
                 "training artifacts: task={task:?} seed={seed} pairs={pairs} \
-                 est_epochs={est_epochs} warm_luts={warm_luts}"
+                 est_epochs={est_epochs}"
             );
-            let (prepared, luts) = train_artifacts(task, seed, pairs, est_epochs, warm_luts, jobs);
-            (task, seed, prepared, luts, pairs)
+            let prepared = train_artifacts(task, seed, pairs, est_epochs, jobs);
+            (task, seed, prepared, pairs)
         }
     };
     eprintln!(
-        "trained in {:.1}s: estimator within-10% accuracy {:.1}%, {} warm LUT(s)",
+        "trained in {:.1}s: estimator within-10% accuracy {:.1}%",
         watch.seconds(),
         prepared.estimator_accuracy * 100.0,
-        luts.len()
     );
     save_bundle(
         &out,
@@ -174,7 +170,6 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
         total_pairs,
         prepared.estimator_accuracy,
         prepared.estimator(),
-        &luts,
     )
     .map_err(|e| e.to_string())?;
     let size = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);

@@ -211,8 +211,7 @@ impl Router {
         entry
     }
 
-    /// Registers loaded bundle artifacts (installing the warm LUTs
-    /// process-wide, exactly like serving a single bundle did).
+    /// Registers loaded bundle artifacts.
     fn insert_artifacts(&self, a: Artifacts, lease: Option<hdx_catalog::Lease>) -> v1::TaskEntry {
         self.insert(a.task, a.seed, Arc::new(a.into_prepared()), lease)
     }

@@ -1,11 +1,11 @@
 //! Versioned binary checkpoints for training artifacts.
 //!
 //! The serving layer needs trained artifacts (estimator weights,
-//! optimizer state, cost tables) to survive the process: a search run
-//! from a loaded checkpoint must be **bit-identical** to one run with
-//! the in-process artifact. This module provides the container format;
+//! optimizer state) to survive the process: a search run from a
+//! loaded checkpoint must be **bit-identical** to one run with the
+//! in-process artifact. This module provides the container format;
 //! each crate layers its own save/load on top (`Estimator::save`,
-//! `LayerLut::save`, `FinalNet::save`, …).
+//! `FinalNet::save`, …).
 //!
 //! # Format
 //!

@@ -45,8 +45,7 @@ pub use ckpt::{Checkpoint, CkptError};
 pub use nn::{Binding, Linear, ParamId, ParamStore, ResidualMlp};
 pub use optim::{Adam, CosineLr, Sgd};
 pub use par::{
-    num_jobs, par_threshold, parallel_map, parse_jobs_env, parse_par_threshold_env,
-    set_par_threshold, WorkerPool,
+    num_jobs, par_threshold, parallel_map, parse_jobs_env, parse_par_threshold_env, WorkerPool,
 };
 pub use program::{ExecMode, Program, ProgramError, Session};
 pub use rng::Rng;

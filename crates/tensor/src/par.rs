@@ -73,38 +73,16 @@ pub fn parse_jobs_env(value: Option<&str>) -> Result<Option<usize>, String> {
 /// Panics if `HDX_PAR_THRESHOLD` is set but not a positive integer
 /// (see [`parse_par_threshold_env`]).
 pub fn par_threshold() -> usize {
-    match PAR_THRESHOLD.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => {
-            let env = crate::knobs::raw("HDX_PAR_THRESHOLD");
-            let resolved = match parse_par_threshold_env(env.as_deref()) {
-                Ok(Some(n)) => n,
-                Ok(None) => default_par_threshold(
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-                ),
-                Err(msg) => panic!("{msg}"),
-            };
-            PAR_THRESHOLD.store(resolved, std::sync::atomic::Ordering::Relaxed);
-            resolved
+    static PAR_THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PAR_THRESHOLD.get_or_init(|| {
+        match parse_par_threshold_env(crate::knobs::raw("HDX_PAR_THRESHOLD").as_deref()) {
+            Ok(Some(n)) => n,
+            Ok(None) => default_par_threshold(
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            ),
+            Err(msg) => panic!("{msg}"),
         }
-        n => n,
-    }
-}
-
-/// Cached threshold; `0` means "not yet resolved" (the parser rejects
-/// an explicit `0`, so the sentinel can't collide with a real value).
-static PAR_THRESHOLD: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Programmatic override of [`par_threshold`] (e.g. benchmarks pinning
-/// a dispatch path). Takes effect process-wide for subsequent kernel
-/// dispatches; results are unaffected by construction.
-///
-/// # Panics
-///
-/// Panics on `0` — a zero threshold would mean "parallelize empty
-/// work" and is certainly a bug at the call site.
-pub fn set_par_threshold(threshold: usize) {
-    assert!(threshold > 0, "par threshold must be positive");
-    PAR_THRESHOLD.store(threshold, std::sync::atomic::Ordering::Relaxed);
+    })
 }
 
 /// Parses the `HDX_PAR_THRESHOLD` environment value: `None` when unset

@@ -29,8 +29,6 @@ pub struct BundleSpec {
     pub pairs: usize,
     /// Estimator pre-training epochs.
     pub est_epochs: usize,
-    /// Warm cost-LUT count baked into the bundle.
-    pub warm_luts: usize,
 }
 
 impl BundleSpec {
@@ -47,7 +45,6 @@ impl BundleSpec {
             seed,
             pairs,
             est_epochs: 30,
-            warm_luts: 2,
         }
     }
 
@@ -58,7 +55,6 @@ impl BundleSpec {
         BundleSpec {
             pairs: 400,
             est_epochs: 4,
-            warm_luts: 0,
             ..BundleSpec::expand(task, seed)
         }
     }
@@ -69,15 +65,8 @@ impl BundleSpec {
     }
 
     /// Trains the bundle's artifacts in-process.
-    pub fn train(&self, jobs: usize) -> (PreparedContext, hdx_serve::WarmLuts) {
-        train_artifacts(
-            self.task,
-            self.seed,
-            self.pairs,
-            self.est_epochs,
-            self.warm_luts,
-            jobs,
-        )
+    pub fn train(&self, jobs: usize) -> PreparedContext {
+        train_artifacts(self.task, self.seed, self.pairs, self.est_epochs, jobs)
     }
 
     /// Trains the bundle and writes it under `dir`, returning the
@@ -87,7 +76,7 @@ impl BundleSpec {
     ///
     /// [`CkptError::Io`] on filesystem failures.
     pub fn write_bundle(&self, dir: &Path, jobs: usize) -> Result<PathBuf, CkptError> {
-        let (prepared, luts) = self.train(jobs);
+        let prepared = self.train(jobs);
         let path = dir.join(self.file_name());
         hdx_serve::save_bundle(
             &path,
@@ -96,7 +85,6 @@ impl BundleSpec {
             self.pairs,
             prepared.estimator_accuracy,
             prepared.estimator(),
-            &luts,
         )?;
         Ok(path)
     }

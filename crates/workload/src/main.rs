@@ -131,12 +131,11 @@ fn cmd_gen_bundles(args: &[String]) -> Result<(), String> {
         let watch = hdx_obs::Stopwatch::start();
         let path = spec.write_bundle(&out, jobs).map_err(|e| e.to_string())?;
         eprintln!(
-            "wrote {} in {:.1}s (pairs={} est_epochs={} warm_luts={})",
+            "wrote {} in {:.1}s (pairs={} est_epochs={})",
             path.display(),
             watch.seconds(),
             spec.pairs,
             spec.est_epochs,
-            spec.warm_luts,
         );
         if let Some(catalog) = &catalog {
             let bytes = std::fs::read(&path)

@@ -29,8 +29,8 @@ fn main() {
     // -- train two bundles (reduced budgets keep the example quick) --
     println!("== training two bundles ==");
     let start = std::time::Instant::now();
-    let (cifar, _) = train_artifacts(Task::Cifar, 0, 2_500, 15, 0, 0);
-    let (imagenet, _) = train_artifacts(Task::ImageNet, 1, 2_000, 12, 0, 0);
+    let cifar = train_artifacts(Task::Cifar, 0, 2_500, 15, 0);
+    let imagenet = train_artifacts(Task::ImageNet, 1, 2_000, 12, 0);
     println!(
         "trained in {:.1}s: cifar acc {:.1}%, imagenet acc {:.1}%\n",
         start.elapsed().as_secs_f64(),

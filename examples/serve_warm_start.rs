@@ -20,9 +20,9 @@ fn main() {
     let bundle = dir.join("artifacts.ckpt");
 
     // -- train once --------------------------------------------------
-    println!("== training artifacts (estimator + warm LUTs) ==");
+    println!("== training artifacts (estimator) ==");
     let start = std::time::Instant::now();
-    let (prepared, luts) = train_artifacts(Task::Cifar, 0, 4_000, 25, 2, 0);
+    let prepared = train_artifacts(Task::Cifar, 0, 4_000, 25, 0);
     println!(
         "trained in {:.1}s: estimator within-10% accuracy {:.1}%",
         start.elapsed().as_secs_f64(),
@@ -35,7 +35,6 @@ fn main() {
         4_000,
         prepared.estimator_accuracy,
         prepared.estimator(),
-        &luts,
     )
     .expect("save bundle");
     let size = std::fs::metadata(&bundle).map(|m| m.len()).unwrap_or(0);

@@ -60,7 +60,6 @@ fn bundle_bytes(dir: &Path, pairs: usize) -> Vec<u8> {
         pairs,
         prepared.estimator_accuracy,
         prepared.estimator(),
-        &[],
     )
     .expect("save bundle");
     std::fs::read(&path).expect("read bundle back")

@@ -6,6 +6,7 @@ use hdx_nas::{Architecture, NetworkPlan};
 use hdx_surrogate::dataset::expected_metrics;
 use hdx_surrogate::{Generator, PairSet};
 use hdx_tensor::{Rng, Tape, Tensor};
+use std::collections::BTreeSet;
 
 #[test]
 fn relaxed_expectation_is_convex_combination_of_vertices() {
@@ -104,6 +105,32 @@ fn cost_weights_give_paper_scale_costs_across_space() {
             "cost {cost} out of expected scale"
         );
     }
+}
+
+#[test]
+fn cached_lut_rows_are_bounded_by_the_plan_sublayers() {
+    // Rows are cached per layer, so the LUTs of any number of CIFAR
+    // architectures reference one row per distinct sublayer of the plan
+    // and no more. `metrics(l, 0)` points into row `l`'s shared
+    // allocation, so its address identifies the row.
+    let plan = NetworkPlan::cifar18();
+    let mut rng = Rng::new(19);
+    let mut archs: Vec<Architecture> = (0..hdx_nas::OP_SET.len())
+        .map(|op| Architecture::uniform(18, op))
+        .collect();
+    archs.extend((0..6).map(|_| Architecture::random(18, &mut rng)));
+    let mut sublayers = BTreeSet::new();
+    let mut rows = BTreeSet::new();
+    for arch in &archs {
+        let layers = plan.layers_for(arch);
+        let lut = hdx_accel::LayerLut::cached(&layers);
+        for (l, layer) in layers.iter().enumerate() {
+            sublayers.insert(*layer);
+            rows.insert(std::ptr::from_ref(lut.metrics(l, 0)));
+        }
+    }
+    assert_eq!(sublayers.len(), 48, "distinct CIFAR sublayers");
+    assert_eq!(rows.len(), sublayers.len(), "one cached row per sublayer");
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! * A router answering the same request set at jobs ∈ {1, 2, 4}
 //!   must return **byte-identical** report lines (seeds 0–2).
 //! * A router started from a checkpoint bundle must return
-//!   byte-identical reports to one serving the in-process artifacts.
+//!   byte-identical reports to one serving the in-process artifacts,
+//!   also when the bundle carries the `lutN.*` cost-table sections
+//!   bundles used to hold (they are ignored).
 //! * Capping the session bank (`HDX_BANK_CAP` semantics) must evict
 //!   without changing a single result byte.
 //! * Corrupt/truncated/wrong-version checkpoint files must surface as
@@ -137,7 +139,6 @@ fn warm_start_from_bundle_is_byte_identical() {
     let dir = std::env::temp_dir().join("hdx_serve_warm_start_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("artifacts.ckpt");
-    let luts = hdx_serve::warm_uniform_luts(Task::Cifar, 2, 0);
     save_bundle(
         &path,
         Task::Cifar,
@@ -145,7 +146,6 @@ fn warm_start_from_bundle_is_byte_identical() {
         2000,
         prepared.estimator_accuracy,
         prepared.estimator(),
-        &luts,
     )
     .expect("save bundle");
 
@@ -164,6 +164,91 @@ fn warm_start_from_bundle_is_byte_identical() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn old_bundle_lut_sections_are_ignored() {
+    let _guard = global_guard();
+    let prepared = prepared();
+    let dir = std::env::temp_dir().join("hdx_serve_old_bundle_test");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let current = dir.join("current.ckpt");
+    save_bundle(
+        &current,
+        Task::Cifar,
+        7,
+        2000,
+        prepared.estimator_accuracy,
+        prepared.estimator(),
+    )
+    .expect("save bundle");
+
+    // The bundle layout, section by section: with a count of 0 it is
+    // exactly what `save_bundle` writes.
+    let sections = |lut_count: u64| {
+        let mut ckpt = Checkpoint::new();
+        ckpt.put_u64("bundle.meta", &[3], &[0, 7, 2000]);
+        ckpt.put_f64("bundle.accuracy", &[1], &[prepared.estimator_accuracy]);
+        prepared.estimator().save_sections(&mut ckpt, "est");
+        ckpt.put_u64("bundle.lut_count", &[1], &[lut_count]);
+        ckpt
+    };
+    assert_eq!(
+        sections(0).to_bytes(),
+        std::fs::read(&current).expect("read"),
+        "save_bundle must keep writing LUT-less bundle bytes"
+    );
+
+    // The layout of a bundle that carried one cost table.
+    let layers = Task::Cifar
+        .plan()
+        .layers_for(&hdx_core::Architecture::uniform(18, 0));
+    let lut = hdx_accel::LayerLut::cached(&layers);
+    let mut ckpt = sections(1);
+    let words: Vec<u64> = layers
+        .iter()
+        .flat_map(|l| {
+            [
+                l.c_in, l.c_out, l.h_in, l.w_in, l.kernel, l.stride, l.groups,
+            ]
+        })
+        .map(|d| d as u64)
+        .collect();
+    ckpt.put_u64("lut0.layers", &[layers.len(), 7], &words);
+    let configs = lut.configs().len();
+    ckpt.put_u64("lut0.configs", &[1], &[configs as u64]);
+    let metrics: Vec<f64> = (0..layers.len())
+        .flat_map(|l| (0..configs).map(move |c| (l, c)))
+        .flat_map(|(l, c)| {
+            let m = lut.metrics(l, c);
+            [m.latency_ms, m.energy_mj, m.area_mm2]
+        })
+        .collect();
+    ckpt.put_f64("lut0.metrics", &[layers.len(), configs, 3], &metrics);
+    let old = dir.join("old.ckpt");
+    ckpt.save(&old).expect("save old bundle");
+
+    let from_file = load_bundle(&old).expect("old bundle loads from a file");
+    let from_bytes = hdx_serve::load_bundle_bytes(&std::fs::read(&old).expect("read"))
+        .expect("old bundle loads from bytes");
+    for loaded in [&from_file, &from_bytes] {
+        assert_eq!(
+            (loaded.task, loaded.seed, loaded.pairs),
+            (Task::Cifar, 7, 2000)
+        );
+    }
+
+    let serve = |path: &std::path::Path| {
+        let router = Router::new(RouterConfig::default());
+        router.load_bundle_path(path).expect("load bundle");
+        encode_batch(&router, &request_set(), 2)
+    };
+    assert_eq!(
+        serve(&old),
+        serve(&current),
+        "an old bundle's LUT sections changed served reports"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -308,7 +393,7 @@ fn corrupt_bundles_are_typed_errors_never_panics() {
     let plan = Task::Cifar.plan();
     let mut rng = Rng::new(3);
     let est = hdx_surrogate::Estimator::new(&plan, EstimatorConfig::default(), &mut rng);
-    save_bundle(&path, Task::Cifar, 0, 0, f64::NAN, &est, &[]).expect("save");
+    save_bundle(&path, Task::Cifar, 0, 0, f64::NAN, &est).expect("save");
     let bytes = std::fs::read(&path).expect("read");
     for trial in 0..60 {
         let mut corrupt = bytes.clone();

@@ -221,7 +221,6 @@ fn runtime_load_bundle_serves_warm() {
         1500,
         prepared.estimator_accuracy,
         prepared.estimator(),
-        &[],
     )
     .expect("save bundle");
 
@@ -1154,7 +1153,6 @@ fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
             pairs,
             prepared.estimator_accuracy,
             prepared.estimator(),
-            &[],
         )
         .expect("save bundle");
         path
