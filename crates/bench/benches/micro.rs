@@ -560,69 +560,6 @@ fn bench_final_net_replay(report: &mut Report) {
         .push(("final_net_train".to_string(), fresh, compiled));
 }
 
-/// A full warm-service request end to end — parse, search, retrain,
-/// report encode — against a small pre-trained artifact set, plus the
-/// session-bank counters the serving layer exposes (`stats` verb):
-/// the steady-state hit rate is the fraction of program checkouts the
-/// compile-once/replay-many layer actually saved.
-fn bench_serve_oneshot(report: &mut Report) {
-    use hdx_core::Task;
-    use hdx_serve::{Router, RouterConfig};
-    use hdx_tensor::SessionBank;
-    use std::io::Cursor;
-
-    let prepared = hdx_core::prepare_context_with(
-        Task::Cifar,
-        1,
-        600,
-        EstimatorConfig {
-            epochs: 5,
-            batch: 128,
-            lr: 2e-3,
-            ..Default::default()
-        },
-    );
-    let router = Router::new(RouterConfig {
-        jobs: 1,
-        ..RouterConfig::default()
-    });
-    router.insert_prepared(Task::Cifar, 1, prepared);
-    let line = "search id=1 fps=30 epochs=1 steps=2 batch=16 final_train=20 seed=0\n";
-    // Snapshot the global bank before the loop: the replay benches
-    // above drove thousands of checkouts through the same bank, and a
-    // cumulative ratio would drown the serving path's own hit rate.
-    let before = SessionBank::global().stats();
-    bench(report, "serve_oneshot", || {
-        let mut out = Vec::new();
-        router
-            .serve_connection(Cursor::new(line), &mut out)
-            .expect("serve");
-        black_box(out);
-    });
-    let after = SessionBank::global().stats();
-    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
-    let hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    let evictions = after.evictions - before.evictions;
-    report
-        .counters
-        .push(("bank_hit_rate".to_string(), hit_rate));
-    report
-        .counters
-        .push(("bank_programs".to_string(), after.programs as f64));
-    report
-        .counters
-        .push(("bank_evictions".to_string(), evictions as f64));
-    println!(
-        "serve/session_bank                            hit rate {:.1}%  ({} programs, {evictions} evictions during serving)",
-        hit_rate * 100.0,
-        after.programs,
-    );
-}
-
 /// Raw throughput of the blocked kernels, outside any program: the
 /// three matmul shapes of the evaluator MLP step (input layer, hidden
 /// layer, and the transposed gW form) plus the generator's fused
@@ -748,7 +685,6 @@ fn main() {
     bench_hw_head_step_replay(&mut report);
     bench_estimator_train_replay(&mut report);
     bench_final_net_replay(&mut report);
-    bench_serve_oneshot(&mut report);
     bench_catalog_roundtrip(&mut report);
 
     // Deterministic obs-registry counters: the same values the serving

@@ -17,6 +17,15 @@
 //! * [`Method::Hdx`] — DANCE plus the paper's contribution: gradient
 //!   manipulation with the δ schedule (§4.3), applied to both the
 //!   architecture parameters α and the generator weights v.
+//!
+//! A search builds one private `SearchState`: the models, their three
+//! Adam optimizers, the RNG stream, the δ schedule and the trace, plus
+//! the per-search constants (margined steering targets, the NAS→HW MAC
+//! proxy). The epoch loop, the hardware head (record, bank key,
+//! checkout, evaluation), the [`SearchCheckpoint`] capture/restore and
+//! the hardware proposal all take that one struct. The head's compiled
+//! session and its fresh-record reference are read out by one path, so
+//! the two executors differ only in how a graph is run.
 
 use crate::constraint::{all_satisfied, Constraint};
 use crate::gradmanip::{manipulate, DeltaPolicy, ManipulationKind};
@@ -27,8 +36,8 @@ use hdx_surrogate::dataset::expected_metrics;
 use hdx_surrogate::{Estimator, Generator};
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
-    bank_key, Adam, Binding, ExecMode, Gradients, ParamStore, Program, Rng, Session, SessionBank,
-    SessionLease, Tape, Tensor, Var,
+    bank_key, Adam, Binding, ExecMode, Gradients, ParamId, ParamStore, Program, Rng, Session,
+    SessionBank, SessionLease, Tape, Tensor, Var,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -144,10 +153,11 @@ pub struct CheckpointSpec {
 
 impl Default for SearchOptions {
     fn default() -> Self {
+        let paper = DeltaPolicy::paper();
         Self {
             method: Method::Hdx {
-                delta0: 1e-3,
-                p: 1e-2,
+                delta0: paper.delta(),
+                p: paper.p(),
             },
             lambda_cost: 0.003,
             lambda_soft: None,
@@ -316,18 +326,6 @@ fn search_inner(
     opts: &SearchOptions,
     resume: Option<&SearchCheckpoint>,
 ) -> Result<SearchResult, CkptError> {
-    assert!(
-        opts.epochs > 0 && opts.steps_per_epoch > 0,
-        "run_search: empty schedule"
-    );
-    let spec = ctx.dataset.spec();
-    let num_layers = ctx.plan.num_layers();
-    assert_eq!(
-        ctx.estimator.input_dim(),
-        num_layers * 6 + 6,
-        "run_search: estimator dimension does not match plan"
-    );
-
     // Wall-clock timing goes only to the hdx-obs span sink; results
     // carry step counts, never seconds (rule HDX011 enforces this).
     let _search_span = hdx_obs::span("engine.search");
@@ -337,83 +335,14 @@ fn search_inner(
     // hardware head), final solution selection, the final-net
     // retrain, and its evaluation.
     let setup_span = hdx_obs::span("engine.setup");
-    let mut rng = Rng::new(opts.seed);
-    let mut supernet = Supernet::new(
-        num_layers,
-        spec.feature_dim,
-        spec.num_classes,
-        opts.supernet,
-        &mut rng,
-    );
-    let mut generator = Generator::new(ctx.plan, &mut rng);
-    // Auto-NBA trains hardware parameters directly.
-    let mut hw_params = ParamStore::new();
-    let hw_theta = hw_params.alloc(Tensor::randn(&[1, 6], 0.5, &mut rng));
-
-    let mut w_opt = Adam::new(opts.w_lr);
-    let mut a_opt = Adam::new(opts.alpha_lr);
-    let mut v_opt = Adam::new(opts.gen_lr);
-    let mut delta_policy = match opts.method {
-        Method::Hdx { delta0, p } => Some(DeltaPolicy::new(delta0, p)),
-        _ => None,
-    };
-
-    // Differentiable MAC proxy for NAS→HW: expected MACs = enc · macs.
-    let macs_vector: Vec<f32> = (0..num_layers)
-        .flat_map(|l| (0..6).map(move |o| (l, o)))
-        .map(|(l, o)| ctx.plan.block_at(l, o).macs() as f32)
-        .collect();
-    let macs_mean = macs_vector.iter().sum::<f32>() / macs_vector.len() as f32;
-    let macs_norm: Vec<f32> = macs_vector.iter().map(|m| m / macs_mean).collect();
-
-    // Margined targets used for steering (see SearchOptions docs).
-    let steering: Vec<Constraint> = opts
-        .constraints
-        .iter()
-        .map(|c| Constraint::new(c.metric, c.target * (1.0 - opts.safety_margin)))
-        .collect();
-
-    let mut trajectory = Vec::with_capacity(opts.epochs);
-
+    let mut st = SearchState::new(*ctx, opts);
     // Resume: overwrite every freshly initialized piece of mutable
-    // state with the snapshot. The constructors above already consumed
-    // the RNG exactly as the original run did, and the stream position
-    // is restored below anyway, so the resumed run continues
-    // bit-identically from the snapshot's epoch boundary.
+    // state with the snapshot. The constructor already consumed the
+    // RNG exactly as the original run did, and the stream position is
+    // restored anyway, so the resumed run continues bit-identically
+    // from the snapshot's epoch boundary.
     let start_epoch = match resume {
-        Some(ckpt) => {
-            if ckpt.fingerprint() != search_fingerprint(opts) {
-                return Err(CkptError::Malformed(
-                    "search checkpoint was written by an incompatible configuration".to_owned(),
-                ));
-            }
-            if ckpt.context_fingerprint() != context_fingerprint(ctx) {
-                return Err(CkptError::Malformed(
-                    "search checkpoint was written against different artifacts (estimator/cost \
-                     surface mismatch)"
-                        .to_owned(),
-                ));
-            }
-            if ckpt.epoch() > opts.epochs {
-                return Err(CkptError::Malformed(format!(
-                    "search checkpoint is at epoch {} but the schedule ends at {}",
-                    ckpt.epoch(),
-                    opts.epochs
-                )));
-            }
-            ckpt.restore_into(
-                &mut supernet,
-                &mut generator,
-                &mut hw_params,
-                &mut w_opt,
-                &mut a_opt,
-                &mut v_opt,
-                &mut rng,
-                delta_policy.as_mut(),
-                &mut trajectory,
-            )?;
-            ckpt.epoch()
-        }
+        Some(ckpt) => ckpt.restore_into(&mut st)?,
         None => 0,
     };
 
@@ -426,9 +355,7 @@ fn search_inner(
     // `ExecMode::FreshRecord` re-records the head instead: same split
     // step structure, bit-identical results.
     let mut head = match opts.exec {
-        ExecMode::Compiled => HeadExec::checkout(
-            ctx, opts, &supernet, &generator, &hw_params, hw_theta, &steering, &macs_norm,
-        ),
+        ExecMode::Compiled => HeadExec::checkout(&st),
         ExecMode::FreshRecord => HeadExec::Fresh { tape: Tape::new() },
     };
     // The task branch: each step samples its path sets *outside* the
@@ -464,19 +391,21 @@ fn search_inner(
             // --- w-step on a training batch -------------------------
             {
                 let _w_span = hdx_obs::span("engine.w_step");
-                let batch = ctx.dataset.train_batch(opts.batch, &mut rng);
+                let batch = ctx.dataset.train_batch(opts.batch, &mut st.rng);
                 let mut collected = match &mut task_exec {
-                    TaskExec::Sampled(sr) => sr.w_step(&supernet, &batch, &mut rng),
+                    TaskExec::Sampled(sr) => sr.w_step(&st.supernet, &batch, &mut st.rng),
                     TaskExec::Fresh => {
                         w_tape.clear();
-                        let (wb, ab) = supernet.bind(&mut w_tape);
-                        let loss = supernet.task_loss(&mut w_tape, &wb, &ab, &batch, &mut rng);
+                        let (wb, ab) = st.supernet.bind(&mut w_tape);
+                        let loss =
+                            st.supernet
+                                .task_loss(&mut w_tape, &wb, &ab, &batch, &mut st.rng);
                         let grads = w_tape.backward(loss);
                         wb.gradients(&grads)
                     }
                 };
                 Binding::clip_grad_norm(&mut collected, 5.0);
-                w_opt.step(supernet.w_store_mut(), &collected);
+                st.w_opt.step(st.supernet.w_store_mut(), &collected);
             }
 
             // --- α / v-step: task branch on a validation batch
@@ -484,38 +413,34 @@ fn search_inner(
             // bank-cached, fresh-recorded otherwise) + replayed
             // hardware head ------------------------------------------
             let alpha_span = hdx_obs::span("engine.alpha_step");
-            let batch = ctx.dataset.val_batch(opts.batch, &mut rng);
+            let batch = ctx.dataset.val_batch(opts.batch, &mut st.rng);
             let (task_value, task_alpha_grads) = match &mut task_exec {
-                TaskExec::Sampled(sr) => sr.alpha_step(&supernet, &batch, &mut rng),
+                TaskExec::Sampled(sr) => sr.alpha_step(&st.supernet, &batch, &mut st.rng),
                 TaskExec::Fresh => {
                     task_tape.clear();
-                    let (wb, ab) = supernet.bind(&mut task_tape);
-                    let task = supernet.task_loss(&mut task_tape, &wb, &ab, &batch, &mut rng);
-                    let task_grads = task_tape.backward(task);
-                    (
-                        f64::from(task_tape.value(task).item()),
-                        flatten(&ab.gradients(&task_grads), supernet.alpha_store()),
-                    )
+                    let (wb, ab) = st.supernet.bind(&mut task_tape);
+                    let task = st
+                        .supernet
+                        .task_loss(&mut task_tape, &wb, &ab, &batch, &mut st.rng);
+                    let alpha = st.supernet.alpha_store();
+                    let vars: Vec<Var> = (0..alpha.len()).map(|l| ab.var(alpha.id(l))).collect();
+                    let mut run = GraphRun::Fresh(&task_tape, None);
+                    run.backward(task);
+                    let mut grads = Vec::new();
+                    run.grads_into(&vars, alpha, &mut grads);
+                    (run.scalar(task), grads)
                 }
             };
             drop(alpha_span);
 
             let head_span = hdx_obs::span("engine.hw_head");
-            head.eval(
-                ctx,
-                opts,
-                &supernet,
-                &generator,
-                &hw_params,
-                hw_theta,
-                &steering,
-                &macs_norm,
-                &mut head_eval,
-            );
+            head.eval(&mut st, &mut head_eval);
             drop(head_span);
 
             // Violation test from the estimator's metrics (Eq. 5/9).
-            let violated = head_eval.est.is_some_and(|m| !all_satisfied(&steering, &m));
+            let violated = head_eval
+                .est
+                .is_some_and(|m| !all_satisfied(&st.steering, &m));
             if let Some(m) = head_eval.est {
                 last_est = m;
             }
@@ -529,18 +454,19 @@ fn search_inner(
                 for (g, h) in g_loss.iter_mut().zip(&head_eval.alpha_obj) {
                     *g += *h;
                 }
-                let g =
-                    if let (Some(gc), Some(dp)) = (&head_eval.alpha_const, delta_policy.as_mut()) {
-                        let m = manipulate(&g_loss, gc, violated, dp.delta());
-                        if m.kind == ManipulationKind::Manipulated {
-                            manipulated_steps += 1;
-                        }
-                        m.gradient
-                    } else {
-                        g_loss
-                    };
-                let per_param = unflatten(&g, supernet.alpha_store());
-                a_opt.step(supernet.alpha_store_mut(), &per_param);
+                let g = if let (Some(gc), Some(dp)) =
+                    (&head_eval.alpha_const, st.delta_policy.as_ref())
+                {
+                    let m = manipulate(&g_loss, gc, violated, dp.delta());
+                    if m.kind == ManipulationKind::Manipulated {
+                        manipulated_steps += 1;
+                    }
+                    m.gradient
+                } else {
+                    g_loss
+                };
+                let per_param = unflatten(&g, st.supernet.alpha_store());
+                st.a_opt.step(st.supernet.alpha_store_mut(), &per_param);
             }
 
             // --- v / θ update ---------------------------------------
@@ -548,38 +474,33 @@ fn search_inner(
                 // The generator minimizes Cost_HW (Eq. 3's inner
                 // objective); HDX manipulates with g_CostHW in place of
                 // g_Loss (§4.3).
-                let store: &mut ParamStore = match opts.method {
-                    Method::AutoNba => &mut hw_params,
-                    _ => generator.params_mut(),
-                };
                 let manipulated;
                 let g: &[f32] =
-                    if let (Some(gc), Some(dp)) = (&head_eval.hw_const, delta_policy.as_ref()) {
+                    if let (Some(gc), Some(dp)) = (&head_eval.hw_const, st.delta_policy.as_ref()) {
                         manipulated = manipulate(g_cost, gc, violated, dp.delta()).gradient;
                         &manipulated
                     } else {
                         g_cost
                     };
+                let store = hw_store(opts.method, &mut st.generator, &mut st.hw_params);
                 let per_param = unflatten(g, store);
-                v_opt.step(store, &per_param);
+                st.v_opt.step(store, &per_param);
             }
 
-            if let Some(dp) = delta_policy.as_mut() {
+            if let Some(dp) = st.delta_policy.as_mut() {
                 dp.update(violated);
             }
         }
 
         // Ground truth of the current relaxed state for the trace.
-        let probs = supernet.arch_probs();
-        let proposed = propose_hardware(ctx, opts, &supernet, &generator, &hw_params, hw_theta);
-        let truth = expected_metrics(ctx.plan, &probs, &proposed);
-        trajectory.push(EpochTrace {
+        let truth = expected_metrics(ctx.plan, &st.supernet.arch_probs(), &propose_hardware(&st));
+        st.trajectory.push(EpochTrace {
             epoch,
             task_loss: last_task,
             global_loss: last_global,
             est: last_est,
             truth,
-            delta: delta_policy.as_ref().map_or(0.0, DeltaPolicy::delta),
+            delta: st.delta_policy.as_ref().map_or(0.0, DeltaPolicy::delta),
             violated: last_violated,
             manipulated_steps,
         });
@@ -588,42 +509,15 @@ fn search_inner(
         // reads is captured *before* any post-loop work touches it.
         if let Some(spec) = &opts.checkpoint {
             if spec.every_epochs > 0 && (epoch + 1) % spec.every_epochs == 0 {
-                SearchCheckpoint::capture(
-                    ctx,
-                    opts,
-                    epoch + 1,
-                    &supernet,
-                    &generator,
-                    &hw_params,
-                    &w_opt,
-                    &a_opt,
-                    &v_opt,
-                    &rng,
-                    delta_policy.as_ref(),
-                    &trajectory,
-                )
-                .save(&spec.path)?;
+                SearchCheckpoint::capture(&st, epoch + 1).save(&spec.path)?;
             }
         }
     }
 
     // ---- final solution -------------------------------------------
     let select_span = hdx_obs::span("engine.final_select");
-    let architecture = supernet.architecture();
-    let accel = match opts.method {
-        Method::NasThenHw { .. } => {
-            hdx_accel::exhaustive_search_jobs(
-                &ctx.plan.layers_for(&architecture),
-                &ctx.weights,
-                &[],
-                opts.jobs,
-            )
-            .expect("non-empty accelerator space")
-            .config
-        }
-        _ => propose_hardware(ctx, opts, &supernet, &generator, &hw_params, hw_theta),
-    };
-    let mut accel = accel;
+    let architecture = st.supernet.architecture();
+    let mut accel = propose_hardware(&st);
     let mut metrics = evaluate_network(&ctx.plan.layers_for(&architecture), &accel);
 
     // HDX hardware repair: the paper evaluates the generator's output
@@ -660,18 +554,19 @@ fn search_inner(
     let (error, final_ce) = if opts.final_train_steps > 0 {
         let final_net = {
             let _train_span = hdx_obs::span("engine.final_train");
+            let spec = ctx.dataset.spec();
             let mut net = FinalNet::new(
                 &architecture,
                 spec.feature_dim,
                 spec.num_classes,
                 &opts.supernet,
-                &mut rng,
+                &mut st.rng,
             );
             net.train_exec_jobs(
                 ctx.dataset,
                 opts.final_train_steps,
                 opts.batch,
-                &mut rng,
+                &mut st.rng,
                 opts.exec,
                 opts.jobs,
             );
@@ -684,8 +579,8 @@ fn search_inner(
         (err, f64::from(ce))
     } else {
         let _eval_span = hdx_obs::span("engine.final_eval");
-        let err = supernet.error_rate(&ctx.dataset.test_all());
-        (err, trajectory.last().map_or(f64::NAN, |t| t.task_loss))
+        let err = st.supernet.error_rate(&ctx.dataset.test_all());
+        (err, st.trajectory.last().map_or(f64::NAN, |t| t.task_loss))
     };
     let global_loss = final_ce + opts.lambda_cost * cost_hw;
 
@@ -697,8 +592,118 @@ fn search_inner(
         error,
         global_loss,
         in_constraint,
-        trajectory,
+        trajectory: st.trajectory,
     })
+}
+
+/// One search's state, built once by [`SearchState::new`]: everything
+/// the epoch loop mutates (the models, their optimizers, the RNG
+/// stream, the δ schedule and the trace — exactly what a
+/// [`SearchCheckpoint`] captures) plus the per-search constants the
+/// hardware head bakes in. The loop, the hardware head, the checkpoint
+/// and the hardware proposal all read this one struct.
+struct SearchState<'a> {
+    ctx: SearchContext<'a>,
+    opts: &'a SearchOptions,
+    supernet: Supernet,
+    generator: Generator,
+    /// Auto-NBA's directly trained hardware parameters: the single
+    /// `[1, 6]` leaf `hw_theta` (allocated, and checkpointed, for every
+    /// method so the RNG stream and the snapshot layout never depend on
+    /// it).
+    hw_params: ParamStore,
+    hw_theta: ParamId,
+    w_opt: Adam,
+    a_opt: Adam,
+    v_opt: Adam,
+    rng: Rng,
+    /// The δ schedule (HDX only).
+    delta_policy: Option<DeltaPolicy>,
+    trajectory: Vec<EpochTrace>,
+    /// Margined targets used for steering (see
+    /// [`SearchOptions::safety_margin`]).
+    steering: Vec<Constraint>,
+    /// NAS→HW's differentiable MAC proxy: each (layer, op) block's MACs
+    /// over their mean, so the expected MACs are `enc · macs_norm`.
+    macs_norm: Vec<f32>,
+}
+
+impl<'a> SearchState<'a> {
+    /// The freshly initialized state of a search. The models draw from
+    /// the seeded RNG in a fixed order — supernet, generator, θ — which
+    /// a resumed search relies on as much as a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.epochs` or `opts.steps_per_epoch` is zero, or if
+    /// the estimator's input dimension does not match the plan.
+    fn new(ctx: SearchContext<'a>, opts: &'a SearchOptions) -> Self {
+        assert!(
+            opts.epochs > 0 && opts.steps_per_epoch > 0,
+            "run_search: empty schedule"
+        );
+        let num_layers = ctx.plan.num_layers();
+        assert_eq!(
+            ctx.estimator.input_dim(),
+            num_layers * 6 + 6,
+            "run_search: estimator dimension does not match plan"
+        );
+        let spec = ctx.dataset.spec();
+        let mut rng = Rng::new(opts.seed);
+        let supernet = Supernet::new(
+            num_layers,
+            spec.feature_dim,
+            spec.num_classes,
+            opts.supernet,
+            &mut rng,
+        );
+        let generator = Generator::new(ctx.plan, &mut rng);
+        let mut hw_params = ParamStore::new();
+        let hw_theta = hw_params.alloc(Tensor::randn(&[1, 6], 0.5, &mut rng));
+        let macs: Vec<f32> = (0..num_layers)
+            .flat_map(|l| (0..6).map(move |o| (l, o)))
+            .map(|(l, o)| ctx.plan.block_at(l, o).macs() as f32)
+            .collect();
+        let macs_mean = macs.iter().sum::<f32>() / macs.len() as f32;
+        SearchState {
+            ctx,
+            opts,
+            supernet,
+            generator,
+            hw_params,
+            hw_theta,
+            w_opt: Adam::new(opts.w_lr),
+            a_opt: Adam::new(opts.alpha_lr),
+            v_opt: Adam::new(opts.gen_lr),
+            rng,
+            delta_policy: match opts.method {
+                Method::Hdx { delta0, p } => Some(DeltaPolicy::new(delta0, p)),
+                _ => None,
+            },
+            trajectory: Vec::with_capacity(opts.epochs),
+            steering: opts
+                .constraints
+                .iter()
+                .map(|c| Constraint::new(c.metric, c.target * (1.0 - opts.safety_margin)))
+                .collect(),
+            macs_norm: macs.iter().map(|m| m / macs_mean).collect(),
+        }
+    }
+}
+
+/// The hardware store the v/θ update trains and the head binds: θ for
+/// Auto-NBA, the generator's `v` otherwise (the NAS→HW head has no
+/// hardware leaves, so its choice is moot). Takes the two fields rather
+/// than the whole [`SearchState`] so the caller keeps the rest of it.
+fn hw_store<'s>(
+    method: Method,
+    generator: &'s mut Generator,
+    hw_params: &'s mut ParamStore,
+) -> &'s mut ParamStore {
+    match method {
+        Method::AutoNba => hw_params,
+        _ => generator.params_mut(),
+    }
 }
 
 /// Schema version of the search-state sections (bumped independently of
@@ -810,23 +815,9 @@ pub struct SearchCheckpoint {
 
 impl SearchCheckpoint {
     /// Captures the live search state at `epoch` completed epochs.
-    #[allow(clippy::too_many_arguments)]
-    fn capture(
-        ctx: &SearchContext<'_>,
-        opts: &SearchOptions,
-        epoch: usize,
-        supernet: &Supernet,
-        generator: &Generator,
-        hw_params: &ParamStore,
-        w_opt: &Adam,
-        a_opt: &Adam,
-        v_opt: &Adam,
-        rng: &Rng,
-        delta_policy: Option<&DeltaPolicy>,
-        trajectory: &[EpochTrace],
-    ) -> SearchCheckpoint {
-        let fingerprint = search_fingerprint(opts);
-        let ctx_fingerprint = context_fingerprint(ctx);
+    fn capture(st: &SearchState<'_>, epoch: usize) -> SearchCheckpoint {
+        let fingerprint = search_fingerprint(st.opts);
+        let ctx_fingerprint = context_fingerprint(&st.ctx);
         let mut ckpt = Checkpoint::new();
         ckpt.put_u64(
             "search.meta",
@@ -835,23 +826,23 @@ impl SearchCheckpoint {
                 SEARCH_CKPT_VERSION,
                 epoch as u64,
                 fingerprint,
-                u64::from(delta_policy.is_some()),
+                u64::from(st.delta_policy.is_some()),
                 ctx_fingerprint,
             ],
         );
-        ckpt.put_u64("search.rng", &[3], &rng.state_words());
-        if let Some(dp) = delta_policy {
+        ckpt.put_u64("search.rng", &[3], &st.rng.state_words());
+        if let Some(dp) = &st.delta_policy {
             ckpt.put_f32("search.delta", &[1], &[dp.delta()]);
         }
-        ckpt.put_param_store("search.w", supernet.w_store());
-        ckpt.put_param_store("search.alpha", supernet.alpha_store());
-        ckpt.put_param_store("search.gen", generator.params());
-        ckpt.put_param_store("search.hw", hw_params);
-        w_opt.save_state(&mut ckpt, "search.w_opt");
-        a_opt.save_state(&mut ckpt, "search.a_opt");
-        v_opt.save_state(&mut ckpt, "search.v_opt");
-        let mut rows = Vec::with_capacity(trajectory.len() * TRACE_COLS);
-        for t in trajectory {
+        ckpt.put_param_store("search.w", st.supernet.w_store());
+        ckpt.put_param_store("search.alpha", st.supernet.alpha_store());
+        ckpt.put_param_store("search.gen", st.generator.params());
+        ckpt.put_param_store("search.hw", &st.hw_params);
+        st.w_opt.save_state(&mut ckpt, "search.w_opt");
+        st.a_opt.save_state(&mut ckpt, "search.a_opt");
+        st.v_opt.save_state(&mut ckpt, "search.v_opt");
+        let mut rows = Vec::with_capacity(st.trajectory.len() * TRACE_COLS);
+        for t in &st.trajectory {
             rows.extend([
                 t.epoch as f64,
                 t.task_loss,
@@ -867,8 +858,8 @@ impl SearchCheckpoint {
                 t.manipulated_steps as f64,
             ]);
         }
-        ckpt.put_f64("search.trace", &[trajectory.len(), TRACE_COLS], &rows);
-        if let Some(note) = opts.checkpoint.as_ref().and_then(|s| s.note.as_deref()) {
+        ckpt.put_f64("search.trace", &[st.trajectory.len(), TRACE_COLS], &rows);
+        if let Some(note) = st.opts.checkpoint.as_ref().and_then(|s| s.note.as_deref()) {
             ckpt.put_bytes("search.note", note.as_bytes());
         }
         SearchCheckpoint {
@@ -957,36 +948,45 @@ impl SearchCheckpoint {
         String::from_utf8(bytes).ok()
     }
 
-    /// Overwrites live search state with the snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn restore_into(
-        &self,
-        supernet: &mut Supernet,
-        generator: &mut Generator,
-        hw_params: &mut ParamStore,
-        w_opt: &mut Adam,
-        a_opt: &mut Adam,
-        v_opt: &mut Adam,
-        rng: &mut Rng,
-        delta_policy: Option<&mut DeltaPolicy>,
-        trajectory: &mut Vec<EpochTrace>,
-    ) -> Result<(), CkptError> {
+    /// Checks that the snapshot belongs to the search `st` was built
+    /// for, then overwrites `st`'s live state with it. Returns the epoch
+    /// to continue from.
+    fn restore_into(&self, st: &mut SearchState<'_>) -> Result<usize, CkptError> {
+        if self.fingerprint != search_fingerprint(st.opts) {
+            return Err(CkptError::Malformed(
+                "search checkpoint was written by an incompatible configuration".to_owned(),
+            ));
+        }
+        if self.context_fingerprint != context_fingerprint(&st.ctx) {
+            return Err(CkptError::Malformed(
+                "search checkpoint was written against different artifacts (estimator/cost \
+                 surface mismatch)"
+                    .to_owned(),
+            ));
+        }
+        if self.epoch > st.opts.epochs {
+            return Err(CkptError::Malformed(format!(
+                "search checkpoint is at epoch {} but the schedule ends at {}",
+                self.epoch, st.opts.epochs
+            )));
+        }
         let (_, meta) = self.ckpt.get_u64("search.meta")?;
-        if (meta[3] != 0) != delta_policy.is_some() {
+        if (meta[3] != 0) != st.delta_policy.is_some() {
             return Err(CkptError::Malformed(
                 "search checkpoint δ-schedule presence disagrees with the method".to_owned(),
             ));
         }
         self.ckpt
-            .read_param_store_into("search.w", supernet.w_store_mut())?;
+            .read_param_store_into("search.w", st.supernet.w_store_mut())?;
         self.ckpt
-            .read_param_store_into("search.alpha", supernet.alpha_store_mut())?;
+            .read_param_store_into("search.alpha", st.supernet.alpha_store_mut())?;
         self.ckpt
-            .read_param_store_into("search.gen", generator.params_mut())?;
-        self.ckpt.read_param_store_into("search.hw", hw_params)?;
-        *w_opt = Adam::load_state(&self.ckpt, "search.w_opt")?;
-        *a_opt = Adam::load_state(&self.ckpt, "search.a_opt")?;
-        *v_opt = Adam::load_state(&self.ckpt, "search.v_opt")?;
+            .read_param_store_into("search.gen", st.generator.params_mut())?;
+        self.ckpt
+            .read_param_store_into("search.hw", &mut st.hw_params)?;
+        st.w_opt = Adam::load_state(&self.ckpt, "search.w_opt")?;
+        st.a_opt = Adam::load_state(&self.ckpt, "search.a_opt")?;
+        st.v_opt = Adam::load_state(&self.ckpt, "search.v_opt")?;
         let (shape, words) = self.ckpt.get_u64("search.rng")?;
         if shape != [3] {
             return Err(CkptError::ShapeMismatch {
@@ -995,8 +995,8 @@ impl SearchCheckpoint {
                 found: shape.to_vec(),
             });
         }
-        *rng = Rng::from_state_words([words[0], words[1], words[2]]);
-        if let Some(dp) = delta_policy {
+        st.rng = Rng::from_state_words([words[0], words[1], words[2]]);
+        if let Some(dp) = &mut st.delta_policy {
             let (_, delta) = self.ckpt.get_f32("search.delta")?;
             let value = *delta
                 .first()
@@ -1016,9 +1016,9 @@ impl SearchCheckpoint {
                 found: shape.to_vec(),
             });
         }
-        trajectory.clear();
+        st.trajectory.clear();
         for row in rows.chunks(TRACE_COLS) {
-            trajectory.push(EpochTrace {
+            st.trajectory.push(EpochTrace {
                 epoch: row[0] as usize,
                 task_loss: row[1],
                 global_loss: row[2],
@@ -1029,7 +1029,7 @@ impl SearchCheckpoint {
                 manipulated_steps: row[11] as usize,
             });
         }
-        Ok(())
+        Ok(self.epoch)
     }
 }
 
@@ -1060,18 +1060,8 @@ struct HeadVars {
 /// hardware path → estimator cost / penalties / constraint loss. Used
 /// both to compile the replayed head and as the per-step fresh-record
 /// reference.
-#[allow(clippy::too_many_arguments)]
-fn record_head(
-    tape: &mut Tape,
-    ctx: &SearchContext<'_>,
-    opts: &SearchOptions,
-    supernet: &Supernet,
-    generator: &Generator,
-    hw_params: &ParamStore,
-    hw_theta: hdx_tensor::ParamId,
-    steering: &[Constraint],
-    macs_norm: &[f32],
-) -> HeadVars {
+fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
+    let (ctx, opts, supernet, generator) = (&st.ctx, st.opts, &st.supernet, &st.generator);
     let alpha_store = supernet.alpha_store();
     let ab = alpha_store.bind(tape);
     let alpha_vars: Vec<Var> = (0..supernet.num_layers())
@@ -1082,8 +1072,8 @@ fn record_head(
     let (hw_vars, hw_var): (Vec<Var>, Option<Var>) = match opts.method {
         Method::NasThenHw { .. } => (Vec::new(), None),
         Method::AutoNba => {
-            let hb = hw_params.bind(tape);
-            let raw = hb.var(hw_theta);
+            let hb = st.hw_params.bind(tape);
+            let raw = hb.var(st.hw_theta);
             let dims_raw = tape.slice_cols(raw, 0, 3);
             let dims = tape.sigmoid(dims_raw);
             let df_raw = tape.slice_cols(raw, 3, 6);
@@ -1106,7 +1096,8 @@ fn record_head(
     let mut est_vars = Vec::new();
     let objective = match opts.method {
         Method::NasThenHw { lambda_macs } => {
-            let macs_leaf = tape.leaf(Tensor::from_vec(macs_norm.to_vec(), &[1, macs_norm.len()]));
+            let macs = &st.macs_norm;
+            let macs_leaf = tape.leaf(Tensor::from_vec(macs.clone(), &[1, macs.len()]));
             let expected = tape.dot(enc, macs_leaf);
             tape.scale(expected, lambda_macs as f32)
         }
@@ -1128,7 +1119,7 @@ fn record_head(
 
             // Soft-constraint penalty (DANCE+Soft / Auto-NBA+Soft).
             if let Some(lambda_soft) = opts.lambda_soft {
-                for c in steering {
+                for c in &st.steering {
                     let metric = pick_metric((lat, en, ar), c);
                     let ratio = tape.scale(metric, (1.0 / c.target) as f32);
                     let hinge = tape.hinge_above(ratio, 1.0);
@@ -1144,10 +1135,10 @@ fn record_head(
 
     // Constraint loss Σ max(t_i − T_i, 0) (Eq. 5/9).
     let mut constraint = None;
-    if matches!(opts.method, Method::Hdx { .. }) && !steering.is_empty() {
+    if matches!(opts.method, Method::Hdx { .. }) && !st.steering.is_empty() {
         if let Some(mv) = metrics {
             let mut acc: Option<Var> = None;
-            for c in steering {
+            for c in &st.steering {
                 let metric = pick_metric(mv, c);
                 let hinge = tape.hinge_above(metric, c.target as f32);
                 acc = Some(match acc {
@@ -1178,28 +1169,22 @@ fn record_head(
 /// but deliberately excluded: they are leaves, and
 /// [`HeadExec::checkout`] rebinds them from the current estimator.
 #[allow(clippy::cast_possible_truncation)]
-fn head_bank_key(
-    ctx: &SearchContext<'_>,
-    opts: &SearchOptions,
-    supernet: &Supernet,
-    generator: &Generator,
-    steering: &[Constraint],
-    macs_norm: &[f32],
-) -> u64 {
+fn head_bank_key(st: &SearchState<'_>) -> u64 {
+    let (ctx, opts) = (&st.ctx, st.opts);
     let mut parts: Vec<u64> = Vec::new();
     match opts.method {
         Method::NasThenHw { lambda_macs } => {
             parts.push(0);
             parts.push(lambda_macs.to_bits());
-            parts.extend(macs_norm.iter().map(|m| u64::from(m.to_bits())));
+            parts.extend(st.macs_norm.iter().map(|m| u64::from(m.to_bits())));
         }
         Method::AutoNba => parts.push(1),
         Method::Dance => parts.push(2),
         // δ₀/p shape the optimizer schedule, not the graph.
         Method::Hdx { .. } => parts.push(3),
     }
-    parts.push(supernet.num_layers() as u64);
-    parts.push(u64::from(supernet.config().temperature.to_bits()));
+    parts.push(st.supernet.num_layers() as u64);
+    parts.push(u64::from(st.supernet.config().temperature.to_bits()));
     parts.push(opts.lambda_cost.to_bits());
     match opts.lambda_soft {
         Some(l) => {
@@ -1208,7 +1193,7 @@ fn head_bank_key(
         }
         None => parts.push(0),
     }
-    for c in steering {
+    for c in &st.steering {
         parts.push(match c.metric {
             Metric::Latency => 0,
             Metric::Energy => 1,
@@ -1225,7 +1210,7 @@ fn head_bank_key(
         parts.push(u64::from(stats.mean[m].to_bits()));
         parts.push(u64::from(stats.std[m].to_bits()));
     }
-    for store in [ctx.estimator.params(), generator.params()] {
+    for store in [ctx.estimator.params(), st.generator.params()] {
         parts.push(store.len() as u64);
         for (_, t) in store.iter() {
             for &d in t.shape() {
@@ -1271,25 +1256,12 @@ impl HeadExec {
     /// (compiling on the first checkout of this fingerprint), then
     /// rebinds the frozen estimator weight leaves — the cached program
     /// may have been compiled by a different same-shaped estimator.
-    #[allow(clippy::too_many_arguments)]
-    fn checkout(
-        ctx: &SearchContext<'_>,
-        opts: &SearchOptions,
-        supernet: &Supernet,
-        generator: &Generator,
-        hw_params: &ParamStore,
-        hw_theta: hdx_tensor::ParamId,
-        steering: &[Constraint],
-        macs_norm: &[f32],
-    ) -> HeadExec {
-        let key = head_bank_key(ctx, opts, supernet, generator, steering, macs_norm);
+    fn checkout(st: &SearchState<'_>) -> HeadExec {
         // The head is a batch-1 (row-vector) graph: every kernel is far
         // under the pool dispatch threshold, so one worker is right.
-        let mut lease = SessionBank::global().checkout(key, 1, || {
+        let mut lease = SessionBank::global().checkout(head_bank_key(st), 1, || {
             let mut tape = Tape::new();
-            let vars = record_head(
-                &mut tape, ctx, opts, supernet, generator, hw_params, hw_theta, steering, macs_norm,
-            );
+            let vars = record_head(&mut tape, st);
             let mut outputs = vec![vars.objective];
             outputs.extend(vars.cost);
             outputs.extend(vars.constraint);
@@ -1313,7 +1285,7 @@ impl HeadExec {
             )
         });
         let vars: Arc<HeadVars> = lease.meta();
-        let est_params = ctx.estimator.params();
+        let est_params = st.ctx.estimator.params();
         let session = lease.session();
         for (i, &v) in vars.est_vars.iter().enumerate() {
             session.bind(v, est_params.get(est_params.id(i)).data());
@@ -1324,110 +1296,55 @@ impl HeadExec {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn eval(
-        &mut self,
-        ctx: &SearchContext<'_>,
-        opts: &SearchOptions,
-        supernet: &Supernet,
-        generator: &Generator,
-        hw_params: &ParamStore,
-        hw_theta: hdx_tensor::ParamId,
-        steering: &[Constraint],
-        macs_norm: &[f32],
-        out: &mut HeadEval,
-    ) {
-        let hw_store: &ParamStore = match opts.method {
-            Method::AutoNba => hw_params,
-            _ => generator.params(),
-        };
-        match self {
-            HeadExec::Compiled { lease, vars } => {
-                let vars = Arc::clone(vars);
-                let session = lease.session();
-                let alpha_store = supernet.alpha_store();
-                for (l, &v) in vars.alpha_vars.iter().enumerate() {
-                    session.bind(v, alpha_store.get(alpha_store.id(l)).data());
-                }
-                for (i, &v) in vars.hw_vars.iter().enumerate() {
-                    session.bind(v, hw_store.get(hw_store.id(i)).data());
-                }
-                session.forward();
-                out.objective = f64::from(session.scalar(vars.objective));
-                out.est = vars.metrics.map(|(l, e, a)| {
-                    HwMetrics::new(
-                        f64::from(session.scalar(l)),
-                        f64::from(session.scalar(e)),
-                        f64::from(session.scalar(a)),
-                    )
-                });
-
-                session.backward(vars.objective);
-                collect_replay_grads(session, &vars.alpha_vars, alpha_store, &mut out.alpha_obj);
-                match vars.cost {
-                    Some(cv) => {
-                        session.backward(cv);
-                        let buf = out.hw_cost.get_or_insert_with(Vec::new);
-                        collect_replay_grads(session, &vars.hw_vars, hw_store, buf);
-                    }
-                    None => out.hw_cost = None,
-                }
-                match vars.constraint {
-                    Some(cv) => {
-                        session.backward(cv);
-                        let ac = out.alpha_const.get_or_insert_with(Vec::new);
-                        collect_replay_grads(session, &vars.alpha_vars, alpha_store, ac);
-                        let hc = out.hw_const.get_or_insert_with(Vec::new);
-                        collect_replay_grads(session, &vars.hw_vars, hw_store, hc);
-                    }
-                    None => {
-                        out.alpha_const = None;
-                        out.hw_const = None;
-                    }
-                }
-            }
+    /// Runs the head on the current α and hardware parameters — the
+    /// replayed session rebinds them, the fresh reference re-records —
+    /// and reads both executors' values and gradients into `out` the
+    /// same way. `st` is mutable only to reach [`hw_store`].
+    fn eval(&mut self, st: &mut SearchState<'_>, out: &mut HeadEval) {
+        let recorded;
+        let (vars, mut run) = match self {
+            HeadExec::Compiled { lease, vars } => (&**vars, GraphRun::Replay(lease.session())),
             HeadExec::Fresh { tape } => {
                 tape.clear();
-                let vars = record_head(
-                    tape, ctx, opts, supernet, generator, hw_params, hw_theta, steering, macs_norm,
-                );
-                out.objective = f64::from(tape.value(vars.objective).item());
-                out.est = vars.metrics.map(|(l, e, a)| {
-                    HwMetrics::new(
-                        f64::from(tape.value(l).item()),
-                        f64::from(tape.value(e).item()),
-                        f64::from(tape.value(a).item()),
-                    )
-                });
+                recorded = record_head(tape, st);
+                (&recorded, GraphRun::Fresh(tape, None))
+            }
+        };
+        let alpha = st.supernet.alpha_store();
+        let hw: &ParamStore = hw_store(st.opts.method, &mut st.generator, &mut st.hw_params);
+        if let GraphRun::Replay(session) = &mut run {
+            for (l, &v) in vars.alpha_vars.iter().enumerate() {
+                session.bind(v, alpha.get(alpha.id(l)).data());
+            }
+            for (i, &v) in vars.hw_vars.iter().enumerate() {
+                session.bind(v, hw.get(hw.id(i)).data());
+            }
+            session.forward();
+        }
+        out.objective = run.scalar(vars.objective);
+        out.est = vars
+            .metrics
+            .map(|(l, e, a)| HwMetrics::new(run.scalar(l), run.scalar(e), run.scalar(a)));
 
-                let g_obj = tape.backward(vars.objective);
-                collect_fresh_grads(
-                    &g_obj,
-                    &vars.alpha_vars,
-                    supernet.alpha_store(),
-                    &mut out.alpha_obj,
-                );
-                match vars.cost {
-                    Some(cv) => {
-                        let g = tape.backward(cv);
-                        let buf = out.hw_cost.get_or_insert_with(Vec::new);
-                        collect_fresh_grads(&g, &vars.hw_vars, hw_store, buf);
-                    }
-                    None => out.hw_cost = None,
-                }
-                match vars.constraint {
-                    Some(cv) => {
-                        let g = tape.backward(cv);
-                        let ac = out.alpha_const.get_or_insert_with(Vec::new);
-                        collect_fresh_grads(&g, &vars.alpha_vars, supernet.alpha_store(), ac);
-                        let hc = out.hw_const.get_or_insert_with(Vec::new);
-                        collect_fresh_grads(&g, &vars.hw_vars, hw_store, hc);
-                    }
-                    None => {
-                        out.alpha_const = None;
-                        out.hw_const = None;
-                    }
-                }
+        run.backward(vars.objective);
+        run.grads_into(&vars.alpha_vars, alpha, &mut out.alpha_obj);
+        match vars.cost {
+            Some(cv) => {
+                run.backward(cv);
+                run.grads_into(&vars.hw_vars, hw, out.hw_cost.get_or_insert_with(Vec::new));
+            }
+            None => out.hw_cost = None,
+        }
+        match vars.constraint {
+            Some(cv) => {
+                run.backward(cv);
+                let ac = out.alpha_const.get_or_insert_with(Vec::new);
+                run.grads_into(&vars.alpha_vars, alpha, ac);
+                run.grads_into(&vars.hw_vars, hw, out.hw_const.get_or_insert_with(Vec::new));
+            }
+            None => {
+                out.alpha_const = None;
+                out.hw_const = None;
             }
         }
     }
@@ -1442,26 +1359,49 @@ enum TaskExec {
     Fresh,
 }
 
-/// Flattens the session gradients of `vars` into `out` in parameter
-/// order, zero-filling vars the output does not depend on (mirroring
-/// [`flatten`]).
-fn collect_replay_grads(session: &Session, vars: &[Var], store: &ParamStore, out: &mut Vec<f32>) {
-    out.clear();
-    for (i, &v) in vars.iter().enumerate() {
-        match session.grad(v) {
-            Some(g) => out.extend_from_slice(g),
-            None => out.extend(std::iter::repeat_n(0.0, store.get(store.id(i)).len())),
-        }
-    }
+/// One executed step graph, read the same way whichever executor ran
+/// it: a replayed [`Session`], or a freshly recorded [`Tape`] with the
+/// gradients of its last backward pass.
+enum GraphRun<'r> {
+    Replay(&'r mut Session),
+    Fresh(&'r Tape, Option<Gradients>),
 }
 
-/// [`collect_replay_grads`] for the fresh-record reference path.
-fn collect_fresh_grads(grads: &Gradients, vars: &[Var], store: &ParamStore, out: &mut Vec<f32>) {
-    out.clear();
-    for (i, &v) in vars.iter().enumerate() {
-        match grads.wrt(v) {
-            Some(g) => out.extend_from_slice(g.data()),
-            None => out.extend(std::iter::repeat_n(0.0, store.get(store.id(i)).len())),
+impl GraphRun<'_> {
+    /// The value of a scalar node.
+    fn scalar(&self, v: Var) -> f64 {
+        f64::from(match self {
+            GraphRun::Replay(session) => session.scalar(v),
+            GraphRun::Fresh(tape, _) => tape.value(v).item(),
+        })
+    }
+
+    /// Backpropagates from `output`, replacing the previous gradients.
+    fn backward(&mut self, output: Var) {
+        match self {
+            GraphRun::Replay(session) => session.backward(output),
+            GraphRun::Fresh(tape, grads) => *grads = Some(tape.backward(output)),
+        }
+    }
+
+    /// Flattens the gradients of `vars` — the leaves of `store`, in
+    /// parameter order — into `out`, zero-filling the leaves the last
+    /// backward output does not depend on.
+    fn grads_into(&self, vars: &[Var], store: &ParamStore, out: &mut Vec<f32>) {
+        out.clear();
+        for (i, &v) in vars.iter().enumerate() {
+            let grad = match self {
+                GraphRun::Replay(session) => session.grad(v),
+                GraphRun::Fresh(_, grads) => grads
+                    .as_ref()
+                    .expect("grads_into: no backward pass has run")
+                    .wrt(v)
+                    .map(Tensor::data),
+            };
+            match grad {
+                Some(g) => out.extend_from_slice(g),
+                None => out.extend(std::iter::repeat_n(0.0, store.get(store.id(i)).len())),
+            }
         }
     }
 }
@@ -1475,28 +1415,23 @@ fn pick_metric(vars: (Var, Var, Var), c: &Constraint) -> Var {
 }
 
 /// The hardware the current state proposes (decoded to discrete).
-fn propose_hardware(
-    ctx: &SearchContext<'_>,
-    opts: &SearchOptions,
-    supernet: &Supernet,
-    generator: &Generator,
-    hw_params: &ParamStore,
-    hw_theta: hdx_tensor::ParamId,
-) -> AccelConfig {
-    match opts.method {
+/// NAS→HW has no hardware parameters: it searches the accelerator space
+/// exhaustively for the current architecture.
+fn propose_hardware(st: &SearchState<'_>) -> AccelConfig {
+    match st.opts.method {
         Method::NasThenHw { .. } => {
-            let arch = supernet.architecture();
+            let arch = st.supernet.architecture();
             hdx_accel::exhaustive_search_jobs(
-                &ctx.plan.layers_for(&arch),
-                &ctx.weights,
+                &st.ctx.plan.layers_for(&arch),
+                &st.ctx.weights,
                 &[],
-                opts.jobs,
+                st.opts.jobs,
             )
             .expect("non-empty accelerator space")
             .config
         }
         Method::AutoNba => {
-            let raw = hw_params.get(hw_theta);
+            let raw = st.hw_params.get(st.hw_theta);
             let mut feat = [0.0f32; 6];
             for (i, f) in feat.iter_mut().enumerate().take(3) {
                 *f = 1.0 / (1.0 + (-raw.data()[i]).exp());
@@ -1505,20 +1440,8 @@ fn propose_hardware(
             feat[3..6].copy_from_slice(df.data());
             AccelConfig::decode(&feat)
         }
-        Method::Dance | Method::Hdx { .. } => generator.propose(&supernet.arch_probs()),
+        Method::Dance | Method::Hdx { .. } => st.generator.propose(&st.supernet.arch_probs()),
     }
-}
-
-/// Flattens aligned per-parameter gradients (zero-filling gaps).
-fn flatten(grads: &[Option<Tensor>], store: &ParamStore) -> Vec<f32> {
-    let mut out = Vec::with_capacity(store.num_scalars());
-    for (i, g) in grads.iter().enumerate() {
-        match g {
-            Some(t) => out.extend_from_slice(t.data()),
-            None => out.extend(std::iter::repeat_n(0.0, store.get(store.id(i)).len())),
-        }
-    }
-    out
 }
 
 /// Splits a flat gradient vector back into per-parameter tensors.
@@ -1679,42 +1602,18 @@ mod tests {
                 p: 1e-2,
             },
             constraints: vec![Constraint::fps(30.0)],
+            seed: 5,
             ..SearchOptions::default()
         };
-        let mut rng = Rng::new(5);
-        let spec = ctx.dataset.spec();
-        let supernet = Supernet::new(
-            ctx.plan.num_layers(),
-            spec.feature_dim,
-            spec.num_classes,
-            opts.supernet,
-            &mut rng,
-        );
-        let generator = Generator::new(ctx.plan, &mut rng);
-        let mut hw_params = ParamStore::new();
-        let hw_theta = hw_params.alloc(Tensor::randn(&[1, 6], 0.5, &mut rng));
-        let steering: Vec<Constraint> = opts
-            .constraints
-            .iter()
-            .map(|c| Constraint::new(c.metric, c.target * (1.0 - opts.safety_margin)))
-            .collect();
-        let macs_norm = vec![1.0f32; 108];
+        let mut st = SearchState::new(ctx, &opts);
 
-        let mut compiled = HeadExec::checkout(
-            &ctx, &opts, &supernet, &generator, &hw_params, hw_theta, &steering, &macs_norm,
-        );
+        let mut compiled = HeadExec::checkout(&st);
         let mut fresh = HeadExec::Fresh { tape: Tape::new() };
         let mut ec = HeadEval::default();
         let mut ef = HeadEval::default();
         for step in 0..3 {
-            compiled.eval(
-                &ctx, &opts, &supernet, &generator, &hw_params, hw_theta, &steering, &macs_norm,
-                &mut ec,
-            );
-            fresh.eval(
-                &ctx, &opts, &supernet, &generator, &hw_params, hw_theta, &steering, &macs_norm,
-                &mut ef,
-            );
+            compiled.eval(&mut st, &mut ec);
+            fresh.eval(&mut st, &mut ef);
             assert_eq!(ec.objective, ef.objective, "step {step} objective");
             assert_eq!(ec.est, ef.est, "step {step} est");
             assert_eq!(ec.alpha_obj, ef.alpha_obj, "step {step} alpha_obj");
@@ -1803,6 +1702,66 @@ mod tests {
             assert_eq!(c.global_loss, f.global_loss, "epoch {}", c.epoch);
             assert_eq!(c.est, f.est, "epoch {}", c.epoch);
             assert_eq!(c.violated, f.violated, "epoch {}", c.epoch);
+        }
+    }
+
+    #[test]
+    fn single_path_search_is_exec_mode_invariant() {
+        // num_paths == 1 is the one served mixture whose task branch
+        // fresh-records even in compiled mode (`Supernet::mix_layer`
+        // bakes the chosen path's 1/c each step); the head, the
+        // final-net retrain and its evaluation still replay. At every
+        // worker count the result and the whole trajectory must equal
+        // the fresh-record reference bit for bit.
+        let prepared = ctx();
+        let run = |exec: ExecMode, jobs: usize| {
+            let opts = SearchOptions {
+                constraints: vec![Constraint::fps(30.0)],
+                epochs: 2,
+                steps_per_epoch: 4,
+                final_train_steps: 40,
+                seed: 13,
+                supernet: SupernetConfig {
+                    num_paths: 1,
+                    ..SupernetConfig::default()
+                },
+                jobs,
+                exec,
+                ..SearchOptions::default()
+            };
+            run_search(&prepared.context(), &opts)
+        };
+        let reference = run(ExecMode::FreshRecord, 1);
+        for (exec, jobs) in [
+            (ExecMode::Compiled, 1),
+            (ExecMode::Compiled, 2),
+            (ExecMode::FreshRecord, 2),
+        ] {
+            let r = run(exec, jobs);
+            let label = format!("{exec:?} jobs={jobs}");
+            assert_eq!(r.architecture, reference.architecture, "{label}");
+            assert_eq!(r.accel, reference.accel, "{label}");
+            assert_eq!(r.metrics, reference.metrics, "{label}");
+            assert_eq!(r.error.to_bits(), reference.error.to_bits(), "{label}");
+            assert_eq!(r.cost_hw.to_bits(), reference.cost_hw.to_bits(), "{label}");
+            assert_eq!(
+                r.global_loss.to_bits(),
+                reference.global_loss.to_bits(),
+                "{label}"
+            );
+            assert_eq!(r.in_constraint, reference.in_constraint, "{label}");
+            assert_eq!(r.trajectory.len(), reference.trajectory.len(), "{label}");
+            for (t, f) in r.trajectory.iter().zip(&reference.trajectory) {
+                let at = format!("{label} epoch {}", t.epoch);
+                assert_eq!(t.epoch, f.epoch, "{at}");
+                assert_eq!(t.task_loss.to_bits(), f.task_loss.to_bits(), "{at}");
+                assert_eq!(t.global_loss.to_bits(), f.global_loss.to_bits(), "{at}");
+                assert_eq!(t.est, f.est, "{at}");
+                assert_eq!(t.truth, f.truth, "{at}");
+                assert_eq!(t.delta.to_bits(), f.delta.to_bits(), "{at}");
+                assert_eq!(t.violated, f.violated, "{at}");
+                assert_eq!(t.manipulated_steps, f.manipulated_steps, "{at}");
+            }
         }
     }
 

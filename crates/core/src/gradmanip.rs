@@ -120,7 +120,10 @@ impl DeltaPolicy {
         }
     }
 
-    /// The paper's default: `δ₀ = 1e-3`, `p = 1e-2`.
+    /// The paper's default: `δ₀ = 1e-3`, `p = 1e-2`. This is the one
+    /// place those values are written: the default HDX method of
+    /// [`crate::SearchOptions`] and the serving protocol's `hdx` defaults
+    /// read them from a fresh policy, whose [`DeltaPolicy::delta`] is δ₀.
     pub fn paper() -> Self {
         Self::new(1e-3, 1e-2)
     }

@@ -40,7 +40,7 @@
 
 pub mod v1;
 
-use hdx_core::{Constraint, Method, Metric, SearchOptions, SearchResult, Task};
+use hdx_core::{Constraint, DeltaPolicy, Method, Metric, SearchOptions, SearchResult, Task};
 use hdx_nas::{SupernetConfig, OP_SET};
 use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
@@ -613,8 +613,17 @@ impl SearchRequest {
     /// elapsed work — so resumed reports stay bit-identical to
     /// uninterrupted ones.
     pub fn step_budget(&self) -> u64 {
-        (self.max_searches as u64)
-            * (self.epochs as u64 * self.steps as u64 + self.final_train as u64)
+        self.steps_for(self.max_searches)
+    }
+
+    /// Optimizer steps of `searches` runs of this request's schedule,
+    /// saturating at `u64::MAX`: the fields are client-controlled, and a
+    /// wrapped product would slip a huge job under the deadline.
+    fn steps_for(&self, searches: usize) -> u64 {
+        let per_search = (self.epochs as u64)
+            .saturating_mul(self.steps as u64)
+            .saturating_add(self.final_train as u64);
+        (searches as u64).saturating_mul(per_search)
     }
 
     /// Expands a λ-grid request into independent single-λ jobs (a
@@ -755,7 +764,8 @@ fn search_fields<'a>(
     v1: bool,
 ) -> Result<SearchRequest, ProtoError> {
     let mut req = SearchRequest::default();
-    let (mut method, mut delta0, mut p, mut lambda_macs) = ("hdx", 1e-3, 1e-2, 0.05);
+    let paper = DeltaPolicy::paper();
+    let (mut method, mut delta0, mut p, mut lambda_macs) = ("hdx", paper.delta(), paper.p(), 0.05);
     let id = read_fields(parts, |f| {
         match f.key {
             "task" => req.task = f.task()?,
@@ -901,8 +911,7 @@ impl SearchReport {
             queue_pos: 0,
             queued_jobs: 1,
             queue_len_at_dispatch: 0,
-            steps_used: (searches as u64)
-                * (req.epochs as u64 * req.steps as u64 + req.final_train as u64),
+            steps_used: req.steps_for(searches),
         }
     }
 

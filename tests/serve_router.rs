@@ -325,6 +325,32 @@ fn quota_and_deadline_are_enforced_in_band() {
     assert_eq!(err.kind.code(), "deadline_exceeded");
 }
 
+#[test]
+fn overflowing_step_budget_saturates_and_is_refused_in_band() {
+    // epochs · steps = 2^64 wraps to 0 in unchecked u64 math, which
+    // would slip a 2^32-epoch job under any deadline. The budget must
+    // saturate instead, so the line is refused in-band and the
+    // connection goes on serving.
+    let line = "hdx1 search id=5 fps=30 epochs=4294967296 steps=4294967296 final_train=40";
+    let v1::RequestBody::Search(req) = v1::decode_request(line).expect("decode").body else {
+        panic!("not a search");
+    };
+    assert_eq!(req.step_budget(), u64::MAX);
+    let router = dual_router(RouterConfig {
+        deadline_steps: Some(1000),
+        ..RouterConfig::default()
+    });
+    let lines = serve_lines(&router, &format!("{line}\nhdx1 ping id=6\n"));
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(
+        lines[0].starts_with("hdx1 error id=5 code=deadline_exceeded"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[0].contains(&u64::MAX.to_string()), "{}", lines[0]);
+    assert_eq!(lines[1], "hdx1 pong id=6");
+}
+
 /// One call the router made on its writer: `Some(bytes)` for a
 /// `write`, `None` for a `flush`.
 type WriteEvent = Option<Vec<u8>>;
