@@ -565,6 +565,148 @@ mod tests {
         assert_eq!(h, 0x7aaa_9f58_8cda_4e93, "teacher dataset bytes drifted");
     }
 
+    /// FNV-1a over each split's `x` bits then labels, train/val/test.
+    fn split_digests(ds: &Dataset) -> [u64; 3] {
+        [&ds.train, &ds.val, &ds.test].map(|split| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut mix = |bytes: &[u8]| {
+                for &b in bytes {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            for v in &split.x {
+                mix(&v.to_bits().to_le_bytes());
+            }
+            for &y in &split.y {
+                mix(&(y as u64).to_le_bytes());
+            }
+            h
+        })
+    }
+
+    #[test]
+    fn every_family_generates_pinned_bytes() {
+        // Every byte of every split, for all six families at two seeds:
+        // a faster generator must reproduce these exactly.
+        type Family = fn(u64) -> TaskSpec;
+        let families: [(Family, u64, [u64; 3]); 12] = [
+            (
+                TaskSpec::cifar_like,
+                1,
+                [
+                    0x48a7_f900_eea1_9a8d,
+                    0x4558_60a9_a25e_08f1,
+                    0x92f4_1847_ccb5_de29,
+                ],
+            ),
+            (
+                TaskSpec::cifar_like,
+                2,
+                [
+                    0xbcc9_9de1_0efc_2606,
+                    0x26d7_0516_c111_550a,
+                    0x080c_4dc6_d490_9510,
+                ],
+            ),
+            (
+                TaskSpec::imagenet_like,
+                1,
+                [
+                    0x36fb_93e8_e923_6463,
+                    0xf553_2e16_723e_78af,
+                    0xfc47_b724_955e_3085,
+                ],
+            ),
+            (
+                TaskSpec::imagenet_like,
+                2,
+                [
+                    0xce79_a93b_3907_3095,
+                    0xeba1_084f_4d91_81d1,
+                    0x1de3_55a1_3e05_4e53,
+                ],
+            ),
+            (
+                TaskSpec::spheres_like,
+                1,
+                [
+                    0x4b43_244f_6c75_d319,
+                    0x98c3_052c_112b_e11f,
+                    0x0fc6_6fdd_cf04_ebd5,
+                ],
+            ),
+            (
+                TaskSpec::spheres_like,
+                2,
+                [
+                    0x28f0_ceab_643d_d137,
+                    0xe121_fac1_8d2b_c4b5,
+                    0x1f54_560e_aee1_a7f2,
+                ],
+            ),
+            (
+                TaskSpec::highdim_like,
+                1,
+                [
+                    0xcfdc_a03e_1e9e_261b,
+                    0x3c1e_1231_f1c4_ae2c,
+                    0x7fe9_2ba2_9e62_f0b0,
+                ],
+            ),
+            (
+                TaskSpec::highdim_like,
+                2,
+                [
+                    0x86ed_83d8_6bfc_0892,
+                    0x38af_39d4_6af9_0baf,
+                    0x5965_4fdb_71ca_ecd9,
+                ],
+            ),
+            (
+                TaskSpec::manyclass_like,
+                1,
+                [
+                    0x832c_fe99_35af_7d60,
+                    0x7bb2_e57a_a9ae_3a9e,
+                    0xb178_ce7f_5ab1_4ae3,
+                ],
+            ),
+            (
+                TaskSpec::manyclass_like,
+                2,
+                [
+                    0x8a99_5959_54b0_0232,
+                    0xfcab_595e_faeb_cc82,
+                    0xa0b1_f8ba_10d1_378b,
+                ],
+            ),
+            (
+                TaskSpec::edge_like,
+                1,
+                [
+                    0x48a7_f900_eea1_9a8d,
+                    0x4558_60a9_a25e_08f1,
+                    0x92f4_1847_ccb5_de29,
+                ],
+            ),
+            (
+                TaskSpec::edge_like,
+                2,
+                [
+                    0xbcc9_9de1_0efc_2606,
+                    0x26d7_0516_c111_550a,
+                    0x080c_4dc6_d490_9510,
+                ],
+            ),
+        ];
+        for (family, seed, want) in families {
+            let spec = family(seed);
+            let got = split_digests(&Dataset::generate(&spec));
+            assert_eq!(got, want, "{} seed {seed} dataset bytes drifted", spec.name);
+        }
+    }
+
     #[test]
     fn imagenet_task_is_harder_than_cifar() {
         let c = TaskSpec::cifar_like(1);
