@@ -14,6 +14,7 @@
 //! (≈4–8 % for the CIFAR-like task, ≈24–30 % for the ImageNet-like
 //! task).
 
+use hdx_tensor::kernels::{self, Tier};
 use hdx_tensor::{Rng, Tensor};
 
 /// How inputs are drawn and labelled.
@@ -238,12 +239,11 @@ impl Split {
 /// The fixed random teacher that labels the task.
 #[derive(Debug, Clone)]
 struct Teacher {
-    dim: usize,
-    width: usize,
-    classes: usize,
     gain: f32,
+    /// `[dim, width]`, row-major.
     w1: Vec<f32>,
     b1: Vec<f32>,
+    /// `[width, classes]`, row-major.
     w2: Vec<f32>,
 }
 
@@ -251,9 +251,6 @@ impl Teacher {
     fn new(spec: &TaskSpec, rng: &mut Rng) -> Self {
         let (d, w, c) = (spec.feature_dim, spec.teacher_width, spec.num_classes);
         Self {
-            dim: d,
-            width: w,
-            classes: c,
             gain: spec.teacher_gain,
             w1: (0..d * w)
                 .map(|_| rng.normal() / (d as f32).sqrt())
@@ -265,19 +262,23 @@ impl Teacher {
         }
     }
 
-    /// Returns `(top-1 class, top-1 margin)` for an input.
-    fn label_and_margin(&self, x: &[f32]) -> (usize, f32) {
-        let mut logits = vec![0.0f32; self.classes];
-        for j in 0..self.width {
-            let mut a = self.b1[j];
-            for (k, &xk) in x.iter().enumerate().take(self.dim) {
-                a += self.w1[k * self.width + j] * xk;
-            }
-            let h = (self.gain * a).tanh();
-            for (cidx, logit) in logits.iter_mut().enumerate() {
-                *logit += self.w2[j * self.classes + cidx] * h;
-            }
+    /// Returns `(top-1 class, top-1 margin)` for an input, using
+    /// caller-owned `hidden` (`width`) and `logits` (`classes`) buffers.
+    ///
+    /// Both layers run [`kernels::vecmat_acc_into`]: the hidden layer
+    /// folds `b1[j] + Σ_k x[k]·w1[k][j]` and the logits fold
+    /// `0 + Σ_j h[j]·w2[j][c]`, each in ascending order with a separate
+    /// mul and add, so every tier gives the bits of the plain scalar
+    /// loops; `tanh` stays the scalar `f32::tanh` per element.
+    fn label_and_margin(&self, x: &[f32], hidden: &mut [f32], logits: &mut [f32]) -> (usize, f32) {
+        let tier = Tier::detected();
+        hidden.copy_from_slice(&self.b1);
+        kernels::vecmat_acc_into(tier, x, &self.w1, hidden);
+        for h in hidden.iter_mut() {
+            *h = (self.gain * *h).tanh();
         }
+        logits.fill(0.0);
+        kernels::vecmat_acc_into(tier, hidden, &self.w2, logits);
         let mut best = 0;
         let mut second = f32::NEG_INFINITY;
         for (i, &v) in logits.iter().enumerate() {
@@ -304,6 +305,7 @@ pub struct Dataset {
 impl Dataset {
     /// Generates the dataset deterministically from its spec.
     pub fn generate(spec: &TaskSpec) -> Self {
+        let _span = hdx_obs::span("data.generate");
         match spec.geometry {
             Geometry::Teacher => Self::generate_teacher(spec),
             Geometry::Clusters {
@@ -322,12 +324,16 @@ impl Dataset {
         let d = spec.feature_dim;
         let teacher = Teacher::new(spec, &mut rng);
 
-        let gen_split = |n: usize, rng: &mut Rng| {
+        // One set of candidate buffers for all three splits.
+        let mut sample = vec![0.0f32; d];
+        let mut hidden = vec![0.0f32; spec.teacher_width];
+        let mut logits = vec![0.0f32; spec.num_classes];
+        let mut gen_split = |n: usize, rng: &mut Rng| {
             let mut x = Vec::with_capacity(n * d);
             let mut y = Vec::with_capacity(n);
             while y.len() < n {
-                let sample: Vec<f32> = (0..d).map(|_| rng.normal()).collect();
-                let (class, margin) = teacher.label_and_margin(&sample);
+                sample.fill_with(|| rng.normal());
+                let (class, margin) = teacher.label_and_margin(&sample, &mut hidden, &mut logits);
                 if margin < spec.margin {
                     continue; // boundary-hugging point: reject
                 }

@@ -25,9 +25,10 @@ use crate::arch::Architecture;
 use crate::data::Batch;
 use crate::ops::OP_SET;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
+use hdx_tensor::kernels;
 use hdx_tensor::{
     bank_key, sharded_step, Binding, CosineLr, ExecMode, Linear, ParamId, ParamStore, Program, Rng,
-    Session, Sgd, ShardStep, Tape, Tensor, Var,
+    Session, Sgd, ShardStep, Tape, Tensor, Var, WorkerPool,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -634,8 +635,8 @@ impl FinalNet {
         // paper's 0.008 because the proxy network is far smaller.
         let mut opt = Sgd::new(0.9, true, 1e-3);
         let sched = CosineLr::new(0.02, steps.max(1));
-        // Resolve the worker-count policy once per training run.
-        let jobs = hdx_tensor::num_jobs(jobs);
+        // One pool per training run: no step spawns or joins a thread.
+        let pool = WorkerPool::new(hdx_tensor::num_jobs(jobs));
         let mut last = f32::NAN;
         for step in 0..steps {
             let batch = dataset.train_batch(batch_size, rng);
@@ -643,7 +644,7 @@ impl FinalNet {
                 net: self,
                 batch: &batch,
             };
-            let (loss, mut collected) = sharded_step(&train, batch.len(), jobs, exec);
+            let (loss, mut collected) = sharded_step(&train, batch.len(), &pool, exec);
             last = loss;
             Binding::clip_grad_norm(&mut collected, 5.0);
             opt.step(&mut self.w, &collected, sched.lr(step));
@@ -778,17 +779,15 @@ impl FinalEval<'_> {
             // ops keep them out of the scored rows either way).
             x[rows * dim..].fill(0.0);
             sess.forward();
-            let chunk = Tensor::from_vec(
-                sess.value(*logits)[..rows * classes].to_vec(),
-                &[rows, classes],
-            );
-            let probs = chunk.softmax_rows();
-            for (i, &y) in batch.y[r0..r0 + rows].iter().enumerate() {
+            // Each row is scored in place, with the tie rule of
+            // `Tensor::argmax_row` and the fold of `Tensor::softmax_rows`.
+            let out = &sess.value(*logits)[..rows * classes];
+            for (row, &y) in out.chunks_exact(classes).zip(&batch.y[r0..r0 + rows]) {
                 assert!(y < classes, "score: target {y} out of range {classes}");
-                if chunk.argmax_row(i) != y {
+                if kernels::argmax(row) != y {
                     wrong += 1;
                 }
-                loss -= probs.at(i, y).max(1e-30).ln();
+                loss -= kernels::softmax_row_at(row, y).max(1e-30).ln();
             }
         }
         EvalScore {

@@ -7,7 +7,7 @@ use hdx_nas::NetworkPlan;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
     bank_key, sharded_step, Adam, Binding, ExecMode, ParamStore, ResidualMlp, Rng, ShardStep, Tape,
-    Tensor, Var, SHARD_ROWS,
+    Tensor, Var, WorkerPool, SHARD_ROWS,
 };
 use std::ops::Range;
 use std::path::Path;
@@ -137,9 +137,10 @@ impl Estimator {
             "train: pair dimension mismatch"
         );
         self.stats = *pairs.stats();
-        // Resolve the worker-count policy (env read, CPU probe) once per
-        // training run, not once per minibatch.
-        let jobs = hdx_tensor::num_jobs(self.cfg.jobs);
+        // Resolve the worker-count policy (env read, CPU probe) and
+        // start the workers once per training run, not once per
+        // minibatch.
+        let pool = WorkerPool::new(hdx_tensor::num_jobs(self.cfg.jobs));
         let mut opt = Adam::new(self.cfg.lr);
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         let mut last_epoch_loss = f32::NAN;
@@ -154,7 +155,7 @@ impl Estimator {
                     pairs,
                     chunk,
                 };
-                let (loss, grads) = sharded_step(&step, chunk.len(), jobs, self.cfg.exec);
+                let (loss, grads) = sharded_step(&step, chunk.len(), &pool, self.cfg.exec);
                 epoch_loss += loss;
                 batches += 1;
                 opt.step(&mut self.params, &grads);

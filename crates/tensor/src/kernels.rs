@@ -1118,6 +1118,67 @@ pub fn row_outer_into(a: &[f32], g: &[f32], dst: &mut [f32], n: usize, single: b
     }
 }
 
+/// `out[j] = out[j] + x[p] · w[p][j]` for row-major `w [x.len(), n]`
+/// and `n = out.len()`, folding `p` ascending from whatever `out`
+/// holds — the accumulating vector–matrix product of a hand-written
+/// `a = bias; for p { a += x[p] · w[p][j] }` loop, bit for bit.
+///
+/// Unlike [`matmul_into`] there is no zero-skip (every term is added,
+/// so a `-0.0` start value meets `+0.0` products exactly as in the
+/// scalar loop) and the start value is the caller's, not `0.0`. Every
+/// tier runs the same source with a separate mul and add (no FMA), and
+/// each output element keeps its own p-ascending fold, so the tiers
+/// agree bit for bit; only the lane width differs.
+///
+/// # Panics
+///
+/// Panics if `w` is shorter than `x.len() · out.len()` or the host
+/// does not support `tier`.
+pub fn vecmat_acc_into(tier: Tier, x: &[f32], w: &[f32], out: &mut [f32]) {
+    assert!(w.len() >= x.len() * out.len(), "matrix too short");
+    tier.check();
+    if out.is_empty() {
+        return;
+    }
+    match tier {
+        // SAFETY: `tier.check()` passed, so the host has
+        // avx512f+avx512vl.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { vecmat_avx512(x, w, out) },
+        // SAFETY: `tier.check()` passed, so the host has avx2.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { vecmat_avx2(x, w, out) },
+        _ => vecmat_body(x, w, out),
+    }
+}
+
+#[inline(always)]
+fn vecmat_body(x: &[f32], w: &[f32], out: &mut [f32]) {
+    for (&xp, wrow) in x.iter().zip(w.chunks_exact(out.len())) {
+        for (o, &wv) in out.iter_mut().zip(wrow) {
+            *o += xp * wv;
+        }
+    }
+}
+
+// SAFETY: `unsafe` solely because of `#[target_feature]` — callers
+// must have verified AVX2 support at runtime (`Tier::check`); the body
+// itself is safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn vecmat_avx2(x: &[f32], w: &[f32], out: &mut [f32]) {
+    vecmat_body(x, w, out);
+}
+
+// SAFETY: `unsafe` solely because of `#[target_feature]` — callers
+// must have verified AVX-512 support at runtime (`Tier::check`); the
+// body itself is safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512vl")]
+unsafe fn vecmat_avx512(x: &[f32], w: &[f32], out: &mut [f32]) {
+    vecmat_body(x, w, out);
+}
+
 /// `out = srcᵀ` for row-major `src [m,n]`, `out [n,m]` — cache-blocked:
 /// 16×16 tiles keep both the source rows and the destination columns
 /// inside L1 while a tile is live, instead of the column-strided
@@ -1161,6 +1222,32 @@ pub fn softmax_rows_into(src: &[f32], out: &mut [f32], m: usize, n: usize) {
             out[i * n + j] /= denom;
         }
     }
+}
+
+/// Entry `j` of the softmax of one row: the max/exp/denominator fold
+/// of [`softmax_rows_into`], without materializing the other entries,
+/// so it is bit-identical to that kernel's `out[j]`.
+pub fn softmax_row_at(row: &[f32], j: usize) -> f32 {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut denom = 0.0;
+    for &v in row {
+        denom += (v - max).exp();
+    }
+    (row[j] - max).exp() / denom
+}
+
+/// Index of the largest entry of `row`; on ties the **last** maximum
+/// wins (the `Iterator::max_by` rule).
+///
+/// # Panics
+///
+/// Panics if `row` is empty or holds a NaN that reaches a comparison.
+pub fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("argmax: NaN encountered"))
+        .map(|(i, _)| i)
+        .expect("argmax: empty row")
 }
 
 /// Per-window activation of the fused decode head: `sigmoid` applies

@@ -121,6 +121,16 @@ pub fn default_par_threshold(cores: usize) -> usize {
     }
 }
 
+/// Records one parallel map over `items` units of work, whichever
+/// workers end up running them — the counts (and therefore the
+/// `metrics` verb snapshot) are identical at every `HDX_JOBS`.
+pub(crate) fn observe_map(items: usize) {
+    static OBS_CALLS: hdx_obs::Counter = hdx_obs::Counter::new("par.map.calls");
+    static OBS_ITEMS: hdx_obs::Counter = hdx_obs::Counter::new("par.map.items");
+    OBS_CALLS.incr();
+    OBS_ITEMS.add(items as u64);
+}
+
 /// Maps `f(index, &item)` over `items` on up to `jobs` worker threads
 /// (resolved through [`num_jobs`]), returning outputs in input order.
 ///
@@ -139,13 +149,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    // One call and `items.len()` units of work regardless of how many
-    // workers end up running them — the counts (and therefore the
-    // `metrics` verb snapshot) are identical at every `HDX_JOBS`.
-    static OBS_CALLS: hdx_obs::Counter = hdx_obs::Counter::new("par.map.calls");
-    static OBS_ITEMS: hdx_obs::Counter = hdx_obs::Counter::new("par.map.items");
-    OBS_CALLS.incr();
-    OBS_ITEMS.add(items.len() as u64);
+    observe_map(items.len());
     let workers = num_jobs(jobs).min(items.len().max(1));
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
@@ -181,9 +185,11 @@ where
 /// row-partitioned kernels ([`crate::Session`] replay).
 ///
 /// [`parallel_map`] spawns scoped threads per call, which is fine for
-/// coarse work (whole accelerator evaluations, estimator shards) but
-/// too slow for the inner kernels of a replayed training step, which
-/// run tens of thousands of times per search. A `WorkerPool` keeps its
+/// coarse work (whole accelerator evaluations) but too slow for the
+/// inner kernels of a replayed training step, which run tens of
+/// thousands of times per search, and for the steps themselves: a
+/// training call owns one pool and fans its shards out with
+/// [`WorkerPool::map`]. A `WorkerPool` keeps its
 /// threads parked on channels between calls, so dispatch costs two
 /// channel round-trips per worker instead of a thread spawn.
 ///
@@ -251,6 +257,50 @@ impl WorkerPool {
     /// Total worker count (including the calling thread).
     pub fn workers(&self) -> usize {
         self.size
+    }
+
+    /// [`parallel_map`] on this pool's parked workers instead of fresh
+    /// scoped threads: the same contiguous chunks (one per worker, at
+    /// most [`WorkerPool::workers`]) and the same input-order output,
+    /// so the result is bit-identical at every pool size. With one
+    /// worker (or one item) everything runs on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from `f` after every worker has finished.
+    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(usize, &T) -> U + Sync,
+    {
+        observe_map(items.len());
+        let workers = self.size.min(items.len());
+        if workers <= 1 {
+            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        }
+        let chunk = items.len().div_ceil(workers);
+        // One slot per worker; each is locked only by its own worker.
+        let slots: Vec<std::sync::Mutex<Vec<U>>> = (0..workers)
+            .map(|_| std::sync::Mutex::new(Vec::new()))
+            .collect();
+        self.run(&|t| {
+            let lo = t * chunk;
+            if lo >= items.len() {
+                return;
+            }
+            let hi = (lo + chunk).min(items.len());
+            let out = items[lo..hi]
+                .iter()
+                .enumerate()
+                .map(|(off, x)| f(lo + off, x))
+                .collect();
+            *slots[t].lock().expect("map slot poisoned") = out;
+        });
+        slots
+            .into_iter()
+            .flat_map(|slot| slot.into_inner().expect("map slot poisoned"))
+            .collect()
     }
 
     /// Runs `f(t)` for every worker index `t ∈ 0..workers()` and blocks
@@ -476,6 +526,23 @@ mod tests {
                 *hits.lock().expect("no poison") += 1;
             });
             assert_eq!(*hits.lock().expect("no poison"), 3);
+        }
+    }
+
+    #[test]
+    fn worker_pool_map_matches_parallel_map_at_every_size() {
+        let items: Vec<usize> = (0..37).collect();
+        let expect: Vec<(usize, usize)> = items.iter().map(|&x| (x, x * 5 + 2)).collect();
+        for size in [1, 2, 3, 8, 64] {
+            let pool = WorkerPool::new(size);
+            for _ in 0..2 {
+                assert_eq!(
+                    pool.map(&items, |i, &x| (i, x * 5 + 2)),
+                    expect,
+                    "size={size}"
+                );
+            }
+            assert!(pool.map(&[] as &[u8], |_, &x| x).is_empty());
         }
     }
 

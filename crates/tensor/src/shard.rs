@@ -10,15 +10,18 @@
 //!   [`SHARD_ROWS`]-row shards (the last one shorter). The split never
 //!   depends on the worker count. A batch of at most [`SHARD_ROWS`] rows
 //!   is one shard weighted 1.0, i.e. exactly the unsharded step.
-//! * **Worker split** (compiled). `workers = jobs.min(shards).max(1)`
-//!   contiguous shard ranges run in parallel; the jobs left over
-//!   (`jobs / workers`) go to each session's row-parallel kernels, so a
-//!   single large shard still uses every core. Which worker replays
-//!   which shard affects only session reuse, never a result.
-//! * **Leases.** Each worker checks out one [`SessionBank`] session per
-//!   shard size and holds it across its range; programs are keyed by
-//!   [`ShardStep::key`], so training calls with the same architecture
-//!   share them.
+//! * **Worker split** (compiled). The caller owns one [`WorkerPool`]
+//!   for its whole training call, so no step spawns or joins a thread.
+//!   `workers = pool.workers().min(shards)` contiguous shard ranges
+//!   run on the pool ([`WorkerPool::map`]), each on sequential
+//!   sessions. A single worker (one shard, or a pool of one) instead
+//!   lends the whole pool to its session's row-parallel kernels, so a
+//!   lone shard still uses every core. Which worker replays which
+//!   shard affects only session reuse, never a result.
+//! * **Leases.** Each worker checks out one single-threaded
+//!   [`SessionBank`] session per shard size and holds it across its
+//!   range; programs are keyed by [`ShardStep::key`], so training
+//!   calls with the same architecture share them.
 //! * **Merge.** Per-shard losses and gradients are summed sequentially
 //!   in shard order, each weighted by its row fraction (the losses
 //!   average over rows, so the weighted sum is the full-batch
@@ -32,7 +35,7 @@
 
 use crate::bank::SessionBank;
 use crate::nn::{Binding, ParamStore};
-use crate::par::parallel_map;
+use crate::par::WorkerPool;
 use crate::program::{ExecMode, Program};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
@@ -90,8 +93,7 @@ struct ShardVars {
 
 /// Loss and per-parameter gradients (aligned with
 /// [`ShardStep::params`]) of one `batch_rows`-row minibatch, computed
-/// shard by shard as the module docs describe. `jobs` must already be
-/// resolved to a concrete worker count ([`crate::num_jobs`]).
+/// shard by shard as the module docs describe, on the caller's `pool`.
 ///
 /// # Panics
 ///
@@ -101,7 +103,7 @@ struct ShardVars {
 pub fn sharded_step<S: ShardStep>(
     step: &S,
     batch_rows: usize,
-    jobs: usize,
+    pool: &WorkerPool,
     exec: ExecMode,
 ) -> (f32, Vec<Option<Tensor>>) {
     let shards: Vec<Range<usize>> = (0..batch_rows)
@@ -109,8 +111,8 @@ pub fn sharded_step<S: ShardStep>(
         .map(|r0| r0..(r0 + SHARD_ROWS).min(batch_rows))
         .collect();
     let results = match exec {
-        ExecMode::Compiled => replay_shards(step, &shards, jobs),
-        ExecMode::FreshRecord => parallel_map(&shards, jobs, |_, rows| {
+        ExecMode::Compiled => replay_shards(step, &shards, pool),
+        ExecMode::FreshRecord => pool.map(&shards, |_, rows| {
             let mut tape = Tape::new();
             let sv = record_shard(step, &mut tape, rows.clone(), true);
             let grads = tape.backward(sv.loss);
@@ -195,58 +197,71 @@ fn record_shard<S: ShardStep>(
 fn replay_shards<S: ShardStep>(
     step: &S,
     shards: &[Range<usize>],
-    jobs: usize,
+    pool: &WorkerPool,
 ) -> Vec<(f32, Vec<f32>)> {
-    let workers = jobs.min(shards.len()).max(1);
-    let session_jobs = (jobs / workers).max(1);
+    let workers = pool.workers().min(shards.len()).max(1);
+    if workers == 1 {
+        // Counted like the fan-out below, so the registry is the same
+        // at every worker count.
+        crate::par::observe_map(1);
+        return replay_range(step, shards, 0..shards.len(), Some(pool));
+    }
     let per = shards.len().div_ceil(workers);
     let ranges: Vec<Range<usize>> = (0..workers)
         .map(|w| w * per..((w + 1) * per).min(shards.len()))
         .collect();
-    let per_worker = parallel_map(&ranges, workers, |_, range| {
-        let mut leases = BTreeMap::new();
-        range
-            .clone()
-            .map(|s| {
-                let rows = shards[s].clone();
-                let lease = leases.entry(rows.len()).or_insert_with(|| {
-                    SessionBank::global().checkout(step.key(rows.len()), session_jobs, || {
-                        let mut tape = Tape::new();
-                        let sv = record_shard(step, &mut tape, rows.clone(), false);
-                        // Parameter gradients are the only ones the
-                        // optimizer consumes; pruning the input leaves
-                        // skips the first layer's input-gradient matmul.
-                        let prog = Program::compile_with_sinks(&tape, &[sv.loss], &[], &sv.params);
-                        (prog, sv)
-                    })
-                });
-                let sv: Arc<ShardVars> = lease.meta();
-                let sess = lease.session();
-                for (&v, (_, t)) in sv.params.iter().zip(step.params().iter()) {
-                    sess.bind(v, t.data());
-                }
-                for (i, &v) in sv.inputs.iter().enumerate() {
-                    step.fill(i, rows.clone(), sess.leaf_mut(v));
-                }
-                let labels = step.labels(rows);
-                if !labels.is_empty() {
-                    sess.try_set_targets(sv.loss, labels)
-                        .unwrap_or_else(|e| panic!("sharded step: {e}"));
-                }
-                sess.forward();
-                sess.try_backward(sv.loss)
-                    .unwrap_or_else(|e| panic!("sharded step: {e}"));
-                let mut flat = Vec::with_capacity(step.params().num_scalars());
-                for &v in &sv.params {
-                    flat.extend_from_slice(
-                        sess.grad(v).expect("every parameter receives a gradient"),
-                    );
-                }
-                (sess.scalar(sv.loss), flat)
-            })
-            .collect::<Vec<_>>()
+    let per_worker = pool.map(&ranges, |_, range| {
+        replay_range(step, shards, range.clone(), None)
     });
     per_worker.into_iter().flatten().collect()
+}
+
+/// Replays shards `range` on one thread, with `kernels` (if any)
+/// driving each session's row-parallel kernels.
+fn replay_range<S: ShardStep>(
+    step: &S,
+    shards: &[Range<usize>],
+    range: Range<usize>,
+    kernels: Option<&WorkerPool>,
+) -> Vec<(f32, Vec<f32>)> {
+    let mut leases = BTreeMap::new();
+    range
+        .map(|s| {
+            let rows = shards[s].clone();
+            let lease = leases.entry(rows.len()).or_insert_with(|| {
+                SessionBank::global().checkout(step.key(rows.len()), 1, || {
+                    let mut tape = Tape::new();
+                    let sv = record_shard(step, &mut tape, rows.clone(), false);
+                    // Parameter gradients are the only ones the
+                    // optimizer consumes; pruning the input leaves
+                    // skips the first layer's input-gradient matmul.
+                    let prog = Program::compile_with_sinks(&tape, &[sv.loss], &[], &sv.params);
+                    (prog, sv)
+                })
+            });
+            let sv: Arc<ShardVars> = lease.meta();
+            let sess = lease.session();
+            for (&v, (_, t)) in sv.params.iter().zip(step.params().iter()) {
+                sess.bind(v, t.data());
+            }
+            for (i, &v) in sv.inputs.iter().enumerate() {
+                step.fill(i, rows.clone(), sess.leaf_mut(v));
+            }
+            let labels = step.labels(rows);
+            if !labels.is_empty() {
+                sess.try_set_targets(sv.loss, labels)
+                    .unwrap_or_else(|e| panic!("sharded step: {e}"));
+            }
+            sess.forward_with(kernels);
+            sess.try_backward_with(sv.loss, kernels)
+                .unwrap_or_else(|e| panic!("sharded step: {e}"));
+            let mut flat = Vec::with_capacity(step.params().num_scalars());
+            for &v in &sv.params {
+                flat.extend_from_slice(sess.grad(v).expect("every parameter receives a gradient"));
+            }
+            (sess.scalar(sv.loss), flat)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -304,7 +319,7 @@ mod tests {
 
         fn run(&self, jobs: usize, exec: ExecMode) -> (f32, Vec<Vec<f32>>, usize) {
             self.fills.store(0, Ordering::SeqCst);
-            let (loss, grads) = sharded_step(self, self.y.len(), jobs, exec);
+            let (loss, grads) = sharded_step(self, self.y.len(), &WorkerPool::new(jobs), exec);
             let g = grads
                 .into_iter()
                 .map(|g| g.expect("gradient").data().to_vec())

@@ -345,13 +345,7 @@ impl Tensor {
     pub fn argmax_row(&self, row: usize) -> usize {
         let cols = self.cols();
         assert!(row < self.rows(), "argmax_row: row {row} out of range");
-        let slice = &self.data[row * cols..(row + 1) * cols];
-        slice
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("argmax_row: NaN encountered"))
-            .map(|(i, _)| i)
-            .expect("argmax_row: empty row")
+        crate::kernels::argmax(&self.data[row * cols..(row + 1) * cols])
     }
 
     /// Row-wise softmax of a 2-D tensor (numerically stabilized).

@@ -13,8 +13,9 @@
 //! paths built on them.
 
 use hdx_tensor::kernels::{
-    decode_head_into, matmul_blocked, matmul_into, matmul_view, row_outer_into, row_times_bt_into,
-    softmax_rows_into, transpose_into, DecodeAct, Epilogue, MatRef, Tier,
+    argmax, decode_head_into, matmul_blocked, matmul_into, matmul_view, row_outer_into,
+    row_times_bt_into, softmax_row_at, softmax_rows_into, transpose_into, vecmat_acc_into,
+    DecodeAct, Epilogue, MatRef, Tier,
 };
 use hdx_tensor::{Program, Rng, Session, Tape, Tensor, Var};
 use std::sync::Arc;
@@ -376,6 +377,34 @@ fn row_times_bt_matches_documented_fold() {
 }
 
 #[test]
+fn vecmat_acc_matches_scalar_fold_at_every_tier() {
+    // Contract: out[j] folds x[p]·w[p][j] ascending onto its start
+    // value, one mul then one add per term, zero terms added (no skip)
+    // — the plain `a = bias; a += w·x` loop, column by column.
+    let ns = (1..=17).chain([48, 64, 72]);
+    for n in ns {
+        for k in [1usize, 16, 40] {
+            let seed = (k * 30_000 + n) as u64;
+            let x = salted(&[1, k], seed);
+            let w = salted(&[k, n], seed ^ 0x9e37_79b9);
+            let mut start = salted(&[1, n], seed ^ 0x7f4a);
+            start[0] = -0.0;
+            let mut want = start.clone();
+            for (j, acc) in want.iter_mut().enumerate() {
+                for p in 0..k {
+                    *acc += x[p] * w[p * n + j];
+                }
+            }
+            for tier in Tier::supported() {
+                let mut got = start.clone();
+                vecmat_acc_into(tier, &x, &w, &mut got);
+                assert_bits_eq(&got, &want, &format!("vecmat {tier:?} k={k} n={n}"));
+            }
+        }
+    }
+}
+
+#[test]
 fn row_outer_matches_documented_fold() {
     // Contract: dst[c][j] = a[c]·g[j] with the zero-skip on a[c]
     // (accumulate leaves the row untouched; assign zero-fills it).
@@ -411,6 +440,36 @@ fn row_outer_matches_documented_fold() {
                     &format!("row_outer k={k} n={n} single={single}"),
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn in_place_row_scoring_matches_tensor_ops() {
+    // The evaluator scores logits in place: `softmax_row_at` must give
+    // `softmax_rows`' bits and `argmax` `argmax_row`'s last-max ties.
+    for &n in &DIMS {
+        let m = 5;
+        let mut data = salted(&[m, n], (n * 40_000) as u64);
+        // Row 1 ties its maximum at two positions.
+        if n >= 3 {
+            data[n] = 3.5;
+            data[n + n - 1] = 3.5;
+        }
+        let t = Tensor::from_vec(data.clone(), &[m, n]);
+        let probs = t.softmax_rows();
+        for (i, row) in data.chunks_exact(n).enumerate() {
+            assert_eq!(argmax(row), t.argmax_row(i), "argmax n={n} row {i}");
+            for j in 0..n {
+                assert_bits_eq(
+                    &[softmax_row_at(row, j)],
+                    &[probs.at(i, j)],
+                    &format!("softmax_row_at n={n} ({i},{j})"),
+                );
+            }
+        }
+        if n >= 3 {
+            assert_eq!(argmax(&data[n..2 * n]), n - 1, "last maximum wins");
         }
     }
 }

@@ -8,7 +8,8 @@
 //!   happens per logical dispatch, never per worker chunk).
 //! * The produced trace validates against the v1 JSONL schema and
 //!   carries every `engine.search` phase span (setup, epoch, final
-//!   selection, final retrain, final evaluation).
+//!   selection, final retrain, final evaluation); a traced bundle load
+//!   carries the dataset regeneration's `data.generate` span.
 //! * The `metrics` verb snapshot is step-based (no wall-clock keys),
 //!   strictly sorted, and equals the in-process registry snapshot.
 //!
@@ -220,6 +221,38 @@ fn trace_sink_never_reaches_response_bytes() {
             );
         }
     }
+
+    // A traced bundle load: the dataset the bundle's context
+    // regenerates from `(task, seed)` gets its own span (it dominates a
+    // load's cost), and the trace still passes `hdx-serve trace-check`'s
+    // validator.
+    assert!(
+        !text.contains("\"name\":\"data.generate\""),
+        "the sweep itself regenerates no dataset"
+    );
+    let bundle_path = std::env::temp_dir().join("hdx_obs_test_bundle.hdxb");
+    hdx_serve::save_bundle(
+        &bundle_path,
+        Task::Cifar,
+        7,
+        600,
+        f64::NAN,
+        cifar().estimator(),
+    )
+    .expect("save bundle");
+    router(1)
+        .load_bundle_path(&bundle_path)
+        .expect("load bundle");
+    hdx_obs::flush();
+    let text = std::fs::read_to_string(&trace_path).expect("read trace");
+    hdx_obs::check_trace(&text).expect("schema-valid trace after a bundle load");
+    for name in ["artifact.load_bundle", "data.generate"] {
+        assert!(
+            text.contains(&format!("\"name\":\"{name}\"")),
+            "traced bundle load missing span {name}"
+        );
+    }
+    std::fs::remove_file(&bundle_path).ok();
 
     // The metrics verb: step-based, strictly sorted (the decoder
     // enforces it), equal to the in-process registry snapshot, and a
