@@ -305,7 +305,7 @@ pub struct Dataset {
 impl Dataset {
     /// Generates the dataset deterministically from its spec.
     pub fn generate(spec: &TaskSpec) -> Self {
-        let _span = hdx_obs::span("data.generate");
+        let _span = hdx_tensor::obs::span("data.generate");
         match spec.geometry {
             Geometry::Teacher => Self::generate_teacher(spec),
             Geometry::Clusters {

@@ -17,6 +17,11 @@
 
 use crate::knobs;
 
+/// Re-exported so a crate that depends only on `hdx-tensor` (the
+/// synthetic-task generator in `hdx-nas`) can open a span without a
+/// dependency edge of its own on `hdx-obs`.
+pub use hdx_obs::span;
+
 /// Strictly parses `HDX_OBS_BUF` (default 4096).
 ///
 /// # Panics
