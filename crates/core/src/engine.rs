@@ -1258,8 +1258,8 @@ impl HeadExec {
     /// may have been compiled by a different same-shaped estimator.
     fn checkout(st: &SearchState<'_>) -> HeadExec {
         // The head is a batch-1 (row-vector) graph: every kernel is far
-        // under the pool dispatch threshold, so one worker is right.
-        let mut lease = SessionBank::global().checkout(head_bank_key(st), 1, || {
+        // under the pool dispatch threshold, so it replays on one thread.
+        let mut lease = SessionBank::global().checkout(head_bank_key(st), || {
             let mut tape = Tape::new();
             let vars = record_head(&mut tape, st);
             let mut outputs = vec![vars.objective];

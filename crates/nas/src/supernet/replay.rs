@@ -109,7 +109,7 @@ where
     if held.as_ref().is_none_or(|(k, _)| *k != key) {
         // Check the old session in first, so the checkout can reuse it.
         *held = None;
-        *held = Some((key, bank.checkout(key, 1, compile)));
+        *held = Some((key, bank.checkout(key, compile)));
     }
     &mut held.as_mut().expect("lease just checked out").1
 }

@@ -77,7 +77,7 @@
 //! for step in 0..3 {
 //!     // The first checkout compiles; later ones reuse the program
 //!     // and the session (same arena, zero allocations).
-//!     let mut lease = SessionBank::global().checkout(key, 1, compile);
+//!     let mut lease = SessionBank::global().checkout(key, compile);
 //!     let meta = lease.meta::<Meta>();
 //!     let (x, out) = (meta.x, meta.out);
 //!     let sess = lease.session();
@@ -264,15 +264,16 @@ impl SessionBank {
     /// Checks out a session for `key`, compiling the program with
     /// `compile` on the first checkout. `meta` carries the caller's
     /// var handles (leaf/output [`crate::Var`]s) alongside the program;
-    /// read it back with [`SessionLease::meta`]. The session's worker
-    /// pool is resized to `jobs` (see [`Session::with_jobs`]).
+    /// read it back with [`SessionLease::meta`]. The session is
+    /// single-threaded; a caller with workers drives its kernels with
+    /// [`Session::forward_with`] on a pool the caller owns.
     ///
     /// The lease returns the session to the bank on drop.
     ///
     /// `compile` runs outside the bank mutex (see the module docs): a
     /// checkout of a key that is still compiling waits for that key
     /// only, and other keys are never held up.
-    pub fn checkout<M, F>(&self, key: u64, jobs: usize, compile: F) -> SessionLease<'_>
+    pub fn checkout<M, F>(&self, key: u64, compile: F) -> SessionLease<'_>
     where
         M: Any + Send + Sync,
         F: FnOnce() -> (Program, M),
@@ -306,8 +307,7 @@ impl SessionBank {
             picked
         };
         let compiled = self.compile_into(key, &cell, compile);
-        let mut session = pooled.unwrap_or_else(|| Session::new(Arc::clone(&compiled.prog)));
-        session.set_jobs(jobs.max(1));
+        let session = pooled.unwrap_or_else(|| Session::new(Arc::clone(&compiled.prog)));
         SessionLease {
             bank: self,
             key,
@@ -397,8 +397,7 @@ impl SessionBank {
 
     fn check_in(&self, key: u64, mut session: Session) {
         // Idle sessions must not pin parked OS threads for the process
-        // lifetime: drop the kernel pool here (checkout's `set_jobs`
-        // rebuilds one when the next lessee wants workers).
+        // lifetime: drop any kernel pool a lessee gave its session.
         session.set_jobs(1);
         let mut inner = self.lock();
         if let Some(entry) = inner.entries.get_mut(&key) {
@@ -501,7 +500,7 @@ mod tests {
         let bank = SessionBank::new();
         let key = bank_key("test-square", &3usize);
         {
-            let mut lease = bank.checkout(key, 1, compile_square);
+            let mut lease = bank.checkout(key, compile_square);
             let meta = lease.meta::<Meta>();
             let sess = lease.session();
             sess.bind(meta.x, &[1.0, 2.0, 3.0]);
@@ -513,9 +512,8 @@ mod tests {
         {
             // Reuses the pooled (dirty) session; the rebind + replay
             // must fully overwrite the previous state.
-            let mut lease = bank.checkout(key, 1, || -> (Program, Meta) {
-                panic!("must not recompile")
-            });
+            let mut lease =
+                bank.checkout(key, || -> (Program, Meta) { panic!("must not recompile") });
             let meta = lease.meta::<Meta>();
             let sess = lease.session();
             sess.bind(meta.x, &[2.0, 0.0, 0.0]);
@@ -532,10 +530,8 @@ mod tests {
     fn concurrent_checkouts_get_distinct_sessions() {
         let bank = SessionBank::new();
         let key = bank_key("test-square-concurrent", &3usize);
-        let mut a = bank.checkout(key, 1, compile_square);
-        let mut b = bank.checkout(key, 1, || -> (Program, Meta) {
-            panic!("must not recompile")
-        });
+        let mut a = bank.checkout(key, compile_square);
+        let mut b = bank.checkout(key, || -> (Program, Meta) { panic!("must not recompile") });
         assert_eq!(bank.num_idle_sessions(), 0);
         let meta = a.meta::<Meta>();
         a.session().bind(meta.x, &[1.0, 0.0, 0.0]);
@@ -553,7 +549,7 @@ mod tests {
     fn clear_discards_programs_and_outstanding_leases_stay_valid() {
         let bank = SessionBank::new();
         let key = bank_key("test-square-clear", &3usize);
-        let mut lease = bank.checkout(key, 1, compile_square);
+        let mut lease = bank.checkout(key, compile_square);
         bank.clear();
         assert_eq!(bank.num_programs(), 0);
         let meta = lease.meta::<Meta>();
@@ -571,8 +567,8 @@ mod tests {
         let k1 = bank_key("test-a", &1usize);
         let k2 = bank_key("test-b", &1usize);
         assert_ne!(k1, k2);
-        let _a = bank.checkout(k1, 1, compile_square);
-        let _b = bank.checkout(k2, 1, compile_square);
+        let _a = bank.checkout(k1, compile_square);
+        let _b = bank.checkout(k2, compile_square);
         assert_eq!(bank.num_programs(), 2);
     }
 
@@ -580,19 +576,19 @@ mod tests {
     fn capacity_evicts_least_recently_used() {
         let bank = SessionBank::with_capacity(Some(2));
         let keys: Vec<u64> = (0..3).map(|i| bank_key("lru", &i)).collect();
-        drop(bank.checkout(keys[0], 1, compile_square));
-        drop(bank.checkout(keys[1], 1, compile_square));
+        drop(bank.checkout(keys[0], compile_square));
+        drop(bank.checkout(keys[1], compile_square));
         // Touch key 0 so key 1 becomes the LRU victim.
-        drop(bank.checkout(keys[0], 1, || -> (Program, Meta) {
+        drop(bank.checkout(keys[0], || -> (Program, Meta) {
             panic!("key 0 must still be cached")
         }));
-        drop(bank.checkout(keys[2], 1, compile_square));
+        drop(bank.checkout(keys[2], compile_square));
         assert_eq!(bank.num_programs(), 2);
         // Key 1 was evicted: this checkout must recompile; its
         // reinsert then evicts key 0 (the oldest use remaining).
-        drop(bank.checkout(keys[1], 1, compile_square));
+        drop(bank.checkout(keys[1], compile_square));
         // Key 2 (used after key 0) must still be cached.
-        drop(bank.checkout(keys[2], 1, || -> (Program, Meta) {
+        drop(bank.checkout(keys[2], || -> (Program, Meta) {
             panic!("key 2 must survive the evictions")
         }));
         let stats = bank.stats();
@@ -606,9 +602,9 @@ mod tests {
         let bank = SessionBank::with_capacity(Some(1));
         let k1 = bank_key("evict-a", &1usize);
         let k2 = bank_key("evict-b", &2usize);
-        let mut lease = bank.checkout(k1, 1, compile_square);
+        let mut lease = bank.checkout(k1, compile_square);
         // Inserting k2 evicts k1 while its lease is out.
-        drop(bank.checkout(k2, 1, compile_square));
+        drop(bank.checkout(k2, compile_square));
         assert_eq!(bank.stats().evictions, 1);
         let meta = lease.meta::<Meta>();
         let sess = lease.session();
@@ -624,7 +620,7 @@ mod tests {
     fn shrinking_capacity_evicts_immediately() {
         let bank = SessionBank::new();
         for i in 0..4u64 {
-            drop(bank.checkout(bank_key("shrink", &i), 1, compile_square));
+            drop(bank.checkout(bank_key("shrink", &i), compile_square));
         }
         assert_eq!(bank.num_programs(), 4);
         bank.set_capacity(Some(1));
@@ -632,7 +628,7 @@ mod tests {
         assert_eq!(bank.stats().evictions, 3);
         // The survivor is the most recently used key.
         drop(
-            bank.checkout(bank_key("shrink", &3u64), 1, || -> (Program, Meta) {
+            bank.checkout(bank_key("shrink", &3u64), || -> (Program, Meta) {
                 panic!("most recent entry must survive")
             }),
         );
@@ -649,7 +645,7 @@ mod tests {
             for t in 0..THREADS {
                 let (bank, compiles) = (&bank, &compiles);
                 scope.spawn(move || {
-                    let mut lease = bank.checkout(key, 1, || {
+                    let mut lease = bank.checkout(key, || {
                         compiles.fetch_add(1, Ordering::SeqCst);
                         // Hold the compile open until every other
                         // thread has passed the bank's locked section,
@@ -680,13 +676,13 @@ mod tests {
         use std::sync::mpsc;
         let bank = SessionBank::new();
         let warm = bank_key("test-square-warm", &3usize);
-        drop(bank.checkout(warm, 1, compile_square));
+        drop(bank.checkout(warm, compile_square));
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
             let bank = &bank;
             scope.spawn(move || {
-                drop(bank.checkout(bank_key("test-square-slow", &3usize), 1, || {
+                drop(bank.checkout(bank_key("test-square-slow", &3usize), || {
                     entered_tx.send(()).expect("signal compile start");
                     release_rx.recv().expect("release compile");
                     compile_square()
@@ -695,10 +691,8 @@ mod tests {
             entered_rx.recv().expect("compile started");
             // The slow compile is in flight: a hit and a miss on other
             // keys must both complete without it.
-            drop(bank.checkout(warm, 1, || -> (Program, Meta) {
-                panic!("warm key must hit")
-            }));
-            drop(bank.checkout(bank_key("test-square-other", &3usize), 1, compile_square));
+            drop(bank.checkout(warm, || -> (Program, Meta) { panic!("warm key must hit") }));
+            drop(bank.checkout(bank_key("test-square-other", &3usize), compile_square));
             release_tx.send(()).expect("release");
         });
         assert_eq!(bank.num_programs(), 3);
@@ -709,13 +703,13 @@ mod tests {
         let bank = SessionBank::new();
         let key = bank_key("test-square-panic", &3usize);
         let failed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            drop(bank.checkout(key, 1, || -> (Program, Meta) {
+            drop(bank.checkout(key, || -> (Program, Meta) {
                 panic!("injected compile failure")
             }));
         }));
         assert!(failed.is_err());
         assert_eq!(bank.num_programs(), 0, "failed compile must not linger");
-        let mut lease = bank.checkout(key, 1, compile_square);
+        let mut lease = bank.checkout(key, compile_square);
         let meta = lease.meta::<Meta>();
         let sess = lease.session();
         sess.bind(meta.x, &[1.0, 1.0, 1.0]);

@@ -229,7 +229,7 @@ fn replay_range<S: ShardStep>(
         .map(|s| {
             let rows = shards[s].clone();
             let lease = leases.entry(rows.len()).or_insert_with(|| {
-                SessionBank::global().checkout(step.key(rows.len()), 1, || {
+                SessionBank::global().checkout(step.key(rows.len()), || {
                     let mut tape = Tape::new();
                     let sv = record_shard(step, &mut tape, rows.clone(), false);
                     // Parameter gradients are the only ones the
