@@ -14,7 +14,7 @@
 //! (≈4–8 % for the CIFAR-like task, ≈24–30 % for the ImageNet-like
 //! task).
 
-use hdx_tensor::kernels::{self, Tier};
+use hdx_tensor::kernels;
 use hdx_tensor::{Rng, Tensor};
 
 /// How inputs are drawn and labelled.
@@ -268,17 +268,16 @@ impl Teacher {
     /// Both layers run [`kernels::vecmat_acc_into`]: the hidden layer
     /// folds `b1[j] + Σ_k x[k]·w1[k][j]` and the logits fold
     /// `0 + Σ_j h[j]·w2[j][c]`, each in ascending order with a separate
-    /// mul and add, so every tier gives the bits of the plain scalar
-    /// loops; `tanh` stays the scalar `f32::tanh` per element.
+    /// mul and add, so they give the bits of the plain scalar loops;
+    /// `tanh` stays the scalar `f32::tanh` per element.
     fn label_and_margin(&self, x: &[f32], hidden: &mut [f32], logits: &mut [f32]) -> (usize, f32) {
-        let tier = Tier::detected();
         hidden.copy_from_slice(&self.b1);
-        kernels::vecmat_acc_into(tier, x, &self.w1, hidden);
+        kernels::vecmat_acc_into(x, &self.w1, hidden);
         for h in hidden.iter_mut() {
             *h = (self.gain * *h).tanh();
         }
         logits.fill(0.0);
-        kernels::vecmat_acc_into(tier, hidden, &self.w2, logits);
+        kernels::vecmat_acc_into(hidden, &self.w2, logits);
         let mut best = 0;
         let mut second = f32::NEG_INFINITY;
         for (i, &v) in logits.iter().enumerate() {

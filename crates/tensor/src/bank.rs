@@ -395,10 +395,7 @@ impl SessionBank {
         self.lock().entries.clear();
     }
 
-    fn check_in(&self, key: u64, mut session: Session) {
-        // Idle sessions must not pin parked OS threads for the process
-        // lifetime: drop any kernel pool a lessee gave its session.
-        session.set_jobs(1);
+    fn check_in(&self, key: u64, session: Session) {
         let mut inner = self.lock();
         if let Some(entry) = inner.entries.get_mut(&key) {
             // Only re-pool if the entry still refers to the program this

@@ -1125,58 +1125,24 @@ pub fn row_outer_into(a: &[f32], g: &[f32], dst: &mut [f32], n: usize, single: b
 ///
 /// Unlike [`matmul_into`] there is no zero-skip (every term is added,
 /// so a `-0.0` start value meets `+0.0` products exactly as in the
-/// scalar loop) and the start value is the caller's, not `0.0`. Every
-/// tier runs the same source with a separate mul and add (no FMA), and
-/// each output element keeps its own p-ascending fold, so the tiers
-/// agree bit for bit; only the lane width differs.
+/// scalar loop) and the start value is the caller's, not `0.0`. The
+/// inner loop runs along a contiguous row of `w` with a separate mul
+/// and add (no FMA), so it vectorizes at the build's baseline target
+/// while each output element keeps its own p-ascending fold.
 ///
 /// # Panics
 ///
-/// Panics if `w` is shorter than `x.len() · out.len()` or the host
-/// does not support `tier`.
-pub fn vecmat_acc_into(tier: Tier, x: &[f32], w: &[f32], out: &mut [f32]) {
+/// Panics if `w` is shorter than `x.len() · out.len()`.
+pub fn vecmat_acc_into(x: &[f32], w: &[f32], out: &mut [f32]) {
     assert!(w.len() >= x.len() * out.len(), "matrix too short");
-    tier.check();
     if out.is_empty() {
         return;
     }
-    match tier {
-        // SAFETY: `tier.check()` passed, so the host has
-        // avx512f+avx512vl.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => unsafe { vecmat_avx512(x, w, out) },
-        // SAFETY: `tier.check()` passed, so the host has avx2.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { vecmat_avx2(x, w, out) },
-        _ => vecmat_body(x, w, out),
-    }
-}
-
-#[inline(always)]
-fn vecmat_body(x: &[f32], w: &[f32], out: &mut [f32]) {
     for (&xp, wrow) in x.iter().zip(w.chunks_exact(out.len())) {
         for (o, &wv) in out.iter_mut().zip(wrow) {
             *o += xp * wv;
         }
     }
-}
-
-// SAFETY: `unsafe` solely because of `#[target_feature]` — callers
-// must have verified AVX2 support at runtime (`Tier::check`); the body
-// itself is safe code.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vecmat_avx2(x: &[f32], w: &[f32], out: &mut [f32]) {
-    vecmat_body(x, w, out);
-}
-
-// SAFETY: `unsafe` solely because of `#[target_feature]` — callers
-// must have verified AVX-512 support at runtime (`Tier::check`); the
-// body itself is safe code.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl")]
-unsafe fn vecmat_avx512(x: &[f32], w: &[f32], out: &mut [f32]) {
-    vecmat_body(x, w, out);
 }
 
 /// `out = srcᵀ` for row-major `src [m,n]`, `out [n,m]` — cache-blocked:

@@ -1,4 +1,4 @@
-//! Deterministic scoped-thread data parallelism.
+//! Deterministic worker-pool data parallelism.
 //!
 //! The container builds offline with no third-party crates, so this
 //! module provides the tiny slice of rayon the workspace needs:
@@ -134,64 +134,36 @@ pub(crate) fn observe_map(items: usize) {
 /// Maps `f(index, &item)` over `items` on up to `jobs` worker threads
 /// (resolved through [`num_jobs`]), returning outputs in input order.
 ///
-/// The items are split into `jobs` contiguous chunks, one scoped thread
-/// per chunk; with one worker (or few items) everything runs on the
-/// calling thread. Because each element is evaluated independently and
-/// lands in its own output slot, the result is bit-identical for every
-/// worker count.
+/// This is [`WorkerPool::map`] on a pool built for this one call and
+/// joined before it returns: the items are split into contiguous
+/// chunks, one per worker, and with one worker (or few items)
+/// everything runs on the calling thread. Because each element is
+/// evaluated independently and lands in its own output slot, the
+/// result is bit-identical for every worker count.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the scope joins all workers first).
+/// Propagates a panic from `f` after every worker has finished.
 pub fn parallel_map<T, U, F>(items: &[T], jobs: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    observe_map(items.len());
-    let workers = num_jobs(jobs).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-
-    let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-
-    std::thread::scope(|scope| {
-        let mut out_rest: &mut [Option<U>] = &mut out;
-        let mut base = 0usize;
-        let f = &f;
-        for item_chunk in items.chunks(chunk) {
-            let (out_chunk, rest) = out_rest.split_at_mut(item_chunk.len());
-            out_rest = rest;
-            let start = base;
-            base += item_chunk.len();
-            scope.spawn(move || {
-                for (off, (slot, item)) in out_chunk.iter_mut().zip(item_chunk).enumerate() {
-                    *slot = Some(f(start + off, item));
-                }
-            });
-        }
-    });
-
-    out.into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
+    WorkerPool::new(num_jobs(jobs).min(items.len().max(1))).map(items, f)
 }
 
 /// A persistent pool of worker threads for the compiled executor's
 /// row-partitioned kernels ([`crate::Session`] replay).
 ///
-/// [`parallel_map`] spawns scoped threads per call, which is fine for
-/// coarse work (whole accelerator evaluations) but too slow for the
-/// inner kernels of a replayed training step, which run tens of
+/// [`parallel_map`] builds and joins a pool per call, which is fine
+/// for coarse work (whole accelerator evaluations) but too slow for
+/// the inner kernels of a replayed training step, which run tens of
 /// thousands of times per search, and for the steps themselves: a
 /// training call owns one pool and fans its shards out with
-/// [`WorkerPool::map`]. A `WorkerPool` keeps its
-/// threads parked on channels between calls, so dispatch costs two
-/// channel round-trips per worker instead of a thread spawn.
+/// [`WorkerPool::map`]. A `WorkerPool` keeps its threads parked on
+/// channels between calls, so dispatch costs two channel round-trips
+/// per worker instead of a thread spawn.
 ///
 /// [`WorkerPool::run`] executes `f(t)` for every worker index
 /// `t ∈ 0..workers` — the calling thread participates as worker 0 —
@@ -259,11 +231,11 @@ impl WorkerPool {
         self.size
     }
 
-    /// [`parallel_map`] on this pool's parked workers instead of fresh
-    /// scoped threads: the same contiguous chunks (one per worker, at
-    /// most [`WorkerPool::workers`]) and the same input-order output,
-    /// so the result is bit-identical at every pool size. With one
-    /// worker (or one item) everything runs on the calling thread.
+    /// Maps `f(index, &item)` over `items` on this pool's workers and
+    /// returns the outputs in input order: one contiguous chunk per
+    /// worker (at most [`WorkerPool::workers`]), so the result is
+    /// bit-identical at every pool size. With one worker (or one item)
+    /// everything runs on the calling thread.
     ///
     /// # Panics
     ///
@@ -530,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_map_matches_parallel_map_at_every_size() {
+    fn worker_pool_map_keeps_input_order_across_reuse() {
         let items: Vec<usize> = (0..37).collect();
         let expect: Vec<(usize, usize)> = items.iter().map(|&x| (x, x * 5 + 2)).collect();
         for size in [1, 2, 3, 8, 64] {
