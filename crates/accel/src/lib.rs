@@ -43,7 +43,4 @@ pub use config::{AccelConfig, ConfigError, Dataflow, SearchSpace};
 pub use layer::{ConvLayer, MbConv};
 pub use metrics::{CostWeights, HwMetrics, Metric};
 pub use model::{evaluate_layer, evaluate_network};
-pub use search::{
-    build_layer_lut, build_layer_lut_jobs, exhaustive_search, exhaustive_search_jobs, LayerLut,
-    SearchOutcome,
-};
+pub use search::{build_layer_lut, exhaustive_search, LayerLut, SearchOutcome};

@@ -16,7 +16,8 @@
 //! sublayers, not by how many architectures a search visits.
 //!
 //! Both are embarrassingly parallel over the configuration (resp.
-//! layer) axis and fan out over [`hdx_tensor::par`] worker threads. The
+//! layer) axis: a search fans out over its borrowed
+//! [`WorkerPool`], a one-off table build over [`parallel_map`]. The
 //! parallel paths are **bit-identical** to a single-threaded run: every
 //! configuration is evaluated independently and the winner is selected
 //! by a sequential scan in enumeration order, exactly as the original
@@ -26,7 +27,7 @@ use crate::config::{AccelConfig, SearchSpace};
 use crate::layer::ConvLayer;
 use crate::metrics::{CostWeights, HwMetrics, Metric};
 use crate::model::evaluate_layer;
-use hdx_tensor::par::parallel_map;
+use hdx_tensor::par::{parallel_map, WorkerPool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -43,24 +44,14 @@ pub struct SearchOutcome {
 
 /// Exhaustively searches the accelerator space for the configuration
 /// minimizing `Cost_HW`, optionally subject to upper-bound constraints
-/// `(metric, target)`, fanning the 2295 evaluations out over the
-/// default worker count ([`hdx_tensor::par::num_jobs`] of 0).
+/// `(metric, target)`, fanning the 2295 evaluations out over `pool`
+/// (the calling search's pool). Returns `None` when no configuration
+/// satisfies every constraint.
 ///
-/// Returns `None` when no configuration satisfies every constraint.
-pub fn exhaustive_search(
-    layers: &[ConvLayer],
-    weights: &CostWeights,
-    constraints: &[(Metric, f64)],
-) -> Option<SearchOutcome> {
-    exhaustive_search_jobs(layers, weights, constraints, 0)
-}
-
-/// [`exhaustive_search`] with an explicit worker count (`0` = auto,
-/// `1` = the sequential reference path). Every worker count produces
-/// the identical [`SearchOutcome`]: candidate evaluation is
-/// independent per configuration and the arg-min scan runs in
-/// enumeration order with strict `<`, so the first optimum wins, as in
-/// the sequential loop.
+/// Every pool size produces the identical [`SearchOutcome`]: candidate
+/// evaluation is independent per configuration and the arg-min scan
+/// runs in enumeration order with strict `<`, so the first optimum
+/// wins, as in the sequential loop.
 ///
 /// Per-layer metrics come from the shared [`LayerLut::cached`] rows,
 /// so repeated searches over the same layers (the NAS→HW baseline
@@ -69,15 +60,15 @@ pub fn exhaustive_search(
 /// `LayerLut::network_metrics` accumulates exactly as
 /// `evaluate_network` does, so the LUT route is bit-identical to
 /// direct evaluation (pinned by `lut_matches_direct_evaluation`).
-pub fn exhaustive_search_jobs(
+pub fn exhaustive_search(
     layers: &[ConvLayer],
     weights: &CostWeights,
     constraints: &[(Metric, f64)],
-    jobs: usize,
+    pool: &WorkerPool,
 ) -> Option<SearchOutcome> {
-    let lut = LayerLut::cached_jobs(layers, jobs);
+    let lut = LayerLut::cached(layers, pool);
     let indices: Vec<usize> = (0..lut.configs().len()).collect();
-    let evaluated = parallel_map(&indices, jobs, |_, &idx| {
+    let evaluated = pool.map(&indices, |_, &idx| {
         let metrics = lut.network_metrics(idx);
         if constraints.iter().any(|&(m, t)| metrics.get(m) > t) {
             return None;
@@ -158,16 +149,11 @@ impl LayerLut {
     /// per layer, so networks that share a sublayer share its row and
     /// the cache holds one row per distinct layer ever asked for (for
     /// searches, at most the task plans' sublayers: 48 for the CIFAR
-    /// plan). The missing rows are built *outside* the cache lock; two racing
-    /// callers may both build a row, in which case the first insertion
-    /// wins (the rows are identical — the build is deterministic).
-    pub fn cached(layers: &[ConvLayer]) -> LayerLut {
-        Self::cached_jobs(layers, 0)
-    }
-
-    /// [`LayerLut::cached`] with an explicit worker count for building
-    /// the missing rows (`0` = auto).
-    pub fn cached_jobs(layers: &[ConvLayer], jobs: usize) -> LayerLut {
+    /// plan). The missing rows are built on `pool`, *outside* the cache
+    /// lock; two racing callers may both build a row, in which case the
+    /// first insertion wins (the rows are identical — the build is
+    /// deterministic).
+    pub fn cached(layers: &[ConvLayer], pool: &WorkerPool) -> LayerLut {
         static ROWS: OnceLock<Mutex<BTreeMap<ConvLayer, Arc<[HwMetrics]>>>> = OnceLock::new();
         let cache = ROWS.get_or_init(|| Mutex::new(BTreeMap::new()));
         let mut map = cache.lock().expect("LayerLut cache poisoned");
@@ -179,7 +165,7 @@ impl LayerLut {
         if !missing.is_empty() {
             drop(map);
             let missing: Vec<ConvLayer> = missing.into_iter().collect();
-            let built = parallel_map(&missing, jobs, |_, layer| build_row(layer));
+            let built = pool.map(&missing, |_, layer| build_row(layer));
             map = cache.lock().expect("LayerLut cache poisoned");
             for (layer, row) in missing.into_iter().zip(built) {
                 map.entry(layer).or_insert(row);
@@ -207,16 +193,11 @@ fn build_row(layer: &ConvLayer) -> Arc<[HwMetrics]> {
 }
 
 /// Builds the per-layer LUT for a fixed set of layers over the whole
-/// accelerator space, fanning the rows out over the default worker
-/// count. Use [`LayerLut::cached`] when the same layers are evaluated
-/// repeatedly.
-pub fn build_layer_lut(layers: &[ConvLayer]) -> LayerLut {
-    build_layer_lut_jobs(layers, 0)
-}
-
-/// [`build_layer_lut`] with an explicit worker count (`0` = auto).
-/// Rows are independent, so every worker count yields identical tables.
-pub fn build_layer_lut_jobs(layers: &[ConvLayer], jobs: usize) -> LayerLut {
+/// accelerator space, bypassing the row cache, with the rows fanned
+/// out over `jobs` workers (`0` = auto, honoring `HDX_JOBS`). Rows are
+/// independent, so every worker count yields identical tables. Use
+/// [`LayerLut::cached`] when the same layers are evaluated repeatedly.
+pub fn build_layer_lut(layers: &[ConvLayer], jobs: usize) -> LayerLut {
     LayerLut {
         rows: parallel_map(layers, jobs, |_, layer| build_row(layer)),
     }
@@ -228,6 +209,12 @@ mod tests {
     use crate::config::Dataflow;
     use crate::layer::MbConv;
     use crate::model::evaluate_network;
+    use hdx_tensor::num_jobs;
+
+    /// A pool of the default size (`0` = auto, honoring `HDX_JOBS`).
+    fn auto_pool() -> WorkerPool {
+        WorkerPool::new(num_jobs(0))
+    }
 
     fn small_net() -> Vec<ConvLayer> {
         let mut layers = MbConv::new(16, 32, 16, 16, 1, 3, 6).sublayers();
@@ -239,7 +226,7 @@ mod tests {
     fn unconstrained_search_finds_global_minimum() {
         let net = small_net();
         let w = CostWeights::paper();
-        let best = exhaustive_search(&net, &w, &[]).expect("non-empty space");
+        let best = exhaustive_search(&net, &w, &[], &auto_pool()).expect("non-empty space");
         // Verify optimality by re-scanning.
         for cfg in SearchSpace::paper().enumerate() {
             let m = evaluate_network(&net, &cfg);
@@ -251,10 +238,12 @@ mod tests {
     fn constrained_search_respects_constraints() {
         let net = small_net();
         let w = CostWeights::paper();
-        let unconstrained = exhaustive_search(&net, &w, &[]).expect("some solution");
+        let unconstrained = exhaustive_search(&net, &w, &[], &auto_pool()).expect("some solution");
         // Constrain area below the unconstrained optimum's area.
         let target = unconstrained.metrics.area_mm2 * 0.9;
-        if let Some(constrained) = exhaustive_search(&net, &w, &[(Metric::Area, target)]) {
+        if let Some(constrained) =
+            exhaustive_search(&net, &w, &[(Metric::Area, target)], &auto_pool())
+        {
             assert!(constrained.metrics.area_mm2 <= target);
             assert!(constrained.cost >= unconstrained.cost - 1e-9);
         }
@@ -263,7 +252,12 @@ mod tests {
     #[test]
     fn impossible_constraint_returns_none() {
         let net = small_net();
-        let res = exhaustive_search(&net, &CostWeights::paper(), &[(Metric::Latency, 1e-9)]);
+        let res = exhaustive_search(
+            &net,
+            &CostWeights::paper(),
+            &[(Metric::Latency, 1e-9)],
+            &auto_pool(),
+        );
         assert!(res.is_none());
     }
 
@@ -271,9 +265,10 @@ mod tests {
     fn parallel_search_matches_sequential_bit_for_bit() {
         let net = small_net();
         let w = CostWeights::paper();
-        let seq = exhaustive_search_jobs(&net, &w, &[], 1).expect("non-empty space");
+        let seq = exhaustive_search(&net, &w, &[], &WorkerPool::new(1)).expect("non-empty space");
         for jobs in [2usize, 4, 7] {
-            let par = exhaustive_search_jobs(&net, &w, &[], jobs).expect("non-empty space");
+            let pool = WorkerPool::new(jobs);
+            let par = exhaustive_search(&net, &w, &[], &pool).expect("non-empty space");
             assert_eq!(par, seq, "jobs={jobs} diverged from sequential");
         }
     }
@@ -281,7 +276,7 @@ mod tests {
     #[test]
     fn lut_matches_direct_evaluation() {
         let net = small_net();
-        let lut = build_layer_lut(&net);
+        let lut = build_layer_lut(&net, 0);
         assert_eq!(lut.num_layers(), net.len());
         // Spot-check a handful of configurations.
         for idx in [0usize, 100, 1000, 2294] {
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn lut_has_all_2295_configs() {
-        let lut = build_layer_lut(&small_net());
+        let lut = build_layer_lut(&small_net(), 0);
         assert_eq!(lut.configs().len(), 2295);
         assert!(lut
             .configs()
@@ -309,14 +304,15 @@ mod tests {
         // the LUT route must agree, or an exhaustive search over an
         // empty layer list would rank every config at cost 0 and stop
         // honoring area constraints.
-        let lut = build_layer_lut(&[]);
+        let lut = build_layer_lut(&[], 0);
         for idx in [0usize, 777, 2294] {
             let cfg = lut.configs()[idx];
             let direct = evaluate_network(&[], &cfg);
             assert_eq!(lut.network_metrics(idx), direct, "config {cfg}");
             assert!(direct.area_mm2 > 0.0);
         }
-        let best = exhaustive_search(&[], &CostWeights::paper(), &[]).expect("non-empty space");
+        let best = exhaustive_search(&[], &CostWeights::paper(), &[], &auto_pool())
+            .expect("non-empty space");
         assert!(best.metrics.area_mm2 > 0.0);
         assert!(best.cost > 0.0);
     }
@@ -324,13 +320,13 @@ mod tests {
     #[test]
     fn cached_lut_is_shared_and_correct() {
         let net = small_net();
-        let a = LayerLut::cached(&net);
-        let b = LayerLut::cached(&net);
+        let a = LayerLut::cached(&net, &auto_pool());
+        let b = LayerLut::cached(&net, &auto_pool());
         assert_eq!(a.num_layers(), net.len());
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert!(Arc::ptr_eq(ra, rb), "same layers must share cached rows");
         }
-        let direct = build_layer_lut(&net);
+        let direct = build_layer_lut(&net, 0);
         assert_eq!(a.num_layers(), direct.num_layers());
         let m_cached = a.network_metrics(1234);
         let m_direct = direct.network_metrics(1234);
@@ -340,7 +336,7 @@ mod tests {
         // those rows; its other sublayers get rows of their own.
         let mut other = MbConv::new(16, 32, 16, 16, 1, 3, 6).sublayers();
         other.extend(MbConv::new(16, 16, 8, 8, 1, 7, 3).sublayers());
-        let c = LayerLut::cached(&other);
+        let c = LayerLut::cached(&other, &auto_pool());
         assert_eq!(c.num_layers(), other.len());
         for (row, layer) in c.rows.iter().zip(&other) {
             match net.iter().position(|l| l == layer) {
@@ -365,8 +361,8 @@ mod tests {
     #[test]
     fn parallel_lut_is_worker_invariant() {
         let net = small_net();
-        let seq = build_layer_lut_jobs(&net, 1);
-        let par = build_layer_lut_jobs(&net, 4);
+        let seq = build_layer_lut(&net, 1);
+        let par = build_layer_lut(&net, 4);
         for layer in 0..net.len() {
             for idx in [0usize, 500, 2294] {
                 assert_eq!(seq.metrics(layer, idx), par.metrics(layer, idx));
@@ -379,7 +375,7 @@ mod tests {
         for jobs in [1usize, 2, 4] {
             let mut layers = MbConv::new(24, 40, 9 + jobs, 9 + jobs, 1, 5, 4).sublayers();
             layers.extend(MbConv::new(40, 48, 9 + jobs, 9 + jobs, 2, 3, 2).sublayers());
-            let lut = LayerLut::cached_jobs(&layers, jobs);
+            let lut = LayerLut::cached(&layers, &WorkerPool::new(jobs));
             for (idx, cfg) in lut.configs().iter().enumerate() {
                 for (l, layer) in layers.iter().enumerate() {
                     assert_eq!(

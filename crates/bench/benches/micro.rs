@@ -17,7 +17,9 @@ use hdx_nas::supernet::FinalNet;
 use hdx_nas::{Architecture, Dataset, NetworkPlan, Supernet, SupernetConfig, TaskSpec};
 use hdx_obs::Stopwatch;
 use hdx_surrogate::{Estimator, EstimatorConfig, PairSet};
-use hdx_tensor::{ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, Tape, Tensor};
+use hdx_tensor::{
+    ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, Tape, Tensor, WorkerPool,
+};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -122,15 +124,15 @@ fn bench_exhaustive_search(report: &mut Report) {
 
     // Cold path: the per-(layer, config) model evaluations that fill
     // the LUT. This is the expensive, parallelizable work — fresh
-    // every iteration (build_layer_lut_jobs bypasses the cache).
+    // every iteration (build_layer_lut bypasses the cache).
     let seq = bench(report, "accel/layer_lut_build_2295 (jobs=1)", || {
-        black_box(hdx_accel::build_layer_lut_jobs(black_box(&layers), 1));
+        black_box(hdx_accel::build_layer_lut(black_box(&layers), 1));
     });
     let par = bench(
         report,
         &format!("accel/layer_lut_build_2295 (jobs=auto:{jobs})"),
         || {
-            black_box(hdx_accel::build_layer_lut_jobs(black_box(&layers), 0));
+            black_box(hdx_accel::build_layer_lut(black_box(&layers), 0));
         },
     );
     println!(
@@ -138,15 +140,17 @@ fn bench_exhaustive_search(report: &mut Report) {
         seq / par
     );
 
-    // Warm path: exhaustive_search_jobs hits the process-global cached
-    // LUT after its first call, so this measures the post-build scan —
-    // the cost of every *repeated* search over the same layers.
+    // Warm path: exhaustive_search hits the process-global cached LUT
+    // after its first call, so this measures the post-build scan — the
+    // cost of every *repeated* search over the same layers, on a pool
+    // that outlives the calls as a search's does.
+    let pool = WorkerPool::new(jobs);
     bench(report, "accel/exhaustive_search_2295 (cached LUT)", || {
-        black_box(hdx_accel::exhaustive_search_jobs(
+        black_box(hdx_accel::exhaustive_search(
             black_box(&layers),
             &weights,
             &[],
-            0,
+            &pool,
         ));
     });
 }
@@ -154,7 +158,7 @@ fn bench_exhaustive_search(report: &mut Report) {
 fn bench_estimator_inference(report: &mut Report) {
     let plan = NetworkPlan::cifar18();
     let mut rng = Rng::new(1);
-    let pairs = PairSet::sample(&plan, 400, &mut rng);
+    let pairs = PairSet::sample(&plan, 400, &mut rng, 0);
     let mut est = Estimator::new(
         &plan,
         EstimatorConfig {
@@ -419,7 +423,7 @@ fn bench_hw_head_step_replay(report: &mut Report) {
 fn bench_estimator_train_replay(report: &mut Report) {
     let plan = NetworkPlan::cifar18();
     let mut rng = Rng::new(5);
-    let pairs = PairSet::sample(&plan, 512, &mut rng);
+    let pairs = PairSet::sample(&plan, 512, &mut rng, 0);
     let epochs = (measure_secs() * 4.0).ceil().max(2.0) as usize;
     let run = |exec: ExecMode, jobs: usize| {
         let cfg = EstimatorConfig {
@@ -498,27 +502,26 @@ fn bench_mlp_step_parallel(report: &mut Report) {
     let loss = tape.mse(pred, tv);
     let prog = Arc::new(Program::compile(&tape, &[loss], &[]));
 
-    let time_session = |report: &mut Report, name: &str, mut sess: Session| {
+    let time_session = |report: &mut Report, name: &str, pool: Option<&WorkerPool>| {
+        let mut sess = Session::new(Arc::clone(&prog));
         bench(report, name, || {
             for (id, tensor) in params.iter() {
                 sess.bind(b.var(id), tensor.data());
             }
             sess.bind_tensor(xv, &x);
             sess.bind_tensor(tv, &t);
-            sess.forward();
-            sess.backward(loss);
+            sess.forward_with(pool);
+            sess.try_backward_with(loss, pool)
+                .expect("loss is an output");
             black_box(sess.scalar(loss));
         })
     };
-    let seq = time_session(
-        report,
-        "tensor/mlp_step (session replay, jobs=1)",
-        Session::with_jobs(Arc::clone(&prog), 1),
-    );
+    let seq = time_session(report, "tensor/mlp_step (session replay, jobs=1)", None);
+    let pool = WorkerPool::new(jobs);
     let par = time_session(
         report,
         &format!("tensor/mlp_step (session replay, jobs={jobs})"),
-        Session::with_jobs(Arc::clone(&prog), jobs),
+        Some(&pool),
     );
     println!(
         "    -> row-parallel kernel speedup vs jobs=1 replay: {:.2}x on {jobs} workers",
@@ -545,7 +548,7 @@ fn bench_final_net_replay(report: &mut Report) {
             &mut rng,
         );
         let watch = Stopwatch::start();
-        black_box(net.train_exec_jobs(&ds, steps, 32, &mut rng, exec, 1));
+        black_box(net.train(&ds, steps, 32, &mut rng, exec, &WorkerPool::new(1)));
         steps as f64 / watch.seconds()
     };
     let fresh = run(ExecMode::FreshRecord);

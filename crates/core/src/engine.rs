@@ -36,8 +36,8 @@ use hdx_surrogate::dataset::expected_metrics;
 use hdx_surrogate::{Estimator, Generator};
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{
-    bank_key, Adam, Binding, ExecMode, Gradients, ParamId, ParamStore, Program, Rng, Session,
-    SessionBank, SessionLease, Tape, Tensor, Var,
+    bank_key, num_jobs, Adam, Binding, ExecMode, Gradients, ParamId, ParamStore, Program, Rng,
+    Session, SessionBank, SessionLease, Tape, Tensor, Var, WorkerPool,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -120,9 +120,10 @@ pub struct SearchOptions {
     /// surrogate error. Reported metrics are always ground truth against
     /// the *unmargined* targets.
     pub safety_margin: f64,
-    /// Worker threads for the parallel evaluation paths the engine
-    /// drives (the exhaustive hardware searches; `0` = auto, `1` =
-    /// sequential). Results are bit-identical at every worker count.
+    /// Size of the search's one worker pool (`0` = auto, honoring
+    /// `HDX_JOBS`; `1` = sequential), which every phase borrows: the
+    /// task-branch replay, the hardware searches, the final-net retrain
+    /// and its evaluation. Results are bit-identical at every size.
     pub jobs: usize,
     /// Execution engine for every step graph (the supernet task branch,
     /// the hardware head, final-network retraining and evaluation):
@@ -336,6 +337,10 @@ fn search_inner(
     // retrain, and its evaluation.
     let setup_span = hdx_obs::span("engine.setup");
     let mut st = SearchState::new(*ctx, opts);
+    // The search's one worker pool: the task-branch replay, the
+    // hardware searches, the final-net retrain and its evaluation all
+    // borrow it, so no phase spawns or joins a thread of its own.
+    let pool = WorkerPool::new(num_jobs(opts.jobs));
     // Resume: overwrite every freshly initialized piece of mutable
     // state with the snapshot. The constructor already consumed the
     // RNG exactly as the original run did, and the stream position is
@@ -367,9 +372,9 @@ fn search_inner(
     // step. Single-path mixtures bake per-step constants and always
     // fresh-record.
     let mut task_exec = match opts.exec {
-        ExecMode::Compiled if opts.supernet.num_paths >= 2 => TaskExec::Sampled(Box::new(
-            SampledReplay::new(SessionBank::global(), opts.jobs),
-        )),
+        ExecMode::Compiled if opts.supernet.num_paths >= 2 => {
+            TaskExec::Sampled(Box::new(SampledReplay::new(SessionBank::global(), &pool)))
+        }
         _ => TaskExec::Fresh,
     };
     let mut head_eval = HeadEval::default();
@@ -493,7 +498,11 @@ fn search_inner(
         }
 
         // Ground truth of the current relaxed state for the trace.
-        let truth = expected_metrics(ctx.plan, &st.supernet.arch_probs(), &propose_hardware(&st));
+        let truth = expected_metrics(
+            ctx.plan,
+            &st.supernet.arch_probs(),
+            &propose_hardware(&st, &pool),
+        );
         st.trajectory.push(EpochTrace {
             epoch,
             task_loss: last_task,
@@ -517,7 +526,7 @@ fn search_inner(
     // ---- final solution -------------------------------------------
     let select_span = hdx_obs::span("engine.final_select");
     let architecture = st.supernet.architecture();
-    let mut accel = propose_hardware(&st);
+    let mut accel = propose_hardware(&st, &pool);
     let mut metrics = evaluate_network(&ctx.plan.layers_for(&architecture), &accel);
 
     // HDX hardware repair: the paper evaluates the generator's output
@@ -534,11 +543,11 @@ fn search_inner(
             .iter()
             .map(|c| (c.metric, c.target))
             .collect();
-        if let Some(fixed) = hdx_accel::exhaustive_search_jobs(
+        if let Some(fixed) = hdx_accel::exhaustive_search(
             &ctx.plan.layers_for(&architecture),
             &ctx.weights,
             &bounds,
-            opts.jobs,
+            &pool,
         ) {
             accel = fixed.config;
             metrics = fixed.metrics;
@@ -562,18 +571,18 @@ fn search_inner(
                 &opts.supernet,
                 &mut st.rng,
             );
-            net.train_exec_jobs(
+            net.train(
                 ctx.dataset,
                 opts.final_train_steps,
                 opts.batch,
                 &mut st.rng,
                 opts.exec,
-                opts.jobs,
+                &pool,
             );
             net
         };
         let _eval_span = hdx_obs::span("engine.final_eval");
-        let mut eval = final_net.evaluator(opts.exec, opts.jobs);
+        let mut eval = final_net.evaluator(opts.exec, &pool);
         let err = eval.score(&ctx.dataset.test_all()).error;
         let ce = eval.score(&ctx.dataset.val_all()).ce;
         (err, f64::from(ce))
@@ -680,7 +689,9 @@ impl<'a> SearchState<'a> {
                 Method::Hdx { delta0, p } => Some(DeltaPolicy::new(delta0, p)),
                 _ => None,
             },
-            trajectory: Vec::with_capacity(opts.epochs),
+            // Not pre-sized: `epochs` is client-controlled, and a
+            // capacity request for 2^32 traces aborts the process.
+            trajectory: Vec::new(),
             steering: opts
                 .constraints
                 .iter()
@@ -1351,9 +1362,9 @@ impl HeadExec {
 }
 
 /// How the supernet task branch executes one step.
-enum TaskExec {
+enum TaskExec<'p> {
     /// Bank-cached segment-chain replay of the sampled path sets.
-    Sampled(Box<SampledReplay<'static>>),
+    Sampled(Box<SampledReplay<'p>>),
     /// Fresh-record reference (and the single-path mixture, whose
     /// graphs bake per-step constants).
     Fresh,
@@ -1416,19 +1427,14 @@ fn pick_metric(vars: (Var, Var, Var), c: &Constraint) -> Var {
 
 /// The hardware the current state proposes (decoded to discrete).
 /// NAS→HW has no hardware parameters: it searches the accelerator space
-/// exhaustively for the current architecture.
-fn propose_hardware(st: &SearchState<'_>) -> AccelConfig {
+/// exhaustively for the current architecture, on the search's `pool`.
+fn propose_hardware(st: &SearchState<'_>, pool: &WorkerPool) -> AccelConfig {
     match st.opts.method {
         Method::NasThenHw { .. } => {
             let arch = st.supernet.architecture();
-            hdx_accel::exhaustive_search_jobs(
-                &st.ctx.plan.layers_for(&arch),
-                &st.ctx.weights,
-                &[],
-                st.opts.jobs,
-            )
-            .expect("non-empty accelerator space")
-            .config
+            hdx_accel::exhaustive_search(&st.ctx.plan.layers_for(&arch), &st.ctx.weights, &[], pool)
+                .expect("non-empty accelerator space")
+                .config
         }
         Method::AutoNba => {
             let raw = st.hw_params.get(st.hw_theta);
@@ -1551,6 +1557,7 @@ mod tests {
             &prepared.plan().layers_for(&result.architecture),
             &prepared.context().weights,
             &[],
+            &WorkerPool::new(num_jobs(0)),
         )
         .expect("non-empty space");
         assert_eq!(result.accel, best.config);
@@ -1766,6 +1773,88 @@ mod tests {
     }
 
     #[test]
+    fn full_mixture_methods_are_worker_invariant() {
+        // meta_fullmix's shape at a small schedule: all four methods on
+        // the full mixture, so every phase runs on the search's pool —
+        // the replayed task branch, NAS→HW's per-epoch hardware search,
+        // HDX's in-constraint repair (the tight target below makes the
+        // decoded configuration miss it), the final-net retrain and its
+        // evaluation. Reports and trajectories must not move by a bit
+        // at any pool size.
+        let prepared = ctx();
+        let methods = [
+            Method::Hdx {
+                delta0: 1e-3,
+                p: 1e-2,
+            },
+            Method::Dance,
+            Method::AutoNba,
+            Method::NasThenHw { lambda_macs: 0.002 },
+        ];
+        for method in methods {
+            let run = |jobs: usize| {
+                let opts = SearchOptions {
+                    method,
+                    lambda_cost: 0.001,
+                    constraints: vec![Constraint::fps(200.0)],
+                    epochs: 2,
+                    steps_per_epoch: 3,
+                    final_train_steps: 40,
+                    seed: 17,
+                    supernet: SupernetConfig {
+                        num_paths: hdx_nas::OP_SET.len(),
+                        ..SupernetConfig::default()
+                    },
+                    jobs,
+                    ..SearchOptions::default()
+                };
+                run_search(&prepared.context(), &opts)
+            };
+            let reference = run(1);
+            for jobs in [2, 3] {
+                let r = run(jobs);
+                let label = format!("{} jobs={jobs}", method.label());
+                assert_eq!(r.architecture, reference.architecture, "{label}");
+                assert_eq!(r.accel, reference.accel, "{label}");
+                assert_eq!(r.metrics, reference.metrics, "{label}");
+                assert_eq!(r.error.to_bits(), reference.error.to_bits(), "{label}");
+                assert_eq!(r.cost_hw.to_bits(), reference.cost_hw.to_bits(), "{label}");
+                assert_eq!(
+                    r.global_loss.to_bits(),
+                    reference.global_loss.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(r.in_constraint, reference.in_constraint, "{label}");
+                assert_eq!(r.trajectory.len(), reference.trajectory.len(), "{label}");
+                for (t, f) in r.trajectory.iter().zip(&reference.trajectory) {
+                    let at = format!("{label} epoch {}", t.epoch);
+                    assert_eq!(t.epoch, f.epoch, "{at}");
+                    assert_eq!(t.task_loss.to_bits(), f.task_loss.to_bits(), "{at}");
+                    assert_eq!(t.global_loss.to_bits(), f.global_loss.to_bits(), "{at}");
+                    assert_eq!(t.est, f.est, "{at}");
+                    assert_eq!(t.truth, f.truth, "{at}");
+                    assert_eq!(t.delta.to_bits(), f.delta.to_bits(), "{at}");
+                    assert_eq!(t.violated, f.violated, "{at}");
+                    assert_eq!(t.manipulated_steps, f.manipulated_steps, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn huge_epoch_count_does_not_presize_the_trajectory() {
+        // `epochs` arrives from clients unchecked (`epochs=4294967296`
+        // on the wire); building the state must not reserve a trace
+        // slot per epoch up front. The search itself is not run.
+        let opts = SearchOptions {
+            epochs: 1 << 32,
+            ..quick_opts(Method::Dance)
+        };
+        let st = SearchState::new(ctx().context(), &opts);
+        assert!(st.trajectory.is_empty());
+    }
+
+    #[test]
     fn full_mixture_replay_holds_one_lease_per_side() {
         // The held-lease rule, per (side, layer): the full mixture
         // chooses every path at every step, so no layer's segment key
@@ -1788,7 +1877,8 @@ mod tests {
         const LAYERS: u64 = 4;
         let mut supernet = Supernet::new(4, spec.feature_dim, spec.num_classes, cfg, &mut rng);
         let bank = SessionBank::new();
-        let mut replay = SampledReplay::new(&bank, 2);
+        let pool = WorkerPool::new(2);
+        let mut replay = SampledReplay::new(&bank, &pool);
         let mut w_opt = Adam::new(1e-2);
         let mut checkouts = Vec::new();
         for _ in 0..5 {

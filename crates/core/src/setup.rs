@@ -222,8 +222,8 @@ pub fn prepare_context_with(
     let plan = task.plan();
     let dataset = Dataset::generate(&task.spec(seed));
     let mut rng = Rng::new(seed ^ 0xE57A_u64.rotate_left(31));
-    let train_pairs = PairSet::sample_jobs(&plan, pairs, &mut rng, est_cfg.jobs);
-    let holdout = PairSet::sample_jobs(&plan, 500, &mut rng, est_cfg.jobs);
+    let train_pairs = PairSet::sample(&plan, pairs, &mut rng, est_cfg.jobs);
+    let holdout = PairSet::sample(&plan, 500, &mut rng, est_cfg.jobs);
     let mut estimator = Estimator::new(&plan, est_cfg, &mut rng);
     estimator.train(&train_pairs, &mut rng);
     let estimator_accuracy = estimator.within_tolerance(&holdout, 0.10);

@@ -602,41 +602,26 @@ impl FinalNet {
     }
 
     /// Trains from scratch with SGD + Nesterov momentum and a cosine
-    /// schedule (§5.1) on the compiled replay engine with auto workers,
-    /// returning the final training loss; see [`FinalNet::train_exec_jobs`].
+    /// schedule (§5.1) on `exec`, returning the final training loss.
+    /// Each minibatch gradient is one [`sharded_step`] on `pool` (the
+    /// calling search's pool) — the proxy's 20-wide matmuls sit under
+    /// the kernel dispatch threshold, so shard fan-out is how this loop
+    /// gets multi-core gains. The trained weights are **bit-identical**
+    /// for every engine and pool size (`tests/determinism.rs`).
     pub fn train(
         &mut self,
         dataset: &crate::data::Dataset,
         steps: usize,
         batch_size: usize,
         rng: &mut Rng,
-    ) -> f32 {
-        self.train_exec_jobs(dataset, steps, batch_size, rng, ExecMode::Compiled, 0)
-    }
-
-    /// [`FinalNet::train`] with an explicit execution engine and worker
-    /// count (`0` = auto via `HDX_JOBS`). Each minibatch gradient is one
-    /// [`sharded_step`] — the proxy's 20-wide matmuls sit under the
-    /// kernel pool's dispatch threshold, so shard fan-out is how this
-    /// loop gets multi-core gains. The trained weights are
-    /// **bit-identical** for every `(exec, jobs)` combination
-    /// (`tests/determinism.rs`).
-    pub fn train_exec_jobs(
-        &mut self,
-        dataset: &crate::data::Dataset,
-        steps: usize,
-        batch_size: usize,
-        rng: &mut Rng,
         exec: ExecMode,
-        jobs: usize,
+        pool: &WorkerPool,
     ) -> f32 {
         // Paper settings scaled to the proxy: momentum 0.9 (Nesterov),
         // weight decay 1e-3, cosine LR. The base LR is raised from the
         // paper's 0.008 because the proxy network is far smaller.
         let mut opt = Sgd::new(0.9, true, 1e-3);
         let sched = CosineLr::new(0.02, steps.max(1));
-        // One pool per training run: no step spawns or joins a thread.
-        let pool = WorkerPool::new(hdx_tensor::num_jobs(jobs));
         let mut last = f32::NAN;
         for step in 0..steps {
             let batch = dataset.train_batch(batch_size, rng);
@@ -644,7 +629,7 @@ impl FinalNet {
                 net: self,
                 batch: &batch,
             };
-            let (loss, mut collected) = sharded_step(&train, batch.len(), &pool, exec);
+            let (loss, mut collected) = sharded_step(&train, batch.len(), pool, exec);
             last = loss;
             Binding::clip_grad_norm(&mut collected, 5.0);
             opt.step(&mut self.w, &collected, sched.lr(step));
@@ -654,19 +639,33 @@ impl FinalNet {
 
     /// Classification error rate on a batch (fresh-record forward).
     pub fn error_rate(&self, batch: &Batch) -> f64 {
-        self.evaluator(ExecMode::FreshRecord, 1).score(batch).error
+        self.score_fresh(batch).error
+    }
+
+    /// Scores `batch` on one freshly recorded tape (the reference path
+    /// of [`FinalEval::score`]).
+    fn score_fresh(&self, batch: &Batch) -> EvalScore {
+        let mut tape = Tape::new();
+        let w = self.bind(&mut tape);
+        let logits = self.forward_logits(&mut tape, &w, batch);
+        let error = error_from_logits(tape.value(logits), &batch.y);
+        let ce = tape.cross_entropy_logits(logits, &batch.y);
+        EvalScore {
+            error,
+            ce: tape.value(ce).item(),
+        }
     }
 
     /// An evaluator of the network as it is now (train first). Under
     /// [`ExecMode::Compiled`] it compiles the forward pass once for
     /// [`EVAL_CHUNK`] rows and replays it over each scored batch, with
-    /// `jobs` workers in the session's row-parallel kernels (`0` =
-    /// auto). The program is private to the evaluator, not banked: its
-    /// key would be unique to this architecture and trained once, so
-    /// caching it would only churn the bank's LRU.
+    /// the session's row-parallel kernels on `pool` (the calling
+    /// search's pool). The program is private to the evaluator, not
+    /// banked: its key would be unique to this architecture and trained
+    /// once, so caching it would only churn the bank's LRU.
     /// [`ExecMode::FreshRecord`] records one tape per batch (the
     /// reference path). Both give bit-identical scores.
-    pub fn evaluator(&self, exec: ExecMode, jobs: usize) -> FinalEval<'_> {
+    pub fn evaluator<'a>(&'a self, exec: ExecMode, pool: &'a WorkerPool) -> FinalEval<'a> {
         let replay = matches!(exec, ExecMode::Compiled).then(|| {
             let mut tape = Tape::new();
             let w = self.w.bind(&mut tape);
@@ -675,9 +674,13 @@ impl FinalNet {
             // Programs need a scalar output; only `logits` is read.
             let out = tape.sum(logits);
             let prog = Program::compile_with_sinks(&tape, &[out], &[logits], &[]);
-            (Session::with_jobs(Arc::new(prog), jobs), x0, logits)
+            (Session::new(Arc::new(prog)), x0, logits)
         });
-        FinalEval { net: self, replay }
+        FinalEval {
+            net: self,
+            pool,
+            replay,
+        }
     }
 }
 
@@ -741,6 +744,8 @@ pub struct EvalScore {
 #[derive(Debug)]
 pub struct FinalEval<'a> {
     net: &'a FinalNet,
+    /// The pool the compiled forward's row-parallel kernels run on.
+    pool: &'a WorkerPool,
     /// Compiled forward session, its input leaf and its logits.
     replay: Option<(Session, Var, Var)>,
 }
@@ -754,15 +759,7 @@ impl FinalEval<'_> {
     /// [`Tape::cross_entropy_logits`] does.
     pub fn score(&mut self, batch: &Batch) -> EvalScore {
         let Some((sess, x0, logits)) = self.replay.as_mut() else {
-            let mut tape = Tape::new();
-            let w = self.net.bind(&mut tape);
-            let logits = self.net.forward_logits(&mut tape, &w, batch);
-            let error = error_from_logits(tape.value(logits), &batch.y);
-            let ce = tape.cross_entropy_logits(logits, &batch.y);
-            return EvalScore {
-                error,
-                ce: tape.value(ce).item(),
-            };
+            return self.net.score_fresh(batch);
         };
         let (m, dim, classes) = (
             batch.len(),
@@ -778,7 +775,7 @@ impl FinalEval<'_> {
             // A part-filled tail chunk: zero the unused rows (row-local
             // ops keep them out of the scored rows either way).
             x[rows * dim..].fill(0.0);
-            sess.forward();
+            sess.forward_with(Some(self.pool));
             // Each row is scored in place, with the tie rule of
             // `Tensor::argmax_row` and the fold of `Tensor::softmax_rows`.
             let out = &sess.value(*logits)[..rows * classes];
@@ -801,7 +798,12 @@ impl FinalEval<'_> {
 mod tests {
     use super::*;
     use crate::data::{Dataset, TaskSpec};
-    use hdx_tensor::SessionBank;
+    use hdx_tensor::{num_jobs, SessionBank};
+
+    /// A pool of the default size (`0` = auto, honoring `HDX_JOBS`).
+    fn auto_pool() -> WorkerPool {
+        WorkerPool::new(num_jobs(0))
+    }
 
     fn tiny_setup() -> (Supernet, Dataset, Rng) {
         let mut rng = Rng::new(11);
@@ -943,7 +945,7 @@ mod tests {
                 &SupernetConfig::default(),
                 &mut rng,
             );
-            let loss = net.train_exec_jobs(&ds, 40, 16, &mut rng, exec, 1);
+            let loss = net.train(&ds, 40, 16, &mut rng, exec, &WorkerPool::new(1));
             (net, loss)
         };
         let (net_c, loss_c) = run(ExecMode::Compiled);
@@ -981,7 +983,7 @@ mod tests {
                 &SupernetConfig::default(),
                 &mut rng,
             );
-            let loss = net.train_exec_jobs(&ds, 25, 80, &mut rng, exec, jobs);
+            let loss = net.train(&ds, 25, 80, &mut rng, exec, &WorkerPool::new(jobs));
             (net, loss)
         };
         let (net_ref, loss_ref) = run(ExecMode::FreshRecord, 1);
@@ -1021,7 +1023,7 @@ mod tests {
             &SupernetConfig::default(),
             &mut rng,
         );
-        net.train(&ds, 60, 32, &mut rng);
+        net.train(&ds, 60, 32, &mut rng, ExecMode::Compiled, &auto_pool());
 
         let mut ckpt = Checkpoint::new();
         net.save_sections(&mut ckpt, "final");
@@ -1109,7 +1111,8 @@ mod tests {
             let batches: Vec<Batch> = (0..4).map(|_| ds.train_batch(24, &mut rng)).collect();
             for jobs in [1, 2, 4] {
                 let bank = SessionBank::new();
-                let mut replay = SampledReplay::new(&bank, jobs);
+                let pool = WorkerPool::new(jobs);
+                let mut replay = SampledReplay::new(&bank, &pool);
                 for (step, batch) in (0u64..).zip(&batches) {
                     let seed = 100 + step;
                     let chosen = net.sample_step_paths(&mut Rng::new(seed));
@@ -1166,7 +1169,7 @@ mod tests {
             &mut rng,
         );
         let before = net.error_rate(&ds.test_all());
-        net.train(&ds, 300, 32, &mut rng);
+        net.train(&ds, 300, 32, &mut rng, ExecMode::Compiled, &auto_pool());
         let after = net.error_rate(&ds.test_all());
         assert!(
             after < before * 0.6,
@@ -1197,8 +1200,9 @@ mod tests {
             &SupernetConfig::default(),
             &mut Rng::new(42),
         );
-        small.train(&ds, 2500, 32, &mut rng);
-        large.train(&ds, 2500, 32, &mut rng);
+        let pool = auto_pool();
+        small.train(&ds, 2500, 32, &mut rng, ExecMode::Compiled, &pool);
+        large.train(&ds, 2500, 32, &mut rng, ExecMode::Compiled, &pool);
         let es = small.error_rate(&ds.test_all());
         let el = large.error_rate(&ds.test_all());
         assert!(

@@ -44,8 +44,8 @@
 use super::{Supernet, OP_SET};
 use crate::data::Batch;
 use hdx_tensor::{
-    bank_key, num_jobs, ParamId, Program, Rng, Session, SessionBank, SessionLease, Tape, Tensor,
-    Var, WorkerPool,
+    bank_key, ParamId, Program, Rng, Session, SessionBank, SessionLease, Tape, Tensor, Var,
+    WorkerPool,
 };
 use std::any::Any;
 use std::sync::Arc;
@@ -252,13 +252,14 @@ fn put_grads(
 ///
 /// The replay holds one lease per (side, layer) while that layer's set
 /// repeats, plus one stem and one tail lease shared by both sides, and
-/// one worker pool for every session it drives. The segment programs a
-/// search can reach are few (15 per side at `num_paths = 2`) and shared
-/// by every later search, so the bank stays bounded by construction.
+/// borrows the search's worker pool for every session it drives. The
+/// segment programs a search can reach are few (15 per side at
+/// `num_paths = 2`) and shared by every later search, so the bank stays
+/// bounded by construction.
 #[derive(Debug)]
 pub struct SampledReplay<'b> {
     bank: &'b SessionBank,
-    pool: Option<WorkerPool>,
+    pool: &'b WorkerPool,
     stem: HeldLease<'b>,
     tail: HeldLease<'b>,
     w: Vec<HeldLease<'b>>,
@@ -273,13 +274,12 @@ pub struct SampledReplay<'b> {
 
 impl<'b> SampledReplay<'b> {
     /// A replay leasing from `bank`, running every session's
-    /// row-parallel kernels on one pool of `jobs` workers (`0` = auto,
-    /// honoring `HDX_JOBS`). Results are identical at any worker count.
-    pub fn new(bank: &'b SessionBank, jobs: usize) -> Self {
-        let jobs = num_jobs(jobs);
+    /// row-parallel kernels on `pool` (the calling search's pool).
+    /// Results are identical at any pool size.
+    pub fn new(bank: &'b SessionBank, pool: &'b WorkerPool) -> Self {
         SampledReplay {
             bank,
-            pool: (jobs > 1).then(|| WorkerPool::new(jobs)),
+            pool,
             stem: None,
             tail: None,
             w: Vec::new(),
@@ -337,7 +337,7 @@ impl<'b> SampledReplay<'b> {
         let st: Arc<StemVars> = stem.meta();
         let sess = stem.session();
         sess.bind(st.fold, &self.fold);
-        sess.try_backward_with(st.out, self.pool.as_ref())
+        sess.try_backward_with(st.out, Some(self.pool))
             .unwrap_or_else(|e| panic!("supernet stem: {e}"));
         put_grads(
             &mut grads,
@@ -363,7 +363,7 @@ impl<'b> SampledReplay<'b> {
         let sess = lease.session();
         sess.bind(sv.grad_acc, &self.grad_acc);
         sess.bind(sv.fold.expect("w-side segment"), &self.fold);
-        sess.try_backward_with(sv.out, self.pool.as_ref())
+        sess.try_backward_with(sv.out, Some(self.pool))
             .unwrap_or_else(|e| panic!("supernet segment {l}: {e}"));
         self.fold
             .copy_from_slice(sess.grad(sv.features).expect("features gradient"));
@@ -389,7 +389,7 @@ impl<'b> SampledReplay<'b> {
     ) -> (f64, Vec<f32>) {
         let chosen = supernet.sample_step_paths(rng);
         let loss = self.forward(Side::Alpha, supernet, batch, &chosen);
-        let pool = self.pool.as_ref();
+        let pool = Some(self.pool);
         let mut grads = Vec::with_capacity(chosen.len() * OP_SET.len());
         for (l, held) in self.alpha.iter_mut().enumerate() {
             let lease = &mut held.as_mut().expect("forward leased every layer").1;
@@ -418,7 +418,7 @@ impl<'b> SampledReplay<'b> {
     ) -> f32 {
         let rows = batch.len();
         let bank = self.bank;
-        let pool = self.pool.as_ref();
+        let pool = Some(self.pool);
 
         let stem_shape = supernet.w.get(supernet.input.param_ids().0).shape();
         let key = bank_key("supernet-stem", &(stem_shape, rows));
@@ -530,7 +530,8 @@ mod tests {
             let cfg = SupernetConfig::default();
             let mut net = Supernet::new(18, spec.feature_dim, spec.num_classes, cfg, &mut rng);
             let bank = SessionBank::with_capacity(Some(256));
-            let mut replay = SampledReplay::new(&bank, jobs);
+            let pool = WorkerPool::new(hdx_tensor::num_jobs(jobs));
+            let mut replay = SampledReplay::new(&bank, &pool);
             let (mut w_opt, mut a_opt) = (Adam::new(1e-2), Adam::new(5e-2));
             let mut trace = Vec::new();
             let mut warm_misses = 0;

@@ -198,8 +198,8 @@ pub fn train_artifacts_from(
         (seed ^ 0xC017_14E5_u64.rotate_left(17)).wrapping_add(init.pairs as u64),
     );
     let mut rng = parent.split();
-    let train_pairs = hdx_surrogate::PairSet::sample_jobs(&plan, pairs, &mut rng, jobs);
-    let holdout = hdx_surrogate::PairSet::sample_jobs(&plan, 500, &mut rng, jobs);
+    let train_pairs = hdx_surrogate::PairSet::sample(&plan, pairs, &mut rng, jobs);
+    let holdout = hdx_surrogate::PairSet::sample(&plan, 500, &mut rng, jobs);
     let mut estimator = init.estimator;
     estimator.set_training_schedule(est_epochs, 2e-3, jobs);
     estimator.train(&train_pairs, &mut rng);
@@ -217,7 +217,7 @@ mod tests {
     fn tiny_estimator(task: Task, seed: u64) -> (Estimator, f64) {
         let plan = task.plan();
         let mut rng = Rng::new(seed ^ 0xE57A_u64.rotate_left(31));
-        let pairs = PairSet::sample(&plan, 200, &mut rng);
+        let pairs = PairSet::sample(&plan, 200, &mut rng, 0);
         let mut est = Estimator::new(
             &plan,
             EstimatorConfig {

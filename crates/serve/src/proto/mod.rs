@@ -616,14 +616,20 @@ impl SearchRequest {
         self.steps_for(self.max_searches)
     }
 
-    /// Optimizer steps of `searches` runs of this request's schedule,
-    /// saturating at `u64::MAX`: the fields are client-controlled, and a
-    /// wrapped product would slip a huge job under the deadline.
-    fn steps_for(&self, searches: usize) -> u64 {
-        let per_search = (self.epochs as u64)
+    /// Optimizer steps of one run of this request's schedule
+    /// (`epochs × steps + final_train`), saturating at `u64::MAX`: the
+    /// fields are client-controlled, and a wrapped product would slip a
+    /// huge job under the deadline.
+    pub fn steps_per_search(&self) -> u64 {
+        (self.epochs as u64)
             .saturating_mul(self.steps as u64)
-            .saturating_add(self.final_train as u64);
-        (searches as u64).saturating_mul(per_search)
+            .saturating_add(self.final_train as u64)
+    }
+
+    /// Optimizer steps of `searches` runs of this request's schedule,
+    /// saturating like [`SearchRequest::steps_per_search`].
+    fn steps_for(&self, searches: usize) -> u64 {
+        (searches as u64).saturating_mul(self.steps_per_search())
     }
 
     /// Expands a λ-grid request into independent single-λ jobs (a

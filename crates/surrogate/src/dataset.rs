@@ -66,23 +66,15 @@ impl PairSet {
     /// soft per-layer distributions (temperature-varied), matching the
     /// estimator's query distribution during search.
     ///
-    /// Fans the pair generation out over the default worker count; see
-    /// [`PairSet::sample_jobs`] for the determinism contract.
-    pub fn sample(plan: &NetworkPlan, n: usize, rng: &mut Rng) -> Self {
-        Self::sample_jobs(plan, n, rng, 0)
-    }
-
-    /// [`PairSet::sample`] with an explicit worker count (`0` = auto,
-    /// `1` = the sequential reference path).
-    ///
+    /// The expensive part — labelling each pair with the analytical
+    /// accelerator model — fans out over `jobs` worker threads (`0` =
+    /// auto, honoring `HDX_JOBS`; `1` = the sequential reference path).
     /// Each pair draws from its own child generator, derived by `n`
     /// sequential [`Rng::split`] calls on the caller's stream *before*
     /// any parallel work starts. Pair `i` is therefore a pure function
     /// of (plan, child seed `i`), and every worker count produces the
-    /// bit-identical pair set. The expensive part — labelling each pair
-    /// with the analytical accelerator model — is what runs on the
-    /// workers.
-    pub fn sample_jobs(plan: &NetworkPlan, n: usize, rng: &mut Rng, jobs: usize) -> Self {
+    /// bit-identical pair set.
+    pub fn sample(plan: &NetworkPlan, n: usize, rng: &mut Rng, jobs: usize) -> Self {
         let dim = joint_dim(plan.num_layers());
         let k = OP_SET.len();
         let space = SearchSpace::paper();
@@ -232,7 +224,7 @@ mod tests {
     fn sampled_pairs_have_valid_shapes_and_targets() {
         let plan = NetworkPlan::cifar18();
         let mut rng = Rng::new(1);
-        let pairs = PairSet::sample(&plan, 64, &mut rng);
+        let pairs = PairSet::sample(&plan, 64, &mut rng, 0);
         assert_eq!(pairs.len(), 64);
         assert_eq!(pairs.dim(), joint_dim(18));
         for i in 0..pairs.len() {

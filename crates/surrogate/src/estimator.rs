@@ -399,7 +399,7 @@ mod tests {
     fn training_reduces_loss_and_predicts_reasonably() {
         let plan = NetworkPlan::cifar18();
         let mut rng = Rng::new(1);
-        let pairs = PairSet::sample(&plan, 1200, &mut rng);
+        let pairs = PairSet::sample(&plan, 1200, &mut rng, 0);
         let cfg = EstimatorConfig {
             epochs: 40,
             batch: 64,
@@ -421,7 +421,7 @@ mod tests {
     fn predict_metrics_matches_predict_raw() {
         let plan = NetworkPlan::cifar18();
         let mut rng = Rng::new(2);
-        let pairs = PairSet::sample(&plan, 200, &mut rng);
+        let pairs = PairSet::sample(&plan, 200, &mut rng, 0);
         let mut est = Estimator::new(
             &plan,
             EstimatorConfig {
@@ -446,7 +446,7 @@ mod tests {
     fn estimator_checkpoint_round_trip_is_bit_identical() {
         let plan = NetworkPlan::cifar18();
         let mut rng = Rng::new(5);
-        let pairs = PairSet::sample(&plan, 300, &mut rng);
+        let pairs = PairSet::sample(&plan, 300, &mut rng, 0);
         let mut est = Estimator::new(
             &plan,
             EstimatorConfig {

@@ -24,7 +24,7 @@
 //!
 //! let plan = NetworkPlan::cifar18();
 //! let mut rng = Rng::new(0);
-//! let pairs = PairSet::sample(&plan, 2_000, &mut rng);
+//! let pairs = PairSet::sample(&plan, 2_000, &mut rng, 0);
 //! let mut est = Estimator::new(&plan, EstimatorConfig::default(), &mut rng);
 //! est.train(&pairs, &mut rng);
 //! let acc = est.within_tolerance(&pairs, 0.10);

@@ -264,9 +264,9 @@ impl SessionBank {
     /// Checks out a session for `key`, compiling the program with
     /// `compile` on the first checkout. `meta` carries the caller's
     /// var handles (leaf/output [`crate::Var`]s) alongside the program;
-    /// read it back with [`SessionLease::meta`]. The session is
-    /// single-threaded; a caller with workers drives its kernels with
-    /// [`Session::forward_with`] on a pool the caller owns.
+    /// read it back with [`SessionLease::meta`]. The session owns no
+    /// threads (no session does); a caller with workers drives its
+    /// kernels with [`Session::forward_with`] on its search's pool.
     ///
     /// The lease returns the session to the bank on drop.
     ///

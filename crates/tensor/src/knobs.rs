@@ -40,12 +40,6 @@ pub const REGISTRY: &[Knob] = &[
         summary: "worker-pool size for parallel kernel dispatch",
     },
     Knob {
-        name: "HDX_PAR_THRESHOLD",
-        owner: "tensor::par",
-        default: "core-count heuristic",
-        summary: "minimum MAC count before kernels dispatch to the pool",
-    },
-    Knob {
         name: "HDX_BANK_CAP",
         owner: "tensor::bank",
         default: "unbounded",

@@ -44,9 +44,7 @@ pub use bank::{bank_key, parse_bank_cap_env, BankStats, SessionBank, SessionLeas
 pub use ckpt::{Checkpoint, CkptError};
 pub use nn::{Binding, Linear, ParamId, ParamStore, ResidualMlp};
 pub use optim::{Adam, CosineLr, Sgd};
-pub use par::{
-    num_jobs, par_threshold, parallel_map, parse_jobs_env, parse_par_threshold_env, WorkerPool,
-};
+pub use par::{num_jobs, par_threshold, parallel_map, parse_jobs_env, WorkerPool};
 pub use program::{ExecMode, Program, ProgramError, Session};
 pub use rng::Rng;
 pub use shard::{sharded_step, ShardStep, SHARD_ROWS};

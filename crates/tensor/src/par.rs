@@ -1,9 +1,18 @@
 //! Deterministic worker-pool data parallelism.
 //!
 //! The container builds offline with no third-party crates, so this
-//! module provides the tiny slice of rayon the workspace needs:
-//! [`parallel_map`], an index-preserving parallel map over a slice, and
-//! [`num_jobs`], the worker-count policy (the `--jobs`-style knob).
+//! module provides the tiny slice of rayon the workspace needs: the
+//! [`WorkerPool`] and its index-preserving [`WorkerPool::map`],
+//! [`parallel_map`] (the same map on a pool built for one call), and
+//! [`num_jobs`], which resolves the `jobs` settings
+//! (`SearchOptions::jobs`, `EstimatorConfig::jobs`, the router's and
+//! the CLIs' `--jobs`, `HDX_JOBS`) to a worker count.
+//!
+//! One search builds one pool and lends it to every phase that fans
+//! out: the task-branch replay, the hardware searches, the final-net
+//! retrain and its evaluation. Sessions own no threads; a replayed
+//! session runs its row-partitioned kernels on whatever pool its
+//! caller passes to [`crate::Session::forward_with`].
 //!
 //! Determinism is the contract that matters here: every consumer of
 //! this module (the exhaustive accelerator search, estimator pair
@@ -59,47 +68,18 @@ pub fn parse_jobs_env(value: Option<&str>) -> Result<Option<usize>, String> {
 
 /// Minimum multiply-accumulate count before the compiled executor's
 /// row-partitioned kernels dispatch to the [`WorkerPool`] instead of
-/// running on the calling thread.
-///
-/// Resolved once and cached: the `HDX_PAR_THRESHOLD` environment
-/// variable if set (strictly parsed, like `HDX_JOBS`), otherwise
-/// [`default_par_threshold`] for the host's core count. The threshold
-/// only selects *which* code path runs — both paths partition rows
+/// running on the calling thread: [`default_par_threshold`] for the
+/// host's core count, resolved once and cached. The threshold only
+/// selects *which* code path runs — both paths partition rows
 /// identically and every row's arithmetic is partition-independent, so
 /// it can never change results.
-///
-/// # Panics
-///
-/// Panics if `HDX_PAR_THRESHOLD` is set but not a positive integer
-/// (see [`parse_par_threshold_env`]).
 pub fn par_threshold() -> usize {
     static PAR_THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *PAR_THRESHOLD.get_or_init(|| {
-        match parse_par_threshold_env(crate::knobs::raw("HDX_PAR_THRESHOLD").as_deref()) {
-            Ok(Some(n)) => n,
-            Ok(None) => default_par_threshold(
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            ),
-            Err(msg) => panic!("{msg}"),
-        }
+        default_par_threshold(
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        )
     })
-}
-
-/// Parses the `HDX_PAR_THRESHOLD` environment value: `None` when unset
-/// (use the core-count default), `Some(n)` for a positive integer, and
-/// an error message for anything else (including `0` — a broken shell
-/// expansion must not silently disable the threshold).
-///
-/// # Errors
-///
-/// See [`crate::knobs::parse_positive`], which owns the error style.
-pub fn parse_par_threshold_env(value: Option<&str>) -> Result<Option<usize>, String> {
-    crate::knobs::parse_positive(
-        "HDX_PAR_THRESHOLD",
-        "MAC count",
-        "unset it for the default",
-        value,
-    )
 }
 
 /// Default parallel-dispatch threshold for a host with `cores` logical
@@ -153,17 +133,16 @@ where
     WorkerPool::new(num_jobs(jobs).min(items.len().max(1))).map(items, f)
 }
 
-/// A persistent pool of worker threads for the compiled executor's
-/// row-partitioned kernels ([`crate::Session`] replay).
+/// A persistent pool of worker threads: one per search (or per
+/// set-up training call), borrowed by every phase that fans out.
 ///
 /// [`parallel_map`] builds and joins a pool per call, which is fine
-/// for coarse work (whole accelerator evaluations) but too slow for
-/// the inner kernels of a replayed training step, which run tens of
-/// thousands of times per search, and for the steps themselves: a
-/// training call owns one pool and fans its shards out with
-/// [`WorkerPool::map`]. A `WorkerPool` keeps its threads parked on
-/// channels between calls, so dispatch costs two channel round-trips
-/// per worker instead of a thread spawn.
+/// for one-off coarse work (set-up pair labelling, a router batch) but
+/// too slow for the inner kernels of a replayed training step, which
+/// run tens of thousands of times per search. A `WorkerPool` keeps its
+/// threads parked on channels between calls, so dispatch costs two
+/// channel round-trips per worker instead of a thread spawn. It is not
+/// `Sync`: a closure running on the pool cannot dispatch to it again.
 ///
 /// [`WorkerPool::run`] executes `f(t)` for every worker index
 /// `t ∈ 0..workers` — the calling thread participates as worker 0 —
@@ -427,18 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn par_threshold_env_parsing_rejects_bad_values() {
-        assert_eq!(parse_par_threshold_env(None), Ok(None));
-        assert_eq!(parse_par_threshold_env(Some("65536")), Ok(Some(65536)));
-        assert_eq!(parse_par_threshold_env(Some(" 128 ")), Ok(Some(128)));
-        assert!(parse_par_threshold_env(Some("0")).is_err());
-        assert!(parse_par_threshold_env(Some("lots")).is_err());
-        assert!(parse_par_threshold_env(Some("-5")).is_err());
-        assert!(parse_par_threshold_env(Some("")).is_err());
-        assert!(parse_par_threshold_env(Some("64Ki")).is_err());
-    }
-
-    #[test]
     fn par_threshold_default_disables_dispatch_on_one_core() {
         assert_eq!(default_par_threshold(0), usize::MAX);
         assert_eq!(default_par_threshold(1), usize::MAX);
@@ -448,9 +415,8 @@ mod tests {
 
     #[test]
     fn par_threshold_resolves_positive() {
-        // Whatever the host/env, the resolved threshold is positive
-        // (other tests may override it concurrently, so only the
-        // invariant is asserted).
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(par_threshold(), default_par_threshold(cores));
         assert!(par_threshold() > 0);
     }
 

@@ -823,6 +823,15 @@ fn step_inputs(step: &Step) -> Vec<usize> {
 ///
 /// All buffers are allocated once at construction; [`Session::bind`],
 /// [`Session::forward`] and [`Session::backward`] never allocate.
+///
+/// A session owns no threads. [`Session::forward`] and
+/// [`Session::backward`] replay on the calling thread;
+/// [`Session::forward_with`] and [`Session::try_backward_with`]
+/// row-partition the fused linear forward kernels and the backward
+/// matmuls over a caller's [`WorkerPool`] (one per search, shared by
+/// every session it drives). Each output element's fold order is
+/// independent of the row partitioning, so replay is **bit-identical
+/// at every pool size** (pinned by `tests/determinism.rs`).
 #[derive(Debug)]
 pub struct Session {
     prog: Arc<Program>,
@@ -834,14 +843,11 @@ pub struct Session {
     targets: Vec<Vec<usize>>,
     /// Which output the gradient arena currently reflects.
     last_backward: Option<usize>,
-    /// Worker pool for row-partitioned kernels (`None` = sequential).
-    pool: Option<WorkerPool>,
 }
 
 impl Session {
     /// Allocates replay buffers for `prog`, initialized to the values
-    /// recorded at compile time. Replay is single-threaded; see
-    /// [`Session::with_jobs`] for the parallel executor.
+    /// recorded at compile time.
     pub fn new(prog: Arc<Program>) -> Session {
         Session {
             vals: prog.init.clone(),
@@ -851,39 +857,8 @@ impl Session {
             stage: vec![0.0; prog.stage_len],
             targets: prog.targets.clone(),
             last_backward: None,
-            pool: None,
             prog,
         }
-    }
-
-    /// [`Session::new`] with a worker pool: the fused linear forward
-    /// kernels and the backward matmuls are row-partitioned over up to
-    /// `jobs` workers (resolved through [`crate::par::num_jobs`];
-    /// `0` = auto, honoring `HDX_JOBS`). Each output element's fold
-    /// order is independent of the row partitioning, so replay is
-    /// **bit-identical at every worker count** (pinned by
-    /// `tests/determinism.rs`). Kernels below a fixed work threshold
-    /// run on the calling thread regardless.
-    pub fn with_jobs(prog: Arc<Program>, jobs: usize) -> Session {
-        let mut sess = Session::new(prog);
-        sess.set_jobs(jobs);
-        sess
-    }
-
-    /// The resolved worker count of this session's replay kernels.
-    pub fn jobs(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
-    }
-
-    /// Re-sizes the replay worker pool (`0` = auto via `HDX_JOBS`).
-    /// Results are unaffected — only how many threads execute the
-    /// row-partitioned kernels.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        let resolved = crate::par::num_jobs(jobs);
-        if resolved == self.jobs() {
-            return;
-        }
-        self.pool = (resolved > 1).then(|| WorkerPool::new(resolved));
     }
 
     /// The program this session replays.
@@ -993,17 +968,15 @@ impl Session {
         let buf = self.prog.grad[var.index()]?;
         Some(&self.grads[buf.range()])
     }
-    /// Replays the forward plan in place.
+    /// Replays the forward plan in place on the calling thread.
     pub fn forward(&mut self) {
-        let pool = self.pool.take();
-        self.forward_with(pool.as_ref());
-        self.pool = pool;
+        self.forward_with(None);
     }
 
-    /// [`Session::forward`] on a caller-owned worker pool instead of
-    /// the session's own (`None` = sequential). A chain of many small
-    /// sessions shares one pool this way rather than parking one set
-    /// of threads per session. Results are identical at any pool size.
+    /// [`Session::forward`] with its row-partitioned kernels on a
+    /// caller's worker pool (`None` = the calling thread). Kernels
+    /// below [`crate::par::par_threshold`] run on the calling thread
+    /// regardless. Results are identical at any pool size.
     pub fn forward_with(&mut self, pool: Option<&WorkerPool>) {
         let prog = Arc::clone(&self.prog);
         for (idx, step) in prog.steps.iter().enumerate() {
@@ -1044,14 +1017,11 @@ impl Session {
     /// [`ProgramError::NotAnOutput`] if `output` was not registered at
     /// compile time.
     pub fn try_backward(&mut self, output: Var) -> Result<(), ProgramError> {
-        let pool = self.pool.take();
-        let done = self.try_backward_with(output, pool.as_ref());
-        self.pool = pool;
-        done
+        self.try_backward_with(output, None)
     }
 
-    /// [`Session::try_backward`] on a caller-owned worker pool (see
-    /// [`Session::forward_with`]).
+    /// [`Session::try_backward`] with its row-partitioned kernels on a
+    /// caller's worker pool (see [`Session::forward_with`]).
     ///
     /// # Errors
     ///
@@ -1803,16 +1773,15 @@ impl SendPtr {
 /// Row-partitions `total_rows` over the pool, calling `f(lo, hi)` once
 /// per contiguous chunk — or once with the full range on the calling
 /// thread when no pool is present, the pool has one worker, or `macs`
-/// is under [`crate::par::par_threshold`] (the `HDX_PAR_THRESHOLD`
-/// knob; below it the two channel round-trips per worker cost more
-/// than the arithmetic). Chunks are rounded up to whole
+/// is under [`crate::par::par_threshold`] (below it the two channel
+/// round-trips per worker cost more than the arithmetic). Chunks are rounded up to whole
 /// [`ROW_BLOCK`] tiles so parallel dispatch splits along the
 /// blocked kernels' tile boundaries and no worker starts mid-tile.
 /// `f` must write only to its own rows; per-element arithmetic must
 /// not depend on the chunking (every caller here computes each output
 /// element from a fixed fold over inputs, so any row partition is
-/// bit-identical — the threshold and the tile rounding are purely
-/// latency knobs).
+/// bit-identical — the threshold and the tile rounding only decide
+/// latency).
 fn par_rows(
     pool: Option<&WorkerPool>,
     total_rows: usize,
@@ -2557,11 +2526,12 @@ mod tests {
             full.grad_len()
         );
         for jobs in [1, 2, 4] {
-            let mut s_full = Session::with_jobs(Arc::clone(&full), jobs);
-            let mut s_pruned = Session::with_jobs(Arc::clone(&pruned), jobs);
+            let pool = WorkerPool::new(jobs);
+            let mut s_full = Session::new(Arc::clone(&full));
+            let mut s_pruned = Session::new(Arc::clone(&pruned));
             for sess in [&mut s_full, &mut s_pruned] {
-                sess.forward();
-                sess.backward(loss);
+                sess.forward_with(Some(&pool));
+                sess.try_backward_with(loss, Some(&pool)).expect("output");
             }
             let g = s_pruned.grad(alpha).expect("α is a sink");
             assert_eq!(g, s_full.grad(alpha).unwrap(), "jobs {jobs}");
@@ -2661,7 +2631,10 @@ mod tests {
     #[test]
     fn parallel_session_replay_is_bit_identical_to_sequential() {
         // A fused-linear training graph large enough to cross the pool
-        // dispatch threshold, replayed at several worker counts.
+        // dispatch threshold, replayed at several worker counts. Under
+        // Miri (which interprets every MAC) one step at two uneven
+        // worker counts still drives the pooled kernels' unsafe row
+        // partitioning.
         let mut rng = Rng::new(17);
         let mut params = ParamStore::new();
         let mlp = ResidualMlp::new(&mut params, 64, 96, 8, 4, &mut rng);
@@ -2674,17 +2647,18 @@ mod tests {
         let prog = Arc::new(Program::compile(&tape, &[loss], &[]));
 
         let run = |jobs: usize| {
-            let mut sess = Session::with_jobs(Arc::clone(&prog), jobs);
-            assert_eq!(sess.jobs(), jobs);
+            let pool = WorkerPool::new(jobs);
+            assert_eq!(pool.workers(), jobs);
+            let mut sess = Session::new(Arc::clone(&prog));
             let mut rng = Rng::new(18);
             let mut out = Vec::new();
-            for _ in 0..3 {
+            for _ in 0..if cfg!(miri) { 1 } else { 3 } {
                 let xv = Tensor::randn(&[48, 64], 1.0, &mut rng);
                 let tv = Tensor::randn(&[48, 8], 1.0, &mut rng);
                 sess.bind_tensor(x, &xv);
                 sess.bind_tensor(t, &tv);
-                sess.forward();
-                sess.backward(loss);
+                sess.forward_with(Some(&pool));
+                sess.try_backward_with(loss, Some(&pool)).expect("output");
                 out.push(sess.scalar(loss));
                 for (id, _) in params.iter() {
                     out.extend_from_slice(sess.grad(binding.var(id)).expect("param grad"));
@@ -2693,7 +2667,8 @@ mod tests {
             out
         };
         let seq = run(1);
-        for jobs in [2, 3, 4, 7] {
+        let grid: &[usize] = if cfg!(miri) { &[2, 3] } else { &[2, 3, 4, 7] };
+        for &jobs in grid {
             assert_eq!(seq, run(jobs), "jobs={jobs} diverged from sequential");
         }
     }

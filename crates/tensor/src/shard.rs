@@ -10,8 +10,9 @@
 //!   [`SHARD_ROWS`]-row shards (the last one shorter). The split never
 //!   depends on the worker count. A batch of at most [`SHARD_ROWS`] rows
 //!   is one shard weighted 1.0, i.e. exactly the unsharded step.
-//! * **Worker split** (compiled). The caller owns one [`WorkerPool`]
-//!   for its whole training call, so no step spawns or joins a thread.
+//! * **Worker split** (compiled). The caller passes one [`WorkerPool`]
+//!   that outlives its whole training call (a search's pool, or one
+//!   per estimator pre-training), so no step spawns or joins a thread.
 //!   `workers = pool.workers().min(shards)` contiguous shard ranges
 //!   run on the pool ([`WorkerPool::map`]), each on sequential
 //!   sessions. A single worker (one shard, or a pool of one) instead

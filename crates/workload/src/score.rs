@@ -16,7 +16,7 @@
 //! appears in a report.
 
 use crate::trace::{Trace, TraceError};
-use hdx_serve::{parse_request, v1, SearchReport, SearchRequest};
+use hdx_serve::{parse_request, v1, SearchReport};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -128,8 +128,6 @@ pub fn trace_fnv(trace: &Trace) -> u64 {
 /// line carries one (v0 reports are frozen without `steps_used`, so
 /// their steps are reconstructed as `searches × budget`).
 fn classify_request(line: &str) -> Result<(usize, Option<u64>), TraceError> {
-    let per_search =
-        |req: &SearchRequest| req.epochs as u64 * req.steps as u64 + req.final_train as u64;
     let body = match v1::sniff(line) {
         v1::Framing::V1 => v1::decode_request(line).map_err(TraceError::Proto)?.body,
         _ => parse_request(line).map_err(TraceError::Proto)?.into_body(),
@@ -138,9 +136,9 @@ fn classify_request(line: &str) -> Result<(usize, Option<u64>), TraceError> {
         // A `search` body — every v0 search line among them — counts
         // under the verb its options imply, the same precedence the
         // per-bundle verb counters use.
-        v1::RequestBody::Search(req) => (req.verb_index(), Some(per_search(req))),
+        v1::RequestBody::Search(req) => (req.verb_index(), Some(req.steps_per_search())),
         v1::RequestBody::Grid(req) | v1::RequestBody::Meta(req) | v1::RequestBody::Resume(req) => {
-            (body.verb_index(), Some(per_search(req)))
+            (body.verb_index(), Some(req.steps_per_search()))
         }
         // Control verbs produce no jobs; attribute nothing.
         _ => (0, None),
@@ -195,15 +193,17 @@ impl ServeScore {
                 let Some(report) = decode_report_line(line)? else {
                     continue;
                 };
+                // Step counts saturate: the request fields they come
+                // from are client-controlled.
                 let steps = match report.steps_used {
-                    0 => report.searches as u64 * per_search.unwrap_or(0),
+                    0 => (report.searches as u64).saturating_mul(per_search.unwrap_or(0)),
                     s => s,
                 };
                 entry_jobs += 1;
                 total_jobs += 1;
-                total_steps += steps;
+                total_steps = total_steps.saturating_add(steps);
                 verb_jobs[slot] += 1;
-                verb_steps[slot] += steps;
+                verb_steps[slot] = verb_steps[slot].saturating_add(steps);
                 let fam = match families.iter_mut().find(|f| f.label == report.task) {
                     Some(f) => f,
                     None => {
@@ -220,7 +220,7 @@ impl ServeScore {
                 };
                 // Accumulate sums; divided into means below.
                 fam.jobs += 1;
-                fam.steps += steps;
+                fam.steps = fam.steps.saturating_add(steps);
                 fam.mean_error += report.error;
                 fam.mean_global_loss += report.global_loss;
                 fam.mean_cost_hw += report.cost_hw;
@@ -437,6 +437,30 @@ mod tests {
         assert_eq!(score.total_jobs, 0);
         assert_eq!(score.protocol_errors, 1);
         assert_eq!(score.jobs_per_kilostep, 0.0);
+    }
+
+    #[test]
+    fn huge_step_budgets_saturate_instead_of_overflowing() {
+        // `epochs × steps` of this line is 2^64: the per-search count
+        // saturates, and so do `searches × per_search` for a v0 report
+        // (which carries no `steps_used`) and the running sums.
+        let huge = "epochs=4294967296 steps=4294967296 final_train=40";
+        let v0_two = V0_REPORT.replace("searches=1 ", "searches=2 ");
+        let trace = Trace {
+            entries: vec![
+                entry(
+                    &format!("hdx1 search id=5 fps=30 {huge}"),
+                    &["hdx1 error id=5 kind=deadline offset=0"],
+                ),
+                entry(&format!("search id=6 task=cifar {huge}"), &[&v0_two]),
+                entry(&format!("search id=7 task=cifar {huge}"), &[&v0_two]),
+            ],
+        };
+        let score = ServeScore::from_trace(&trace).expect("score");
+        assert_eq!(score.total_jobs, 2);
+        assert_eq!(score.total_steps, u64::MAX);
+        assert_eq!(score.families[0].steps, u64::MAX);
+        assert_eq!(score.protocol_errors, 1);
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn generator_output_feeds_estimator_input() {
 fn pair_targets_match_analytical_model_at_one_hot() {
     let plan = NetworkPlan::cifar18();
     let mut rng = Rng::new(5);
-    let pairs = PairSet::sample(&plan, 40, &mut rng);
+    let pairs = PairSet::sample(&plan, 40, &mut rng, 0);
     // Even-indexed samples are one-hot by construction: reconstruct and
     // compare against the direct evaluation.
     for i in (0..pairs.len()).step_by(2) {
@@ -123,7 +123,10 @@ fn cached_lut_rows_are_bounded_by_the_plan_sublayers() {
     let mut rows = BTreeSet::new();
     for arch in &archs {
         let layers = plan.layers_for(arch);
-        let lut = hdx_accel::LayerLut::cached(&layers);
+        let lut = hdx_accel::LayerLut::cached(
+            &layers,
+            &hdx_tensor::WorkerPool::new(hdx_tensor::num_jobs(0)),
+        );
         for (l, layer) in layers.iter().enumerate() {
             sublayers.insert(*layer);
             rows.insert(std::ptr::from_ref(lut.metrics(l, 0)));
@@ -144,7 +147,10 @@ fn lut_row_interp_differentiates_the_literal_accelerator_table() {
     // cost gradients straight from the table.
     let plan = NetworkPlan::cifar18();
     let layers = plan.layers_for(&Architecture::uniform(18, 2));
-    let lut = hdx_accel::LayerLut::cached(&layers);
+    let lut = hdx_accel::LayerLut::cached(
+        &layers,
+        &hdx_tensor::WorkerPool::new(hdx_tensor::num_jobs(0)),
+    );
     let n_cfg = lut.configs().len();
     assert!(n_cfg >= 2);
 

@@ -9,7 +9,7 @@
 //! verify the parallel path genuinely runs on more than one thread, so
 //! the equality is not vacuous.
 
-use hdx_accel::{exhaustive_search_jobs, CostWeights, Metric};
+use hdx_accel::{exhaustive_search, CostWeights, Metric};
 use hdx_nas::supernet::FinalNet;
 use hdx_nas::{
     Architecture, Batch, Dataset, NetworkPlan, SampledReplay, Supernet, SupernetConfig, TaskSpec,
@@ -18,7 +18,7 @@ use hdx_nas::{
 use hdx_surrogate::{Estimator, EstimatorConfig, PairSet};
 use hdx_tensor::{
     parallel_map, Adam, ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, SessionBank,
-    Tape, Tensor,
+    Tape, Tensor, WorkerPool,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -50,8 +50,9 @@ fn exhaustive_search_is_thread_count_invariant() {
         let mut rng = Rng::new(seed);
         let layers = plan.layers_for(&Architecture::random(18, &mut rng));
         for constraints in [vec![], vec![(Metric::Latency, 40.0), (Metric::Area, 2.6)]] {
-            let seq = exhaustive_search_jobs(&layers, &weights, &constraints, 1);
-            let par = exhaustive_search_jobs(&layers, &weights, &constraints, PAR_JOBS);
+            let seq = exhaustive_search(&layers, &weights, &constraints, &WorkerPool::new(1));
+            let pool = WorkerPool::new(PAR_JOBS);
+            let par = exhaustive_search(&layers, &weights, &constraints, &pool);
             // SearchOutcome derives PartialEq over config + f64 metrics +
             // f64 cost: equality here is exact, not approximate.
             assert_eq!(seq, par, "seed {seed} constraints {constraints:?}");
@@ -63,8 +64,8 @@ fn exhaustive_search_is_thread_count_invariant() {
 fn pair_sampling_is_thread_count_invariant() {
     let plan = NetworkPlan::cifar18();
     for seed in SEEDS {
-        let seq = PairSet::sample_jobs(&plan, 120, &mut Rng::new(seed), 1);
-        let par = PairSet::sample_jobs(&plan, 120, &mut Rng::new(seed), PAR_JOBS);
+        let seq = PairSet::sample(&plan, 120, &mut Rng::new(seed), 1);
+        let par = PairSet::sample(&plan, 120, &mut Rng::new(seed), PAR_JOBS);
         assert_eq!(seq.len(), par.len(), "seed {seed}");
         for i in 0..seq.len() {
             assert_eq!(
@@ -164,8 +165,9 @@ fn session_replay_matches_fresh_record_over_steps() {
 
 /// `Estimator::train` on the compiled engine must be bit-identical to
 /// the fresh-record path for every seed at every worker count (the
-/// parallel path replays bank-leased sessions across workers, each
-/// with its own row-parallel kernel pool).
+/// parallel path replays bank-leased sessions across the training
+/// call's pool: several shards per worker, or one shard with the whole
+/// pool in its row-parallel kernels).
 #[test]
 fn compiled_estimator_training_matches_fresh_record() {
     let plan = NetworkPlan::cifar18();
@@ -173,7 +175,7 @@ fn compiled_estimator_training_matches_fresh_record() {
         for jobs in JOB_GRID {
             let train = |exec: ExecMode| {
                 let mut rng = Rng::new(seed);
-                let pairs = PairSet::sample_jobs(&plan, 400, &mut rng, jobs);
+                let pairs = PairSet::sample(&plan, 400, &mut rng, jobs);
                 let cfg = EstimatorConfig {
                     epochs: 5,
                     batch: 96,
@@ -226,7 +228,7 @@ fn final_net_training_is_exec_and_thread_invariant() {
                 &SupernetConfig::default(),
                 &mut rng,
             );
-            let loss = net.train_exec_jobs(&ds, 30, 48, &mut rng, exec, jobs);
+            let loss = net.train(&ds, 30, 48, &mut rng, exec, &WorkerPool::new(jobs));
             (net, loss)
         };
         let (net_ref, loss_ref) = run(ExecMode::FreshRecord, 1);
@@ -270,11 +272,12 @@ fn compiled_final_eval_matches_fresh_record() {
     for (seed, cfg) in [(0, SupernetConfig::default()), (1, wide)] {
         let mut rng = Rng::new(seed);
         let mut net = FinalNet::new(&arch, spec.feature_dim, spec.num_classes, &cfg, &mut rng);
-        net.train_exec_jobs(&ds, 10, 48, &mut rng, ExecMode::Compiled, 1);
-        let mut fresh = net.evaluator(ExecMode::FreshRecord, 1);
-        let mut compiled: Vec<_> = JOB_GRID
+        let pools: Vec<WorkerPool> = JOB_GRID.iter().map(|&jobs| WorkerPool::new(jobs)).collect();
+        net.train(&ds, 10, 48, &mut rng, ExecMode::Compiled, &pools[0]);
+        let mut fresh = net.evaluator(ExecMode::FreshRecord, &pools[0]);
+        let mut compiled: Vec<_> = pools
             .iter()
-            .map(|&jobs| net.evaluator(ExecMode::Compiled, jobs))
+            .map(|pool| net.evaluator(ExecMode::Compiled, pool))
             .collect();
         for rows in [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2048 + 5] {
             let batch = Batch {
@@ -305,7 +308,7 @@ fn estimator_pretraining_is_thread_count_invariant() {
     for seed in SEEDS {
         let train = |jobs: usize| {
             let mut rng = Rng::new(seed);
-            let pairs = PairSet::sample_jobs(&plan, 400, &mut rng, jobs);
+            let pairs = PairSet::sample(&plan, 400, &mut rng, jobs);
             let cfg = EstimatorConfig {
                 epochs: 5,
                 batch: 96,
@@ -377,7 +380,8 @@ fn full_mixture_supernet_step_replay_matches_fresh_record() {
         // steps run on held (dirty) sessions.
         let replay = |jobs: usize| {
             let bank = SessionBank::new();
-            let mut replay = SampledReplay::new(&bank, jobs);
+            let pool = WorkerPool::new(jobs);
+            let mut replay = SampledReplay::new(&bank, &pool);
             let mut rng_paths = Rng::new(5);
             let mut out: Vec<Vec<f32>> = Vec::new();
             for batch in &batches {

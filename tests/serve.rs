@@ -203,7 +203,10 @@ fn old_bundle_lut_sections_are_ignored() {
     let layers = Task::Cifar
         .plan()
         .layers_for(&hdx_core::Architecture::uniform(18, 0));
-    let lut = hdx_accel::LayerLut::cached(&layers);
+    let lut = hdx_accel::LayerLut::cached(
+        &layers,
+        &hdx_tensor::WorkerPool::new(hdx_tensor::num_jobs(0)),
+    );
     let mut ckpt = sections(1);
     let words: Vec<u64> = layers
         .iter()
