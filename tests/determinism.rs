@@ -10,12 +10,15 @@
 //! the equality is not vacuous.
 
 use hdx_accel::{exhaustive_search, CostWeights, Metric};
+use hdx_core::Task;
 use hdx_nas::supernet::FinalNet;
 use hdx_nas::{
     Architecture, Batch, Dataset, NetworkPlan, SampledReplay, Supernet, SupernetConfig, TaskSpec,
     EVAL_CHUNK, OP_SET,
 };
+use hdx_serve::{load_bundle, save_bundle, train_artifacts, train_artifacts_from};
 use hdx_surrogate::{Estimator, EstimatorConfig, PairSet};
+use hdx_tensor::ckpt::fnv1a;
 use hdx_tensor::{
     parallel_map, Adam, ExecMode, ParamStore, Program, ResidualMlp, Rng, Session, SessionBank,
     Tape, Tensor, WorkerPool,
@@ -337,6 +340,49 @@ fn estimator_pretraining_is_thread_count_invariant() {
             "seed {seed}: accuracies diverged"
         );
     }
+}
+
+/// Same bytes for both training entry points: the FNV-1a of the bundle
+/// `save_bundle` writes after fresh pre-training (`train_artifacts`)
+/// and after an `--init-bundle` continuation of that bundle by 200
+/// pairs (`train_artifacts_from`), pinned at one and two workers.
+#[test]
+fn trained_bundle_bytes_are_pinned_at_every_worker_count() {
+    let dir = std::env::temp_dir().join(format!("hdx_train_pin_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for jobs in [1, 2] {
+        let fresh_path = dir.join(format!("fresh_{jobs}.ckpt"));
+        let fresh = train_artifacts(Task::Spheres, 2, 400, 4, jobs);
+        save_bundle(
+            &fresh_path,
+            Task::Spheres,
+            2,
+            400,
+            fresh.estimator_accuracy,
+            fresh.estimator(),
+        )
+        .expect("save fresh bundle");
+        let init = load_bundle(&fresh_path).expect("load fresh bundle");
+        let more_path = dir.join(format!("more_{jobs}.ckpt"));
+        let (more, total) = train_artifacts_from(init, 200, 4, jobs);
+        save_bundle(
+            &more_path,
+            Task::Spheres,
+            2,
+            total,
+            more.estimator_accuracy,
+            more.estimator(),
+        )
+        .expect("save continued bundle");
+        let digest = |path: &std::path::Path| fnv1a(&std::fs::read(path).expect("read bundle"));
+        let (fresh, more) = (digest(&fresh_path), digest(&more_path));
+        assert_eq!(
+            (fresh, more),
+            (0x80ca_0e01_028d_44f9, 0x87ac_fdad_fc20_0e1c),
+            "jobs={jobs}: trained bundle bytes moved: fresh={fresh:#018x} more={more:#018x}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The full-mixture supernet step (`num_paths == OP_SET.len()`:
