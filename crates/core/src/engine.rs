@@ -1507,7 +1507,7 @@ mod tests {
     fn estimator_in_shared_context_is_accurate() {
         // The paper reports >99 % estimator accuracy at 10.8 M pairs.
         // This shared test context trains on just 2.5 k pairs to keep
-        // the suite fast; the full budget (prepare_context) is checked
+        // the suite fast; the larger `HDX_EST_PAIRS` budget is checked
         // by the experiment harness. Here we only require that the
         // estimator is clearly informative (joint within-10 % on all
         // three metrics simultaneously).

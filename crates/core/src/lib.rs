@@ -17,10 +17,19 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use hdx_core::{prepare_context, run_search, Constraint, Method, SearchOptions, Task};
+//! use hdx_core::{
+//!     prepare_context_with, run_search, Constraint, EstimatorConfig, Method, SearchOptions, Task,
+//! };
 //!
-//! // Build the task, plan and pre-trained estimator (cached per task).
-//! let prepared = prepare_context(Task::Cifar, 0);
+//! // Pre-train the estimator on 8000 pairs, then build the task's plan
+//! // and dataset around it.
+//! let est_cfg = EstimatorConfig {
+//!     epochs: 30,
+//!     batch: 128,
+//!     lr: 2e-3,
+//!     ..EstimatorConfig::default()
+//! };
+//! let prepared = prepare_context_with(Task::Cifar, 0, 8_000, est_cfg);
 //! let ctx = prepared.context();
 //!
 //! // 60 fps hard latency constraint, HDX method.
@@ -49,7 +58,7 @@ pub use gradmanip::{manipulate, DeltaPolicy, Manipulated, ManipulationKind};
 pub use hdx_surrogate::{Estimator, EstimatorConfig, Generator};
 pub use meta_search::{constrained_meta_search, MetaSearchOutcome};
 pub use report::{ensure_experiment_dir, write_csv};
-pub use setup::{prepare_context, prepare_context_with, PreparedContext, Task};
+pub use setup::{prepare_context_with, pretrain, pretrain_estimator, PreparedContext, Task};
 
 pub use hdx_accel::{AccelConfig, CostWeights, Dataflow, HwMetrics, Metric};
 pub use hdx_nas::{Architecture, NetworkPlan};

@@ -1,7 +1,11 @@
 //! One-stop preparation of a search environment (plan, task, estimator).
 //!
 //! Estimator pre-training is the expensive one-time step (the paper
-//! pre-trains once per search space and freezes it, §4.4); callers
+//! pre-trains once per search space and freezes it, §4.4). [`pretrain`]
+//! is the one pre-training sequence; it writes an estimator and never
+//! builds a dataset. [`PreparedContext::from_artifacts`] is the one
+//! constructor of a search context: it regenerates the plan and
+//! dataset from `(task, seed)` around a trained estimator. Callers
 //! prepare a [`PreparedContext`] once and run many searches against it.
 
 use crate::engine::SearchContext;
@@ -122,9 +126,10 @@ impl PreparedContext {
     /// checkpoint-loaded estimator), skipping pair sampling and
     /// estimator pre-training entirely. The plan and dataset are
     /// regenerated deterministically from `(task, seed)`, so a search
-    /// against this context is **bit-identical** to one against the
-    /// [`prepare_context_with`] result the estimator was trained in —
-    /// the estimator is the only trained state a search reads.
+    /// against this context is **bit-identical** whichever process
+    /// trained the estimator — the estimator is the only trained state
+    /// a search reads. This is the one constructor of a search context,
+    /// and the one place a context's dataset is generated.
     ///
     /// `estimator_accuracy` is carried through for reporting (pass the
     /// value recorded at training time, or `f64::NAN` when unknown).
@@ -181,59 +186,58 @@ impl PreparedContext {
     }
 }
 
-/// Number of estimator pre-training pairs (scaled stand-in for the
-/// paper's 10.8 M; override with the `HDX_EST_PAIRS` environment
-/// variable, strictly parsed via the knob registry).
-fn est_pairs() -> usize {
-    hdx_tensor::knobs::usize_or("HDX_EST_PAIRS", 8_000)
-}
-
-/// Builds the full environment for a task: generates the synthetic
-/// dataset, samples estimator pre-training pairs against the analytical
-/// model, trains the estimator, and reports its held-out accuracy.
-pub fn prepare_context(task: Task, seed: u64) -> PreparedContext {
-    prepare_context_with(
-        task,
-        seed,
-        est_pairs(),
-        EstimatorConfig {
-            epochs: 30,
-            batch: 128,
-            lr: 2e-3,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`prepare_context`] with explicit estimator pre-training budget
-/// (pair count and estimator hyper-parameters).
+/// The one estimator pre-training sequence (§4.4): draws `pairs`
+/// training pairs and 500 holdout pairs from `rng`, takes the estimator
+/// from `init` (a fresh one draws its initial weights from `rng`, after
+/// the pairs), trains it on the training pairs, and scores it on the
+/// holdout. Returns the estimator and the fraction of holdout pairs it
+/// predicts within 10 %. No dataset is built.
 ///
-/// The expensive steps — labelling the pre-training pairs with the
-/// analytical model, the sharded estimator gradient computation, and
-/// the held-out accuracy sweep — all fan out over
-/// [`EstimatorConfig::jobs`] worker threads (`0` = auto) and are
+/// Pair labelling, the sharded gradient computation and the holdout
+/// sweep fan out over `jobs` worker threads (`0` = auto) and are
 /// bit-identical at every worker count.
+pub fn pretrain(
+    plan: &NetworkPlan,
+    pairs: usize,
+    jobs: usize,
+    rng: &mut Rng,
+    init: impl FnOnce(&mut Rng) -> Estimator,
+) -> (Estimator, f64) {
+    let train_pairs = PairSet::sample(plan, pairs, rng, jobs);
+    let holdout = PairSet::sample(plan, 500, rng, jobs);
+    let mut estimator = init(rng);
+    estimator.train(&train_pairs, rng);
+    let accuracy = estimator.within_tolerance(&holdout, 0.10);
+    (estimator, accuracy)
+}
+
+/// Pre-trains a fresh estimator for `(task, seed)` on `pairs`
+/// analytical-model-labelled pairs with the hyper-parameters (and
+/// [`EstimatorConfig::jobs`] workers) of `est_cfg`: [`pretrain`] on the
+/// task seed's own stream.
+pub fn pretrain_estimator(
+    task: Task,
+    seed: u64,
+    pairs: usize,
+    est_cfg: EstimatorConfig,
+) -> (Estimator, f64) {
+    let plan = task.plan();
+    let mut rng = Rng::new(seed ^ 0xE57A_u64.rotate_left(31));
+    pretrain(&plan, pairs, est_cfg.jobs, &mut rng, |rng| {
+        Estimator::new(&plan, est_cfg, rng)
+    })
+}
+
+/// Builds the full environment for a task: [`pretrain_estimator`],
+/// then [`PreparedContext::from_artifacts`] around the result.
 pub fn prepare_context_with(
     task: Task,
     seed: u64,
     pairs: usize,
     est_cfg: EstimatorConfig,
 ) -> PreparedContext {
-    let plan = task.plan();
-    let dataset = Dataset::generate(&task.spec(seed));
-    let mut rng = Rng::new(seed ^ 0xE57A_u64.rotate_left(31));
-    let train_pairs = PairSet::sample(&plan, pairs, &mut rng, est_cfg.jobs);
-    let holdout = PairSet::sample(&plan, 500, &mut rng, est_cfg.jobs);
-    let mut estimator = Estimator::new(&plan, est_cfg, &mut rng);
-    estimator.train(&train_pairs, &mut rng);
-    let estimator_accuracy = estimator.within_tolerance(&holdout, 0.10);
-    PreparedContext {
-        plan,
-        dataset,
-        estimator,
-        weights: task.cost_weights(),
-        estimator_accuracy,
-    }
+    let (estimator, accuracy) = pretrain_estimator(task, seed, pairs, est_cfg);
+    PreparedContext::from_artifacts(task, seed, estimator, accuracy)
 }
 
 #[cfg(test)]

@@ -2,27 +2,31 @@
 //! file.
 //!
 //! A bundle records the task identity (task + dataset seed), the
-//! pre-trained estimator and its held-out accuracy. Loading a bundle
-//! and serving from it produces **byte-identical** reports to serving
+//! pre-trained estimator and its held-out accuracy. Training
+//! ([`train_artifacts`], [`train_artifacts_from`]) writes an estimator
+//! into [`Artifacts`] and never builds a dataset: the dataset is a
+//! search-time input that [`Artifacts::into_prepared`] regenerates
+//! deterministically from `(task, seed)`. Loading a bundle and serving
+//! from it therefore produces **byte-identical** reports to serving
 //! from the in-process artifacts: the estimator round-trips by bit
-//! pattern and the dataset is regenerated deterministically from
-//! `(task, seed)`. Cost tables are not bundled: the process builds
-//! each layer's [`hdx_accel::LayerLut`] row once, on first use. The
-//! `lutN.*` sections older bundles carry are ignored on load.
+//! pattern. Cost tables are not bundled: the process builds each
+//! layer's [`hdx_accel::LayerLut`] row once, on first use. The `lutN.*`
+//! sections older bundles carry are ignored on load.
 
 use hdx_core::{PreparedContext, Task};
 use hdx_surrogate::Estimator;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use std::path::Path;
 
-/// Trained artifacts loaded from (or destined for) a bundle file.
+/// Trained artifacts: what training returns, and what a bundle file
+/// stores.
 #[derive(Debug)]
 pub struct Artifacts {
     /// The benchmark task the artifacts serve.
     pub task: Task,
     /// Dataset / training seed.
     pub seed: u64,
-    /// Estimator pre-training pair budget (provenance).
+    /// Cumulative estimator pre-training pair budget (provenance).
     pub pairs: usize,
     /// Held-out within-10 % accuracy recorded at training time.
     pub estimator_accuracy: f64,
@@ -51,24 +55,21 @@ pub fn task_from_code(code: u64) -> Result<Task, CkptError> {
 }
 
 /// Writes a bundle file from borrowed artifacts (the in-process
-/// representation stays usable — `train-and-save` keeps serving from
-/// it after the save).
+/// artifacts stay usable after the save).
 ///
 /// # Errors
 ///
 /// [`CkptError::Io`] on filesystem failures.
-pub fn save_bundle(
-    path: &Path,
-    task: Task,
-    seed: u64,
-    pairs: usize,
-    estimator_accuracy: f64,
-    estimator: &Estimator,
-) -> Result<(), CkptError> {
+pub fn save_bundle(path: &Path, artifacts: &Artifacts) -> Result<(), CkptError> {
     let mut ckpt = Checkpoint::new();
-    ckpt.put_u64("bundle.meta", &[3], &[task_code(task), seed, pairs as u64]);
-    ckpt.put_f64("bundle.accuracy", &[1], &[estimator_accuracy]);
-    estimator.save_sections(&mut ckpt, "est");
+    let meta = [
+        task_code(artifacts.task),
+        artifacts.seed,
+        artifacts.pairs as u64,
+    ];
+    ckpt.put_u64("bundle.meta", &[3], &meta);
+    ckpt.put_f64("bundle.accuracy", &[1], &[artifacts.estimator_accuracy]);
+    artifacts.estimator.save_sections(&mut ckpt, "est");
     // Readers ignore the count. It is still written, always 0, so that
     // bundle bytes equal those of a LUT-less bundle, and with them the
     // catalog fingerprints and the serve_router same-bytes digest.
@@ -145,16 +146,17 @@ impl Artifacts {
     }
 }
 
-/// Trains the full artifact set for `(task, seed)` — dataset and
-/// estimator (on `pairs` analytical-model-labelled pairs) — as a
-/// ready-to-serve context.
+/// Trains the artifacts for `(task, seed)`: a fresh estimator on
+/// `pairs` analytical-model-labelled pairs ([`hdx_core::pretrain_estimator`]).
+/// No dataset is built; [`Artifacts::into_prepared`] builds the search
+/// context when the artifacts are served.
 pub fn train_artifacts(
     task: Task,
     seed: u64,
     pairs: usize,
     est_epochs: usize,
     jobs: usize,
-) -> PreparedContext {
+) -> Artifacts {
     let cfg = hdx_surrogate::EstimatorConfig {
         epochs: est_epochs,
         batch: 128,
@@ -162,12 +164,20 @@ pub fn train_artifacts(
         jobs,
         ..Default::default()
     };
-    hdx_core::prepare_context_with(task, seed, pairs, cfg)
+    let (estimator, estimator_accuracy) = hdx_core::pretrain_estimator(task, seed, pairs, cfg);
+    Artifacts {
+        task,
+        seed,
+        pairs,
+        estimator_accuracy,
+        estimator,
+    }
 }
 
 /// Incremental pre-training: continues an existing bundle's estimator
 /// on `pairs` **fresh** analytical-model-labelled pairs instead of
-/// starting from random weights (`train-and-save --init-bundle`). The
+/// starting from random weights (`train-and-save --init-bundle`), with
+/// the same [`hdx_core::pretrain`] sequence as fresh training. The
 /// new pair stream is derived [`hdx_tensor::Rng::split`]-style from
 /// the bundle's dataset seed and its prior pair budget: the seed is
 /// remixed through the generator's output function, so the
@@ -179,33 +189,31 @@ pub fn train_artifacts(
 /// kept — warm-start bit-identity is about the dataset, and that
 /// regenerates from `(task, seed)` as always.
 ///
-/// Returns the context plus the cumulative pair budget (prior + new)
-/// for bundle provenance.
+/// The returned artifacts carry the cumulative pair budget (prior +
+/// new) for bundle provenance.
 pub fn train_artifacts_from(
     init: Artifacts,
     pairs: usize,
     est_epochs: usize,
     jobs: usize,
-) -> (PreparedContext, usize) {
-    let task = init.task;
-    let seed = init.seed;
-    let total_pairs = init.pairs + pairs;
-    let plan = task.plan();
+) -> Artifacts {
     // Split-style derivation (see the doc comment): one tagged parent
     // stream per (seed, prior-budget) pair, its first mixed output
     // seeding the continuation stream.
     let mut parent = hdx_tensor::Rng::new(
-        (seed ^ 0xC017_14E5_u64.rotate_left(17)).wrapping_add(init.pairs as u64),
+        (init.seed ^ 0xC017_14E5_u64.rotate_left(17)).wrapping_add(init.pairs as u64),
     );
-    let mut rng = parent.split();
-    let train_pairs = hdx_surrogate::PairSet::sample(&plan, pairs, &mut rng, jobs);
-    let holdout = hdx_surrogate::PairSet::sample(&plan, 500, &mut rng, jobs);
     let mut estimator = init.estimator;
     estimator.set_training_schedule(est_epochs, 2e-3, jobs);
-    estimator.train(&train_pairs, &mut rng);
-    let accuracy = estimator.within_tolerance(&holdout, 0.10);
-    let prepared = PreparedContext::from_artifacts(task, seed, estimator, accuracy);
-    (prepared, total_pairs)
+    let mut rng = parent.split();
+    let (estimator, estimator_accuracy) =
+        hdx_core::pretrain(&init.task.plan(), pairs, jobs, &mut rng, |_| estimator);
+    Artifacts {
+        pairs: init.pairs + pairs,
+        estimator_accuracy,
+        estimator,
+        ..init
+    }
 }
 
 #[cfg(test)]
@@ -237,14 +245,21 @@ mod tests {
         let dir = std::env::temp_dir().join("hdx_bundle_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("artifacts.ckpt");
-        save_bundle(&path, Task::Cifar, 3, 200, acc, &est).expect("save");
+        let artifacts = Artifacts {
+            task: Task::Cifar,
+            seed: 3,
+            pairs: 200,
+            estimator_accuracy: acc,
+            estimator: est,
+        };
+        save_bundle(&path, &artifacts).expect("save");
 
         let loaded = load_bundle(&path).expect("load");
         assert_eq!(loaded.task, Task::Cifar);
         assert_eq!(loaded.seed, 3);
         assert_eq!(loaded.pairs, 200);
         assert_eq!(loaded.estimator_accuracy.to_bits(), acc.to_bits());
-        for (id, t) in est.params().iter() {
+        for (id, t) in artifacts.estimator.params().iter() {
             assert_eq!(loaded.estimator.params().get(id).data(), t.data());
         }
         std::fs::remove_file(&path).ok();
@@ -256,7 +271,14 @@ mod tests {
         let dir = std::env::temp_dir().join("hdx_bundle_test_trunc");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("artifacts.ckpt");
-        save_bundle(&path, Task::Cifar, 5, 200, acc, &est).expect("save");
+        let artifacts = Artifacts {
+            task: Task::Cifar,
+            seed: 5,
+            pairs: 200,
+            estimator_accuracy: acc,
+            estimator: est,
+        };
+        save_bundle(&path, &artifacts).expect("save");
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
         assert!(matches!(

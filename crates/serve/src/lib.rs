@@ -7,9 +7,11 @@
 //! * **train once** — `hdx-serve train-and-save` pre-trains the
 //!   estimator (optionally continuing from an existing bundle via
 //!   `--init-bundle`) and writes it to a single versioned checkpoint
-//!   bundle ([`artifact`], on `hdx_tensor::ckpt`). Cost tables are not
-//!   bundled: [`hdx_accel::LayerLut`] rows are built once per layer in
-//!   the serving process;
+//!   bundle ([`artifact`], on `hdx_tensor::ckpt`). Training writes an
+//!   estimator and never builds a dataset: a bundle's dataset is
+//!   regenerated from `(task, seed)` when it is loaded. Cost tables are
+//!   not bundled either: [`hdx_accel::LayerLut`] rows are built once per
+//!   layer in the serving process;
 //! * **serve many** — `hdx-serve serve` / `oneshot` load any number of
 //!   `(task, seed)` bundles into one [`Router`] and answer requests
 //!   over a versioned line protocol ([`proto`]): the typed v1 envelope

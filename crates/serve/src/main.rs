@@ -132,20 +132,18 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
     let jobs: usize = flags.parse_num("jobs", 0)?;
 
     let watch = hdx_obs::Stopwatch::start();
-    let (task, seed, prepared, total_pairs) = match flags.get("init-bundle") {
+    let artifacts = match flags.get("init-bundle") {
         Some(init_path) => {
             if flags.get("task").is_some() || flags.get("seed").is_some() {
                 return Err("--init-bundle fixes the task and seed; drop --task/--seed".to_owned());
             }
             let init = load_bundle(&PathBuf::from(init_path)).map_err(|e| e.to_string())?;
-            let (task, seed) = (init.task, init.seed);
             eprintln!(
-                "continuing bundle {init_path}: task={task:?} seed={seed} prior_pairs={} \
+                "continuing bundle {init_path}: task={:?} seed={} prior_pairs={} \
                  (+{pairs} fresh, est_epochs={est_epochs})",
-                init.pairs
+                init.task, init.seed, init.pairs
             );
-            let (prepared, total) = train_artifacts_from(init, pairs, est_epochs, jobs);
-            (task, seed, prepared, total)
+            train_artifacts_from(init, pairs, est_epochs, jobs)
         }
         None => {
             let task = parse_task(&flags)?;
@@ -154,24 +152,15 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
                 "training artifacts: task={task:?} seed={seed} pairs={pairs} \
                  est_epochs={est_epochs}"
             );
-            let prepared = train_artifacts(task, seed, pairs, est_epochs, jobs);
-            (task, seed, prepared, pairs)
+            train_artifacts(task, seed, pairs, est_epochs, jobs)
         }
     };
     eprintln!(
         "trained in {:.1}s: estimator within-10% accuracy {:.1}%",
         watch.seconds(),
-        prepared.estimator_accuracy * 100.0,
+        artifacts.estimator_accuracy * 100.0,
     );
-    save_bundle(
-        &out,
-        task,
-        seed,
-        total_pairs,
-        prepared.estimator_accuracy,
-        prepared.estimator(),
-    )
-    .map_err(|e| e.to_string())?;
+    save_bundle(&out, &artifacts).map_err(|e| e.to_string())?;
     let size = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     eprintln!(
         "wrote {} ({:.1} MiB)",
@@ -179,7 +168,7 @@ fn cmd_train_and_save(args: &[String]) -> Result<(), String> {
         size as f64 / (1 << 20) as f64
     );
     if let Some(dir) = flags.get("catalog") {
-        let receipt = publish_to_catalog(dir, task, seed, "train", &out)?;
+        let receipt = publish_to_catalog(dir, artifacts.task, artifacts.seed, "train", &out)?;
         eprintln!(
             "published {} gen={} ({} bytes) to catalog {dir}",
             hdx_catalog::format_ref(receipt.fingerprint),

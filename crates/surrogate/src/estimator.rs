@@ -12,6 +12,45 @@ use hdx_tensor::{
 use std::ops::Range;
 use std::path::Path;
 
+/// Checks declared MLP dims against the stored weight sections under
+/// `prefix` before anything is allocated from them: `2 · depth`
+/// sections, layer by layer a `[in, out]` weight and a `[1, out]`
+/// bias. The checks read only sections the file holds, and stop at the
+/// first mismatch, so a width or depth forged past the stored weights
+/// is a [`CkptError::Malformed`] instead of an allocation of its size.
+fn check_stored_dims(
+    ckpt: &Checkpoint,
+    prefix: &str,
+    input_dim: usize,
+    cfg: EstimatorConfig,
+) -> Result<(), CkptError> {
+    let malformed = || {
+        CkptError::Malformed(format!(
+            "{prefix}: declared hidden width {} / depth {} do not match the stored weights",
+            cfg.hidden, cfg.depth
+        ))
+    };
+    let count = ckpt.get_scalar_u64(&format!("{prefix}.count"))?;
+    if Some(count) != cfg.depth.checked_mul(2).map(|n| n as u64) {
+        return Err(malformed());
+    }
+    for layer in 0..cfg.depth {
+        let fan_in = if layer == 0 { input_dim } else { cfg.hidden };
+        let fan_out = if layer + 1 == cfg.depth {
+            3
+        } else {
+            cfg.hidden
+        };
+        for (i, shape) in [[fan_in, fan_out], [1, fan_out]].iter().enumerate() {
+            match ckpt.get_f32(&format!("{prefix}.{}", 2 * layer + i)) {
+                Ok((stored, _)) if stored == shape => {}
+                _ => return Err(malformed()),
+            }
+        }
+    }
+    Ok(())
+}
+
 /// [`Estimator::train`] invocations (a meta-search retrains several).
 static OBS_TRAIN_CALLS: hdx_obs::Counter = hdx_obs::Counter::new("surrogate.train.calls");
 /// Total training pairs across all [`Estimator::train`] calls.
@@ -232,6 +271,12 @@ impl Estimator {
                 cfg.depth
             )));
         }
+        check_stored_dims(
+            ckpt,
+            &format!("{prefix}.w"),
+            joint_dim(plan.num_layers()),
+            cfg,
+        )?;
         let mut est = Estimator::new(plan, cfg, &mut Rng::new(0));
         ckpt.read_param_store_into(&format!("{prefix}.w"), &mut est.params)?;
         let stats = ckpt.get_tensor(&format!("{prefix}.stats"), &[2, 3])?;

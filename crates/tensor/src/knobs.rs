@@ -47,9 +47,9 @@ pub const REGISTRY: &[Knob] = &[
     },
     Knob {
         name: "HDX_EST_PAIRS",
-        owner: "core::setup / bench",
-        default: "8000 (core), 5000 (bench)",
-        summary: "estimator pre-training pair budget",
+        owner: "bench",
+        default: "5000",
+        summary: "estimator pre-training pairs in the experiment harnesses",
     },
     Knob {
         name: "HDX_REPS",

@@ -11,9 +11,9 @@
 //! machines expanding the same key produce byte-identical bundles and
 //! byte-identical request streams.
 
-use hdx_core::{PreparedContext, Task};
+use hdx_core::Task;
 use hdx_serve::v1;
-use hdx_serve::{train_artifacts, SearchRequest};
+use hdx_serve::{train_artifacts, Artifacts, SearchRequest};
 use hdx_tensor::ckpt::CkptError;
 use std::path::{Path, PathBuf};
 
@@ -64,8 +64,9 @@ impl BundleSpec {
         format!("{}_{}.ckpt", self.task.label(), self.seed)
     }
 
-    /// Trains the bundle's artifacts in-process.
-    pub fn train(&self, jobs: usize) -> PreparedContext {
+    /// Trains the bundle's artifacts in-process (an estimator; no
+    /// dataset is built).
+    pub fn train(&self, jobs: usize) -> Artifacts {
         train_artifacts(self.task, self.seed, self.pairs, self.est_epochs, jobs)
     }
 
@@ -76,16 +77,8 @@ impl BundleSpec {
     ///
     /// [`CkptError::Io`] on filesystem failures.
     pub fn write_bundle(&self, dir: &Path, jobs: usize) -> Result<PathBuf, CkptError> {
-        let prepared = self.train(jobs);
         let path = dir.join(self.file_name());
-        hdx_serve::save_bundle(
-            &path,
-            self.task,
-            self.seed,
-            self.pairs,
-            prepared.estimator_accuracy,
-            prepared.estimator(),
-        )?;
+        hdx_serve::save_bundle(&path, &self.train(jobs))?;
         Ok(path)
     }
 }

@@ -44,8 +44,8 @@ fn main() {
         max_requests_per_conn: Some(64),
         deadline_steps: Some(1_000_000),
     });
-    router.insert_prepared(Task::Cifar, 0, cifar);
-    router.insert_prepared(Task::ImageNet, 1, imagenet);
+    router.insert_prepared(Task::Cifar, 0, cifar.into_prepared());
+    router.insert_prepared(Task::ImageNet, 1, imagenet.into_prepared());
 
     let requests = "\
 hdx1 list_tasks id=1

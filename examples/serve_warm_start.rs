@@ -22,28 +22,20 @@ fn main() {
     // -- train once --------------------------------------------------
     println!("== training artifacts (estimator) ==");
     let start = std::time::Instant::now();
-    let prepared = train_artifacts(Task::Cifar, 0, 4_000, 25, 0);
+    let artifacts = train_artifacts(Task::Cifar, 0, 4_000, 25, 0);
     println!(
         "trained in {:.1}s: estimator within-10% accuracy {:.1}%",
         start.elapsed().as_secs_f64(),
-        prepared.estimator_accuracy * 100.0
+        artifacts.estimator_accuracy * 100.0
     );
-    save_bundle(
-        &bundle,
-        Task::Cifar,
-        0,
-        4_000,
-        prepared.estimator_accuracy,
-        prepared.estimator(),
-    )
-    .expect("save bundle");
+    save_bundle(&bundle, &artifacts).expect("save bundle");
     let size = std::fs::metadata(&bundle).map(|m| m.len()).unwrap_or(0);
     println!(
         "bundle: {} ({:.1} MiB)\n",
         bundle.display(),
         size as f64 / f64::from(1 << 20)
     );
-    drop(prepared); // the service below runs purely from the checkpoint
+    drop(artifacts); // the service below runs purely from the checkpoint
 
     // -- serve many --------------------------------------------------
     println!("== warm start from the bundle ==");

@@ -15,28 +15,20 @@
 //!   object nor one leased by a loaded bundle can be evicted.
 
 use hdx_catalog::{format_ref, Catalog};
-use hdx_core::{prepare_context_with, PreparedContext, Task};
-use hdx_serve::{save_bundle, task_code, Router, RouterConfig, SearchRequest};
-use hdx_surrogate::EstimatorConfig;
+use hdx_core::Task;
+use hdx_serve::{
+    save_bundle, task_code, train_artifacts, Artifacts, Router, RouterConfig, SearchRequest,
+};
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-fn cifar() -> Arc<PreparedContext> {
-    static CTX: OnceLock<Arc<PreparedContext>> = OnceLock::new();
-    Arc::clone(CTX.get_or_init(|| {
-        Arc::new(prepare_context_with(
-            Task::Cifar,
-            7,
-            900,
-            EstimatorConfig {
-                epochs: 8,
-                batch: 128,
-                lr: 2e-3,
-                ..Default::default()
-            },
-        ))
-    }))
+/// The shared cifar artifacts, trained once per test binary.
+fn artifacts() -> MutexGuard<'static, Artifacts> {
+    static ART: OnceLock<Mutex<Artifacts>> = OnceLock::new();
+    ART.get_or_init(|| Mutex::new(train_artifacts(Task::Cifar, 7, 900, 8, 0)))
+        .lock()
+        .expect("artifacts lock")
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -47,21 +39,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Serializes the shared cifar context as a bundle file and returns
+/// Serializes the shared cifar artifacts as a bundle file and returns
 /// its bytes. Varying `pairs` varies the bytes (and therefore the
 /// fingerprint) without retraining anything.
 fn bundle_bytes(dir: &Path, pairs: usize) -> Vec<u8> {
     let path = dir.join(format!("cifar_{pairs}.ckpt"));
-    let prepared = cifar();
-    save_bundle(
-        &path,
-        Task::Cifar,
-        7,
-        pairs,
-        prepared.estimator_accuracy,
-        prepared.estimator(),
-    )
-    .expect("save bundle");
+    let mut artifacts = artifacts();
+    artifacts.pairs = pairs;
+    save_bundle(&path, &artifacts).expect("save bundle");
     std::fs::read(&path).expect("read bundle back")
 }
 

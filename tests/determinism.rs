@@ -352,28 +352,15 @@ fn trained_bundle_bytes_are_pinned_at_every_worker_count() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     for jobs in [1, 2] {
         let fresh_path = dir.join(format!("fresh_{jobs}.ckpt"));
-        let fresh = train_artifacts(Task::Spheres, 2, 400, 4, jobs);
         save_bundle(
             &fresh_path,
-            Task::Spheres,
-            2,
-            400,
-            fresh.estimator_accuracy,
-            fresh.estimator(),
+            &train_artifacts(Task::Spheres, 2, 400, 4, jobs),
         )
         .expect("save fresh bundle");
         let init = load_bundle(&fresh_path).expect("load fresh bundle");
         let more_path = dir.join(format!("more_{jobs}.ckpt"));
-        let (more, total) = train_artifacts_from(init, 200, 4, jobs);
-        save_bundle(
-            &more_path,
-            Task::Spheres,
-            2,
-            total,
-            more.estimator_accuracy,
-            more.estimator(),
-        )
-        .expect("save continued bundle");
+        save_bundle(&more_path, &train_artifacts_from(init, 200, 4, jobs))
+            .expect("save continued bundle");
         let digest = |path: &std::path::Path| fnv1a(&std::fs::read(path).expect("read bundle"));
         let (fresh, more) = (digest(&fresh_path), digest(&more_path));
         assert_eq!(

@@ -8,8 +8,9 @@
 //!   happens per logical dispatch, never per worker chunk).
 //! * The produced trace validates against the v1 JSONL schema and
 //!   carries every `engine.search` phase span (setup, epoch, final
-//!   selection, final retrain, final evaluation); a traced bundle load
-//!   carries the dataset regeneration's `data.generate` span.
+//!   selection, final retrain, final evaluation). Training and saving
+//!   a bundle records no `data.generate` span; loading it records
+//!   exactly one (the dataset regeneration).
 //! * The `metrics` verb snapshot is step-based (no wall-clock keys),
 //!   strictly sorted, and equals the in-process registry snapshot.
 //!
@@ -222,36 +223,42 @@ fn trace_sink_never_reaches_response_bytes() {
         }
     }
 
-    // A traced bundle load: the dataset the bundle's context
-    // regenerates from `(task, seed)` gets its own span (it dominates a
-    // load's cost), and the trace still passes `hdx-serve trace-check`'s
-    // validator.
-    assert!(
-        !text.contains("\"name\":\"data.generate\""),
+    // Training and saving a bundle with the trace live: pre-training
+    // records its spans, but builds no dataset. Loading the bundle
+    // regenerates its context's dataset from `(task, seed)` exactly
+    // once, under its own span (it dominates a load's cost), and the
+    // trace still passes `hdx-serve trace-check`'s validator.
+    let data_spans = |text: &str| text.matches("\"name\":\"data.generate\"").count();
+    assert_eq!(
+        data_spans(&text),
+        0,
         "the sweep itself regenerates no dataset"
     );
     let bundle_path = std::env::temp_dir().join("hdx_obs_test_bundle.hdxb");
-    hdx_serve::save_bundle(
-        &bundle_path,
-        Task::Cifar,
-        7,
-        600,
-        f64::NAN,
-        cifar().estimator(),
-    )
-    .expect("save bundle");
+    let artifacts = hdx_serve::train_artifacts(Task::Cifar, 7, 600, 5, 0);
+    hdx_serve::save_bundle(&bundle_path, &artifacts).expect("save bundle");
+    hdx_obs::flush();
+    let text = std::fs::read_to_string(&trace_path).expect("read trace");
+    assert!(
+        text.contains("\"name\":\"surrogate.train\""),
+        "traced training recorded no surrogate.train span"
+    );
+    assert_eq!(data_spans(&text), 0, "training a bundle built a dataset");
     router(1)
         .load_bundle_path(&bundle_path)
         .expect("load bundle");
     hdx_obs::flush();
     let text = std::fs::read_to_string(&trace_path).expect("read trace");
     hdx_obs::check_trace(&text).expect("schema-valid trace after a bundle load");
-    for name in ["artifact.load_bundle", "data.generate"] {
-        assert!(
-            text.contains(&format!("\"name\":\"{name}\"")),
-            "traced bundle load missing span {name}"
-        );
-    }
+    assert!(
+        text.contains("\"name\":\"artifact.load_bundle\""),
+        "traced bundle load missing span artifact.load_bundle"
+    );
+    assert_eq!(
+        data_spans(&text),
+        1,
+        "loading a bundle builds its dataset exactly once"
+    );
     std::fs::remove_file(&bundle_path).ok();
 
     // The metrics verb: step-based, strictly sorted (the decoder

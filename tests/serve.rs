@@ -16,7 +16,9 @@
 //! and resume bit-identity are pinned by `tests/serve_router.rs`.)
 
 use hdx_core::{prepare_context_with, PreparedContext, Task};
-use hdx_serve::{load_bundle, save_bundle, Router, RouterConfig, SearchRequest};
+use hdx_serve::{
+    load_bundle, save_bundle, train_artifacts, Artifacts, Router, RouterConfig, SearchRequest,
+};
 use hdx_surrogate::EstimatorConfig;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{Rng, SessionBank, Tensor};
@@ -41,6 +43,12 @@ fn prepared() -> Arc<PreparedContext> {
             },
         ))
     }))
+}
+
+/// The artifacts of `prepared()`'s recipe, trained through hdx-serve's
+/// entry point (the bundle tests save them).
+fn artifacts() -> Artifacts {
+    train_artifacts(Task::Cifar, 7, 2000, 15, 0)
 }
 
 /// A single-bundle router over the shared warm context (the PR-4
@@ -135,19 +143,10 @@ fn service_output_is_worker_count_invariant() {
 #[test]
 fn warm_start_from_bundle_is_byte_identical() {
     let _guard = global_guard();
-    let prepared = prepared();
     let dir = std::env::temp_dir().join("hdx_serve_warm_start_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("artifacts.ckpt");
-    save_bundle(
-        &path,
-        Task::Cifar,
-        7, // the dataset seed `prepared()` used
-        2000,
-        prepared.estimator_accuracy,
-        prepared.estimator(),
-    )
-    .expect("save bundle");
+    save_bundle(&path, &artifacts()).expect("save bundle");
 
     let warm = Router::new(RouterConfig::default());
     let entry = warm.load_bundle_path(&path).expect("load bundle");
@@ -173,15 +172,7 @@ fn old_bundle_lut_sections_are_ignored() {
     let dir = std::env::temp_dir().join("hdx_serve_old_bundle_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let current = dir.join("current.ckpt");
-    save_bundle(
-        &current,
-        Task::Cifar,
-        7,
-        2000,
-        prepared.estimator_accuracy,
-        prepared.estimator(),
-    )
-    .expect("save bundle");
+    save_bundle(&current, &artifacts()).expect("save bundle");
 
     // The bundle layout, section by section: with a count of 0 it is
     // exactly what `save_bundle` writes.
@@ -396,7 +387,14 @@ fn corrupt_bundles_are_typed_errors_never_panics() {
     let plan = Task::Cifar.plan();
     let mut rng = Rng::new(3);
     let est = hdx_surrogate::Estimator::new(&plan, EstimatorConfig::default(), &mut rng);
-    save_bundle(&path, Task::Cifar, 0, 0, f64::NAN, &est).expect("save");
+    let artifacts = Artifacts {
+        task: Task::Cifar,
+        seed: 0,
+        pairs: 0,
+        estimator_accuracy: f64::NAN,
+        estimator: est,
+    };
+    save_bundle(&path, &artifacts).expect("save");
     let bytes = std::fs::read(&path).expect("read");
     for trial in 0..60 {
         let mut corrupt = bytes.clone();
@@ -423,4 +421,66 @@ fn corrupt_bundles_are_typed_errors_never_panics() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A checksum-valid bundle whose `est.dims` declares a width or depth
+/// far past its stored weights is a typed error raised before anything
+/// is allocated from the declared dims: loaded directly, and through a
+/// router's `load_bundle`, whose connection keeps answering.
+#[test]
+fn forged_estimator_dims_are_typed_errors_not_allocations() {
+    let dir = std::env::temp_dir().join(format!("hdx_serve_forged_dims_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let plan = Task::Cifar.plan();
+    let est = hdx_surrogate::Estimator::new(&plan, EstimatorConfig::default(), &mut Rng::new(3));
+    let input_dim = est.input_dim() as u64;
+    // (hidden, depth, stored weight count): a forged width, a forged
+    // depth, and a forged depth whose weight count is forged to match.
+    for (case, (hidden, depth, count)) in [
+        (1u64 << 40, 5u64, 10u64),
+        (64, 1 << 40, 10),
+        (64, 1 << 40, 1 << 41),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut ckpt = Checkpoint::new();
+        ckpt.put_u64("bundle.meta", &[3], &[0, 7, 0]);
+        ckpt.put_f64("bundle.accuracy", &[1], &[f64::NAN]);
+        ckpt.put_u64("est.dims", &[3], &[input_dim, hidden, depth]);
+        ckpt.put_f32("est.stats", &[2, 3], &[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        ckpt.put_u64("est.w.count", &[1], &[count]);
+        for (id, tensor) in est.params().iter() {
+            ckpt.put_tensor(&format!("est.w.{}", id.index()), tensor);
+        }
+        ckpt.put_u64("bundle.lut_count", &[1], &[0]);
+        let path = dir.join(format!("forged_{case}.ckpt"));
+        ckpt.save(&path).expect("save forged bundle");
+
+        assert!(
+            matches!(load_bundle(&path), Err(CkptError::Malformed(_))),
+            "case {case}: forged dims must be a Malformed error"
+        );
+        let router = Router::new(RouterConfig::default());
+        let mut out = Vec::new();
+        router
+            .serve_connection(
+                Cursor::new(format!(
+                    "hdx1 load_bundle id=1 path={}\nhdx1 ping id=2\n",
+                    path.display()
+                )),
+                &mut out,
+            )
+            .expect("serve");
+        let out = String::from_utf8(out).expect("utf-8");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "case {case}: {out}");
+        assert!(
+            lines[0].starts_with("hdx1 error id=1 code=checkpoint"),
+            "case {case}: {}",
+            lines[0]
+        );
+        assert_eq!(lines[1], "hdx1 pong id=2", "case {case}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,7 +20,8 @@
 use hdx_core::{prepare_context_with, PreparedContext, Task};
 use hdx_serve::v1;
 use hdx_serve::{
-    parse_request, save_bundle, task_code, Request, Router, RouterConfig, SearchRequest,
+    parse_request, save_bundle, task_code, train_artifacts, Artifacts, Request, Router,
+    RouterConfig, SearchRequest,
 };
 use hdx_surrogate::EstimatorConfig;
 use std::io::Cursor;
@@ -41,6 +42,12 @@ fn cifar() -> Arc<PreparedContext> {
             },
         ))
     }))
+}
+
+/// The artifacts of `cifar()`'s recipe, trained through hdx-serve's
+/// entry point (the bundle tests save them).
+fn cifar_artifacts() -> Artifacts {
+    train_artifacts(Task::Cifar, 7, 1500, 12, 0)
 }
 
 fn imagenet() -> Arc<PreparedContext> {
@@ -213,16 +220,7 @@ fn runtime_load_bundle_serves_warm() {
     let dir = std::env::temp_dir().join("hdx_router_load_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("cifar.ckpt");
-    let prepared = cifar();
-    save_bundle(
-        &path,
-        Task::Cifar,
-        7,
-        1500,
-        prepared.estimator_accuracy,
-        prepared.estimator(),
-    )
-    .expect("save bundle");
+    save_bundle(&path, &cifar_artifacts()).expect("save bundle");
 
     // Starts empty: the task is unavailable until load_bundle arrives.
     let router = Router::new(RouterConfig::default());
@@ -1169,18 +1167,11 @@ fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
     let dir = std::env::temp_dir().join(format!("hdx_same_bytes_pin_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let prepared = cifar();
-    let save = |pairs: usize| {
+    let mut artifacts = cifar_artifacts();
+    let mut save = |pairs: usize| {
         let path = dir.join(format!("cifar_{pairs}.ckpt"));
-        save_bundle(
-            &path,
-            Task::Cifar,
-            7,
-            pairs,
-            prepared.estimator_accuracy,
-            prepared.estimator(),
-        )
-        .expect("save bundle");
+        artifacts.pairs = pairs;
+        save_bundle(&path, &artifacts).expect("save bundle");
         path
     };
     let loose = save(1500);

@@ -33,7 +33,7 @@ fn reference_contexts() -> &'static Vec<(Task, u64, Arc<PreparedContext>)> {
         reference_specs()
             .iter()
             .map(|spec| {
-                let prepared = spec.train(2);
+                let prepared = spec.train(2).into_prepared();
                 (spec.task, spec.seed, Arc::new(prepared))
             })
             .collect()
