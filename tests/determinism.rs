@@ -10,7 +10,9 @@
 //! the equality is not vacuous.
 
 use hdx_accel::{exhaustive_search, CostWeights, Metric};
-use hdx_core::Task;
+use hdx_core::{
+    run_search, CheckpointSpec, Constraint, Method, SearchCheckpoint, SearchOptions, Task,
+};
 use hdx_nas::supernet::FinalNet;
 use hdx_nas::{
     Architecture, Batch, Dataset, NetworkPlan, SampledReplay, Supernet, SupernetConfig, TaskSpec,
@@ -367,6 +369,51 @@ fn trained_bundle_bytes_are_pinned_at_every_worker_count() {
             (fresh, more),
             (0x80ca_0e01_028d_44f9, 0x87ac_fdad_fc20_0e1c),
             "jobs={jobs}: trained bundle bytes moved: fresh={fresh:#018x} more={more:#018x}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A mid-search checkpoint is a file that outlives the process: its
+/// bytes and its options fingerprint are pinned, so a refactor of
+/// `SearchOptions` or the supernet cannot silently orphan a snapshot
+/// written by an earlier build. Two HDX epochs under an FPS
+/// constraint, a snapshot after each, at jobs 1 and 2.
+#[test]
+fn search_checkpoint_bytes_are_pinned_at_every_worker_count() {
+    let prepared = train_artifacts(Task::Spheres, 2, 400, 4, 1).into_prepared();
+    let dir = std::env::temp_dir().join(format!("hdx_search_ckpt_pin_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for jobs in [1, 2] {
+        let path = dir.join(format!("search_{jobs}.ckpt"));
+        let opts = SearchOptions {
+            method: Method::Hdx {
+                delta0: 1e-3,
+                p: 5e-2,
+            },
+            constraints: vec![Constraint::fps(30.0)],
+            epochs: 2,
+            steps_per_epoch: 3,
+            final_train_steps: 20,
+            seed: 5,
+            jobs,
+            checkpoint: Some(CheckpointSpec {
+                path: path.clone(),
+                every_epochs: 1,
+                note: None,
+            }),
+            ..SearchOptions::default()
+        };
+        run_search(&prepared.context(), &opts);
+        let bytes = fnv1a(&std::fs::read(&path).expect("read checkpoint"));
+        let fingerprint = SearchCheckpoint::load(&path)
+            .expect("load checkpoint")
+            .fingerprint();
+        assert_eq!(
+            (bytes, fingerprint),
+            (0x00ce_7564_6965_f33c, 0x14f6_702e_c960_14b0),
+            "jobs={jobs}: search checkpoint moved: bytes={bytes:#018x} \
+             fingerprint={fingerprint:#018x}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
