@@ -427,23 +427,6 @@ impl Catalog {
         Ok(bytes)
     }
 
-    /// The latest generation recorded under `(task, family, seed)`.
-    pub fn resolve(&self, task: u8, family: &str, seed: u64) -> Option<Receipt> {
-        let state = self.inner.state.lock().expect("catalog lock");
-        let key = Key {
-            task,
-            family: family.to_owned(),
-            seed,
-        };
-        state.index.get(&key).and_then(|gens| {
-            gens.last().map(|g| Receipt {
-                fingerprint: g.fingerprint,
-                gen: g.gen,
-                len: g.len,
-            })
-        })
-    }
-
     /// Snapshot of the whole index in key order.
     pub fn list(&self) -> Vec<(Key, Vec<Generation>)> {
         let state = self.inner.state.lock().expect("catalog lock");
@@ -836,8 +819,10 @@ mod tests {
         let r2 = cat.publish(0, "train", 7, &bytes).expect("republish");
         assert_eq!(r1, r2, "identical bytes under one key share a generation");
         assert_eq!(cat.get(r1.fingerprint).expect("get"), bytes);
+        let listed = cat.list();
+        assert_eq!(listed.len(), 1);
         assert_eq!(
-            cat.resolve(0, "train", 7).expect("resolve").fingerprint,
+            listed[0].1.last().expect("one generation").fingerprint,
             r1.fingerprint
         );
         // A fresh mount reads the same index back.

@@ -74,14 +74,27 @@ impl Method {
             Method::Hdx { .. } => "HDX",
         }
     }
-
-    /// Whether the method supports hard constraints natively.
-    pub fn has_hard_constraints(&self) -> bool {
-        matches!(self, Method::Hdx { .. })
-    }
 }
 
-/// Options for one co-exploration run.
+/// Supernet-weight learning rate (Adam).
+pub const W_LR: f32 = 2e-3;
+/// Architecture-parameter learning rate (Adam).
+pub const ALPHA_LR: f32 = 6e-3;
+/// Generator / hardware-parameter learning rate (Adam).
+pub const GEN_LR: f32 = 1.5e-3;
+/// Safety margin applied to constraint targets *during the search*:
+/// the engine steers toward `T·(1 − margin)` so that estimator error
+/// cannot push the ground-truth metric over the real target. The
+/// paper's estimator is >99 % accurate and needs no margin; at this
+/// reproduction's reduced pre-training budget a margin absorbs the
+/// surrogate error. Reported metrics are always ground truth against
+/// the *unmargined* targets.
+pub const SAFETY_MARGIN: f64 = 0.10;
+
+/// Options for one co-exploration run: what a caller varies per search.
+/// The learning rates and the steering margin are experiment constants
+/// ([`W_LR`], [`ALPHA_LR`], [`GEN_LR`], [`SAFETY_MARGIN`]), the same
+/// for every method, so a comparison changes only the method.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
     /// The method under test.
@@ -99,12 +112,6 @@ pub struct SearchOptions {
     pub steps_per_epoch: usize,
     /// Mini-batch size.
     pub batch: usize,
-    /// Supernet-weight learning rate (Adam).
-    pub w_lr: f32,
-    /// Architecture-parameter learning rate (Adam).
-    pub alpha_lr: f32,
-    /// Generator / hardware-parameter learning rate (Adam).
-    pub gen_lr: f32,
     /// From-scratch training steps for the final error report
     /// (0 skips retraining and reports the supernet's error).
     pub final_train_steps: usize,
@@ -112,14 +119,6 @@ pub struct SearchOptions {
     pub seed: u64,
     /// Supernet proxy hyper-parameters.
     pub supernet: SupernetConfig,
-    /// Safety margin applied to constraint targets *during the search*:
-    /// the engine steers toward `T·(1 − margin)` so that estimator error
-    /// cannot push the ground-truth metric over the real target. The
-    /// paper's estimator is >99 % accurate and needs no margin; at this
-    /// reproduction's reduced pre-training budget a margin absorbs the
-    /// surrogate error. Reported metrics are always ground truth against
-    /// the *unmargined* targets.
-    pub safety_margin: f64,
     /// Size of the search's one worker pool (`0` = auto, honoring
     /// `HDX_JOBS`; `1` = sequential), which every phase borrows: the
     /// task-branch replay, the hardware searches, the final-net retrain
@@ -166,13 +165,9 @@ impl Default for SearchOptions {
             epochs: 25,
             steps_per_epoch: 20,
             batch: 32,
-            w_lr: 2e-3,
-            alpha_lr: 6e-3,
-            gen_lr: 1.5e-3,
             final_train_steps: 2000,
             seed: 0,
             supernet: SupernetConfig::default(),
-            safety_margin: 0.10,
             jobs: 0,
             exec: ExecMode::Compiled,
             checkpoint: None,
@@ -629,8 +624,7 @@ struct SearchState<'a> {
     /// The δ schedule (HDX only).
     delta_policy: Option<DeltaPolicy>,
     trajectory: Vec<EpochTrace>,
-    /// Margined targets used for steering (see
-    /// [`SearchOptions::safety_margin`]).
+    /// Margined targets used for steering (see [`SAFETY_MARGIN`]).
     steering: Vec<Constraint>,
     /// NAS→HW's differentiable MAC proxy: each (layer, op) block's MACs
     /// over their mean, so the expected MACs are `enc · macs_norm`.
@@ -681,9 +675,9 @@ impl<'a> SearchState<'a> {
             generator,
             hw_params,
             hw_theta,
-            w_opt: Adam::new(opts.w_lr),
-            a_opt: Adam::new(opts.alpha_lr),
-            v_opt: Adam::new(opts.gen_lr),
+            w_opt: Adam::new(W_LR),
+            a_opt: Adam::new(ALPHA_LR),
+            v_opt: Adam::new(GEN_LR),
             rng,
             delta_policy: match opts.method {
                 Method::Hdx { delta0, p } => Some(DeltaPolicy::new(delta0, p)),
@@ -695,7 +689,7 @@ impl<'a> SearchState<'a> {
             steering: opts
                 .constraints
                 .iter()
-                .map(|c| Constraint::new(c.metric, c.target * (1.0 - opts.safety_margin)))
+                .map(|c| Constraint::new(c.metric, c.target * (1.0 - SAFETY_MARGIN)))
                 .collect(),
             macs_norm: macs.iter().map(|m| m / macs_mean).collect(),
         }
@@ -769,16 +763,18 @@ fn search_fingerprint(opts: &SearchOptions) -> u64 {
     }
     parts.push(opts.steps_per_epoch as u64);
     parts.push(opts.batch as u64);
-    parts.push(u64::from(opts.w_lr.to_bits()));
-    parts.push(u64::from(opts.alpha_lr.to_bits()));
-    parts.push(u64::from(opts.gen_lr.to_bits()));
+    parts.push(u64::from(W_LR.to_bits()));
+    parts.push(u64::from(ALPHA_LR.to_bits()));
+    parts.push(u64::from(GEN_LR.to_bits()));
     parts.push(opts.final_train_steps as u64);
     parts.push(opts.seed);
     parts.push(opts.supernet.feature_dim as u64);
     parts.push(opts.supernet.base_hidden as u64);
     parts.push(opts.supernet.num_paths as u64);
-    parts.push(u64::from(opts.supernet.temperature.to_bits()));
-    parts.push(opts.safety_margin.to_bits());
+    // The retired softmax-temperature word (always 1.0), kept so
+    // snapshots written before it became a constant still resume.
+    parts.push(u64::from(1.0f32.to_bits()));
+    parts.push(SAFETY_MARGIN.to_bits());
     fnv1a_words(&parts)
 }
 
@@ -1175,7 +1171,7 @@ fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
 /// The [`SessionBank`] fingerprint of the hardware head: everything
 /// the compiled plan bakes in — method/graph shape, scalar constants
 /// (λ values, steering targets, cost-weight scales, estimator
-/// normalization stats, softmax temperature), the MAC-proxy leaf, and
+/// normalization stats), the MAC-proxy leaf, and
 /// the estimator/generator topologies. Estimator *weights* are baked
 /// but deliberately excluded: they are leaves, and
 /// [`HeadExec::checkout`] rebinds them from the current estimator.
@@ -1195,7 +1191,6 @@ fn head_bank_key(st: &SearchState<'_>) -> u64 {
         Method::Hdx { .. } => parts.push(3),
     }
     parts.push(st.supernet.num_layers() as u64);
-    parts.push(u64::from(st.supernet.config().temperature.to_bits()));
     parts.push(opts.lambda_cost.to_bits());
     match opts.lambda_soft {
         Some(l) => {

@@ -176,16 +176,16 @@ impl NetworkPlan {
         layers.extend(self.fixed_head.iter().copied());
         layers
     }
-
-    /// Total MACs of a discrete architecture on this plan.
-    pub fn macs_for(&self, arch: &Architecture) -> u64 {
-        self.layers_for(arch).iter().map(ConvLayer::macs).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total MACs of a discrete architecture on `plan`.
+    fn macs(plan: &NetworkPlan, arch: &Architecture) -> u64 {
+        plan.layers_for(arch).iter().map(ConvLayer::macs).sum()
+    }
 
     #[test]
     fn cifar_plan_shape() {
@@ -240,8 +240,8 @@ mod tests {
     #[test]
     fn bigger_ops_mean_more_macs() {
         let plan = NetworkPlan::cifar18();
-        let small = plan.macs_for(&Architecture::uniform(18, 0)); // (3,3)
-        let large = plan.macs_for(&Architecture::uniform(18, 5)); // (7,6)
+        let small = macs(&plan, &Architecture::uniform(18, 0)); // (3,3)
+        let large = macs(&plan, &Architecture::uniform(18, 5)); // (7,6)
         assert!(large > small);
         // The MAC ratio should be meaningful (roughly the expand ratio).
         assert!(large as f64 / small as f64 > 1.5);
@@ -251,8 +251,8 @@ mod tests {
     fn cifar_macs_in_calibrated_range() {
         // Latency calibration (DESIGN.md §6) assumes ~100–350 M MACs.
         let plan = NetworkPlan::cifar18();
-        let small = plan.macs_for(&Architecture::uniform(18, 0));
-        let large = plan.macs_for(&Architecture::uniform(18, 5));
+        let small = macs(&plan, &Architecture::uniform(18, 0));
+        let large = macs(&plan, &Architecture::uniform(18, 5));
         assert!(small > 50_000_000, "small arch {small} MACs");
         assert!(large < 500_000_000, "large arch {large} MACs");
     }
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn imagenet_macs_are_gigascale() {
         let plan = NetworkPlan::imagenet21();
-        let large = plan.macs_for(&Architecture::uniform(21, 5));
+        let large = macs(&plan, &Architecture::uniform(21, 5));
         assert!(large > 1_000_000_000, "ImageNet-scale arch {large} MACs");
     }
 

@@ -24,7 +24,6 @@
 use crate::arch::Architecture;
 use crate::data::Batch;
 use crate::ops::OP_SET;
-use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::kernels;
 use hdx_tensor::{
     bank_key, sharded_step, Binding, CosineLr, ExecMode, Linear, ParamId, ParamStore, Program, Rng,
@@ -36,7 +35,8 @@ use std::sync::Arc;
 mod replay;
 pub use replay::SampledReplay;
 
-/// Hyper-parameters of the supernet proxy.
+/// Hyper-parameters of the supernet proxy. The softmax over the
+/// architecture logits takes α unscaled (temperature 1, a constant).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupernetConfig {
     /// Internal feature width of the backbone.
@@ -47,8 +47,6 @@ pub struct SupernetConfig {
     /// Number of candidate paths sampled per layer per step (≥ 1; 6
     /// disables sampling entirely).
     pub num_paths: usize,
-    /// Softmax temperature on the architecture logits.
-    pub temperature: f32,
 }
 
 impl Default for SupernetConfig {
@@ -57,7 +55,6 @@ impl Default for SupernetConfig {
             feature_dim: 20,
             base_hidden: 3,
             num_paths: 2,
-            temperature: 1.0,
         }
     }
 }
@@ -189,11 +186,6 @@ impl Supernet {
         self.num_classes
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SupernetConfig {
-        &self.cfg
-    }
-
     /// Backbone weight store (read-only).
     pub fn w_store(&self) -> &ParamStore {
         &self.w
@@ -220,7 +212,7 @@ impl Supernet {
     }
 
     /// The flattened `[1, 6·L]` differentiable architecture encoding:
-    /// per-layer softmax(α/temperature), concatenated layer-major.
+    /// per-layer softmax(α), concatenated layer-major.
     ///
     /// This is the encoding consumed by the generator and estimator
     /// surrogates, so hardware gradients flow back into α through it.
@@ -228,8 +220,7 @@ impl Supernet {
         let mut parts = Vec::with_capacity(self.num_layers);
         for l in 0..self.num_layers {
             let logits = alpha.var(self.alpha.id(l));
-            let scaled = tape.scale(logits, 1.0 / self.cfg.temperature);
-            parts.push(tape.softmax_rows(scaled));
+            parts.push(tape.softmax_rows(logits));
         }
         tape.concat_cols(&parts)
     }
@@ -239,10 +230,7 @@ impl Supernet {
     pub fn arch_probs(&self) -> Vec<f32> {
         let mut probs = Vec::with_capacity(self.num_layers * OP_SET.len());
         for l in 0..self.num_layers {
-            let logits = self
-                .alpha
-                .get(self.alpha.id(l))
-                .scale(1.0 / self.cfg.temperature);
+            let logits = self.alpha.get(self.alpha.id(l));
             probs.extend_from_slice(logits.softmax_rows().data());
         }
         probs
@@ -289,8 +277,8 @@ impl Supernet {
     /// softmax(α) distribution, consuming the RNG exactly as
     /// [`Supernet::forward_logits`] does (one `sample_paths`
     /// call per layer, in layer order, over bit-identical
-    /// probabilities — the tape's `scale`/`softmax_rows` and the
-    /// store-side tensor ops share kernels). This is the replay hook
+    /// probabilities — the tape's `softmax_rows` and the store-side
+    /// tensor op share kernels). This is the replay hook
     /// [`SampledReplay`] uses to sample *outside* the graph, then chain
     /// the bank-cached layer segments compiled for the chosen sets.
     ///
@@ -299,11 +287,7 @@ impl Supernet {
     pub fn sample_step_paths(&self, rng: &mut Rng) -> Vec<Vec<usize>> {
         (0..self.num_layers)
             .map(|l| {
-                let probs = self
-                    .alpha
-                    .get(self.alpha.id(l))
-                    .scale(1.0 / self.cfg.temperature)
-                    .softmax_rows();
+                let probs = self.alpha.get(self.alpha.id(l)).softmax_rows();
                 sample_paths(probs.data(), self.cfg.num_paths, rng)
             })
             .collect()
@@ -340,7 +324,7 @@ impl Supernet {
     }
 
     /// Records layer `l`'s renormalized mixture over its `chosen`
-    /// paths, weighted by softmax(`logits`/T), and returns
+    /// paths, weighted by softmax(`logits`), and returns
     /// `acc + mixture`. All blocks read the shared `features` (additive
     /// ensemble), so nothing here depends on another layer's choice:
     /// the replay compiles this as a stand-alone layer segment
@@ -356,8 +340,7 @@ impl Supernet {
         acc: Var,
         chosen: &[usize],
     ) -> Var {
-        let scaled = tape.scale(logits, 1.0 / self.cfg.temperature);
-        let probs_var = tape.softmax_rows(scaled);
+        let probs_var = tape.softmax_rows(logits);
         let slices: Vec<Var> = chosen
             .iter()
             .map(|&o| tape.slice_cols(probs_var, o, o + 1))
@@ -450,12 +433,6 @@ fn sample_paths(probs: &[f32], n: usize, rng: &mut Rng) -> Vec<usize> {
 #[derive(Debug)]
 pub struct FinalNet {
     num_classes: usize,
-    /// The realized architecture and block sizing — remembered so the
-    /// trained network can be checkpointed and rebuilt
-    /// ([`FinalNet::save_sections`]).
-    choices: Vec<usize>,
-    feature_dim: usize,
-    base_hidden: usize,
     w: ParamStore,
     input: Linear,
     classifier: Linear,
@@ -484,88 +461,11 @@ impl FinalNet {
         let classifier = Linear::new(&mut w, cfg.feature_dim, num_classes, rng);
         Self {
             num_classes,
-            choices: arch.choices().to_vec(),
-            feature_dim: cfg.feature_dim,
-            base_hidden: cfg.base_hidden,
             w,
             input,
             classifier,
             blocks,
         }
-    }
-
-    /// Saves the architecture, sizing, and trained weights as
-    /// checkpoint sections under `prefix`.
-    pub fn save_sections(&self, ckpt: &mut Checkpoint, prefix: &str) {
-        ckpt.put_u64(
-            &format!("{prefix}.dims"),
-            &[4],
-            &[
-                self.input.in_features() as u64,
-                self.num_classes as u64,
-                self.feature_dim as u64,
-                self.base_hidden as u64,
-            ],
-        );
-        let choices: Vec<u64> = self.choices.iter().map(|&c| c as u64).collect();
-        ckpt.put_u64(&format!("{prefix}.arch"), &[choices.len()], &choices);
-        ckpt.put_param_store(&format!("{prefix}.w"), &self.w);
-    }
-
-    /// Restores a network from sections written by
-    /// [`FinalNet::save_sections`]: the structure is rebuilt from the
-    /// stored architecture and every weight is overwritten bit-exactly,
-    /// so the loaded network's `error_rate` matches the saved one's on
-    /// any batch.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CkptError`]s for missing/misshapen sections or op
-    /// choices outside [`OP_SET`].
-    pub fn load_sections(ckpt: &Checkpoint, prefix: &str) -> Result<FinalNet, CkptError> {
-        let (shape, dims) = ckpt.get_u64(&format!("{prefix}.dims"))?;
-        if shape != [4] {
-            return Err(CkptError::ShapeMismatch {
-                name: format!("{prefix}.dims"),
-                expected: vec![4],
-                found: shape.to_vec(),
-            });
-        }
-        let to_usize = |w: u64| {
-            usize::try_from(w)
-                .map_err(|_| CkptError::Malformed(format!("{prefix}: dimension {w} exceeds usize")))
-        };
-        let (in_dim, num_classes, feature_dim, base_hidden) = (
-            to_usize(dims[0])?,
-            to_usize(dims[1])?,
-            to_usize(dims[2])?,
-            to_usize(dims[3])?,
-        );
-        let (_, arch_words) = ckpt.get_u64(&format!("{prefix}.arch"))?;
-        let choices: Vec<usize> = arch_words
-            .iter()
-            .map(|&w| to_usize(w))
-            .collect::<Result<_, _>>()?;
-        if choices.iter().any(|&c| c >= OP_SET.len()) {
-            return Err(CkptError::Malformed(format!(
-                "{prefix}: op choice outside 0..{}",
-                OP_SET.len()
-            )));
-        }
-        let cfg = SupernetConfig {
-            feature_dim,
-            base_hidden,
-            ..SupernetConfig::default()
-        };
-        let mut net = FinalNet::new(
-            &Architecture::new(choices),
-            in_dim,
-            num_classes,
-            &cfg,
-            &mut Rng::new(0),
-        );
-        ckpt.read_param_store_into(&format!("{prefix}.w"), &mut net.w)?;
-        Ok(net)
     }
 
     /// Number of task classes.
@@ -1003,46 +903,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn final_net_checkpoint_round_trip_is_bit_identical() {
-        let spec = TaskSpec {
-            train: 256,
-            val: 64,
-            test: 256,
-            ..TaskSpec::cifar_like(3)
-        };
-        let ds = Dataset::generate(&spec);
-        let mut rng = Rng::new(17);
-        let arch = Architecture::new(vec![0, 3, 5, 2]);
-        let mut net = FinalNet::new(
-            &arch,
-            spec.feature_dim,
-            spec.num_classes,
-            &SupernetConfig::default(),
-            &mut rng,
-        );
-        net.train(&ds, 60, 32, &mut rng, ExecMode::Compiled, &auto_pool());
-
-        let mut ckpt = Checkpoint::new();
-        net.save_sections(&mut ckpt, "final");
-        let back = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("parse");
-        let loaded = FinalNet::load_sections(&back, "final").expect("load");
-        for (id, t) in net.w.iter() {
-            assert_eq!(loaded.w.get(id).data(), t.data());
-        }
-        let test = ds.test_all();
-        assert_eq!(loaded.error_rate(&test), net.error_rate(&test));
-
-        // A corrupted op choice is a typed error.
-        let mut bad = Checkpoint::new();
-        bad.put_u64("final.dims", &[4], &[16, 10, 20, 3]);
-        bad.put_u64("final.arch", &[2], &[0, 99]);
-        assert!(matches!(
-            FinalNet::load_sections(&bad, "final"),
-            Err(CkptError::Malformed(_))
-        ));
     }
 
     /// Fresh-records one task step over the paths drawn from

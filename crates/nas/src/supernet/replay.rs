@@ -8,7 +8,7 @@
 //!
 //! * a **stem** (`input` linear + relu → `features`),
 //! * one **layer segment** per layer, keyed by (side, rows, path set,
-//!   block shapes, temperature) — 15 programs per side at
+//!   block shapes) — 15 programs per side at
 //!   `num_paths = 2`, one for the full mixture, whatever the other
 //!   layers drew,
 //! * a **tail** (classifier + cross-entropy).
@@ -217,14 +217,7 @@ impl Supernet {
             .collect();
         bank_key(
             "supernet-segment",
-            &(
-                side,
-                rows,
-                self.cfg.feature_dim,
-                self.cfg.temperature.to_bits(),
-                chosen,
-                widths,
-            ),
+            &(side, rows, self.cfg.feature_dim, chosen, widths),
         )
     }
 }

@@ -267,12 +267,6 @@ impl Stopwatch {
     pub fn seconds(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
-
-    /// Nanoseconds elapsed since [`Stopwatch::start`], saturating.
-    #[must_use]
-    pub fn nanos(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -19,8 +19,8 @@
 //!   per-task routing, resumable searches, and a v0 shim that answers
 //!   PR-4 clients byte-identically.
 //!
-//! Three contracts make this safe at scale, pinned by `tests/serve.rs`
-//! and `tests/serve_router.rs`:
+//! Three contracts make this safe at scale, pinned by
+//! `tests/serve_router.rs`:
 //!
 //! * **warm-start bit-identity** — a search served from a loaded
 //!   bundle produces byte-identical report lines to one served from

@@ -29,10 +29,9 @@ pub(crate) struct TaskService {
     seed: u64,
     estimator_accuracy: f64,
     prepared: Arc<PreparedContext>,
-    served: AtomicU64,
     steps_used: AtomicU64,
-    // Per-verb breakdown of `served`, indexed by
-    // `SearchRequest::verb_index` (search/grid/meta/resume).
+    // Requests served, per verb, indexed by `SearchRequest::verb_index`
+    // (search/grid/meta/resume); `served` is their sum.
     verb_counts: [AtomicU64; 4],
 }
 
@@ -50,7 +49,6 @@ impl TaskService {
             seed,
             estimator_accuracy: prepared.estimator_accuracy,
             prepared,
-            served: AtomicU64::new(0),
             steps_used: AtomicU64::new(0),
             verb_counts: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -68,17 +66,18 @@ impl TaskService {
     /// The per-bundle serving counters.
     pub(crate) fn stats(&self) -> v1::TaskStats {
         let verb = |i: usize| self.verb_counts[i].load(Ordering::Relaxed);
+        let verbs = v1::VerbCounts {
+            search: verb(0),
+            grid: verb(1),
+            meta: verb(2),
+            resume: verb(3),
+        };
         v1::TaskStats {
             task: self.task,
             bundle_seed: self.seed,
-            served: self.served.load(Ordering::Relaxed),
+            served: verbs.total(),
             steps_used: self.steps_used.load(Ordering::Relaxed),
-            verbs: v1::VerbCounts {
-                search: verb(0),
-                grid: verb(1),
-                meta: verb(2),
-                resume: verb(3),
-            },
+            verbs,
         }
     }
 
@@ -116,7 +115,6 @@ impl TaskService {
             let satisfied = result.in_constraint;
             SearchReport::from_result(req, &result, 1, satisfied)
         };
-        self.served.fetch_add(1, Ordering::Relaxed);
         self.steps_used
             .fetch_add(report.steps_used, Ordering::Relaxed);
         self.verb_counts[req.verb_index()].fetch_add(1, Ordering::Relaxed);
@@ -129,7 +127,7 @@ impl std::fmt::Debug for TaskService {
         f.debug_struct("TaskService")
             .field("task", &self.task)
             .field("seed", &self.seed)
-            .field("served", &self.served)
+            .field("served", &self.stats().served)
             .finish()
     }
 }

@@ -10,46 +10,6 @@ use hdx_tensor::{
     Tensor, Var, WorkerPool, SHARD_ROWS,
 };
 use std::ops::Range;
-use std::path::Path;
-
-/// Checks declared MLP dims against the stored weight sections under
-/// `prefix` before anything is allocated from them: `2 · depth`
-/// sections, layer by layer a `[in, out]` weight and a `[1, out]`
-/// bias. The checks read only sections the file holds, and stop at the
-/// first mismatch, so a width or depth forged past the stored weights
-/// is a [`CkptError::Malformed`] instead of an allocation of its size.
-fn check_stored_dims(
-    ckpt: &Checkpoint,
-    prefix: &str,
-    input_dim: usize,
-    cfg: EstimatorConfig,
-) -> Result<(), CkptError> {
-    let malformed = || {
-        CkptError::Malformed(format!(
-            "{prefix}: declared hidden width {} / depth {} do not match the stored weights",
-            cfg.hidden, cfg.depth
-        ))
-    };
-    let count = ckpt.get_scalar_u64(&format!("{prefix}.count"))?;
-    if Some(count) != cfg.depth.checked_mul(2).map(|n| n as u64) {
-        return Err(malformed());
-    }
-    for layer in 0..cfg.depth {
-        let fan_in = if layer == 0 { input_dim } else { cfg.hidden };
-        let fan_out = if layer + 1 == cfg.depth {
-            3
-        } else {
-            cfg.hidden
-        };
-        for (i, shape) in [[fan_in, fan_out], [1, fan_out]].iter().enumerate() {
-            match ckpt.get_f32(&format!("{prefix}.{}", 2 * layer + i)) {
-                Ok((stored, _)) if stored == shape => {}
-                _ => return Err(malformed()),
-            }
-        }
-    }
-    Ok(())
-}
 
 /// [`Estimator::train`] invocations (a meta-search retrains several).
 static OBS_TRAIN_CALLS: hdx_obs::Counter = hdx_obs::Counter::new("surrogate.train.calls");
@@ -60,17 +20,20 @@ static OBS_TRAIN_PAIRS: hdx_obs::Counter = hdx_obs::Counter::new("surrogate.trai
 /// this counts the same at every `HDX_JOBS` value.
 static OBS_TRAIN_SHARDS: hdx_obs::Counter = hdx_obs::Counter::new("surrogate.train.shards");
 
-/// Estimator hyper-parameters.
+/// Hidden width of the estimator's residual MLP.
+pub const HIDDEN: usize = 64;
+/// Total layer count of the estimator's residual MLP (the paper's 5).
+pub const DEPTH: usize = 5;
+
+/// Estimator pre-training hyper-parameters. The MLP's shape is fixed
+/// ([`HIDDEN`] × [`DEPTH`]), as the generator's is; only the training
+/// schedule varies by caller.
 ///
 /// The paper pre-trains for 200 epochs with batch 256 and Adam 1e-4 on
 /// 10.8 M pairs; the defaults here are scaled to the CPU budget (the
 /// training-set size is chosen by the caller via [`PairSet::sample`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
-    /// Hidden width of the residual MLP.
-    pub hidden: usize,
-    /// Total layer count (the paper uses 5).
-    pub depth: usize,
     /// Pre-training epochs.
     pub epochs: usize,
     /// Pre-training batch size (paper: 256).
@@ -90,8 +53,6 @@ pub struct EstimatorConfig {
 impl Default for EstimatorConfig {
     fn default() -> Self {
         Self {
-            hidden: 64,
-            depth: 5,
             epochs: 25,
             batch: 256,
             lr: 1e-3,
@@ -116,7 +77,7 @@ impl Estimator {
     pub fn new(plan: &NetworkPlan, cfg: EstimatorConfig, rng: &mut Rng) -> Self {
         let input_dim = joint_dim(plan.num_layers());
         let mut params = ParamStore::new();
-        let mlp = ResidualMlp::new(&mut params, input_dim, cfg.hidden, 3, cfg.depth, rng);
+        let mlp = ResidualMlp::new(&mut params, input_dim, HIDDEN, 3, DEPTH, rng);
         Self {
             cfg,
             input_dim,
@@ -143,9 +104,7 @@ impl Estimator {
     /// (the incremental `train-and-save --init-bundle` flow): a
     /// checkpoint-loaded estimator keeps its architecture and weights
     /// but trains for `epochs` more epochs over `jobs` workers on
-    /// whatever pair set the caller supplies next. Architecture
-    /// hyper-parameters (width/depth) stay fixed at construction —
-    /// they shape the parameter stores.
+    /// whatever pair set the caller supplies next.
     pub fn set_training_schedule(&mut self, epochs: usize, lr: f32, jobs: usize) {
         self.cfg.epochs = epochs;
         self.cfg.lr = lr;
@@ -214,11 +173,7 @@ impl Estimator {
         ckpt.put_u64(
             &format!("{prefix}.dims"),
             &[3],
-            &[
-                self.input_dim as u64,
-                self.cfg.hidden as u64,
-                self.cfg.depth as u64,
-            ],
+            &[self.input_dim as u64, HIDDEN as u64, DEPTH as u64],
         );
         let mut stats = [0.0f32; 6];
         stats[..3].copy_from_slice(&self.stats.mean);
@@ -228,16 +183,17 @@ impl Estimator {
     }
 
     /// Restores an estimator from sections written by
-    /// [`Estimator::save_sections`]. The MLP is rebuilt for `plan` with
-    /// the stored dimensions (training hyper-parameters come from
-    /// `EstimatorConfig::default()` — they do not affect inference or
-    /// the engine's replayed hardware head) and every weight is
-    /// overwritten from the checkpoint.
+    /// [`Estimator::save_sections`]. The MLP is rebuilt for `plan`
+    /// (training hyper-parameters come from `EstimatorConfig::default()`
+    /// — they do not affect inference or the engine's replayed hardware
+    /// head) and every weight is overwritten from the checkpoint, each
+    /// section's shape checked against the rebuilt store's.
     ///
     /// # Errors
     ///
-    /// Typed [`CkptError`]s for missing/misshapen sections or a stored
-    /// input dimension that does not match `plan`.
+    /// Typed [`CkptError`]s for missing/misshapen sections, or stored
+    /// dims other than `[joint_dim(plan), HIDDEN, DEPTH]` (checked
+    /// before anything is allocated).
     pub fn load_sections(
         ckpt: &Checkpoint,
         prefix: &str,
@@ -251,33 +207,18 @@ impl Estimator {
                 found: shape.to_vec(),
             });
         }
-        let expected = joint_dim(plan.num_layers()) as u64;
-        if dims[0] != expected {
+        let expected = [
+            joint_dim(plan.num_layers()) as u64,
+            HIDDEN as u64,
+            DEPTH as u64,
+        ];
+        if dims != expected {
             return Err(CkptError::Malformed(format!(
-                "{prefix}: estimator input dim {} does not match plan ({expected})",
-                dims[0]
+                "{prefix}: estimator dims {dims:?} do not match [input, hidden, depth] = \
+                 {expected:?}"
             )));
         }
-        let cfg = EstimatorConfig {
-            hidden: usize::try_from(dims[1])
-                .map_err(|_| CkptError::Malformed(format!("{prefix}: hidden width overflow")))?,
-            depth: usize::try_from(dims[2])
-                .map_err(|_| CkptError::Malformed(format!("{prefix}: depth overflow")))?,
-            ..EstimatorConfig::default()
-        };
-        if cfg.depth < 2 {
-            return Err(CkptError::Malformed(format!(
-                "{prefix}: depth {} below the ResidualMlp minimum of 2",
-                cfg.depth
-            )));
-        }
-        check_stored_dims(
-            ckpt,
-            &format!("{prefix}.w"),
-            joint_dim(plan.num_layers()),
-            cfg,
-        )?;
-        let mut est = Estimator::new(plan, cfg, &mut Rng::new(0));
+        let mut est = Estimator::new(plan, EstimatorConfig::default(), &mut Rng::new(0));
         ckpt.read_param_store_into(&format!("{prefix}.w"), &mut est.params)?;
         let stats = ckpt.get_tensor(&format!("{prefix}.stats"), &[2, 3])?;
         est.stats = TargetStats {
@@ -285,26 +226,6 @@ impl Estimator {
             std: stats.data()[3..].try_into().expect("3"),
         };
         Ok(est)
-    }
-
-    /// Writes a single-artifact checkpoint file for this estimator.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] on filesystem failures.
-    pub fn save(&self, path: &Path) -> Result<(), CkptError> {
-        let mut ckpt = Checkpoint::new();
-        self.save_sections(&mut ckpt, "est");
-        ckpt.save(path)
-    }
-
-    /// Loads a checkpoint written by [`Estimator::save`].
-    ///
-    /// # Errors
-    ///
-    /// I/O plus every [`Estimator::load_sections`] error.
-    pub fn load(path: &Path, plan: &NetworkPlan) -> Result<Estimator, CkptError> {
-        Estimator::load_sections(&Checkpoint::load(path)?, "est", plan)
     }
 
     /// The (frozen) estimator weight store.
@@ -403,10 +324,9 @@ impl ShardStep for TrainStep<'_> {
     /// compiled programs across [`Estimator::train`] calls (a
     /// meta-search retrains several).
     fn key(&self, rows: usize) -> u64 {
-        let cfg = &self.est.cfg;
         bank_key(
             "estimator-shard",
-            &(self.est.input_dim, cfg.hidden, cfg.depth, rows),
+            &(self.est.input_dim, HIDDEN, DEPTH, rows),
         )
     }
 

@@ -11,7 +11,6 @@
 use hdx_accel::AccelConfig;
 use hdx_nas::ops::OP_SET;
 use hdx_nas::NetworkPlan;
-use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{Binding, ParamStore, ResidualMlp, Rng, Tape, Tensor, Var};
 
 /// The trainable hardware generator.
@@ -51,48 +50,9 @@ impl Generator {
         &mut self.params
     }
 
-    /// Number of scalar weights.
-    pub fn num_weights(&self) -> usize {
-        self.params.num_scalars()
-    }
-
     /// Binds the generator weights onto a tape.
     pub fn bind(&self, tape: &mut Tape) -> Binding {
         self.params.bind(tape)
-    }
-
-    /// Saves the generator weights `v` as checkpoint sections under
-    /// `prefix` (the co-exploration state a resumed or replayed search
-    /// warm-starts from).
-    pub fn save_sections(&self, ckpt: &mut Checkpoint, prefix: &str) {
-        ckpt.put_u64(&format!("{prefix}.dims"), &[1], &[self.input_dim as u64]);
-        ckpt.put_param_store(&format!("{prefix}.w"), &self.params);
-    }
-
-    /// Restores a generator from sections written by
-    /// [`Generator::save_sections`], rebuilt for `plan` with every
-    /// weight overwritten bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CkptError`]s for missing/misshapen sections or an input
-    /// dimension that does not match `plan`.
-    pub fn load_sections(
-        ckpt: &Checkpoint,
-        prefix: &str,
-        plan: &NetworkPlan,
-    ) -> Result<Generator, CkptError> {
-        let (_, dims) = ckpt.get_u64(&format!("{prefix}.dims"))?;
-        let expected = (plan.num_layers() * OP_SET.len()) as u64;
-        if dims.first() != Some(&expected) {
-            return Err(CkptError::Malformed(format!(
-                "{prefix}: generator input dim {:?} does not match plan ({expected})",
-                dims.first()
-            )));
-        }
-        let mut generator = Generator::new(plan, &mut Rng::new(0));
-        ckpt.read_param_store_into(&format!("{prefix}.w"), &mut generator.params)?;
-        Ok(generator)
     }
 
     /// Builds the continuous hardware configuration `[1, 6]` on the
@@ -207,22 +167,5 @@ mod tests {
     #[should_panic(expected = "expected 6 features")]
     fn decode_rejects_bad_length() {
         let _ = Generator::decode(&[0.5; 4]);
-    }
-
-    #[test]
-    fn generator_checkpoint_round_trip_is_bit_identical() {
-        let plan = NetworkPlan::cifar18();
-        let mut rng = Rng::new(9);
-        let generator = Generator::new(&plan, &mut rng);
-        let mut ckpt = Checkpoint::new();
-        generator.save_sections(&mut ckpt, "gen");
-        let back = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("parse");
-        let loaded = Generator::load_sections(&back, "gen", &plan).expect("load");
-        for (id, t) in generator.params().iter() {
-            assert_eq!(loaded.params().get(id).data(), t.data());
-        }
-        let enc = Architecture::uniform(18, 2).one_hot();
-        assert_eq!(loaded.propose(&enc), generator.propose(&enc));
-        assert!(Generator::load_sections(&back, "gen", &NetworkPlan::imagenet21()).is_err());
     }
 }

@@ -85,7 +85,7 @@
 //!     sess.forward();
 //!     assert_eq!(sess.scalar(out), (step * step) as f32 + 1.0);
 //! }
-//! assert!(SessionBank::global().num_programs() >= 1);
+//! assert!(SessionBank::global().stats().programs >= 1);
 //! ```
 
 use crate::program::{Program, Session};
@@ -364,16 +364,6 @@ impl SessionBank {
         self.inner.lock().expect("session bank poisoned")
     }
 
-    /// Number of distinct compiled programs currently cached.
-    pub fn num_programs(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Number of idle (checked-in) sessions across all programs.
-    pub fn num_idle_sessions(&self) -> usize {
-        self.lock().entries.values().map(|e| e.free.len()).sum()
-    }
-
     /// Occupancy plus cumulative hit/miss/eviction counters.
     pub fn stats(&self) -> BankStats {
         let inner = self.lock();
@@ -504,8 +494,8 @@ mod tests {
             sess.forward();
             assert_eq!(sess.scalar(meta.out), 14.0);
         }
-        assert_eq!(bank.num_programs(), 1);
-        assert_eq!(bank.num_idle_sessions(), 1);
+        assert_eq!(bank.stats().programs, 1);
+        assert_eq!(bank.stats().idle_sessions, 1);
         {
             // Reuses the pooled (dirty) session; the rebind + replay
             // must fully overwrite the previous state.
@@ -517,7 +507,7 @@ mod tests {
             sess.forward();
             assert_eq!(sess.scalar(meta.out), 4.0);
         }
-        assert_eq!(bank.num_idle_sessions(), 1);
+        assert_eq!(bank.stats().idle_sessions, 1);
         let stats = bank.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -529,7 +519,7 @@ mod tests {
         let key = bank_key("test-square-concurrent", &3usize);
         let mut a = bank.checkout(key, compile_square);
         let mut b = bank.checkout(key, || -> (Program, Meta) { panic!("must not recompile") });
-        assert_eq!(bank.num_idle_sessions(), 0);
+        assert_eq!(bank.stats().idle_sessions, 0);
         let meta = a.meta::<Meta>();
         a.session().bind(meta.x, &[1.0, 0.0, 0.0]);
         b.session().bind(meta.x, &[0.0, 2.0, 0.0]);
@@ -539,7 +529,7 @@ mod tests {
         assert_eq!(b.session().scalar(meta.out), 4.0);
         drop(a);
         drop(b);
-        assert_eq!(bank.num_idle_sessions(), 2);
+        assert_eq!(bank.stats().idle_sessions, 2);
     }
 
     #[test]
@@ -548,14 +538,14 @@ mod tests {
         let key = bank_key("test-square-clear", &3usize);
         let mut lease = bank.checkout(key, compile_square);
         bank.clear();
-        assert_eq!(bank.num_programs(), 0);
+        assert_eq!(bank.stats().programs, 0);
         let meta = lease.meta::<Meta>();
         let sess = lease.session();
         sess.bind(meta.x, &[3.0, 0.0, 0.0]);
         sess.forward();
         assert_eq!(sess.scalar(meta.out), 9.0);
         drop(lease); // stale program: discarded, not re-pooled
-        assert_eq!(bank.num_idle_sessions(), 0);
+        assert_eq!(bank.stats().idle_sessions, 0);
     }
 
     #[test]
@@ -566,7 +556,7 @@ mod tests {
         assert_ne!(k1, k2);
         let _a = bank.checkout(k1, compile_square);
         let _b = bank.checkout(k2, compile_square);
-        assert_eq!(bank.num_programs(), 2);
+        assert_eq!(bank.stats().programs, 2);
     }
 
     #[test]
@@ -580,7 +570,7 @@ mod tests {
             panic!("key 0 must still be cached")
         }));
         drop(bank.checkout(keys[2], compile_square));
-        assert_eq!(bank.num_programs(), 2);
+        assert_eq!(bank.stats().programs, 2);
         // Key 1 was evicted: this checkout must recompile; its
         // reinsert then evicts key 0 (the oldest use remaining).
         drop(bank.checkout(keys[1], compile_square));
@@ -608,9 +598,9 @@ mod tests {
         sess.bind(meta.x, &[2.0, 1.0, 0.0]);
         sess.forward();
         assert_eq!(sess.scalar(meta.out), 5.0);
-        let idle_before = bank.num_idle_sessions();
+        let idle_before = bank.stats().idle_sessions;
         drop(lease); // evicted program: session discarded, not re-pooled
-        assert_eq!(bank.num_idle_sessions(), idle_before);
+        assert_eq!(bank.stats().idle_sessions, idle_before);
     }
 
     #[test]
@@ -619,9 +609,9 @@ mod tests {
         for i in 0..4u64 {
             drop(bank.checkout(bank_key("shrink", &i), compile_square));
         }
-        assert_eq!(bank.num_programs(), 4);
+        assert_eq!(bank.stats().programs, 4);
         bank.set_capacity(Some(1));
-        assert_eq!(bank.num_programs(), 1);
+        assert_eq!(bank.stats().programs, 1);
         assert_eq!(bank.stats().evictions, 3);
         // The survivor is the most recently used key.
         drop(
@@ -692,7 +682,7 @@ mod tests {
             drop(bank.checkout(bank_key("test-square-other", &3usize), compile_square));
             release_tx.send(()).expect("release");
         });
-        assert_eq!(bank.num_programs(), 3);
+        assert_eq!(bank.stats().programs, 3);
     }
 
     #[test]
@@ -705,7 +695,7 @@ mod tests {
             }));
         }));
         assert!(failed.is_err());
-        assert_eq!(bank.num_programs(), 0, "failed compile must not linger");
+        assert_eq!(bank.stats().programs, 0, "failed compile must not linger");
         let mut lease = bank.checkout(key, compile_square);
         let meta = lease.meta::<Meta>();
         let sess = lease.session();

@@ -4,8 +4,9 @@
 //! optimizer state) to survive the process: a search run from a
 //! loaded checkpoint must be **bit-identical** to one run with the
 //! in-process artifact. This module provides the container format;
-//! each crate layers its own save/load on top (`Estimator::save`,
-//! `FinalNet::save`, …).
+//! its users layer their own sections on top (the estimator's
+//! `save_sections`/`load_sections`, a search's `SearchCheckpoint`,
+//! the catalog index).
 //!
 //! # Format
 //!
@@ -36,7 +37,7 @@
 //! tests pin that for the container itself; two loaders built on it
 //! pin it end to end: the bundle loader
 //! (`corrupt_bundles_are_typed_errors_never_panics` in
-//! `tests/serve.rs`) and the catalog index (`hdx-catalog`'s
+//! `tests/serve_router.rs`) and the catalog index (`hdx-catalog`'s
 //! `index_codec_rejects_corruption`). Section payload lengths are
 //! validated against the remaining buffer *before* any allocation, so
 //! a malicious length prefix cannot OOM the loader.

@@ -209,12 +209,6 @@ pub fn kaiming(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
     Tensor::randn(&[fan_in, fan_out], std, rng)
 }
 
-/// Xavier-Glorot normal initialization for a `[fan_in, fan_out]` weight.
-pub fn xavier(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
-    let std = (2.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::randn(&[fan_in, fan_out], std, rng)
-}
-
 /// A fully-connected layer `y = x·W + b`.
 #[derive(Debug, Clone)]
 pub struct Linear {

@@ -147,11 +147,6 @@ impl Adam {
         self.lr
     }
 
-    /// Overrides the learning rate (e.g. for warmup or decay).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Saves the full optimizer state (hyper-parameters, step count,
     /// first/second moments) as checkpoint sections under `prefix`, so
     /// a resumed training run continues bit-identically.

@@ -110,11 +110,6 @@ impl Rng {
         z0
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

@@ -17,7 +17,7 @@ use crate::rng::Rng;
 /// ```
 /// use hdx_tensor::Tensor;
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
@@ -74,25 +74,10 @@ impl Tensor {
         Self::from_vec(vec![value; shape.iter().product()], shape)
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a tensor of i.i.d. Gaussian samples `N(0, std²)`.
     pub fn randn(shape: &[usize], std: f32, rng: &mut Rng) -> Self {
         let n: usize = shape.iter().product();
         Self::from_vec((0..n).map(|_| rng.normal() * std).collect(), shape)
-    }
-
-    /// Creates a tensor of i.i.d. uniform samples in `[lo, hi)`.
-    pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let n: usize = shape.iter().product();
-        Self::from_vec((0..n).map(|_| rng.uniform_in(lo, hi)).collect(), shape)
     }
 
     /// The tensor's shape.
@@ -191,15 +176,6 @@ impl Tensor {
             "set: index ({r},{c}) out of bounds ({rows},{cols})"
         );
         self.data[r * cols + c] = value;
-    }
-
-    /// Returns a copy reshaped to `shape` (same number of elements).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(self.data.clone(), shape)
     }
 
     /// Elementwise map.
@@ -457,7 +433,11 @@ mod tests {
     fn matmul_identity_is_noop() {
         let mut rng = Rng::new(1);
         let a = Tensor::randn(&[3, 5], 1.0, &mut rng);
-        let c = a.matmul(&Tensor::eye(5));
+        let mut eye = Tensor::zeros(&[5, 5]);
+        for i in 0..5 {
+            eye.set(i, i, 1.0);
+        }
+        let c = a.matmul(&eye);
         assert!(a.max_abs_diff(&c) < 1e-6);
     }
 

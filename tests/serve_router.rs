@@ -16,14 +16,23 @@
 //! * Same bytes: every decoder outcome over the fuzz corpora, and a
 //!   scripted connection covering every verb, fold into two pinned
 //!   FNV-1a digests that a codec or router refactor must not move.
+//! * A bundle loaded from a file serves byte-identically to the
+//!   in-process artifacts, also when it carries the `lutN.*` cost-table
+//!   sections bundles used to hold (they are ignored).
+//! * Capping the session bank (`HDX_BANK_CAP` semantics) evicts
+//!   without changing a single result byte.
+//! * Corrupt, truncated, wrong-version and forged-dims bundle files
+//!   are typed errors, never panics or allocations of a forged size.
 
 use hdx_core::{prepare_context_with, PreparedContext, Task};
 use hdx_serve::v1;
 use hdx_serve::{
-    parse_request, save_bundle, task_code, train_artifacts, Artifacts, Request, Router,
-    RouterConfig, SearchRequest,
+    load_bundle, parse_request, save_bundle, task_code, train_artifacts, Artifacts, Request,
+    Router, RouterConfig, SearchRequest,
 };
 use hdx_surrogate::EstimatorConfig;
+use hdx_tensor::ckpt::{Checkpoint, CkptError};
+use hdx_tensor::{Rng, SessionBank, Tensor};
 use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
 
@@ -87,6 +96,41 @@ fn quick(id: u64, task: Task, seed: u64) -> SearchRequest {
         constraints: vec![hdx_core::Constraint::fps(30.0)],
         ..SearchRequest::default()
     }
+}
+
+/// A small but representative single-bundle request set: three seeds
+/// of the HDX method under a hard constraint, a baseline, a λ-grid
+/// sweep, and a meta-search (6 requests, 7 jobs).
+fn request_set() -> Vec<SearchRequest> {
+    let mut reqs: Vec<SearchRequest> = (0..3)
+        .map(|seed| quick(seed + 1, Task::Cifar, seed))
+        .collect();
+    let dance = |id: u64, seed: u64| SearchRequest {
+        method: hdx_core::Method::Dance,
+        constraints: Vec::new(),
+        ..quick(id, Task::Cifar, seed)
+    };
+    reqs.push(dance(4, 1));
+    reqs.push(SearchRequest {
+        lambda_grid: vec![0.001, 0.01],
+        ..dance(5, 2)
+    });
+    reqs.push(SearchRequest {
+        constraints: vec![hdx_core::Constraint::fps(30.0)],
+        max_searches: 2,
+        ..dance(6, 0)
+    });
+    reqs
+}
+
+/// Runs `reqs` as one batch over `jobs` workers and returns the v0
+/// report lines.
+fn encode_batch(router: &Router, reqs: &[SearchRequest], jobs: usize) -> Vec<String> {
+    router
+        .run_batch(reqs, jobs)
+        .into_iter()
+        .map(|r| r.expect("request set is valid").encode())
+        .collect()
 }
 
 /// Serves `input` over an in-memory connection and returns the
@@ -157,6 +201,22 @@ fn mixed_task_batches_route_and_stay_worker_invariant() {
     assert_eq!(stats.tasks[1].served, 3);
     assert_eq!(stats.requests_served, 12);
     assert!(stats.tasks[0].steps_used > 0);
+
+    // Every request class on one bundle is byte-invariant too: HDX
+    // under a hard constraint, a baseline, a grid and a meta-search.
+    let reqs = request_set();
+    let reference = encode_batch(&router, &reqs, 1);
+    assert_eq!(reference.len(), 7);
+    for line in &reference {
+        assert!(line.starts_with("report id="), "line: {line}");
+    }
+    for jobs in [2, 4] {
+        assert_eq!(
+            encode_batch(&router, &reqs, jobs),
+            reference,
+            "jobs={jobs}: request-set report bytes diverged"
+        );
+    }
 }
 
 #[test]
@@ -213,6 +273,11 @@ fn bundle_seed_pins_and_unload_is_in_band() {
         .expect_err("unloaded task");
     assert_eq!(err.id, 8);
     assert_eq!(err.kind.code(), "task_unavailable");
+    assert!(
+        err.encode().starts_with("error id=8 msg="),
+        "{}",
+        err.encode()
+    );
 }
 
 #[test]
@@ -261,6 +326,14 @@ fn runtime_load_bundle_serves_warm() {
         .unwrap()
         .expect("direct");
     assert_eq!(lines[3], report.encode_v1());
+    // …for every request class, at one and four workers.
+    for jobs in [1, 4] {
+        assert_eq!(
+            encode_batch(&router, &request_set(), jobs),
+            encode_batch(&direct, &request_set(), jobs),
+            "jobs={jobs}: warm-start reports diverged from in-process reports"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -1406,4 +1479,241 @@ fn per_verb_counters_pin_and_v0_stats_bytes_stay_frozen() {
     );
     assert_eq!(v0_line, expected, "v0 stats bytes must not grow fields");
     assert!(!v0_line.contains("task="), "v0 shim must not leak v1 rows");
+}
+
+#[test]
+fn old_bundle_lut_sections_are_ignored() {
+    let prepared = cifar();
+    let dir = std::env::temp_dir().join("hdx_serve_old_bundle_test");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let current = dir.join("current.ckpt");
+    save_bundle(&current, &cifar_artifacts()).expect("save bundle");
+
+    // The bundle layout, section by section: with a count of 0 it is
+    // exactly what `save_bundle` writes.
+    let sections = |lut_count: u64| {
+        let mut ckpt = Checkpoint::new();
+        ckpt.put_u64("bundle.meta", &[3], &[0, 7, 1500]);
+        ckpt.put_f64("bundle.accuracy", &[1], &[prepared.estimator_accuracy]);
+        prepared.estimator().save_sections(&mut ckpt, "est");
+        ckpt.put_u64("bundle.lut_count", &[1], &[lut_count]);
+        ckpt
+    };
+    assert_eq!(
+        sections(0).to_bytes(),
+        std::fs::read(&current).expect("read"),
+        "save_bundle must keep writing LUT-less bundle bytes"
+    );
+
+    // The layout of a bundle that carried one cost table.
+    let layers = Task::Cifar
+        .plan()
+        .layers_for(&hdx_core::Architecture::uniform(18, 0));
+    let lut = hdx_accel::LayerLut::cached(
+        &layers,
+        &hdx_tensor::WorkerPool::new(hdx_tensor::num_jobs(0)),
+    );
+    let mut ckpt = sections(1);
+    let words: Vec<u64> = layers
+        .iter()
+        .flat_map(|l| {
+            [
+                l.c_in, l.c_out, l.h_in, l.w_in, l.kernel, l.stride, l.groups,
+            ]
+        })
+        .map(|d| d as u64)
+        .collect();
+    ckpt.put_u64("lut0.layers", &[layers.len(), 7], &words);
+    let configs = lut.configs().len();
+    ckpt.put_u64("lut0.configs", &[1], &[configs as u64]);
+    let metrics: Vec<f64> = (0..layers.len())
+        .flat_map(|l| (0..configs).map(move |c| (l, c)))
+        .flat_map(|(l, c)| {
+            let m = lut.metrics(l, c);
+            [m.latency_ms, m.energy_mj, m.area_mm2]
+        })
+        .collect();
+    ckpt.put_f64("lut0.metrics", &[layers.len(), configs, 3], &metrics);
+    let old = dir.join("old.ckpt");
+    ckpt.save(&old).expect("save old bundle");
+
+    let from_file = load_bundle(&old).expect("old bundle loads from a file");
+    let from_bytes = hdx_serve::load_bundle_bytes(&std::fs::read(&old).expect("read"))
+        .expect("old bundle loads from bytes");
+    for loaded in [&from_file, &from_bytes] {
+        assert_eq!(
+            (loaded.task, loaded.seed, loaded.pairs),
+            (Task::Cifar, 7, 1500)
+        );
+    }
+
+    let serve = |path: &std::path::Path| {
+        let router = Router::new(RouterConfig::default());
+        router.load_bundle_path(path).expect("load bundle");
+        encode_batch(&router, &request_set(), 2)
+    };
+    assert_eq!(
+        serve(&old),
+        serve(&current),
+        "an old bundle's LUT sections changed served reports"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bank_cap_evicts_without_changing_results() {
+    let bank = SessionBank::global();
+    let router = dual_router(RouterConfig::default());
+    let req = quick(9, Task::Cifar, 1);
+    let run = || {
+        router
+            .run_one(&req)
+            .pop()
+            .expect("one job")
+            .expect("valid request")
+            .encode()
+    };
+
+    bank.set_capacity(None);
+    let unbounded = run();
+
+    // A tiny cap forces constant eviction/recompile churn across the
+    // sampled-mixture, estimator-shard, final-net, and head programs.
+    bank.set_capacity(Some(2));
+    let evictions_before = bank.stats().evictions;
+    let capped = run();
+    let stats = bank.stats();
+    bank.set_capacity(None);
+
+    assert_eq!(capped, unbounded, "LRU eviction changed a search result");
+    assert!(
+        stats.evictions > evictions_before,
+        "cap 2 must actually evict (evictions stayed at {evictions_before})"
+    );
+    assert!(stats.programs <= 2, "cap 2 exceeded: {stats:?}");
+    assert!(stats.misses > 0 && stats.hits + stats.misses > 0);
+}
+
+#[test]
+fn corrupt_bundles_are_typed_errors_never_panics() {
+    // Independent of the shared context: exercises the checkpoint
+    // container against a hostile file, end to end through the bundle
+    // loader.
+    let dir = std::env::temp_dir().join("hdx_serve_corrupt_test");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("hostile.ckpt");
+
+    // Not a checkpoint at all.
+    std::fs::write(&path, b"definitely not a checkpoint").expect("write");
+    assert!(matches!(load_bundle(&path), Err(CkptError::BadMagic)));
+
+    // A structurally valid checkpoint missing the bundle sections.
+    let mut ckpt = Checkpoint::new();
+    ckpt.put_tensor("unrelated", &Tensor::ones(&[2, 2]));
+    ckpt.save(&path).expect("save");
+    assert!(matches!(
+        load_bundle(&path),
+        Err(CkptError::MissingSection(_))
+    ));
+
+    // Random corruptions of a real (estimator-only) bundle.
+    let plan = Task::Cifar.plan();
+    let mut rng = Rng::new(3);
+    let est = hdx_surrogate::Estimator::new(&plan, EstimatorConfig::default(), &mut rng);
+    let artifacts = Artifacts {
+        task: Task::Cifar,
+        seed: 0,
+        pairs: 0,
+        estimator_accuracy: f64::NAN,
+        estimator: est,
+    };
+    save_bundle(&path, &artifacts).expect("save");
+    let bytes = std::fs::read(&path).expect("read");
+    for trial in 0..60 {
+        let mut corrupt = bytes.clone();
+        match trial % 3 {
+            0 => {
+                // Truncate at a pseudo-random point.
+                let len = rng.below(corrupt.len());
+                corrupt.truncate(len);
+            }
+            1 => {
+                // Flip a bit.
+                let pos = rng.below(corrupt.len());
+                corrupt[pos] ^= 1 << rng.below(8);
+            }
+            _ => {
+                // Declare an unsupported version.
+                corrupt[4] = 0xFE;
+            }
+        }
+        std::fs::write(&path, &corrupt).expect("write");
+        assert!(
+            load_bundle(&path).is_err(),
+            "trial {trial}: corruption went undetected"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A checksum-valid bundle whose `est.dims` declares a width or depth
+/// far past its stored weights is a typed error raised before anything
+/// is allocated from the declared dims: loaded directly, and through a
+/// router's `load_bundle`, whose connection keeps answering.
+#[test]
+fn forged_estimator_dims_are_typed_errors_not_allocations() {
+    let dir = std::env::temp_dir().join(format!("hdx_serve_forged_dims_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let plan = Task::Cifar.plan();
+    let est = hdx_surrogate::Estimator::new(&plan, EstimatorConfig::default(), &mut Rng::new(3));
+    let input_dim = est.input_dim() as u64;
+    // (hidden, depth, stored weight count): a forged width, a forged
+    // depth, and a forged depth whose weight count is forged to match.
+    for (case, (hidden, depth, count)) in [
+        (1u64 << 40, 5u64, 10u64),
+        (64, 1 << 40, 10),
+        (64, 1 << 40, 1 << 41),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut ckpt = Checkpoint::new();
+        ckpt.put_u64("bundle.meta", &[3], &[0, 7, 0]);
+        ckpt.put_f64("bundle.accuracy", &[1], &[f64::NAN]);
+        ckpt.put_u64("est.dims", &[3], &[input_dim, hidden, depth]);
+        ckpt.put_f32("est.stats", &[2, 3], &[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        ckpt.put_u64("est.w.count", &[1], &[count]);
+        for (id, tensor) in est.params().iter() {
+            ckpt.put_tensor(&format!("est.w.{}", id.index()), tensor);
+        }
+        ckpt.put_u64("bundle.lut_count", &[1], &[0]);
+        let path = dir.join(format!("forged_{case}.ckpt"));
+        ckpt.save(&path).expect("save forged bundle");
+
+        assert!(
+            matches!(load_bundle(&path), Err(CkptError::Malformed(_))),
+            "case {case}: forged dims must be a Malformed error"
+        );
+        let router = Router::new(RouterConfig::default());
+        let mut out = Vec::new();
+        router
+            .serve_connection(
+                Cursor::new(format!(
+                    "hdx1 load_bundle id=1 path={}\nhdx1 ping id=2\n",
+                    path.display()
+                )),
+                &mut out,
+            )
+            .expect("serve");
+        let out = String::from_utf8(out).expect("utf-8");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "case {case}: {out}");
+        assert!(
+            lines[0].starts_with("hdx1 error id=1 code=checkpoint"),
+            "case {case}: {}",
+            lines[0]
+        );
+        assert_eq!(lines[1], "hdx1 pong id=2", "case {case}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
