@@ -1145,6 +1145,60 @@ mod tests {
         assert_eq!(meta.step_budget(), 4 * (3 * 5 + 40));
     }
 
+    /// The search request a v0 or v1 line decodes to.
+    fn search_of(line: &str) -> SearchRequest {
+        let body = match v1::sniff(line) {
+            v1::Framing::V1 => v1::decode_request(line).map(|env| env.body),
+            _ => parse_request(line).map(Request::into_body),
+        };
+        match body.unwrap_or_else(|e| panic!("line \"{line}\": {e}")) {
+            v1::RequestBody::Search(req)
+            | v1::RequestBody::Grid(req)
+            | v1::RequestBody::Meta(req)
+            | v1::RequestBody::Resume(req) => req,
+            other => panic!("line \"{line}\" is not a search: {other:?}"),
+        }
+    }
+
+    /// Same-bytes pin for what a request line resolves to: every search
+    /// field at a non-default value, each method, each batched verb and
+    /// a checkpointed job. For each line and each job it expands to,
+    /// the digest covers the resolved [`SearchOptions`] (`Debug`), the
+    /// re-encoded line and the step budget. Nothing runs.
+    #[test]
+    fn options_pin_covers_every_search_field_method_and_verb() {
+        let lines = [
+            "search",
+            "search id=11 task=imagenet method=nas lambda_macs=0.25 fps=25 area=2.5 \
+             lambda_cost=0.01 lambda_soft=4 epochs=3 steps=4 batch=16 final_train=50 seed=9 \
+             num_paths=6",
+            "search id=12 method=dance fps=30 lambda_grid=0.5,1 max_searches=3 epochs=2",
+            "hdx1 search id=13 task=spheres method=hdx delta0=0.002 p=0.05 latency=40 energy=11 \
+             lambda_cost=0.02 epochs=5 steps=6 batch=64 final_train=0 seed=3 num_paths=2 \
+             bundle_seed=4 ckpt=/fixed/path ckpt_every=3",
+            "hdx1 grid id=14 task=highdim method=dance lambda_grid=0.001,0.01,0.1 epochs=2 \
+             steps=2 batch=8 final_train=10 seed=5",
+            "hdx1 meta id=15 task=manyclass method=autonba fps=30 max_searches=4 epochs=2 \
+             steps=3 batch=24 final_train=20 seed=6 num_paths=3",
+            "hdx1 resume id=16 task=edge method=nas ckpt=/fixed/path ckpt_every=3 epochs=4 \
+             seed=7 lambda_soft=0.5",
+        ];
+        let mut text = String::new();
+        for line in lines {
+            let req = search_of(line);
+            for job in std::iter::once(req.clone()).chain(req.expand()) {
+                let opts = job.options();
+                let (encoded, budget) = (job.encode(), job.step_budget());
+                text.push_str(&format!("{opts:?}\n{encoded}\n{budget}\n"));
+            }
+        }
+        let digest = hdx_tensor::ckpt::fnv1a(text.as_bytes());
+        assert_eq!(
+            digest, 0xb9e9_94be_b539_65ca,
+            "options digest moved: {digest:#018x}\n{text}"
+        );
+    }
+
     #[test]
     fn queue_fields_are_v1_only() {
         let req = SearchRequest {
