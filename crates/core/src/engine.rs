@@ -95,7 +95,7 @@ pub const SAFETY_MARGIN: f64 = 0.10;
 /// The learning rates and the steering margin are experiment constants
 /// ([`W_LR`], [`ALPHA_LR`], [`GEN_LR`], [`SAFETY_MARGIN`]), the same
 /// for every method, so a comparison changes only the method.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOptions {
     /// The method under test.
     pub method: Method,

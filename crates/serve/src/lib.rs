@@ -50,5 +50,5 @@ pub use artifact::{
     load_bundle, load_bundle_bytes, save_bundle, task_code, task_from_code, train_artifacts,
     train_artifacts_from, Artifacts,
 };
-pub use proto::{parse_request, v1, ErrorKind, ProtoError, Request, SearchReport, SearchRequest};
+pub use proto::{parse_request, v1, ErrorKind, ProtoError, SearchReport, SearchRequest};
 pub use router::{Router, RouterConfig};

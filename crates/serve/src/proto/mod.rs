@@ -17,9 +17,13 @@
 //! This module owns the version-independent core: the typed
 //! [`ProtoError`] (every failure names its kind, field, and byte
 //! offset), the [`SearchRequest`] / [`SearchReport`] payload types, and
-//! the v0 codec. [`v1`] layers the envelope
-//! (`request_id`/body enums), the verb table, and its canonical
-//! encode/decode pair on top.
+//! the v0 codec. A search request is its envelope fields (id, task,
+//! bundle seed, λ-grid, meta-search budget, resume flag) plus the
+//! engine's own [`SearchOptions`]; no option is defined twice. [`v1`]
+//! layers the envelope (`request_id`/body enums), the verb table, and
+//! its canonical encode/decode pair on top, and owns the one
+//! framing-aware request decoder ([`v1::decode_line`]) that reads every
+//! request line, v0 or v1.
 //!
 //! Both grammars share one field codec: a private reader walks a line's
 //! `key=value` tokens in order and hands each to the verb's schema
@@ -40,11 +44,14 @@
 
 pub mod v1;
 
-use hdx_core::{Constraint, DeltaPolicy, Method, Metric, SearchOptions, SearchResult, Task};
-use hdx_nas::{SupernetConfig, OP_SET};
+use hdx_core::{
+    CheckpointSpec, Constraint, DeltaPolicy, Method, Metric, SearchOptions, SearchResult, Task,
+};
+use hdx_nas::OP_SET;
 use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 /// What went wrong, precisely. Every variant that originates in a
 /// parser carries the byte offset of the offending token within the
@@ -470,33 +477,10 @@ impl Line {
     }
 }
 
-/// One parsed v0 input line (the PR-4 grammar; [`v1`] has the full
-/// envelope).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// A (meta-)search job.
-    Search(Box<SearchRequest>),
-    /// Bank/service statistics.
-    Stats,
-    /// Liveness probe.
-    Ping,
-}
-
-impl Request {
-    /// The v1 body this v0 request is served as. A v0 `search` is a v1
-    /// `search` whatever its options (a grid or meta-search carried on
-    /// a v0 line keeps its `lambda_grid` / `max_searches`).
-    pub fn into_body(self) -> v1::RequestBody {
-        match self {
-            Request::Search(req) => v1::RequestBody::Search(*req),
-            Request::Stats => v1::RequestBody::Stats,
-            Request::Ping => v1::RequestBody::Ping,
-        }
-    }
-}
-
 /// A single co-design search job (or a λ-grid / meta-search family of
-/// jobs) as carried by one `search`/`grid`/`meta`/`resume` line.
+/// jobs) as carried by one `search`/`grid`/`meta`/`resume` line: the
+/// envelope fields that route and expand it, plus the engine
+/// [`SearchOptions`] it runs with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchRequest {
     /// Caller-chosen id, echoed in the report.
@@ -508,103 +492,53 @@ pub struct SearchRequest {
     /// Explicit bundle seed to route to (v1; defaults to the lowest
     /// seed registered for the task).
     pub bundle_seed: Option<u64>,
-    /// Search method.
-    pub method: Method,
-    /// Hard constraints (enforced by HDX, monitored by baselines).
-    pub constraints: Vec<Constraint>,
-    /// λ_Cost (Eq. 6).
-    pub lambda_cost: f64,
-    /// Optional soft-penalty weight.
-    pub lambda_soft: Option<f64>,
     /// Optional λ_Cost grid: the service expands one request into one
     /// independent job per entry (Fig. 1-style sweeps as one line).
     pub lambda_grid: Vec<f64>,
-    /// Search epochs.
-    pub epochs: usize,
-    /// Steps per epoch.
-    pub steps: usize,
-    /// Mini-batch size.
-    pub batch: usize,
-    /// Final retraining steps (0 reports the supernet error).
-    pub final_train: usize,
-    /// RNG seed (per-job determinism: the report is a pure function of
-    /// the request).
-    pub seed: u64,
-    /// Supernet paths sampled per layer.
-    pub num_paths: usize,
     /// Meta-search budget: `> 1` runs the §5.2 constrained meta-search
     /// on the first constraint instead of a single search.
     pub max_searches: usize,
-    /// Mid-search snapshot path (v1 `ckpt=`): the engine writes a
-    /// `hdx_core::SearchCheckpoint` here every
-    /// [`SearchRequest::checkpoint_every`] epochs. For the `resume`
-    /// verb this is also the snapshot to load.
-    pub checkpoint: Option<String>,
-    /// Epoch boundaries between snapshots (v1 `ckpt_every=`).
-    pub checkpoint_every: usize,
-    /// Whether this request resumes from [`SearchRequest::checkpoint`]
-    /// (set by the v1 `resume` verb; a resumed search keeps
-    /// snapshotting to the same path).
+    /// Whether this request resumes from the snapshot its
+    /// `opts.checkpoint` names (set by the v1 `resume` verb; a resumed
+    /// search keeps snapshotting to the same path).
     pub resume_from_checkpoint: bool,
+    /// The options the job runs with. The wire keys `steps`,
+    /// `final_train` and `num_paths` set `steps_per_epoch`,
+    /// `final_train_steps` and `supernet.num_paths`; the v1 `ckpt=` /
+    /// `ckpt_every=` pair sets `checkpoint`. [`SearchRequest::options`]
+    /// resolves them for the engine.
+    pub opts: SearchOptions,
 }
 
 impl Default for SearchRequest {
     fn default() -> Self {
-        let opts = SearchOptions::default();
         SearchRequest {
             id: 0,
             sub: None,
             task: Task::Cifar,
             bundle_seed: None,
-            method: opts.method,
-            constraints: Vec::new(),
-            lambda_cost: opts.lambda_cost,
-            lambda_soft: None,
             lambda_grid: Vec::new(),
-            epochs: opts.epochs,
-            steps: opts.steps_per_epoch,
-            batch: opts.batch,
-            final_train: opts.final_train_steps,
-            seed: 0,
-            num_paths: opts.supernet.num_paths,
             max_searches: 1,
-            checkpoint: None,
-            checkpoint_every: 1,
             resume_from_checkpoint: false,
+            opts: SearchOptions::default(),
         }
     }
 }
 
 impl SearchRequest {
-    /// The [`SearchOptions`] this request resolves to. The inner search
-    /// runs single-worker (`jobs = 1`): the service parallelizes
-    /// *across* jobs, and results are worker-count invariant anyway.
+    /// The [`SearchOptions`] this request resolves to: its own, run
+    /// single-worker (`jobs = 1`; the service parallelizes *across*
+    /// jobs, and results are worker-count invariant anyway), with the
+    /// request line as the checkpoint note.
     pub fn options(&self) -> SearchOptions {
-        SearchOptions {
-            method: self.method,
-            lambda_cost: self.lambda_cost,
-            lambda_soft: self.lambda_soft,
-            constraints: self.constraints.clone(),
-            epochs: self.epochs,
-            steps_per_epoch: self.steps,
-            batch: self.batch,
-            final_train_steps: self.final_train,
-            seed: self.seed,
-            supernet: SupernetConfig {
-                num_paths: self.num_paths,
-                ..SupernetConfig::default()
-            },
+        let mut opts = SearchOptions {
             jobs: 1,
-            checkpoint: self
-                .checkpoint
-                .as_ref()
-                .map(|path| hdx_core::CheckpointSpec {
-                    path: PathBuf::from(path),
-                    every_epochs: self.checkpoint_every,
-                    note: Some(self.encode()),
-                }),
-            ..SearchOptions::default()
+            ..self.opts.clone()
+        };
+        if let Some(ckpt) = &mut opts.checkpoint {
+            ckpt.note = Some(self.encode());
         }
+        opts
     }
 
     /// The job's deterministic optimizer-step budget: what the per-job
@@ -621,9 +555,10 @@ impl SearchRequest {
     /// fields are client-controlled, and a wrapped product would slip a
     /// huge job under the deadline.
     pub fn steps_per_search(&self) -> u64 {
-        (self.epochs as u64)
-            .saturating_mul(self.steps as u64)
-            .saturating_add(self.final_train as u64)
+        let o = &self.opts;
+        (o.epochs as u64)
+            .saturating_mul(o.steps_per_epoch as u64)
+            .saturating_add(o.final_train_steps as u64)
     }
 
     /// Optimizer steps of `searches` runs of this request's schedule,
@@ -642,11 +577,14 @@ impl SearchRequest {
         self.lambda_grid
             .iter()
             .enumerate()
-            .map(|(k, &lambda)| SearchRequest {
-                sub: Some(k),
-                lambda_cost: lambda,
-                lambda_grid: Vec::new(),
-                ..self.clone()
+            .map(|(k, &lambda)| {
+                let mut job = SearchRequest {
+                    sub: Some(k),
+                    lambda_grid: Vec::new(),
+                    ..self.clone()
+                };
+                job.opts.lambda_cost = lambda;
+                job
             })
             .collect()
     }
@@ -678,8 +616,9 @@ impl SearchRequest {
     }
 
     fn write_fields<'l>(&self, line: &'l mut Line) -> &'l mut Line {
+        let o = &self.opts;
         line.field("id", self.id).field("task", self.task.label());
-        match self.method {
+        match o.method {
             Method::NasThenHw { lambda_macs } => line
                 .field("method", "nas")
                 .field("lambda_macs", lambda_macs),
@@ -690,30 +629,30 @@ impl SearchRequest {
                 .field("delta0", delta0)
                 .field("p", p),
         };
-        for c in &self.constraints {
+        for c in &o.constraints {
             line.field(metric_key(c.metric), c.target);
         }
-        line.field("lambda_cost", self.lambda_cost);
-        if let Some(l) = self.lambda_soft {
+        line.field("lambda_cost", o.lambda_cost);
+        if let Some(l) = o.lambda_soft {
             line.field("lambda_soft", l);
         }
         if !self.lambda_grid.is_empty() {
             let grid: Vec<String> = self.lambda_grid.iter().map(f64::to_string).collect();
             line.field("lambda_grid", grid.join(","));
         }
-        line.field("epochs", self.epochs)
-            .field("steps", self.steps)
-            .field("batch", self.batch)
-            .field("final_train", self.final_train)
-            .field("seed", self.seed)
-            .field("num_paths", self.num_paths)
+        line.field("epochs", o.epochs)
+            .field("steps", o.steps_per_epoch)
+            .field("batch", o.batch)
+            .field("final_train", o.final_train_steps)
+            .field("seed", o.seed)
+            .field("num_paths", o.supernet.num_paths)
             .field("max_searches", self.max_searches);
         if let Some(seed) = self.bundle_seed {
             line.field("bundle_seed", seed);
         }
-        if let Some(path) = &self.checkpoint {
-            line.field("ckpt", path)
-                .field("ckpt_every", self.checkpoint_every);
+        if let Some(ckpt) = &o.checkpoint {
+            line.field("ckpt", ckpt.path.display())
+                .field("ckpt_every", ckpt.every_epochs);
         }
         line
     }
@@ -727,24 +666,27 @@ fn metric_key(metric: Metric) -> &'static str {
     }
 }
 
-/// Parses one v0 input line into a [`Request`] (the PR-4 grammar —
-/// `search`/`stats`/`ping`; v1-only fields and verbs are rejected so
-/// the shim's accepted language stays exactly PR-4's).
+/// Parses one v0 input line into the [`v1::RequestBody`] it is served
+/// as (the PR-4 grammar — `search`/`stats`/`ping`; v1-only fields and
+/// verbs are rejected so the shim's accepted language stays exactly
+/// PR-4's). A v0 `search` is a v1 `search` whatever its options: a grid
+/// or meta-search carried on a v0 line keeps its `lambda_grid` /
+/// `max_searches`.
 ///
 /// # Errors
 ///
 /// A typed [`ProtoError`] naming the offending token and its byte
 /// offset; unknown keys are rejected (a typo must not silently fall
 /// back to a default), and so is trailing input after `stats`/`ping`.
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
+pub fn parse_request(line: &str) -> Result<v1::RequestBody, ProtoError> {
     let mut parts = tokens(line);
     let Some((verb_off, verb)) = parts.next() else {
         return Err(ProtoError::new(0, ErrorKind::EmptyLine));
     };
     let control = match verb {
-        "search" => return search_fields(parts, false).map(|req| Request::Search(Box::new(req))),
-        "stats" => Request::Stats,
-        "ping" => Request::Ping,
+        "search" => return search_fields(parts, false).map(v1::RequestBody::Search),
+        "stats" => v1::RequestBody::Stats,
+        "ping" => v1::RequestBody::Ping,
         other => return Err(unknown_verb(other, verb_off)),
     };
     // The PR-4 parser silently ignored trailing garbage on
@@ -762,6 +704,15 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
+/// Rows in `task`'s training split: the largest mini-batch a search on
+/// it may draw. The split size does not depend on the dataset seed.
+/// Read once per task: `Task::spec` allocates, and every decoded
+/// search line asks.
+fn train_rows(task: Task) -> usize {
+    static ROWS: OnceLock<Vec<usize>> = OnceLock::new();
+    ROWS.get_or_init(|| Task::ALL.iter().map(|t| t.spec(0).train).collect())[task.index()]
+}
+
 /// The search-type field schema, shared by the v0 and v1 grammars
 /// (`v1` admits the fields PR-4 did not have). Method parameters
 /// arrive as independent pairs; the [`Method`] is assembled after.
@@ -772,7 +723,9 @@ fn search_fields<'a>(
     let mut req = SearchRequest::default();
     let paper = DeltaPolicy::paper();
     let (mut method, mut delta0, mut p, mut lambda_macs) = ("hdx", paper.delta(), paper.p(), 0.05);
+    let (mut ckpt, mut every_epochs) = (None, 1);
     let id = read_fields(parts, |f| {
+        let o = &mut req.opts;
         match f.key {
             "task" => req.task = f.task()?,
             "method" => method = f.one_of(&["hdx", "dance", "autonba", "nas"])?,
@@ -781,15 +734,15 @@ fn search_fields<'a>(
             "lambda_macs" => lambda_macs = f.f64()?,
             "fps" | "latency" | "energy" | "area" => {
                 let target = f.parse_if(|v: &f64| *v > 0.0 && v.is_finite())?;
-                req.constraints.push(match f.key {
+                o.constraints.push(match f.key {
                     "fps" => Constraint::fps(target),
                     "latency" => Constraint::new(Metric::Latency, target),
                     "energy" => Constraint::new(Metric::Energy, target),
                     _ => Constraint::new(Metric::Area, target),
                 });
             }
-            "lambda_cost" => req.lambda_cost = f.f64()?,
-            "lambda_soft" => req.lambda_soft = Some(f.f64()?),
+            "lambda_cost" => o.lambda_cost = f.f64()?,
+            "lambda_soft" => o.lambda_soft = Some(f.f64()?),
             "lambda_grid" => {
                 // An entry's error names the entry, at the value offset.
                 req.lambda_grid = f
@@ -798,30 +751,44 @@ fn search_fields<'a>(
                     .map(|value| Field { value, ..*f }.f64())
                     .collect::<Result<_, _>>()?;
             }
-            "epochs" => req.epochs = f.positive()?,
-            "steps" => req.steps = f.positive()?,
-            "batch" => req.batch = f.positive()?,
-            "final_train" => req.final_train = f.parse()?,
-            "seed" => req.seed = f.u64()?,
-            "num_paths" => req.num_paths = f.parse_if(|n| (1..=OP_SET.len()).contains(n))?,
+            "epochs" => o.epochs = f.positive()?,
+            "steps" => o.steps_per_epoch = f.positive()?,
+            "batch" => o.batch = f.positive()?,
+            "final_train" => o.final_train_steps = f.parse()?,
+            "seed" => o.seed = f.u64()?,
+            "num_paths" => o.supernet.num_paths = f.parse_if(|n| (1..=OP_SET.len()).contains(n))?,
             "max_searches" => req.max_searches = f.positive()?,
             "bundle_seed" if v1 => req.bundle_seed = Some(f.u64()?),
-            "ckpt" if v1 => req.checkpoint = Some(f.nonempty()?),
-            "ckpt_every" if v1 => req.checkpoint_every = f.positive()?,
+            "ckpt" if v1 => ckpt = Some(f.nonempty()?),
+            "ckpt_every" if v1 => every_epochs = f.positive()?,
             _ => return Ok(false),
         }
         Ok(true)
     })?;
     req.id = id;
-    req.method = match method {
+    req.opts.method = match method {
         "hdx" => Method::Hdx { delta0, p },
         "dance" => Method::Dance,
         "autonba" => Method::AutoNba,
         _ => Method::NasThenHw { lambda_macs },
     };
-    if req.max_searches > 1 && req.constraints.is_empty() {
-        let message = "max_searches > 1 requires at least one constraint".to_owned();
-        return Err(ProtoError::new(id, ErrorKind::Invalid { message }));
+    req.opts.checkpoint = ckpt.map(|path| CheckpointSpec {
+        path: PathBuf::from(path),
+        every_epochs,
+        note: None,
+    });
+    let invalid = |message| Err(ProtoError::new(id, ErrorKind::Invalid { message }));
+    if req.max_searches > 1 && req.opts.constraints.is_empty() {
+        return invalid("max_searches > 1 requires at least one constraint".to_owned());
+    }
+    // Sampling a batch allocates `batch` rows: a bigger batch than the
+    // split only buys the client a huge allocation.
+    let (batch, rows) = (req.opts.batch, train_rows(req.task));
+    if batch > rows {
+        let task = req.task.label();
+        return invalid(format!(
+            "batch={batch} exceeds the {rows}-row training split of task {task}"
+        ));
     }
     Ok(req)
 }
@@ -897,10 +864,10 @@ impl SearchReport {
         SearchReport {
             id: req.id,
             sub: req.sub,
-            method: req.method.label(),
+            method: req.opts.method.label(),
             task: req.task.label(),
-            seed: req.seed,
-            lambda_cost: req.lambda_cost,
+            seed: req.opts.seed,
+            lambda_cost: req.opts.lambda_cost,
             searches,
             satisfied,
             arch: result.architecture.choices().to_vec(),
@@ -989,32 +956,41 @@ mod tests {
             SearchRequest {
                 id: 7,
                 task: Task::ImageNet,
-                method: Method::NasThenHw { lambda_macs: 0.25 },
-                constraints: vec![Constraint::fps(30.0), Constraint::new(Metric::Area, 2.5)],
-                lambda_soft: Some(4.0),
                 lambda_grid: vec![0.001, 0.01],
-                epochs: 3,
-                steps: 4,
-                batch: 16,
-                final_train: 50,
-                seed: 9,
-                num_paths: 6,
                 max_searches: 5,
+                opts: SearchOptions {
+                    method: Method::NasThenHw { lambda_macs: 0.25 },
+                    constraints: vec![Constraint::fps(30.0), Constraint::new(Metric::Area, 2.5)],
+                    lambda_soft: Some(4.0),
+                    epochs: 3,
+                    steps_per_epoch: 4,
+                    batch: 16,
+                    final_train_steps: 50,
+                    seed: 9,
+                    supernet: hdx_nas::SupernetConfig {
+                        num_paths: 6,
+                        ..Default::default()
+                    },
+                    ..SearchOptions::default()
+                },
                 ..SearchRequest::default()
             },
             SearchRequest {
-                method: Method::Hdx {
-                    delta0: 2e-3,
-                    p: 5e-2,
+                opts: SearchOptions {
+                    method: Method::Hdx {
+                        delta0: 2e-3,
+                        p: 5e-2,
+                    },
+                    constraints: vec![Constraint::new(Metric::Energy, 11.0)],
+                    ..SearchOptions::default()
                 },
-                constraints: vec![Constraint::new(Metric::Energy, 11.0)],
                 ..SearchRequest::default()
             },
         ];
         for req in reqs {
             let line = req.encode();
             match parse_request(&line).expect("round-trip") {
-                Request::Search(back) => assert_eq!(*back, req, "line: {line}"),
+                v1::RequestBody::Search(back) => assert_eq!(back, req, "line: {line}"),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1022,8 +998,8 @@ mod tests {
 
     #[test]
     fn control_verbs_parse() {
-        assert_eq!(parse_request("stats"), Ok(Request::Stats));
-        assert_eq!(parse_request(" ping "), Ok(Request::Ping));
+        assert_eq!(parse_request("stats"), Ok(v1::RequestBody::Stats));
+        assert_eq!(parse_request(" ping "), Ok(v1::RequestBody::Ping));
     }
 
     #[test]
@@ -1120,38 +1096,43 @@ mod tests {
         assert_eq!(jobs.len(), 3);
         for (k, job) in jobs.iter().enumerate() {
             assert_eq!(job.sub, Some(k));
-            assert_eq!(job.lambda_cost, req.lambda_grid[k]);
+            assert_eq!(job.opts.lambda_cost, req.lambda_grid[k]);
             assert!(job.lambda_grid.is_empty());
-            assert_eq!(job.seed, req.seed);
+            assert_eq!(job.opts.seed, req.opts.seed);
         }
         assert_eq!(SearchRequest::default().expand().len(), 1);
+    }
+
+    /// Default options with an `epochs × steps + final_train` schedule.
+    fn schedule(epochs: usize, steps_per_epoch: usize, final_train_steps: usize) -> SearchOptions {
+        SearchOptions {
+            epochs,
+            steps_per_epoch,
+            final_train_steps,
+            ..SearchOptions::default()
+        }
     }
 
     #[test]
     fn step_budget_is_request_derived() {
         let req = SearchRequest {
-            epochs: 3,
-            steps: 5,
-            final_train: 40,
             max_searches: 1,
+            opts: schedule(3, 5, 40),
             ..SearchRequest::default()
         };
         assert_eq!(req.step_budget(), 3 * 5 + 40);
-        let meta = SearchRequest {
+        let mut meta = SearchRequest {
             max_searches: 4,
-            constraints: vec![Constraint::fps(30.0)],
             ..req
         };
+        meta.opts.constraints = vec![Constraint::fps(30.0)];
         assert_eq!(meta.step_budget(), 4 * (3 * 5 + 40));
     }
 
     /// The search request a v0 or v1 line decodes to.
     fn search_of(line: &str) -> SearchRequest {
-        let body = match v1::sniff(line) {
-            v1::Framing::V1 => v1::decode_request(line).map(|env| env.body),
-            _ => parse_request(line).map(Request::into_body),
-        };
-        match body.unwrap_or_else(|e| panic!("line \"{line}\": {e}")) {
+        let env = v1::decode_line(v1::sniff(line), line);
+        match env.unwrap_or_else(|e| panic!("line \"{line}\": {e}")).body {
             v1::RequestBody::Search(req)
             | v1::RequestBody::Grid(req)
             | v1::RequestBody::Meta(req)
@@ -1203,9 +1184,7 @@ mod tests {
     fn queue_fields_are_v1_only() {
         let req = SearchRequest {
             id: 5,
-            epochs: 2,
-            steps: 3,
-            final_train: 10,
+            opts: schedule(2, 3, 10),
             ..SearchRequest::default()
         };
         let result_free_report = SearchReport {

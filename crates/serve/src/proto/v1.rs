@@ -42,8 +42,8 @@
 //! connection can interleave v0 and v1 clients' traffic.
 
 use super::{
-    bit, need, read_fields, search_fields, tokens, unknown_verb, ErrorKind, Field, Line,
-    ProtoError, SearchReport, SearchRequest,
+    bit, need, parse_request, read_fields, search_fields, tokens, unknown_verb, ErrorKind, Field,
+    Line, ProtoError, SearchReport, SearchRequest,
 };
 use hdx_core::Task;
 
@@ -368,6 +368,26 @@ pub fn sniff(line: &str) -> Framing {
     }
 }
 
+/// Decodes one request line in the framing [`sniff`] gave it: the one
+/// request decoder for both framings. A v0 line decodes through
+/// [`parse_request`] into the body it is served as, under request id 0
+/// (v0 replies never carry one); a line leading with an unsupported
+/// version token is a `VersionMismatch`.
+///
+/// # Errors
+///
+/// The typed [`ProtoError`] of the framing's decoder.
+pub fn decode_line(framing: Framing, line: &str) -> Result<Envelope<RequestBody>, ProtoError> {
+    match framing {
+        Framing::V0 => Ok(Envelope::v1(0, parse_request(line)?)),
+        Framing::V1 => decode_request(line),
+        Framing::Unsupported { token, offset } => Err(ProtoError::new(
+            0,
+            ErrorKind::VersionMismatch { token, offset },
+        )),
+    }
+}
+
 /// Checks a v1 line's version token and splits off its verb (with its
 /// byte offset) from the field tokens.
 fn open(line: &str) -> Result<(usize, &str, impl Iterator<Item = (usize, &str)>), ProtoError> {
@@ -502,7 +522,7 @@ fn batched(verb: &str, mut req: SearchRequest) -> Result<Envelope<RequestBody>, 
     };
     let grid = !req.lambda_grid.is_empty();
     let meta = req.max_searches > 1;
-    let ckpt = req.checkpoint.is_some();
+    let ckpt = req.opts.checkpoint.is_some();
     let body = match verb {
         "search" if grid => return invalid("search does not take lambda_grid (use the grid verb)"),
         "search" if meta => {
@@ -905,7 +925,7 @@ fn decode_report<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdx_core::{Constraint, Method};
+    use hdx_core::{CheckpointSpec, Constraint, Method};
 
     #[test]
     fn sniff_classifies_framings() {
@@ -927,32 +947,38 @@ mod tests {
 
     #[test]
     fn request_envelopes_round_trip() {
-        let search = SearchRequest {
+        let ckpt = |path: &str, every_epochs| {
+            Some(CheckpointSpec {
+                path: path.into(),
+                every_epochs,
+                note: None,
+            })
+        };
+        let mut search = SearchRequest {
             id: 3,
-            constraints: vec![Constraint::fps(30.0)],
-            checkpoint: Some("/tmp/s3.ckpt".to_owned()),
-            checkpoint_every: 2,
             bundle_seed: Some(7),
             ..SearchRequest::default()
         };
+        search.opts.constraints = vec![Constraint::fps(30.0)];
+        search.opts.checkpoint = ckpt("/tmp/s3.ckpt", 2);
         let grid = SearchRequest {
             id: 4,
             lambda_grid: vec![0.001, 0.01],
             ..SearchRequest::default()
         };
-        let meta = SearchRequest {
+        let mut meta = SearchRequest {
             id: 5,
             max_searches: 3,
-            constraints: vec![Constraint::fps(30.0)],
-            method: Method::Dance,
             ..SearchRequest::default()
         };
-        let resume = SearchRequest {
+        meta.opts.constraints = vec![Constraint::fps(30.0)];
+        meta.opts.method = Method::Dance;
+        let mut resume = SearchRequest {
             id: 6,
-            checkpoint: Some("/tmp/s6.ckpt".to_owned()),
             resume_from_checkpoint: true,
             ..SearchRequest::default()
         };
+        resume.opts.checkpoint = ckpt("/tmp/s6.ckpt", 1);
         let envelopes = vec![
             Envelope::v1(3, RequestBody::Search(search)),
             Envelope::v1(4, RequestBody::Grid(grid)),

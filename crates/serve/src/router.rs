@@ -34,7 +34,7 @@
 //!   in-band `deadline_exceeded` error before any work runs.
 
 use crate::artifact::{load_bundle, load_bundle_bytes, task_from_code, Artifacts};
-use crate::proto::{parse_request, v1, ErrorKind, ProtoError, SearchReport, SearchRequest};
+use crate::proto::{v1, ErrorKind, ProtoError, SearchReport, SearchRequest};
 use crate::service::TaskService;
 use hdx_core::{PreparedContext, Task};
 use hdx_tensor::ckpt::CkptError;
@@ -462,7 +462,7 @@ impl Router {
                 // own framing) and the connection closes; the work
                 // already accepted still flushes first.
                 Some(limit) => Err(ProtoError::new(0, ErrorKind::QuotaExceeded { limit })),
-                None => decode(framing, &line).inspect_err(|_| OBS_PROTO_ERRORS.incr()),
+                None => v1::decode_line(framing, &line).inspect_err(|_| OBS_PROTO_ERRORS.incr()),
             };
             if let Ok(env) = &decoded {
                 verb_counter(env.body.verb_index()).incr();
@@ -540,19 +540,6 @@ fn reply_line(v0: bool, id: u64, body: v1::ResponseBody) -> String {
     }
 }
 
-/// Decodes one line in the framing [`v1::sniff`] gave it. A v0
-/// request lifts into its v1 body (its replies never carry an id).
-fn decode(framing: v1::Framing, line: &str) -> Result<v1::Envelope<v1::RequestBody>, ProtoError> {
-    match framing {
-        v1::Framing::V0 => Ok(v1::Envelope::v1(0, parse_request(line)?.into_body())),
-        v1::Framing::V1 => v1::decode_request(line),
-        v1::Framing::Unsupported { token, offset } => Err(ProtoError::new(
-            0,
-            ErrorKind::VersionMismatch { token, offset },
-        )),
-    }
-}
-
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
@@ -565,7 +552,7 @@ impl std::fmt::Debug for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdx_core::Constraint;
+    use hdx_core::{CheckpointSpec, Constraint};
 
     /// One canonical request body per verb, in [`v1::VERBS`] order.
     fn sample_bodies() -> Vec<v1::RequestBody> {
@@ -574,22 +561,28 @@ mod tests {
             id: 1,
             ..SearchRequest::default()
         };
+        let mut meta = SearchRequest {
+            max_searches: 2,
+            ..search.clone()
+        };
+        meta.opts.constraints = vec![Constraint::fps(30.0)];
+        let mut resume = SearchRequest {
+            resume_from_checkpoint: true,
+            ..search.clone()
+        };
+        resume.opts.checkpoint = Some(CheckpointSpec {
+            path: "/tmp/r.ckpt".into(),
+            every_epochs: 1,
+            note: None,
+        });
         vec![
             Body::Search(search.clone()),
             Body::Grid(SearchRequest {
                 lambda_grid: vec![0.1, 0.2],
-                ..search.clone()
-            }),
-            Body::Meta(SearchRequest {
-                max_searches: 2,
-                constraints: vec![Constraint::fps(30.0)],
-                ..search.clone()
-            }),
-            Body::Resume(SearchRequest {
-                checkpoint: Some("/tmp/r.ckpt".to_owned()),
-                resume_from_checkpoint: true,
                 ..search
             }),
+            Body::Meta(meta),
+            Body::Resume(resume),
             Body::Stats,
             Body::Ping,
             Body::LoadBundle {
@@ -624,6 +617,56 @@ mod tests {
                 (ticked(cells[1]), ticked(cells[cells.len() - 2]))
             })
             .collect()
+    }
+
+    #[test]
+    fn batch_is_bounded_by_the_task_training_split() {
+        for task in Task::ALL {
+            let (label, rows) = (task.label(), task.spec(0).train);
+            let line = |batch: usize| format!("hdx1 search id=1 task={label} batch={batch}");
+            let at_bound = v1::decode_line(v1::Framing::V1, &line(rows)).expect("bound decodes");
+            assert_eq!(at_bound.body.verb_index(), 0, "{label}");
+            let over = rows + 1;
+            for framing in [v1::Framing::V0, v1::Framing::V1] {
+                let text = match framing {
+                    v1::Framing::V0 => format!("search id=1 task={label} batch={over}"),
+                    _ => line(over),
+                };
+                let err = v1::decode_line(framing, &text).expect_err(&text);
+                assert_eq!((err.id, err.kind.code()), (1, "invalid_request"), "{text}");
+                let msg = err.kind.message();
+                for part in [
+                    format!("batch={over}"),
+                    format!("{rows}-row"),
+                    label.to_owned(),
+                ] {
+                    assert!(msg.contains(&part), "{msg:?} lacks {part:?}");
+                }
+            }
+        }
+        // Refused in-band, in either framing; the connection goes on.
+        let input = "hdx1 search id=1 task=imagenet batch=4097\nhdx1 ping id=2\n\
+                     search id=3 batch=8193\nping\n";
+        let mut out = Vec::new();
+        let router = Router::new(RouterConfig::default());
+        router
+            .serve_connection(input.as_bytes(), &mut out)
+            .expect("in-memory serve");
+        let text = String::from_utf8(out).expect("utf-8 replies");
+        let replies: Vec<&str> = text.lines().collect();
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        assert!(
+            replies[0].starts_with("hdx1 error id=1 code=invalid_request msg=batch=4097_"),
+            "{}",
+            replies[0]
+        );
+        assert_eq!(replies[1], "hdx1 pong id=2");
+        assert!(
+            replies[2].starts_with("error id=3 msg=batch=8193_"),
+            "{}",
+            replies[2]
+        );
+        assert_eq!(replies[3], "pong");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::proto::{v1, ErrorKind, ProtoError, SearchReport, SearchRequest};
 use hdx_core::{
     constrained_meta_search, resume_search, try_run_search, PreparedContext, SearchCheckpoint, Task,
 };
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -97,14 +96,15 @@ impl TaskService {
         let opts = req.options();
         let ckpt_err = |e: hdx_tensor::ckpt::CkptError| fail(ErrorKind::checkpoint(e));
         let report = if req.resume_from_checkpoint {
-            let path = req.checkpoint.as_deref();
-            let path = path.ok_or_else(|| fail(ErrorKind::MissingField { key: "ckpt" }))?;
-            let snapshot = SearchCheckpoint::load(Path::new(path)).map_err(ckpt_err)?;
+            let ckpt = req.opts.checkpoint.as_ref();
+            let ckpt = ckpt.ok_or_else(|| fail(ErrorKind::MissingField { key: "ckpt" }))?;
+            let snapshot = SearchCheckpoint::load(&ckpt.path).map_err(ckpt_err)?;
             let result = resume_search(&ctx, &opts, &snapshot).map_err(ckpt_err)?;
             let satisfied = result.in_constraint;
             SearchReport::from_result(req, &result, 1, satisfied)
         } else if req.max_searches > 1 {
             let constraint = *req
+                .opts
                 .constraints
                 .first()
                 .expect("meta-search requests carry a constraint (parser-enforced)");

@@ -11,7 +11,7 @@
 //! machines expanding the same key produce byte-identical bundles and
 //! byte-identical request streams.
 
-use hdx_core::Task;
+use hdx_core::{SearchOptions, Task};
 use hdx_serve::v1;
 use hdx_serve::{train_artifacts, Artifacts, SearchRequest};
 use hdx_tensor::ckpt::CkptError;
@@ -123,13 +123,16 @@ pub fn request_lines(
                 id: start_id + i as u64,
                 task,
                 bundle_seed: Some(bundle_seed),
-                seed: rng.below(3) as u64,
-                lambda_cost: lambda,
-                epochs: 2,
-                steps: 3,
-                batch: 16,
-                final_train: 40,
-                constraints: vec![hdx_core::Constraint::fps(fps)],
+                opts: SearchOptions {
+                    seed: rng.below(3) as u64,
+                    lambda_cost: lambda,
+                    epochs: 2,
+                    steps_per_epoch: 3,
+                    batch: 16,
+                    final_train_steps: 40,
+                    constraints: vec![hdx_core::Constraint::fps(fps)],
+                    ..SearchOptions::default()
+                },
                 ..SearchRequest::default()
             };
             match i % 4 {
@@ -203,14 +206,7 @@ mod tests {
         assert_ne!(a, d, "family must matter");
         // Every line must parse in its own framing.
         for line in &a {
-            match v1::sniff(line) {
-                v1::Framing::V1 => {
-                    v1::decode_request(line).expect("v1 line decodes");
-                }
-                _ => {
-                    hdx_serve::parse_request(line).expect("v0 line parses");
-                }
-            }
+            v1::decode_line(v1::sniff(line), line).expect(line);
         }
     }
 

@@ -16,7 +16,7 @@
 //! appears in a report.
 
 use crate::trace::{Trace, TraceError};
-use hdx_serve::{parse_request, v1, SearchReport};
+use hdx_serve::{v1, SearchReport};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -126,23 +126,24 @@ pub fn trace_fnv(trace: &Trace) -> u64 {
 /// The verb class a trace entry's request belongs to, as an index into
 /// [`VERB_LABELS`], plus the request's per-search step budget when the
 /// line carries one (v0 reports are frozen without `steps_used`, so
-/// their steps are reconstructed as `searches × budget`).
-fn classify_request(line: &str) -> Result<(usize, Option<u64>), TraceError> {
-    let body = match v1::sniff(line) {
-        v1::Framing::V1 => v1::decode_request(line).map_err(TraceError::Proto)?.body,
-        _ => parse_request(line).map_err(TraceError::Proto)?.into_body(),
+/// their steps are reconstructed as `searches × budget`). A line that
+/// does not decode produced no jobs: the router answered it with an
+/// in-band error, which the trace recorded.
+fn classify_request(line: &str) -> (usize, Option<u64>) {
+    let Ok(env) = v1::decode_line(v1::sniff(line), line) else {
+        return (0, None);
     };
-    Ok(match &body {
+    match &env.body {
         // A `search` body — every v0 search line among them — counts
         // under the verb its options imply, the same precedence the
         // per-bundle verb counters use.
         v1::RequestBody::Search(req) => (req.verb_index(), Some(req.steps_per_search())),
         v1::RequestBody::Grid(req) | v1::RequestBody::Meta(req) | v1::RequestBody::Resume(req) => {
-            (body.verb_index(), Some(req.steps_per_search()))
+            (env.body.verb_index(), Some(req.steps_per_search()))
         }
         // Control verbs produce no jobs; attribute nothing.
         _ => (0, None),
-    })
+    }
 }
 
 /// Decodes a recorded response line as a report if it is one. v0
@@ -167,12 +168,15 @@ fn decode_report_line(line: &str) -> Result<Option<SearchReport>, TraceError> {
 }
 
 impl ServeScore {
-    /// Computes the pinned score from trace content alone.
+    /// Computes the pinned score from trace content alone. A request
+    /// line that does not decode counts no jobs; the error the router
+    /// recorded for it counts in `protocol_errors`.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Proto`] if a recorded line fails to decode — a
-    /// trace that cannot be scored is corrupt, not zero-scored.
+    /// [`TraceError::Proto`] if a recorded response line fails to
+    /// decode — a trace that cannot be scored is corrupt, not
+    /// zero-scored.
     pub fn from_trace(trace: &Trace) -> Result<ServeScore, TraceError> {
         let mut families: Vec<FamilyScore> = Vec::new();
         let mut verb_jobs = [0u64; 4];
@@ -183,7 +187,7 @@ impl ServeScore {
         let mut max_queue_depth = 0u64;
 
         for entry in &trace.entries {
-            let (slot, per_search) = classify_request(&entry.request)?;
+            let (slot, per_search) = classify_request(&entry.request);
             let mut entry_jobs = 0u64;
             for line in &entry.expect {
                 if line.starts_with("error ") || line.starts_with("hdx1 error ") {
@@ -437,6 +441,22 @@ mod tests {
         assert_eq!(score.total_jobs, 0);
         assert_eq!(score.protocol_errors, 1);
         assert_eq!(score.jobs_per_kilostep, 0.0);
+    }
+
+    #[test]
+    fn a_recorded_trace_with_an_undecodable_request_scores() {
+        // The router answers a line that does not decode in-band, so the
+        // recorder keeps it; its score counts that error and no job.
+        let router = hdx_serve::Router::new(hdx_serve::RouterConfig::default());
+        let requests = ["search id=1 frob=1".to_owned(), "hdx1 ping id=2".to_owned()];
+        let trace = Trace::record(&router, &requests).expect("record");
+        assert_eq!(
+            trace.entries[0].expect[0],
+            "error id=1 msg=unknown_field_\"frob\""
+        );
+        assert_eq!(trace.entries[1].expect[0], "hdx1 pong id=2");
+        let score = ServeScore::from_trace(&trace).expect("a recorded trace scores");
+        assert_eq!((score.total_jobs, score.protocol_errors), (0, 1));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! cargo run --release --example serve_multi_task
 //! ```
 
-use hdx_core::Task;
+use hdx_core::{CheckpointSpec, SearchOptions, Task};
 use hdx_serve::{train_artifacts, Router, RouterConfig, SearchRequest};
 use std::io::Cursor;
 
@@ -63,35 +63,40 @@ hdx1 stats id=4
 
     // -- interrupt + resume ------------------------------------------
     println!("== resumable search ==");
-    let ckpt = dir.join("search.ckpt").display().to_string();
+    let ckpt = dir.join("search.ckpt");
     let full = SearchRequest {
         id: 10,
-        epochs: 6,
-        steps: 8,
-        final_train: 400,
-        seed: 3,
-        constraints: vec![hdx_core::Constraint::fps(30.0)],
+        opts: SearchOptions {
+            epochs: 6,
+            steps_per_epoch: 8,
+            final_train_steps: 400,
+            seed: 3,
+            constraints: vec![hdx_core::Constraint::fps(30.0)],
+            ..SearchOptions::default()
+        },
         ..SearchRequest::default()
     };
     // Reference: the uninterrupted 6-epoch run.
     let reference = serve(&router, &format!("hdx1 {}\n", full.encode()));
 
     // "Interrupt" after 3 epochs, snapshotting every epoch…
-    let interrupted = SearchRequest {
-        epochs: 3,
-        checkpoint: Some(ckpt.clone()),
-        ..full.clone()
-    };
+    let mut interrupted = full.clone();
+    interrupted.opts.epochs = 3;
+    interrupted.opts.checkpoint = Some(CheckpointSpec {
+        path: ckpt.clone(),
+        every_epochs: 1,
+        note: None,
+    });
     serve(&router, &format!("hdx1 {}\n", interrupted.encode()));
-    println!("interrupted after 3 of 6 epochs (snapshot at {ckpt})");
+    println!(
+        "interrupted after 3 of 6 epochs (snapshot at {})",
+        ckpt.display()
+    );
 
     // …then resume to the full schedule through the protocol.
-    let resume_fields = SearchRequest {
-        epochs: 6,
-        checkpoint: Some(ckpt),
-        ..full
-    }
-    .encode();
+    let mut resume = interrupted;
+    resume.opts.epochs = 6;
+    let resume_fields = resume.encode();
     let resume_line = format!(
         "hdx1 resume {}\n",
         resume_fields.strip_prefix("search ").expect("prefix")

@@ -15,7 +15,7 @@
 //!   object nor one leased by a loaded bundle can be evicted.
 
 use hdx_catalog::{format_ref, Catalog};
-use hdx_core::Task;
+use hdx_core::{SearchOptions, Task};
 use hdx_serve::{
     save_bundle, task_code, train_artifacts, Artifacts, Router, RouterConfig, SearchRequest,
 };
@@ -54,12 +54,15 @@ fn quick(id: u64, seed: u64) -> SearchRequest {
     SearchRequest {
         id,
         task: Task::Cifar,
-        seed,
-        epochs: 2,
-        steps: 3,
-        batch: 16,
-        final_train: 40,
-        constraints: vec![hdx_core::Constraint::fps(30.0)],
+        opts: SearchOptions {
+            seed,
+            epochs: 2,
+            steps_per_epoch: 3,
+            batch: 16,
+            final_train_steps: 40,
+            constraints: vec![hdx_core::Constraint::fps(30.0)],
+            ..SearchOptions::default()
+        },
         ..SearchRequest::default()
     }
 }

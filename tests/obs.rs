@@ -18,7 +18,7 @@
 //! process-global and sticky, so the untraced reference must run first
 //! in the same process.
 
-use hdx_core::{prepare_context_with, PreparedContext, Task};
+use hdx_core::{prepare_context_with, PreparedContext, SearchOptions, Task};
 use hdx_serve::v1;
 use hdx_serve::{Router, RouterConfig, SearchRequest};
 use hdx_surrogate::EstimatorConfig;
@@ -71,23 +71,26 @@ fn sweep_input() -> String {
         let req = SearchRequest {
             id: 1 + seed,
             task: Task::Cifar,
-            seed,
-            epochs: 2,
-            steps: 2,
-            batch: 16,
-            final_train: 20,
-            constraints: vec![hdx_core::Constraint::fps(30.0)],
+            opts: SearchOptions {
+                seed,
+                epochs: 2,
+                steps_per_epoch: 2,
+                batch: 16,
+                final_train_steps: 20,
+                constraints: vec![hdx_core::Constraint::fps(30.0)],
+                ..SearchOptions::default()
+            },
             ..SearchRequest::default()
         };
         let fields = req.encode();
         let fields = fields.strip_prefix("search ").expect("search prefix");
         input.push_str(&format!("search {fields}\nhdx1 search {fields}\n"));
-        let grid = SearchRequest {
+        let mut grid = SearchRequest {
             id: 10 + seed,
             lambda_grid: vec![0.001, 0.01],
-            constraints: Vec::new(),
             ..req
         };
+        grid.opts.constraints.clear();
         let fields = grid.encode();
         let fields = fields.strip_prefix("search ").expect("search prefix");
         input.push_str(&format!("hdx1 grid {fields}\n"));

@@ -14,7 +14,7 @@
 //! resume bit-identity, old-bundle LUT sections, bank-cap eviction and
 //! bundle-loader robustness are pinned by `tests/serve_router.rs`.)
 
-use hdx_core::{prepare_context_with, PreparedContext, Task};
+use hdx_core::{prepare_context_with, PreparedContext, SearchOptions, Task};
 use hdx_serve::{save_bundle, train_artifacts, Artifacts, Router, RouterConfig, SearchRequest};
 use hdx_surrogate::EstimatorConfig;
 use std::io::Cursor;
@@ -53,46 +53,45 @@ fn single_router() -> Router {
     router
 }
 
+/// An HDX search under `fps = 30` on a short schedule.
+fn quick(id: u64, seed: u64) -> SearchRequest {
+    SearchRequest {
+        id,
+        opts: SearchOptions {
+            seed,
+            epochs: 2,
+            steps_per_epoch: 3,
+            batch: 16,
+            final_train_steps: 40,
+            constraints: vec![hdx_core::Constraint::fps(30.0)],
+            ..SearchOptions::default()
+        },
+        ..SearchRequest::default()
+    }
+}
+
 /// A small but representative request set: three seeds of the HDX
 /// method under a hard constraint, a baseline, a λ-grid sweep, and a
 /// meta-search.
 fn request_set() -> Vec<SearchRequest> {
-    let quick = SearchRequest {
-        epochs: 2,
-        steps: 3,
-        batch: 16,
-        final_train: 40,
-        ..SearchRequest::default()
+    let dance = |id: u64, seed: u64| {
+        let mut req = quick(id, seed);
+        req.opts.method = hdx_core::Method::Dance;
+        req.opts.constraints.clear();
+        req
     };
-    let mut reqs: Vec<SearchRequest> = (0..3)
-        .map(|seed| SearchRequest {
-            id: seed + 1,
-            seed,
-            constraints: vec![hdx_core::Constraint::fps(30.0)],
-            ..quick.clone()
-        })
-        .collect();
+    let mut reqs: Vec<SearchRequest> = (0..3).map(|seed| quick(seed + 1, seed)).collect();
+    reqs.push(dance(4, 1));
     reqs.push(SearchRequest {
-        id: 4,
-        method: hdx_core::Method::Dance,
-        seed: 1,
-        ..quick.clone()
-    });
-    reqs.push(SearchRequest {
-        id: 5,
-        method: hdx_core::Method::Dance,
-        seed: 2,
         lambda_grid: vec![0.001, 0.01],
-        ..quick.clone()
+        ..dance(5, 2)
     });
-    reqs.push(SearchRequest {
-        id: 6,
-        method: hdx_core::Method::Dance,
-        seed: 0,
-        constraints: vec![hdx_core::Constraint::fps(30.0)],
+    let mut meta = SearchRequest {
         max_searches: 2,
-        ..quick.clone()
-    });
+        ..quick(6, 0)
+    };
+    meta.opts.method = hdx_core::Method::Dance;
+    reqs.push(meta);
     reqs
 }
 
@@ -150,13 +149,13 @@ fn warm_start_from_bundle_is_byte_identical() {
 #[test]
 fn line_protocol_batches_and_reports_in_order() {
     let router = single_router();
-    let quick = "epochs=2 steps=3 batch=16 final_train=40 fps=30";
+    let short = "epochs=2 steps=3 batch=16 final_train=40 fps=30";
     let input = format!(
         "ping\n\
-         search id=11 seed=0 {quick}\n\
-         search id=12 seed=1 {quick}\n\
+         search id=11 seed=0 {short}\n\
+         search id=12 seed=1 {short}\n\
          stats\n\
-         search id=13 seed=2 {quick}\n\
+         search id=13 seed=2 {short}\n\
          bogus line\n"
     );
     let mut out = Vec::new();
@@ -177,20 +176,12 @@ fn line_protocol_batches_and_reports_in_order() {
     // The same requests one-per-connection give the same report lines:
     // batching is a scheduling detail, not a semantic one.
     for (line, seed) in [(lines[1], 0u64), (lines[2], 1), (lines[4], 2)] {
-        let req = SearchRequest {
-            id: match seed {
-                0 => 11,
-                1 => 12,
-                _ => 13,
-            },
-            seed,
-            epochs: 2,
-            steps: 3,
-            batch: 16,
-            final_train: 40,
-            constraints: vec![hdx_core::Constraint::fps(30.0)],
-            ..SearchRequest::default()
+        let id = match seed {
+            0 => 11,
+            1 => 12,
+            _ => 13,
         };
+        let req = quick(id, seed);
         let direct = router
             .run_one(&req)
             .pop()
@@ -203,14 +194,13 @@ fn line_protocol_batches_and_reports_in_order() {
 #[test]
 fn mismatched_task_is_an_in_band_error() {
     let router = single_router();
-    let req = SearchRequest {
+    let mut req = SearchRequest {
         id: 21,
         task: Task::ImageNet,
-        epochs: 1,
-        steps: 1,
-        final_train: 0,
         ..SearchRequest::default()
     };
+    let o = &mut req.opts;
+    (o.epochs, o.steps_per_epoch, o.final_train_steps) = (1, 1, 0);
     let outcome = &router.run_batch(std::slice::from_ref(&req), 1)[0];
     let err = outcome.as_ref().expect_err("must be rejected");
     assert_eq!(err.id, 21);

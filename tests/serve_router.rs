@@ -24,16 +24,17 @@
 //! * Corrupt, truncated, wrong-version and forged-dims bundle files
 //!   are typed errors, never panics or allocations of a forged size.
 
-use hdx_core::{prepare_context_with, PreparedContext, Task};
+use hdx_core::{prepare_context_with, CheckpointSpec, PreparedContext, SearchOptions, Task};
 use hdx_serve::v1;
 use hdx_serve::{
-    load_bundle, parse_request, save_bundle, task_code, train_artifacts, Artifacts, Request,
-    Router, RouterConfig, SearchRequest,
+    load_bundle, parse_request, save_bundle, task_code, train_artifacts, Artifacts, Router,
+    RouterConfig, SearchRequest,
 };
 use hdx_surrogate::EstimatorConfig;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{Rng, SessionBank, Tensor};
 use std::io::Cursor;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 fn cifar() -> Arc<PreparedContext> {
@@ -88,14 +89,40 @@ fn quick(id: u64, task: Task, seed: u64) -> SearchRequest {
     SearchRequest {
         id,
         task,
-        seed,
-        epochs: 2,
-        steps: 3,
-        batch: 16,
-        final_train: 40,
-        constraints: vec![hdx_core::Constraint::fps(30.0)],
+        opts: SearchOptions {
+            seed,
+            epochs: 2,
+            steps_per_epoch: 3,
+            batch: 16,
+            final_train_steps: 40,
+            constraints: vec![hdx_core::Constraint::fps(30.0)],
+            ..SearchOptions::default()
+        },
         ..SearchRequest::default()
     }
+}
+
+/// `req` with its options edited by `edit`.
+fn with_opts(mut req: SearchRequest, edit: impl FnOnce(&mut SearchOptions)) -> SearchRequest {
+    edit(&mut req.opts);
+    req
+}
+
+/// `req` as an unconstrained DANCE search.
+fn dance(req: SearchRequest) -> SearchRequest {
+    with_opts(req, |o| {
+        o.method = hdx_core::Method::Dance;
+        o.constraints.clear();
+    })
+}
+
+/// A snapshot every epoch to `path`.
+fn every_epoch(path: PathBuf) -> Option<CheckpointSpec> {
+    Some(CheckpointSpec {
+        path,
+        every_epochs: 1,
+        note: None,
+    })
 }
 
 /// A small but representative single-bundle request set: three seeds
@@ -105,20 +132,16 @@ fn request_set() -> Vec<SearchRequest> {
     let mut reqs: Vec<SearchRequest> = (0..3)
         .map(|seed| quick(seed + 1, Task::Cifar, seed))
         .collect();
-    let dance = |id: u64, seed: u64| SearchRequest {
-        method: hdx_core::Method::Dance,
-        constraints: Vec::new(),
-        ..quick(id, Task::Cifar, seed)
-    };
-    reqs.push(dance(4, 1));
+    reqs.push(dance(quick(4, Task::Cifar, 1)));
     reqs.push(SearchRequest {
         lambda_grid: vec![0.001, 0.01],
-        ..dance(5, 2)
+        ..dance(quick(5, Task::Cifar, 2))
     });
     reqs.push(SearchRequest {
-        constraints: vec![hdx_core::Constraint::fps(30.0)],
         max_searches: 2,
-        ..dance(6, 0)
+        ..with_opts(quick(6, Task::Cifar, 0), |o| {
+            o.method = hdx_core::Method::Dance
+        })
     });
     reqs
 }
@@ -155,9 +178,7 @@ fn mixed_task_batches_route_and_stay_worker_invariant() {
         quick(2, Task::ImageNet, 0),
         SearchRequest {
             lambda_grid: vec![0.001, 0.01],
-            constraints: Vec::new(),
-            method: hdx_core::Method::Dance,
-            ..quick(3, Task::Cifar, 1)
+            ..dance(quick(3, Task::Cifar, 1))
         },
     ];
     let reference: Vec<String> = router
@@ -340,12 +361,9 @@ fn quota_and_deadline_are_enforced_in_band() {
         ..RouterConfig::default()
     });
     let ok = quick(1, Task::Cifar, 0); // budget 2·3 + 40 = 46 ≤ 50
-    let too_big = SearchRequest {
-        epochs: 40,
-        steps: 50,
-        final_train: 4000,
-        ..quick(2, Task::Cifar, 0)
-    };
+    let too_big = with_opts(quick(2, Task::Cifar, 0), |o| {
+        (o.epochs, o.steps_per_epoch, o.final_train_steps) = (40, 50, 4000)
+    });
     let outcomes = router.run_batch(&[ok.clone(), too_big.clone()], 2);
     assert!(outcomes[0].is_ok());
     let err = outcomes[1].as_ref().expect_err("over deadline");
@@ -518,9 +536,8 @@ fn v0_shim_is_byte_identical_and_v1_extends_it() {
 fn resume_equals_uninterrupted_bit_for_bit() {
     let dir = std::env::temp_dir().join("hdx_router_resume_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let base = |id: u64, seed: u64, epochs: usize| SearchRequest {
-        epochs,
-        ..quick(id, Task::Cifar, seed)
+    let base = |id: u64, seed: u64, epochs: usize| {
+        with_opts(quick(id, Task::Cifar, seed), |o| o.epochs = epochs)
     };
 
     for jobs in [1usize, 2, 4] {
@@ -538,13 +555,10 @@ fn resume_equals_uninterrupted_bit_for_bit() {
         // "Interrupt": run only 2 of the 4 epochs, snapshotting every
         // epoch — state-identical to a search killed mid-flight.
         let interrupted: Vec<SearchRequest> = (0..3u64)
-            .map(|seed| SearchRequest {
-                checkpoint: Some(
-                    dir.join(format!("s{seed}_j{jobs}.ckpt"))
-                        .display()
-                        .to_string(),
-                ),
-                ..base(31 + seed, seed, 2)
+            .map(|seed| {
+                with_opts(base(31 + seed, seed, 2), |o| {
+                    o.checkpoint = every_epoch(dir.join(format!("s{seed}_j{jobs}.ckpt")))
+                })
             })
             .collect();
         for outcome in router.run_batch(&interrupted, jobs) {
@@ -556,11 +570,7 @@ fn resume_equals_uninterrupted_bit_for_bit() {
         let resume_input: String = interrupted
             .iter()
             .map(|req| {
-                let line = SearchRequest {
-                    epochs: 4,
-                    ..req.clone()
-                }
-                .encode();
+                let line = with_opts(req.clone(), |o| o.epochs = 4).encode();
                 format!(
                     "hdx1 resume {}\n",
                     line.strip_prefix("search ").expect("search prefix")
@@ -577,27 +587,25 @@ fn resume_equals_uninterrupted_bit_for_bit() {
     // A resume whose fields disagree with the snapshot is a typed
     // in-band error, not a wrong answer.
     let router = dual_router(RouterConfig::default());
-    let path = dir.join("s0_j1.ckpt").display().to_string();
     let mismatched = SearchRequest {
-        seed: 5,
-        checkpoint: Some(path),
         resume_from_checkpoint: true,
-        ..base(40, 0, 4)
+        ..with_opts(base(40, 0, 4), |o| {
+            o.seed = 5;
+            o.checkpoint = every_epoch(dir.join("s0_j1.ckpt"));
+        })
     };
     let err = router
-        .run_one(&SearchRequest {
-            seed: 5,
-            ..mismatched
-        })
+        .run_one(&mismatched)
         .pop()
         .unwrap()
         .expect_err("fingerprint mismatch");
     assert_eq!(err.kind.code(), "checkpoint");
     // And a missing snapshot file likewise.
     let gone = SearchRequest {
-        checkpoint: Some(dir.join("missing.ckpt").display().to_string()),
         resume_from_checkpoint: true,
-        ..base(41, 0, 4)
+        ..with_opts(base(41, 0, 4), |o| {
+            o.checkpoint = every_epoch(dir.join("missing.ckpt"))
+        })
     };
     let err = router.run_one(&gone).pop().unwrap().expect_err("no file");
     assert_eq!(err.kind.code(), "checkpoint");
@@ -697,8 +705,9 @@ fn fuzz_corpus(report_v1: String, stats: v1::StatsReport) -> Vec<(String, FuzzDi
     };
     let resume_req = SearchRequest {
         resume_from_checkpoint: true,
-        checkpoint: Some("/tmp/s.ckpt".to_owned()),
-        ..quick(2, Task::Cifar, 0)
+        ..with_opts(quick(2, Task::Cifar, 0), |o| {
+            o.checkpoint = every_epoch("/tmp/s.ckpt".into())
+        })
     };
     let meta_req = SearchRequest {
         max_searches: 4,
@@ -956,9 +965,10 @@ fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
 fn decode_outcome(line: &str, dir: FuzzDir) -> String {
     match dir {
         FuzzDir::V0Request => match parse_request(line) {
-            Ok(Request::Search(req)) => req.encode(),
-            Ok(Request::Stats) => "stats".to_owned(),
-            Ok(Request::Ping) => "ping".to_owned(),
+            Ok(v1::RequestBody::Search(req)) => req.encode(),
+            Ok(v1::RequestBody::Stats) => "stats".to_owned(),
+            Ok(v1::RequestBody::Ping) => "ping".to_owned(),
+            Ok(other) => unreachable!("v0 parsed {other:?}"),
             Err(err) => err.encode(),
         },
         FuzzDir::V1Request => match v1::decode_request(line) {
@@ -1239,16 +1249,11 @@ fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
             .expect("search prefix")
             .to_owned()
     };
-    let ckpt = dir.join("resume.ckpt").display().to_string();
-    let snapshot = SearchRequest {
-        epochs: 1,
-        checkpoint: Some(ckpt.clone()),
-        ..quick(6, Task::Cifar, 2)
-    };
-    let resume = SearchRequest {
-        epochs: 2,
-        ..snapshot.clone()
-    };
+    let snapshot = with_opts(quick(6, Task::Cifar, 2), |o| {
+        o.epochs = 1;
+        o.checkpoint = every_epoch(dir.join("resume.ckpt"));
+    });
+    let resume = with_opts(snapshot.clone(), |o| o.epochs = 2);
     let script = [
         "ping".to_owned(),
         "hdx1 ping id=1".to_owned(),
@@ -1258,8 +1263,7 @@ fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
             "hdx1 grid {}",
             fields(SearchRequest {
                 lambda_grid: vec![0.001, 0.01],
-                constraints: Vec::new(),
-                ..quick(4, Task::Cifar, 1)
+                ..with_opts(quick(4, Task::Cifar, 1), |o| o.constraints.clear())
             })
         ),
         format!(
@@ -1331,26 +1335,21 @@ fn per_verb_counters_pin_and_v0_stats_bytes_stay_frozen() {
     let router = dual_router(RouterConfig::default());
     let dir = std::env::temp_dir().join("hdx_router_verb_count_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let ckpt = dir.join("verbs.ckpt").display().to_string();
 
     // One job per verb class, spread over both bundles and framings:
     //   cifar: v1 search, checkpointed v0 search, v1 resume
     //   cifar: v1 grid (expands to 2 jobs)
     //   imagenet: v0 search, v1 meta
-    let snap = SearchRequest {
-        checkpoint: Some(ckpt.clone()),
-        ..quick(60, Task::Cifar, 0)
-    };
+    let snap = with_opts(quick(60, Task::Cifar, 0), |o| {
+        o.checkpoint = every_epoch(dir.join("verbs.ckpt"))
+    });
     router.run_one(&snap).pop().unwrap().expect("snapshot run");
     let resume_line = format!(
         "hdx1 resume {}",
-        SearchRequest {
-            epochs: 4,
-            ..snap.clone()
-        }
-        .encode()
-        .strip_prefix("search ")
-        .expect("search prefix")
+        with_opts(snap.clone(), |o| o.epochs = 4)
+            .encode()
+            .strip_prefix("search ")
+            .expect("search prefix")
     );
     let grid_line = format!(
         "hdx1 grid {}",
