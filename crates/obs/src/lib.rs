@@ -46,7 +46,7 @@
 //!
 //! `start_us` is microseconds since [`init_file`]; `tid` is a small
 //! per-process thread ordinal (not an OS id). Span events buffer in a
-//! bounded per-thread ring (capacity `HDX_OBS_BUF`, drained to the
+//! bounded per-thread ring (capacity [`DEFAULT_BUF_CAP`], drained to the
 //! sink when full, on [`flush`], and at thread exit). [`check_trace`]
 //! validates the schema; `hdx-serve trace-check` wraps it on the CLI.
 //!
@@ -65,8 +65,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Default per-thread ring-buffer capacity (events) when the
-/// `HDX_OBS_BUF` knob is unset.
+/// The per-thread ring-buffer capacity (events) of every trace sink the
+/// workspace opens.
 pub const DEFAULT_BUF_CAP: usize = 4096;
 
 /// Schema identifier written into the trace's `meta` line.

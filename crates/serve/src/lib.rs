@@ -17,7 +17,11 @@
 //!   over a versioned line protocol ([`proto`]): the typed v1 envelope
 //!   ([`proto::v1`]) with runtime `load_bundle`/`unload_bundle`,
 //!   per-task routing, resumable searches, and a v0 shim that answers
-//!   PR-4 clients byte-identically.
+//!   PR-4 clients byte-identically. A job — search, λ-grid,
+//!   meta-search or resume — is one body whose verb follows from its
+//!   options ([`SearchRequest::verb_index`]), and the encoder, the
+//!   engine branch, the per-verb counters and the `stats` rows all
+//!   read that one rule.
 //!
 //! Three contracts make this safe at scale, pinned by
 //! `tests/serve_router.rs`:

@@ -101,7 +101,7 @@ Hardening: --max-requests-per-conn caps lines per connection;
 typed errors, never silent drops.
 
 Observability: --trace FILE (or HDX_TRACE=FILE) writes wall-clock
-span events to a JSONL sink; HDX_OBS_BUF sizes the per-thread ring.
+span events to a JSONL sink (4096-event per-thread rings).
 Tracing never changes response bytes — the v1 `metrics` verb reports
 the deterministic counters.
 ";

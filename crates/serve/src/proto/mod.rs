@@ -19,11 +19,14 @@
 //! offset), the [`SearchRequest`] / [`SearchReport`] payload types, and
 //! the v0 codec. A search request is its envelope fields (id, task,
 //! bundle seed, λ-grid, meta-search budget, resume flag) plus the
-//! engine's own [`SearchOptions`]; no option is defined twice. [`v1`]
-//! layers the envelope (`request_id`/body enums), the verb table, and
-//! its canonical encode/decode pair on top, and owns the one
-//! framing-aware request decoder ([`v1::decode_line`]) that reads every
-//! request line, v0 or v1.
+//! engine's own [`SearchOptions`]; no option is defined twice. Which
+//! batched verb a request is — search, grid, meta or resume — is read
+//! from those fields in one place, [`SearchRequest::verb_index`], and
+//! everything that names or counts a job's verb asks it. [`v1`] layers
+//! the envelope (`request_id`/body enums), the verb table, and its
+//! canonical encode/decode pair on top, and owns the one framing-aware
+//! request decoder ([`v1::decode_line`]) that reads every request
+//! line, v0 or v1.
 //!
 //! Both grammars share one field codec: a private reader walks a line's
 //! `key=value` tokens in order and hands each to the verb's schema
@@ -590,10 +593,12 @@ impl SearchRequest {
     }
 
     /// The row in [`v1::VERBS`] of the batched verb this job's options
-    /// imply. Resume beats meta beats grid — the precedence
-    /// `TaskService` executes — so a v0 `search` line combining options
-    /// counts under its strongest branch; a grid's expanded jobs
-    /// (`sub` set) still count as grid.
+    /// imply: the one classification rule. Resume beats meta beats grid
+    /// beats search — the branch `TaskService` runs — so a v0 `search`
+    /// line combining options counts under its strongest branch, and a
+    /// grid's expanded jobs (`sub` set) still count as grid. The
+    /// encoder writes this verb, and the `router.verb.*` counters, the
+    /// `stats` rows and the workload score count under it.
     pub fn verb_index(&self) -> usize {
         if self.resume_from_checkpoint {
             3
@@ -669,9 +674,10 @@ fn metric_key(metric: Metric) -> &'static str {
 /// Parses one v0 input line into the [`v1::RequestBody`] it is served
 /// as (the PR-4 grammar — `search`/`stats`/`ping`; v1-only fields and
 /// verbs are rejected so the shim's accepted language stays exactly
-/// PR-4's). A v0 `search` is a v1 `search` whatever its options: a grid
-/// or meta-search carried on a v0 line keeps its `lambda_grid` /
-/// `max_searches`.
+/// PR-4's). A v0 `search` is a [`v1::RequestBody::Job`] like any
+/// batched v1 line: a grid or meta-search carried on a v0 line keeps
+/// its `lambda_grid` / `max_searches` and counts under the verb they
+/// imply.
 ///
 /// # Errors
 ///
@@ -684,7 +690,9 @@ pub fn parse_request(line: &str) -> Result<v1::RequestBody, ProtoError> {
         return Err(ProtoError::new(0, ErrorKind::EmptyLine));
     };
     let control = match verb {
-        "search" => return search_fields(parts, false).map(v1::RequestBody::Search),
+        "search" => {
+            return search_fields(parts, false).map(|req| v1::RequestBody::Job(Box::new(req)))
+        }
         "stats" => v1::RequestBody::Stats,
         "ping" => v1::RequestBody::Ping,
         other => return Err(unknown_verb(other, verb_off)),
@@ -723,7 +731,7 @@ fn search_fields<'a>(
     let mut req = SearchRequest::default();
     let paper = DeltaPolicy::paper();
     let (mut method, mut delta0, mut p, mut lambda_macs) = ("hdx", paper.delta(), paper.p(), 0.05);
-    let (mut ckpt, mut every_epochs) = (None, 1);
+    let (mut ckpt, mut every_epochs) = (None, None);
     let id = read_fields(parts, |f| {
         let o = &mut req.opts;
         match f.key {
@@ -760,7 +768,7 @@ fn search_fields<'a>(
             "max_searches" => req.max_searches = f.positive()?,
             "bundle_seed" if v1 => req.bundle_seed = Some(f.u64()?),
             "ckpt" if v1 => ckpt = Some(f.nonempty()?),
-            "ckpt_every" if v1 => every_epochs = f.positive()?,
+            "ckpt_every" if v1 => every_epochs = Some(f.positive()?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -772,12 +780,16 @@ fn search_fields<'a>(
         "autonba" => Method::AutoNba,
         _ => Method::NasThenHw { lambda_macs },
     };
+    let invalid = |message| Err(ProtoError::new(id, ErrorKind::Invalid { message }));
+    // A snapshot interval without a snapshot path has no effect.
+    if ckpt.is_none() && every_epochs.is_some() {
+        return invalid("ckpt_every requires ckpt (the snapshot path)".to_owned());
+    }
     req.opts.checkpoint = ckpt.map(|path| CheckpointSpec {
         path: PathBuf::from(path),
-        every_epochs,
+        every_epochs: every_epochs.unwrap_or(1),
         note: None,
     });
-    let invalid = |message| Err(ProtoError::new(id, ErrorKind::Invalid { message }));
     if req.max_searches > 1 && req.opts.constraints.is_empty() {
         return invalid("max_searches > 1 requires at least one constraint".to_owned());
     }
@@ -990,7 +1002,7 @@ mod tests {
         for req in reqs {
             let line = req.encode();
             match parse_request(&line).expect("round-trip") {
-                v1::RequestBody::Search(back) => assert_eq!(back, req, "line: {line}"),
+                v1::RequestBody::Job(back) => assert_eq!(*back, req, "line: {line}"),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1133,10 +1145,7 @@ mod tests {
     fn search_of(line: &str) -> SearchRequest {
         let env = v1::decode_line(v1::sniff(line), line);
         match env.unwrap_or_else(|e| panic!("line \"{line}\": {e}")).body {
-            v1::RequestBody::Search(req)
-            | v1::RequestBody::Grid(req)
-            | v1::RequestBody::Meta(req)
-            | v1::RequestBody::Resume(req) => req,
+            v1::RequestBody::Job(req) => *req,
             other => panic!("line \"{line}\" is not a search: {other:?}"),
         }
     }

@@ -5,8 +5,13 @@
 //! [`Envelope`] — `{ request_id, body }` — with [`RequestBody`] /
 //! [`ResponseBody`] enums covering the full verb set. [`VERBS`] is the
 //! one list of verbs — wire name, reply verb, batched or control — that
-//! the decoder, the router's per-verb counters, and the job
-//! classification all read:
+//! the decoder, the encoder and the router's per-verb counters read.
+//! The four batched verbs share one body, [`RequestBody::Job`]: which
+//! of them a job is follows from its options alone
+//! ([`SearchRequest::verb_index`]: resume beats meta beats grid beats
+//! search), so the line's verb, the `router.verb.*` counter, the
+//! `stats` row and the workload score all agree on it in both
+//! framings:
 //!
 //! | request verb    | body                          | response verb |
 //! |-----------------|-------------------------------|---------------|
@@ -80,8 +85,12 @@ const fn verb(
     }
 }
 
-/// Every v1 verb. The four batched verbs lead, in [`VerbCounts`]
-/// order, so a job's class ([`SearchRequest::verb_index`]) is its row.
+/// Rows `0..BATCHED` of [`VERBS`] are the batched verbs, indexed by
+/// [`SearchRequest::verb_index`].
+pub const BATCHED: usize = 4;
+
+/// Every v1 verb. The [`BATCHED`] batched verbs lead, so a job's class
+/// ([`SearchRequest::verb_index`]) is its row.
 pub const VERBS: [Verb; 13] = [
     verb("search", "report", true, &[]),
     verb("grid", "report", true, &[]),
@@ -115,20 +124,20 @@ impl<B> Envelope<B> {
     }
 }
 
+impl Envelope<RequestBody> {
+    /// A job under its own `id`, in either framing.
+    pub fn job(req: SearchRequest) -> Envelope<RequestBody> {
+        Envelope::v1(req.id, RequestBody::Job(Box::new(req)))
+    }
+}
+
 /// The typed payload of one v1 request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
-    /// One search job (`lambda_grid`/`max_searches` stay unset —
-    /// sweeps and meta-searches have their own verbs).
-    Search(SearchRequest),
-    /// A λ-grid sweep: one independent job per grid entry.
-    Grid(SearchRequest),
-    /// The §5.2 constrained meta-search (`max_searches > 1`).
-    Meta(SearchRequest),
-    /// Continue a checkpointed search
-    /// ([`SearchRequest::resume_from_checkpoint`] is set; `ckpt=` names
-    /// the snapshot, which the resumed run keeps updating).
-    Resume(SearchRequest),
+    /// One batched job: a search, a λ-grid sweep, a §5.2 meta-search
+    /// or a checkpoint resume, whichever its options imply
+    /// ([`SearchRequest::verb_index`]).
+    Job(Box<SearchRequest>),
     /// Aggregated service statistics.
     Stats,
     /// Liveness probe.
@@ -172,13 +181,11 @@ pub enum RequestBody {
 }
 
 impl RequestBody {
-    /// This body's row in [`VERBS`].
+    /// This body's row in [`VERBS`]; a job's row is the one its options
+    /// imply.
     pub fn verb_index(&self) -> usize {
         match self {
-            RequestBody::Search(_) => 0,
-            RequestBody::Grid(_) => 1,
-            RequestBody::Meta(_) => 2,
-            RequestBody::Resume(_) => 3,
+            RequestBody::Job(req) => req.verb_index(),
             RequestBody::Stats => 4,
             RequestBody::Ping => 5,
             RequestBody::LoadBundle { .. } => 6,
@@ -299,36 +306,20 @@ pub struct TaskStats {
     pub task: Task,
     /// The bundle's dataset seed.
     pub bundle_seed: u64,
-    /// Jobs completed by this bundle.
-    pub served: u64,
-    /// Cumulative deterministic step budget of those jobs.
+    /// Cumulative deterministic step budget of the bundle's jobs.
     pub steps_used: u64,
-    /// Per-verb breakdown of `served` (v1 stats rows only; the v0
-    /// stats line is frozen and carries no per-bundle rows at all).
-    pub verbs: VerbCounts,
+    /// Jobs completed, per batched verb in [`VERBS`] order: each job
+    /// counts under [`SearchRequest::verb_index`], so a v0 `search`
+    /// line counts under the verb its options imply. Control verbs are
+    /// not jobs. v1 stats rows only; the v0 stats line is frozen and
+    /// carries no per-bundle rows at all.
+    pub verbs: [u64; BATCHED],
 }
 
-/// Jobs completed, broken down by the search-type verb that produced
-/// them. Control verbs (`stats`/`ping`/registry) are not jobs and are
-/// not counted. A v0 `search` line counts under the verb its options
-/// imply (grid expansion ⇒ `grid`, `max_searches>1` ⇒ `meta`), so the
-/// breakdown is framing-independent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VerbCounts {
-    /// Plain single-λ searches.
-    pub search: u64,
-    /// λ-grid expanded sub-jobs.
-    pub grid: u64,
-    /// Constraint-driven meta-searches.
-    pub meta: u64,
-    /// Checkpoint resumes.
-    pub resume: u64,
-}
-
-impl VerbCounts {
-    /// Sum over all verbs (equals the bundle's `served`).
-    pub fn total(&self) -> u64 {
-        self.search + self.grid + self.meta + self.resume
+impl TaskStats {
+    /// Jobs completed by this bundle: the sum of [`TaskStats::verbs`].
+    pub fn served(&self) -> u64 {
+        self.verbs.iter().sum()
     }
 }
 
@@ -370,8 +361,10 @@ pub fn sniff(line: &str) -> Framing {
 
 /// Decodes one request line in the framing [`sniff`] gave it: the one
 /// request decoder for both framings. A v0 line decodes through
-/// [`parse_request`] into the body it is served as, under request id 0
-/// (v0 replies never carry one); a line leading with an unsupported
+/// [`parse_request`] into the body it is served as: a job under its
+/// own `id`, a control verb under request id 0 (v0 replies never carry
+/// one). Either way [`encode_request`] re-encodes the envelope to a v1
+/// line that decodes back to it. A line leading with an unsupported
 /// version token is a `VersionMismatch`.
 ///
 /// # Errors
@@ -379,7 +372,10 @@ pub fn sniff(line: &str) -> Framing {
 /// The typed [`ProtoError`] of the framing's decoder.
 pub fn decode_line(framing: Framing, line: &str) -> Result<Envelope<RequestBody>, ProtoError> {
     match framing {
-        Framing::V0 => Ok(Envelope::v1(0, parse_request(line)?)),
+        Framing::V0 => Ok(match parse_request(line)? {
+            RequestBody::Job(req) => Envelope::job(*req),
+            control => Envelope::v1(0, control),
+        }),
         Framing::V1 => decode_request(line),
         Framing::Unsupported { token, offset } => Err(ProtoError::new(
             0,
@@ -510,52 +506,45 @@ pub fn decode_request(line: &str) -> Result<Envelope<RequestBody>, ProtoError> {
     Ok(Envelope::v1(id, body))
 }
 
-/// Wraps a decoded search under its batched verb, enforcing what each
-/// verb requires and refuses.
+/// Checks a decoded search against the batched verb its line named:
+/// each verb refuses the options of the verbs it is not, and `resume`
+/// marks the job as one.
 fn batched(verb: &str, mut req: SearchRequest) -> Result<Envelope<RequestBody>, ProtoError> {
-    let id = req.id;
-    let fail = |kind| Err(ProtoError::new(id, kind));
     let invalid = |message: &str| {
-        fail(ErrorKind::Invalid {
-            message: message.to_owned(),
-        })
+        let message = message.to_owned();
+        Some(ErrorKind::Invalid { message })
     };
+    let missing = |key| Some(ErrorKind::MissingField { key });
     let grid = !req.lambda_grid.is_empty();
     let meta = req.max_searches > 1;
     let ckpt = req.opts.checkpoint.is_some();
-    let body = match verb {
-        "search" if grid => return invalid("search does not take lambda_grid (use the grid verb)"),
-        "search" if meta => {
-            return invalid("search does not take max_searches (use the meta verb)")
-        }
-        "search" => RequestBody::Search(req),
-        "grid" if !grid => return fail(ErrorKind::MissingField { key: "lambda_grid" }),
-        "grid" if ckpt => return invalid("grid jobs would overwrite one another's ckpt snapshots"),
-        "grid" => RequestBody::Grid(req),
-        "meta" if !meta => return invalid("meta requires max_searches > 1 (use the search verb)"),
-        "meta" if ckpt => return invalid("meta-searches are not checkpointable"),
-        "meta" => RequestBody::Meta(req),
-        _ if !ckpt => return fail(ErrorKind::MissingField { key: "ckpt" }),
-        _ if grid || meta => return invalid("resume continues exactly one checkpointed search"),
-        _ => {
-            req.resume_from_checkpoint = true;
-            RequestBody::Resume(req)
-        }
+    let refused = match verb {
+        "search" if grid => invalid("search does not take lambda_grid (use the grid verb)"),
+        "search" if meta => invalid("search does not take max_searches (use the meta verb)"),
+        "grid" if !grid => missing("lambda_grid"),
+        "grid" if ckpt => invalid("grid jobs would overwrite one another's ckpt snapshots"),
+        "meta" if !meta => invalid("meta requires max_searches > 1 (use the search verb)"),
+        "meta" if ckpt => invalid("meta-searches are not checkpointable"),
+        "resume" if !ckpt => missing("ckpt"),
+        "resume" if grid || meta => invalid("resume continues exactly one checkpointed search"),
+        _ => None,
     };
-    Ok(Envelope::v1(id, body))
+    if let Some(kind) = refused {
+        return Err(ProtoError::new(req.id, kind));
+    }
+    req.resume_from_checkpoint = verb == "resume";
+    Ok(Envelope::job(req))
 }
 
 /// Encodes a request envelope as its canonical v1 line
-/// ([`decode_request`] round-trips it).
+/// ([`decode_request`] round-trips it). A job's verb is the one its
+/// options imply.
 pub fn encode_request(env: &Envelope<RequestBody>) -> String {
     let name = VERBS[env.body.verb_index()].name;
     let line = || Line::v1(name, env.request_id);
     match &env.body {
-        // A search carries its envelope id as its own `id` field.
-        RequestBody::Search(r)
-        | RequestBody::Grid(r)
-        | RequestBody::Meta(r)
-        | RequestBody::Resume(r) => r
+        // A job carries its envelope id as its own `id` field.
+        RequestBody::Job(r) => r
             .write_fields(&mut Line::new(&format!("{VERSION_TOKEN} {name}")))
             .done(),
         RequestBody::LoadBundle { path } => line().field("path", path).done(),
@@ -610,9 +599,8 @@ pub fn encode_response(env: &Envelope<ResponseBody>) -> String {
             s.write_fields(&mut line);
             for t in &s.tasks {
                 let (task, seed, served, steps) =
-                    (t.task.label(), t.bundle_seed, t.served, t.steps_used);
-                let v = t.verbs;
-                let (search, grid, meta, resume) = (v.search, v.grid, v.meta, v.resume);
+                    (t.task.label(), t.bundle_seed, t.served(), t.steps_used);
+                let [search, grid, meta, resume] = t.verbs;
                 let row = format!("{task}:{seed}:{served}:{steps}:{search}:{grid}:{meta}:{resume}");
                 line.field("task", row);
             }
@@ -801,21 +789,23 @@ fn decode_stats<'a>(
                 };
                 return Ok(true);
             }
+            // A row whose `served` column is not the sum of its verb
+            // columns is refused.
             "task" => {
                 s.tasks.push(
                     f.row(|[task, seed, served, steps, search, grid, meta, resume]| {
-                        Some(TaskStats {
+                        let mut verbs = [0; BATCHED];
+                        for (count, col) in verbs.iter_mut().zip([search, grid, meta, resume]) {
+                            *count = col.parse().ok()?;
+                        }
+                        let sum = verbs.iter().try_fold(0u64, |sum, &n| sum.checked_add(n));
+                        let row = TaskStats {
                             task: Task::parse_label(task)?,
                             bundle_seed: seed.parse().ok()?,
-                            served: served.parse().ok()?,
                             steps_used: steps.parse().ok()?,
-                            verbs: VerbCounts {
-                                search: search.parse().ok()?,
-                                grid: grid.parse().ok()?,
-                                meta: meta.parse().ok()?,
-                                resume: resume.parse().ok()?,
-                            },
-                        })
+                            verbs,
+                        };
+                        (sum == Some(served.parse().ok()?)).then_some(row)
                     })?,
                 );
                 return Ok(true);
@@ -980,10 +970,10 @@ mod tests {
         };
         resume.opts.checkpoint = ckpt("/tmp/s6.ckpt", 1);
         let envelopes = vec![
-            Envelope::v1(3, RequestBody::Search(search)),
-            Envelope::v1(4, RequestBody::Grid(grid)),
-            Envelope::v1(5, RequestBody::Meta(meta)),
-            Envelope::v1(6, RequestBody::Resume(resume)),
+            Envelope::job(search),
+            Envelope::job(grid),
+            Envelope::job(meta),
+            Envelope::job(resume),
             Envelope::v1(7, RequestBody::Stats),
             Envelope::v1(8, RequestBody::Ping),
             Envelope::v1(9, RequestBody::ListTasks),
@@ -1069,26 +1059,14 @@ mod tests {
                 TaskStats {
                     task: Task::Cifar,
                     bundle_seed: 0,
-                    served: 5,
                     steps_used: 250,
-                    verbs: VerbCounts {
-                        search: 2,
-                        grid: 2,
-                        meta: 1,
-                        resume: 0,
-                    },
+                    verbs: [2, 2, 1, 0],
                 },
                 TaskStats {
                     task: Task::ImageNet,
                     bundle_seed: 1,
-                    served: 4,
                     steps_used: 200,
-                    verbs: VerbCounts {
-                        search: 4,
-                        grid: 0,
-                        meta: 0,
-                        resume: 0,
-                    },
+                    verbs: [4, 0, 0, 0],
                 },
             ],
         };
@@ -1221,6 +1199,14 @@ mod tests {
             "hdx1 catalog id=1 count=1 entry=cifar:train:0:1:00000000000000ff:4096:2"
         )
         .is_err());
+        // A stats row's `served` column must be the sum of its verb
+        // columns (an overflowing sum is refused, not wrapped).
+        assert!(decode_response("hdx1 stats id=1 task=cifar:0:2:9:1:1:0:0").is_ok());
+        let err = decode_response("hdx1 stats id=1 task=cifar:0:3:9:1:1:0:0").expect_err("sum");
+        assert_eq!((err.id, err.kind.code()), (1, "invalid_value"));
+        let max = u64::MAX;
+        let row = format!("hdx1 stats id=1 task=cifar:0:0:0:{max}:1:0:0");
+        assert!(decode_response(&row).is_err());
         assert!(decode_response("hdx1 pinned id=1 on=1").is_err());
         assert!(decode_response("hdx1 evicted id=1 ref=cat:00000000000000ff").is_err());
         // Version mismatch is its own kind.

@@ -46,12 +46,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// The `router.verb.<name>` request counter of each [`v1::VERBS`] row
-/// (both framings; a v0 `search` line counts under `search`). Counts
-/// only — per-verb *timing* goes to the span sink, keeping the
-/// `metrics` snapshot wall-clock-free. A counter is named here but
-/// registered on first use, so a verb never requested adds no
-/// `metrics` row.
+/// The `router.verb.<name>` request counter of each [`v1::VERBS`] row,
+/// indexed by [`v1::RequestBody::verb_index`]: a job line, in either
+/// framing, counts under the verb its options imply
+/// ([`SearchRequest::verb_index`]), as the `stats` rows do — a v0
+/// `search` carrying a λ-grid counts as `grid`. Counts only — per-verb
+/// *timing* goes to the span sink, keeping the `metrics` snapshot
+/// wall-clock-free. A counter is named here but registered on first
+/// use, so a verb never requested adds no `metrics` row.
 fn verb_counter(verb: usize) -> &'static hdx_obs::Counter {
     static COUNTERS: OnceLock<Vec<hdx_obs::Counter>> = OnceLock::new();
     let counters = COUNTERS.get_or_init(|| {
@@ -173,7 +175,7 @@ impl Router {
     /// Folds a dropped bundle's served count into the retired total
     /// (the aggregate `stats` line stays monotonic).
     fn retire(&self, service: &TaskService) {
-        let served = service.stats().served;
+        let served = service.stats().served();
         self.retired_served.fetch_add(served, Ordering::Relaxed);
     }
 
@@ -356,7 +358,7 @@ impl Router {
             evictions: bank.evictions,
             bank_cap: bank.capacity.map(|c| c as u64),
             requests_served: self.retired_served.load(Ordering::Relaxed)
-                + tasks.iter().map(|t| t.served).sum::<u64>(),
+                + tasks.iter().map(v1::TaskStats::served).sum::<u64>(),
             tasks,
         }
     }
@@ -386,9 +388,7 @@ impl Router {
                 fingerprint,
                 freed: self.with_catalog(|c| c.evict(fingerprint))?,
             },
-            Req::Search(_) | Req::Grid(_) | Req::Meta(_) | Req::Resume(_) => {
-                unreachable!("batched verbs queue for the next flush")
-            }
+            Req::Job(_) => unreachable!("batched verbs queue for the next flush"),
         })
     }
 
@@ -397,13 +397,13 @@ impl Router {
     /// Version negotiation is per line ([`v1::sniff`]): v0 lines are
     /// answered in v0 framing, v1 lines in v1 framing, on the same
     /// connection. Both framings decode to a [`v1::RequestBody`] and
-    /// take one of two paths: search-type bodies accumulate into one
-    /// batch, and everything else — a control verb, a malformed line,
-    /// or EOF — first flushes that batch (fanned across the worker
-    /// pool, reports written in request order, each in its request's
-    /// framing) and is then answered by `Router::control`. A client
-    /// that writes N requests and shuts down its write side therefore
-    /// gets all N reports with full parallelism.
+    /// take one of two paths: job bodies accumulate into one batch, and
+    /// everything else — a control verb, a malformed line, or EOF —
+    /// first flushes that batch (fanned across the worker pool, reports
+    /// written in request order, each in its request's framing) and is
+    /// then answered by `Router::control`. A client that writes N
+    /// requests and shuts down its write side therefore gets all N
+    /// reports with full parallelism.
     ///
     /// Replies are buffered: each batch flush and each control reply
     /// reaches `writer` as one `write` (unless it outgrows the buffer)
@@ -469,11 +469,7 @@ impl Router {
             }
             let (id, body) = match decoded {
                 Ok(v1::Envelope {
-                    body:
-                        v1::RequestBody::Search(req)
-                        | v1::RequestBody::Grid(req)
-                        | v1::RequestBody::Meta(req)
-                        | v1::RequestBody::Resume(req),
+                    body: v1::RequestBody::Job(req),
                     ..
                 }) => {
                     pending.extend(req.expand().into_iter().map(|job| (v0, job)));
@@ -575,14 +571,15 @@ mod tests {
             every_epochs: 1,
             note: None,
         });
+        let job = |req| Body::Job(Box::new(req));
         vec![
-            Body::Search(search.clone()),
-            Body::Grid(SearchRequest {
+            job(search.clone()),
+            job(SearchRequest {
                 lambda_grid: vec![0.1, 0.2],
                 ..search
             }),
-            Body::Meta(meta),
-            Body::Resume(resume),
+            job(meta),
+            job(resume),
             Body::Stats,
             Body::Ping,
             Body::LoadBundle {
@@ -677,14 +674,11 @@ mod tests {
             // The body maps back to its row, and its canonical line
             // leads with the verb and round-trips.
             assert_eq!(body.verb_index(), i, "{verb:?}");
-            if let v1::RequestBody::Search(r)
-            | v1::RequestBody::Grid(r)
-            | v1::RequestBody::Meta(r)
-            | v1::RequestBody::Resume(r) = &body
-            {
-                assert_eq!(r.verb_index(), i, "job class of {verb:?}");
-            }
-            assert_eq!(verb.batched, i < 4, "batched verbs lead: {verb:?}");
+            assert_eq!(
+                verb.batched,
+                i < v1::BATCHED,
+                "batched verbs lead: {verb:?}"
+            );
             let env = v1::Envelope::v1(1, body);
             let line = v1::encode_request(&env);
             let head = format!("{} {} ", v1::VERSION_TOKEN, verb.name);

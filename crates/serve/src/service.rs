@@ -29,9 +29,8 @@ pub(crate) struct TaskService {
     estimator_accuracy: f64,
     prepared: Arc<PreparedContext>,
     steps_used: AtomicU64,
-    // Requests served, per verb, indexed by `SearchRequest::verb_index`
-    // (search/grid/meta/resume); `served` is their sum.
-    verb_counts: [AtomicU64; 4],
+    // Jobs served, indexed by `SearchRequest::verb_index`.
+    verb_counts: [AtomicU64; v1::BATCHED],
 }
 
 impl TaskService {
@@ -64,24 +63,21 @@ impl TaskService {
 
     /// The per-bundle serving counters.
     pub(crate) fn stats(&self) -> v1::TaskStats {
-        let verb = |i: usize| self.verb_counts[i].load(Ordering::Relaxed);
-        let verbs = v1::VerbCounts {
-            search: verb(0),
-            grid: verb(1),
-            meta: verb(2),
-            resume: verb(3),
-        };
         v1::TaskStats {
             task: self.task,
             bundle_seed: self.seed,
-            served: verbs.total(),
             steps_used: self.steps_used.load(Ordering::Relaxed),
-            verbs,
+            verbs: self
+                .verb_counts
+                .each_ref()
+                .map(|n| n.load(Ordering::Relaxed)),
         }
     }
 
-    /// Runs one expanded job to completion (a plain search, a
-    /// meta-search, or a checkpoint resume).
+    /// Runs one expanded job to completion: a checkpoint resume, a
+    /// meta-search, or one search (a plain search or one λ of a grid),
+    /// as its [`SearchRequest::verb_index`] says, and counts it under
+    /// that verb.
     ///
     /// # Errors
     ///
@@ -95,29 +91,33 @@ impl TaskService {
         let ctx = self.prepared.context();
         let opts = req.options();
         let ckpt_err = |e: hdx_tensor::ckpt::CkptError| fail(ErrorKind::checkpoint(e));
-        let report = if req.resume_from_checkpoint {
-            let ckpt = req.opts.checkpoint.as_ref();
-            let ckpt = ckpt.ok_or_else(|| fail(ErrorKind::MissingField { key: "ckpt" }))?;
-            let snapshot = SearchCheckpoint::load(&ckpt.path).map_err(ckpt_err)?;
-            let result = resume_search(&ctx, &opts, &snapshot).map_err(ckpt_err)?;
-            let satisfied = result.in_constraint;
-            SearchReport::from_result(req, &result, 1, satisfied)
-        } else if req.max_searches > 1 {
-            let constraint = *req
-                .opts
-                .constraints
-                .first()
-                .expect("meta-search requests carry a constraint (parser-enforced)");
-            let outcome = constrained_meta_search(&ctx, &opts, constraint, req.max_searches);
-            SearchReport::from_result(req, &outcome.result, outcome.searches, outcome.satisfied)
-        } else {
-            let result = try_run_search(&ctx, &opts).map_err(ckpt_err)?;
-            let satisfied = result.in_constraint;
-            SearchReport::from_result(req, &result, 1, satisfied)
+        let verb = req.verb_index();
+        let (satisfied, searches, result) = match v1::VERBS[verb].name {
+            "resume" => {
+                let ckpt = req.opts.checkpoint.as_ref();
+                let ckpt = ckpt.ok_or_else(|| fail(ErrorKind::MissingField { key: "ckpt" }))?;
+                let snapshot = SearchCheckpoint::load(&ckpt.path).map_err(ckpt_err)?;
+                let result = resume_search(&ctx, &opts, &snapshot).map_err(ckpt_err)?;
+                (result.in_constraint, 1, result)
+            }
+            "meta" => {
+                let constraint = *req
+                    .opts
+                    .constraints
+                    .first()
+                    .expect("meta-search requests carry a constraint (parser-enforced)");
+                let outcome = constrained_meta_search(&ctx, &opts, constraint, req.max_searches);
+                (outcome.satisfied, outcome.searches, outcome.result)
+            }
+            _ => {
+                let result = try_run_search(&ctx, &opts).map_err(ckpt_err)?;
+                (result.in_constraint, 1, result)
+            }
         };
+        let report = SearchReport::from_result(req, &result, searches, satisfied);
         self.steps_used
             .fetch_add(report.steps_used, Ordering::Relaxed);
-        self.verb_counts[req.verb_index()].fetch_add(1, Ordering::Relaxed);
+        self.verb_counts[verb].fetch_add(1, Ordering::Relaxed);
         Ok(report)
     }
 }
@@ -127,7 +127,7 @@ impl std::fmt::Debug for TaskService {
         f.debug_struct("TaskService")
             .field("task", &self.task)
             .field("seed", &self.seed)
-            .field("served", &self.stats().served)
+            .field("served", &self.stats().served())
             .finish()
     }
 }

@@ -88,12 +88,6 @@ pub const REGISTRY: &[Knob] = &[
         summary: "path of the hdx-obs wall-clock span JSONL sink",
     },
     Knob {
-        name: "HDX_OBS_BUF",
-        owner: "tensor::obs (init)",
-        default: "4096",
-        summary: "per-thread span ring-buffer capacity (events)",
-    },
-    Knob {
         name: "HDX_CATALOG_KEEP",
         owner: "catalog::gc",
         default: "unbounded",

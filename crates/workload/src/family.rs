@@ -135,15 +135,13 @@ pub fn request_lines(
                 },
                 ..SearchRequest::default()
             };
+            let v1_line = |req| v1::encode_request(&v1::Envelope::job(req));
             match i % 4 {
-                0 => v1::encode_request(&v1::Envelope::v1(req.id, v1::RequestBody::Search(req))),
-                1 => v1::encode_request(&v1::Envelope::v1(
-                    req.id,
-                    v1::RequestBody::Grid(SearchRequest {
-                        lambda_grid: vec![lambda, lambda * 2.0],
-                        ..req
-                    }),
-                )),
+                0 => v1_line(req),
+                1 => v1_line(SearchRequest {
+                    lambda_grid: vec![lambda, lambda * 2.0],
+                    ..req
+                }),
                 2 => SearchRequest {
                     // v0 framing carries no bundle_seed field; the
                     // router defaults to the task's lowest seed, which
@@ -152,13 +150,10 @@ pub fn request_lines(
                     ..req
                 }
                 .encode(),
-                _ => v1::encode_request(&v1::Envelope::v1(
-                    req.id,
-                    v1::RequestBody::Meta(SearchRequest {
-                        max_searches: 2,
-                        ..req
-                    }),
-                )),
+                _ => v1_line(SearchRequest {
+                    max_searches: 2,
+                    ..req
+                }),
             }
         })
         .collect()

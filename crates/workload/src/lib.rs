@@ -26,7 +26,7 @@ pub mod trace;
 pub use family::{reference_requests, reference_specs, request_lines, BundleSpec};
 pub use score::{
     fnv1a, trace_fnv, FamilyScore, ReplayEnv, ServeBench, ServeScore, VerbScore,
-    SERVE_BENCH_VERSION, VERB_LABELS,
+    SERVE_BENCH_VERSION,
 };
 pub use trace::{
     spawn_tcp_router, Interleave, Trace, TraceEntry, TraceError, SEAL_ID_BASE, TRACE_VERSION,

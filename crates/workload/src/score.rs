@@ -23,9 +23,6 @@ use std::path::Path;
 /// Format version of `BENCH_serve.json`.
 pub const SERVE_BENCH_VERSION: u64 = 1;
 
-/// The four scored job classes, in emission order.
-pub const VERB_LABELS: [&str; 4] = ["search", "grid", "meta", "resume"];
-
 /// Per-family slice of the score: job volume plus the mean search
 /// objective the recorded responses achieved.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +44,7 @@ pub struct FamilyScore {
 /// Per-verb slice of the score.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerbScore {
-    /// Verb label (one of [`VERB_LABELS`]).
+    /// Verb label (a batched row of [`v1::VERBS`]).
     pub label: &'static str,
     /// Jobs the verb produced.
     pub jobs: u64,
@@ -62,8 +59,8 @@ pub struct VerbScore {
 pub struct ServeScore {
     /// Per-family rows, in first-appearance order.
     pub families: Vec<FamilyScore>,
-    /// Per-verb rows, in [`VERB_LABELS`] order (zero rows included so
-    /// the JSON shape is fixed).
+    /// Per-verb rows, one per batched verb in [`v1::VERBS`] order (zero
+    /// rows included so the JSON shape is fixed).
     pub verbs: Vec<VerbScore>,
     /// Total jobs across the trace.
     pub total_jobs: u64,
@@ -123,25 +120,17 @@ pub fn trace_fnv(trace: &Trace) -> u64 {
     fnv1a(text.as_bytes())
 }
 
-/// The verb class a trace entry's request belongs to, as an index into
-/// [`VERB_LABELS`], plus the request's per-search step budget when the
-/// line carries one (v0 reports are frozen without `steps_used`, so
-/// their steps are reconstructed as `searches × budget`). A line that
-/// does not decode produced no jobs: the router answered it with an
-/// in-band error, which the trace recorded.
+/// The verb a trace entry's request counts under — the row in
+/// [`v1::VERBS`] its options imply, as in the `stats` rows and the
+/// `router.verb.*` counters — plus the request's per-search step budget
+/// when the line carries one (v0 reports are frozen without
+/// `steps_used`, so their steps are reconstructed as
+/// `searches × budget`). A control line, or one that does not decode,
+/// produced no jobs: the router answered the latter with an in-band
+/// error, which the trace recorded.
 fn classify_request(line: &str) -> (usize, Option<u64>) {
-    let Ok(env) = v1::decode_line(v1::sniff(line), line) else {
-        return (0, None);
-    };
-    match &env.body {
-        // A `search` body — every v0 search line among them — counts
-        // under the verb its options imply, the same precedence the
-        // per-bundle verb counters use.
-        v1::RequestBody::Search(req) => (req.verb_index(), Some(req.steps_per_search())),
-        v1::RequestBody::Grid(req) | v1::RequestBody::Meta(req) | v1::RequestBody::Resume(req) => {
-            (env.body.verb_index(), Some(req.steps_per_search()))
-        }
-        // Control verbs produce no jobs; attribute nothing.
+    match v1::decode_line(v1::sniff(line), line).map(|env| env.body) {
+        Ok(v1::RequestBody::Job(req)) => (req.verb_index(), Some(req.steps_per_search())),
         _ => (0, None),
     }
 }
@@ -179,8 +168,8 @@ impl ServeScore {
     /// zero-scored.
     pub fn from_trace(trace: &Trace) -> Result<ServeScore, TraceError> {
         let mut families: Vec<FamilyScore> = Vec::new();
-        let mut verb_jobs = [0u64; 4];
-        let mut verb_steps = [0u64; 4];
+        let mut verb_jobs = [0u64; v1::BATCHED];
+        let mut verb_steps = [0u64; v1::BATCHED];
         let mut total_jobs = 0u64;
         let mut total_steps = 0u64;
         let mut protocol_errors = 0u64;
@@ -238,11 +227,11 @@ impl ServeScore {
             f.mean_global_loss /= n;
             f.mean_cost_hw /= n;
         }
-        let verbs = VERB_LABELS
+        let verbs = v1::VERBS[..v1::BATCHED]
             .iter()
             .enumerate()
-            .map(|(i, label)| VerbScore {
-                label,
+            .map(|(i, verb)| VerbScore {
+                label: verb.name,
                 jobs: verb_jobs[i],
                 steps: verb_steps[i],
                 latency_steps: if verb_jobs[i] == 0 {

@@ -13,10 +13,14 @@
 //!   exactly one (the dataset regeneration).
 //! * The `metrics` verb snapshot is step-based (no wall-clock keys),
 //!   strictly sorted, and equals the in-process registry snapshot.
+//! * The `router.verb.*` counters, the `stats` rows and the workload
+//!   score put a job line under the same verb, the one its options
+//!   imply, in either framing.
 //!
 //! One `#[test]` function on purpose: `hdx_obs::init_file` is
 //! process-global and sticky, so the untraced reference must run first
-//! in the same process.
+//! in the same process, and the registry counters are process-wide, so
+//! their deltas are exact only with no other test serving alongside.
 
 use hdx_core::{prepare_context_with, PreparedContext, SearchOptions, Task};
 use hdx_serve::v1;
@@ -304,4 +308,58 @@ fn trace_sink_never_reaches_response_bytes() {
     }
 
     std::fs::remove_file(&trace_path).ok();
+
+    verb_counters_agree();
+}
+
+/// Three lines whose verb their options decide — a v0 `search`
+/// carrying a λ-grid (two grid jobs), a v0 `search` carrying a
+/// meta-search budget (one meta job), and a v1 `grid` whose budget
+/// makes each of its two jobs a meta-search — each counted under one
+/// verb by the `router.verb.*` counters (once per line), the `stats`
+/// row and the workload score (once per job).
+fn verb_counters_agree() {
+    let budget = "fps=30 epochs=2 steps=2 batch=16 final_train=20";
+    let lines = [
+        (
+            format!("search id=41 task=cifar lambda_grid=0.001,0.01 {budget}"),
+            "grid",
+            2,
+        ),
+        (
+            format!("search id=42 task=cifar max_searches=2 {budget}"),
+            "meta",
+            1,
+        ),
+        (
+            format!("hdx1 grid id=43 task=cifar lambda_grid=0.001,0.01 max_searches=2 {budget}"),
+            "meta",
+            2,
+        ),
+    ];
+    let batched = &v1::VERBS[..v1::BATCHED];
+    for (line, verb, jobs) in lines {
+        let router = router(1);
+        let before = snapshot_map();
+        let trace =
+            hdx_workload::Trace::record(&router, std::slice::from_ref(&line)).expect("record");
+        let delta = sweep_delta(&before, &snapshot_map());
+        let counted = |name: &str| {
+            let key = format!("router.verb.{name}");
+            delta.iter().find(|(k, _)| *k == key).map_or(0, |(_, n)| *n)
+        };
+        let by_router: Vec<u64> = batched.iter().map(|v| counted(v.name)).collect();
+        let by_stats = router.stats().tasks[0].verbs.to_vec();
+        let score = hdx_workload::ServeScore::from_trace(&trace).expect("score");
+        let by_score: Vec<u64> = score.verbs.iter().map(|v| v.jobs).collect();
+        let want = |n: u64| -> Vec<u64> {
+            batched
+                .iter()
+                .map(|v| if v.name == verb { n } else { 0 })
+                .collect()
+        };
+        assert_eq!(by_router, want(1), "router.verb.* for {line}");
+        assert_eq!(by_stats, want(jobs), "stats row for {line}");
+        assert_eq!(by_score, want(jobs), "score verb rows for {line}");
+    }
 }

@@ -16,6 +16,8 @@
 //! * Same bytes: every decoder outcome over the fuzz corpora, and a
 //!   scripted connection covering every verb, fold into two pinned
 //!   FNV-1a digests that a codec or router refactor must not move.
+//! * Every request line the decoder accepts, in either framing,
+//!   re-encodes to a v1 line that decodes back to the same envelope.
 //! * A bundle that carries the `lutN.*` cost-table sections bundles
 //!   used to hold serves byte-identically to a current one (the
 //!   sections are ignored).
@@ -34,7 +36,7 @@ use hdx_surrogate::EstimatorConfig;
 use hdx_tensor::ckpt::{Checkpoint, CkptError};
 use hdx_tensor::{Rng, SessionBank, Tensor};
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 fn cifar() -> Arc<PreparedContext> {
@@ -217,9 +219,9 @@ fn mixed_task_batches_route_and_stay_worker_invariant() {
     let stats = router.stats();
     assert_eq!(stats.tasks.len(), 2);
     assert_eq!(stats.tasks[0].task, Task::Cifar);
-    assert_eq!(stats.tasks[0].served, 9);
+    assert_eq!(stats.tasks[0].served(), 9);
     assert_eq!(stats.tasks[1].task, Task::ImageNet);
-    assert_eq!(stats.tasks[1].served, 3);
+    assert_eq!(stats.tasks[1].served(), 3);
     assert_eq!(stats.requests_served, 12);
     assert!(stats.tasks[0].steps_used > 0);
 }
@@ -245,7 +247,7 @@ fn bundle_seed_pins_and_unload_is_in_band() {
         .tasks
         .iter()
         .filter(|t| t.task == Task::Cifar)
-        .map(|t| (t.bundle_seed, t.served))
+        .map(|t| (t.bundle_seed, t.served()))
         .collect();
     assert_eq!(by_key, vec![(7, 1), (9, 1)]);
 
@@ -392,7 +394,7 @@ fn overflowing_step_budget_saturates_and_is_refused_in_band() {
     // saturate instead, so the line is refused in-band and the
     // connection goes on serving.
     let line = "hdx1 search id=5 fps=30 epochs=4294967296 steps=4294967296 final_train=40";
-    let v1::RequestBody::Search(req) = v1::decode_request(line).expect("decode").body else {
+    let v1::RequestBody::Job(req) = v1::decode_request(line).expect("decode").body else {
         panic!("not a search");
     };
     assert_eq!(req.step_budget(), u64::MAX);
@@ -719,24 +721,12 @@ fn fuzz_corpus(report_v1: String, stats: v1::StatsReport) -> Vec<(String, FuzzDi
         ("stats".to_owned(), FuzzDir::V0Request),
         ("ping".to_owned(), FuzzDir::V0Request),
         (
-            enc(&Envelope::v1(
-                1,
-                RequestBody::Search(quick(1, Task::Cifar, 0)),
-            )),
+            enc(&Envelope::job(quick(1, Task::Cifar, 0))),
             FuzzDir::V1Request,
         ),
-        (
-            enc(&Envelope::v1(1, RequestBody::Grid(grid_req))),
-            FuzzDir::V1Request,
-        ),
-        (
-            enc(&Envelope::v1(3, RequestBody::Meta(meta_req))),
-            FuzzDir::V1Request,
-        ),
-        (
-            enc(&Envelope::v1(2, RequestBody::Resume(resume_req))),
-            FuzzDir::V1Request,
-        ),
+        (enc(&Envelope::job(grid_req)), FuzzDir::V1Request),
+        (enc(&Envelope::job(meta_req)), FuzzDir::V1Request),
+        (enc(&Envelope::job(resume_req)), FuzzDir::V1Request),
         (
             enc(&Envelope::v1(4, RequestBody::Stats)),
             FuzzDir::V1Request,
@@ -965,7 +955,7 @@ fn byte_mutation_fuzz_sweep_never_panics_and_keeps_offsets_in_bounds() {
 fn decode_outcome(line: &str, dir: FuzzDir) -> String {
     match dir {
         FuzzDir::V0Request => match parse_request(line) {
-            Ok(v1::RequestBody::Search(req)) => req.encode(),
+            Ok(v1::RequestBody::Job(req)) => req.encode(),
             Ok(v1::RequestBody::Stats) => "stats".to_owned(),
             Ok(v1::RequestBody::Ping) => "ping".to_owned(),
             Ok(other) => unreachable!("v0 parsed {other:?}"),
@@ -1171,14 +1161,8 @@ fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
         tasks: vec![v1::TaskStats {
             task: Task::Cifar,
             bundle_seed: 7,
-            served: 5,
             steps_used: 230,
-            verbs: v1::VerbCounts {
-                search: 2,
-                grid: 2,
-                meta: 0,
-                resume: 1,
-            },
+            verbs: [2, 2, 0, 1],
         }],
     };
     let mut corpus = fuzz_corpus(live_report_v1(&router), stats);
@@ -1325,7 +1309,7 @@ fn same_bytes_pin_covers_decoder_outcomes_and_a_full_transcript() {
 
     assert_eq!(
         (decoded, served),
-        (0xbeee_c29d_80d3_ab53, 0x0084_1bd2_4f9d_d800),
+        (0xd6db_66b7_e57a_2003, 0x0084_1bd2_4f9d_d800),
         "same-bytes digests moved: decoded={decoded:#018x} served={served:#018x}\n{folded:#?}"
     );
 }
@@ -1393,30 +1377,10 @@ fn per_verb_counters_pin_and_v0_stats_bytes_stay_frozen() {
     let stats = router.stats();
     let cifar_row = &stats.tasks[0];
     assert_eq!(cifar_row.task, Task::Cifar);
-    assert_eq!(
-        (
-            cifar_row.verbs.search,
-            cifar_row.verbs.grid,
-            cifar_row.verbs.meta,
-            cifar_row.verbs.resume
-        ),
-        (2, 2, 0, 1),
-        "cifar verb counters"
-    );
-    assert_eq!(cifar_row.verbs.total(), cifar_row.served);
+    assert_eq!(cifar_row.verbs, [2, 2, 0, 1], "cifar verb counters");
     let imagenet_row = &stats.tasks[1];
     assert_eq!(imagenet_row.task, Task::ImageNet);
-    assert_eq!(
-        (
-            imagenet_row.verbs.search,
-            imagenet_row.verbs.grid,
-            imagenet_row.verbs.meta,
-            imagenet_row.verbs.resume
-        ),
-        (1, 0, 1, 0),
-        "imagenet verb counters"
-    );
-    assert_eq!(imagenet_row.verbs.total(), imagenet_row.served);
+    assert_eq!(imagenet_row.verbs, [1, 0, 1, 0], "imagenet verb counters");
 
     // The counters surface through the v1 stats verb (8-field rows)…
     let v1_stats = serve_lines(&router, "hdx1 stats id=90\n").remove(0);
@@ -1449,6 +1413,89 @@ fn per_verb_counters_pin_and_v0_stats_bytes_stay_frozen() {
     );
     assert_eq!(v0_line, expected, "v0 stats bytes must not grow fields");
     assert!(!v0_line.contains("task="), "v0 shim must not leak v1 rows");
+}
+
+/// The codec as a property: every envelope [`v1::decode_line`] returns
+/// re-encodes through [`v1::encode_request`] to a v1 line that decodes
+/// back to it, in either framing. Swept over the committed reference
+/// trace's requests, the workload's family lines, the options-pin lines
+/// of the `proto` unit tests, and three lines whose options decide
+/// their verb (a v0 grid, a v0 meta-search, a v1 grid with a
+/// meta-search budget).
+#[test]
+fn decoded_requests_re_encode_to_lines_that_decode_back() {
+    let trace_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/serve_reference.trace");
+    let trace = hdx_workload::Trace::load(&trace_path).expect("reference trace loads");
+    let budget = "fps=30 epochs=2 steps=3 batch=16 final_train=40";
+    let lines: Vec<String> = trace
+        .entries
+        .iter()
+        .map(|e| e.request.clone())
+        .chain(hdx_workload::reference_requests())
+        .chain(
+            [
+                "search",
+                "search id=11 task=imagenet method=nas lambda_macs=0.25 fps=25 area=2.5 \
+                 lambda_cost=0.01 lambda_soft=4 epochs=3 steps=4 batch=16 final_train=50 seed=9 \
+                 num_paths=6",
+                "search id=12 method=dance fps=30 lambda_grid=0.5,1 max_searches=3 epochs=2",
+                "hdx1 search id=13 task=spheres method=hdx delta0=0.002 p=0.05 latency=40 \
+                 energy=11 lambda_cost=0.02 epochs=5 steps=6 batch=64 final_train=0 seed=3 \
+                 num_paths=2 bundle_seed=4 ckpt=/fixed/path ckpt_every=3",
+                "hdx1 grid id=14 task=highdim method=dance lambda_grid=0.001,0.01,0.1 epochs=2 \
+                 steps=2 batch=8 final_train=10 seed=5",
+                "hdx1 meta id=15 task=manyclass method=autonba fps=30 max_searches=4 epochs=2 \
+                 steps=3 batch=24 final_train=20 seed=6 num_paths=3",
+                "hdx1 resume id=16 task=edge method=nas ckpt=/fixed/path ckpt_every=3 epochs=4 \
+                 seed=7 lambda_soft=0.5",
+            ]
+            .map(str::to_owned),
+        )
+        .chain([
+            format!("search id=41 task=cifar lambda_grid=0.001,0.01 {budget}"),
+            format!("search id=42 task=cifar max_searches=2 {budget}"),
+            format!("hdx1 grid id=43 task=cifar lambda_grid=0.001,0.01 max_searches=2 {budget}"),
+        ])
+        .collect();
+    assert_eq!(lines.len(), 16 + 16 + 7 + 3);
+    for line in &lines {
+        let env = v1::decode_line(v1::sniff(line), line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let encoded = v1::encode_request(&env);
+        assert_eq!(
+            v1::decode_request(&encoded),
+            Ok(env),
+            "{line}\n -> {encoded}"
+        );
+    }
+}
+
+/// A snapshot interval without a snapshot path has no effect, so the
+/// line is refused in-band naming both keys, and the connection goes
+/// on serving.
+#[test]
+fn ckpt_every_without_ckpt_is_refused_in_band() {
+    for line in [
+        "hdx1 search id=3 fps=30 ckpt_every=3",
+        "hdx1 resume id=3 ckpt_every=3",
+    ] {
+        let err = v1::decode_request(line).expect_err(line);
+        assert_eq!((err.id, err.kind.code()), (3, "invalid_request"), "{line}");
+        let msg = err.kind.message();
+        assert!(msg.contains("ckpt_every requires ckpt"), "{msg:?}");
+    }
+    let router = Router::new(RouterConfig::default());
+    let replies = serve_lines(
+        &router,
+        "hdx1 search id=3 fps=30 ckpt_every=3\nhdx1 ping id=4\n",
+    );
+    assert_eq!(
+        replies,
+        [
+            "hdx1 error id=3 code=invalid_request msg=ckpt_every_requires_ckpt_(the_snapshot_path)",
+            "hdx1 pong id=4",
+        ]
+    );
 }
 
 #[test]
