@@ -23,9 +23,12 @@
 //! the per-search constants (margined steering targets, the NAS→HW MAC
 //! proxy). The epoch loop, the hardware head (record, bank key,
 //! checkout, evaluation), the [`SearchCheckpoint`] capture/restore and
-//! the hardware proposal all take that one struct. The head's compiled
-//! session and its fresh-record reference are read out by one path, so
-//! the two executors differ only in how a graph is run.
+//! the hardware proposal all take that one struct. The head records
+//! every per-search value as a leaf, so its program is keyed by the
+//! method and the shapes alone and one compiled head serves every
+//! request of that shape. The head's compiled session and its
+//! fresh-record reference are read out by one path, so the two
+//! executors differ only in how a graph is run.
 
 use crate::constraint::{all_satisfied, Constraint};
 use crate::gradmanip::{manipulate, DeltaPolicy, ManipulationKind};
@@ -126,10 +129,8 @@ pub struct SearchOptions {
     pub jobs: usize,
     /// Execution engine for every step graph (the supernet task branch,
     /// the hardware head, final-network retraining and evaluation):
-    /// compiled replay (default) or the fresh-record reference path.
-    /// Both are bit-identical; single-path mixtures
-    /// (`supernet.num_paths == 1`) always fresh-record their task
-    /// branch because their graphs bake per-step constants.
+    /// compiled replay (default, at every `supernet.num_paths`) or the
+    /// fresh-record reference path. Both are bit-identical.
     pub exec: ExecMode,
     /// Mid-search checkpointing: when set, the engine snapshots the
     /// full optimization state ([`SearchCheckpoint`]) to
@@ -347,30 +348,27 @@ fn search_inner(
     };
 
     // The hardware head — arch encoding → generator/θ → estimator →
-    // cost / soft penalties / constraint loss — has a static topology,
-    // so by default its program comes from the process-wide
-    // [`SessionBank`] (compiled at most once per head fingerprint
-    // within a meta-search) and is replayed with rebound α and hardware
-    // parameters every step (zero per-step graph allocations).
+    // cost / soft penalties / constraint loss — has a static topology
+    // and takes every per-search value as a leaf, so by default its
+    // program comes from the process-wide [`SessionBank`] (compiled
+    // once per head shape, shared by every request of that shape) and
+    // is replayed with rebound α and hardware parameters every step.
     // `ExecMode::FreshRecord` re-records the head instead: same split
     // step structure, bit-identical results.
     let mut head = match opts.exec {
-        ExecMode::Compiled => HeadExec::checkout(&st),
+        ExecMode::Compiled => HeadExec::checkout(&st, SessionBank::global()),
         ExecMode::FreshRecord => HeadExec::Fresh { tape: Tape::new() },
     };
     // The task branch: each step samples its path sets *outside* the
     // graph (consuming the RNG exactly as fresh recording would) and
     // chains bank-cached programs — a stem, one segment per layer keyed
     // by that layer's set alone, a tail — so the bank holds a small,
-    // fixed set of programs every search shares. The full mixture
-    // (num_paths == OP_SET.len()) is the choice of every path at every
-    // step. Single-path mixtures bake per-step constants and always
-    // fresh-record.
+    // fixed set of programs every search shares, at every `num_paths`.
     let mut task_exec = match opts.exec {
-        ExecMode::Compiled if opts.supernet.num_paths >= 2 => {
+        ExecMode::Compiled => {
             TaskExec::Sampled(Box::new(SampledReplay::new(SessionBank::global(), &pool)))
         }
-        _ => TaskExec::Fresh,
+        ExecMode::FreshRecord => TaskExec::Fresh,
     };
     let mut head_eval = HeadEval::default();
     let mut w_tape = Tape::new();
@@ -408,10 +406,8 @@ fn search_inner(
                 st.w_opt.step(st.supernet.w_store_mut(), &collected);
             }
 
-            // --- α / v-step: task branch on a validation batch
-            // (replayed when the mixture topology is compiled or
-            // bank-cached, fresh-recorded otherwise) + replayed
-            // hardware head ------------------------------------------
+            // --- α / v-step: task branch on a validation batch +
+            // hardware head (both replayed, or both fresh-recorded) ---
             let alpha_span = hdx_obs::span("engine.alpha_step");
             let batch = ctx.dataset.val_batch(opts.batch, &mut st.rng);
             let (task_value, task_alpha_grads) = match &mut task_exec {
@@ -604,8 +600,8 @@ fn search_inner(
 /// the epoch loop mutates (the models, their optimizers, the RNG
 /// stream, the δ schedule and the trace — exactly what a
 /// [`SearchCheckpoint`] captures) plus the per-search constants the
-/// hardware head bakes in. The loop, the hardware head, the checkpoint
-/// and the hardware proposal all read this one struct.
+/// hardware head binds as leaves. The loop, the hardware head, the
+/// checkpoint and the hardware proposal all read this one struct.
 struct SearchState<'a> {
     ctx: SearchContext<'a>,
     opts: &'a SearchOptions,
@@ -1047,11 +1043,6 @@ struct HeadVars {
     /// Trainable hardware leaves: the generator weights `v`
     /// (Dance/HDX), `[θ]` (Auto-NBA), or empty (NAS→HW).
     hw_vars: Vec<Var>,
-    /// Frozen estimator weight leaves (empty for NAS→HW). Not rebound
-    /// per step; rebound once at bank checkout, because a cached head
-    /// program may have been compiled by a different (same-shaped)
-    /// estimator instance.
-    est_vars: Vec<Var>,
     /// The head's contribution to the global loss: `λ·Cost_HW` plus
     /// soft penalties, or the MAC penalty for NAS→HW.
     objective: Var,
@@ -1063,10 +1054,27 @@ struct HeadVars {
     metrics: Option<(Var, Var, Var)>,
 }
 
+/// `x · v` with `v` a `[1, 1]` leaf: a per-search factor enters the
+/// graph as a value, not as a constant the compiled plan bakes.
+fn scale_by_leaf(tape: &mut Tape, x: Var, v: f32) -> Var {
+    let v = tape.leaf(Tensor::scalar(v));
+    tape.mul_scalar_var(x, v)
+}
+
+/// The hinge `max(x − t, 0)` with `−t` a `[1, 1]` leaf.
+fn hinge_above_leaf(tape: &mut Tape, x: Var, t: f32) -> Var {
+    let neg = tape.leaf(Tensor::scalar(-t));
+    let shifted = tape.add(x, neg);
+    tape.clamp_min(shifted, 0.0)
+}
+
 /// Records the hardware head onto `tape`: α leaves → arch encoding →
-/// hardware path → estimator cost / penalties / constraint loss. Used
-/// both to compile the replayed head and as the per-step fresh-record
-/// reference.
+/// hardware path → estimator cost / penalties / constraint loss. Every
+/// per-search value (λs, steering targets, cost-weight scales, the
+/// estimator's statistics and weights, the MAC proxy) is a leaf, so the
+/// graph's shape is a function of [`head_bank_key`]'s inputs alone.
+/// Used both to compile the replayed head and as the per-step
+/// fresh-record reference.
 fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
     let (ctx, opts, supernet, generator) = (&st.ctx, st.opts, &st.supernet, &st.generator);
     let alpha_store = supernet.alpha_store();
@@ -1100,37 +1108,32 @@ fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
 
     let mut cost = None;
     let mut metrics = None;
-    let mut est_vars = Vec::new();
     let objective = match opts.method {
         Method::NasThenHw { lambda_macs } => {
             let macs = &st.macs_norm;
             let macs_leaf = tape.leaf(Tensor::from_vec(macs.clone(), &[1, macs.len()]));
             let expected = tape.dot(enc, macs_leaf);
-            tape.scale(expected, lambda_macs as f32)
+            scale_by_leaf(tape, expected, lambda_macs as f32)
         }
         _ => {
             let eb = ctx.estimator.bind(tape);
-            let est_params = ctx.estimator.params();
-            est_vars = (0..est_params.len())
-                .map(|i| eb.var(est_params.id(i)))
-                .collect();
             let est_in = tape.concat_cols(&[enc, hw_var.expect("hw path present")]);
             let (lat, en, ar) = ctx.estimator.predict_metrics(tape, &eb, est_in);
             let w = ctx.weights;
-            let lat_c = tape.scale(lat, (w.c_l / w.l_ref) as f32);
-            let en_c = tape.scale(en, (w.c_e / w.e_ref) as f32);
-            let ar_c = tape.scale(ar, (w.c_a / w.a_ref) as f32);
+            let lat_c = scale_by_leaf(tape, lat, (w.c_l / w.l_ref) as f32);
+            let en_c = scale_by_leaf(tape, en, (w.c_e / w.e_ref) as f32);
+            let ar_c = scale_by_leaf(tape, ar, (w.c_a / w.a_ref) as f32);
             let partial = tape.add(lat_c, en_c);
             let cost_var = tape.add(partial, ar_c);
-            let mut objective = tape.scale(cost_var, opts.lambda_cost as f32);
+            let mut objective = scale_by_leaf(tape, cost_var, opts.lambda_cost as f32);
 
             // Soft-constraint penalty (DANCE+Soft / Auto-NBA+Soft).
             if let Some(lambda_soft) = opts.lambda_soft {
                 for c in &st.steering {
                     let metric = pick_metric((lat, en, ar), c);
-                    let ratio = tape.scale(metric, (1.0 / c.target) as f32);
+                    let ratio = scale_by_leaf(tape, metric, (1.0 / c.target) as f32);
                     let hinge = tape.hinge_above(ratio, 1.0);
-                    let pen = tape.scale(hinge, lambda_soft as f32);
+                    let pen = scale_by_leaf(tape, hinge, lambda_soft as f32);
                     objective = tape.add(objective, pen);
                 }
             }
@@ -1147,7 +1150,7 @@ fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
             let mut acc: Option<Var> = None;
             for c in &st.steering {
                 let metric = pick_metric(mv, c);
-                let hinge = tape.hinge_above(metric, c.target as f32);
+                let hinge = hinge_above_leaf(tape, metric, c.target as f32);
                 acc = Some(match acc {
                     Some(a) => tape.add(a, hinge),
                     None => hinge,
@@ -1160,7 +1163,6 @@ fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
     HeadVars {
         alpha_vars,
         hw_vars,
-        est_vars,
         objective,
         cost,
         constraint,
@@ -1168,63 +1170,34 @@ fn record_head(tape: &mut Tape, st: &SearchState<'_>) -> HeadVars {
     }
 }
 
-/// The [`SessionBank`] fingerprint of the hardware head: everything
-/// the compiled plan bakes in — method/graph shape, scalar constants
-/// (λ values, steering targets, cost-weight scales, estimator
-/// normalization stats), the MAC-proxy leaf, and
-/// the estimator/generator topologies. Estimator *weights* are baked
-/// but deliberately excluded: they are leaves, and
-/// [`HeadExec::checkout`] rebinds them from the current estimator.
-#[allow(clippy::cast_possible_truncation)]
+/// The [`SessionBank`] key of the hardware head: the graph's shape and
+/// nothing else — the method, the layer count, whether a soft penalty
+/// is recorded, the constrained metrics in steering order, and the
+/// estimator and generator parameter shapes. Every value the head reads
+/// is a leaf that [`HeadExec::checkout`] binds, so the key hashes no
+/// float and one program serves every request of that shape.
 fn head_bank_key(st: &SearchState<'_>) -> u64 {
-    let (ctx, opts) = (&st.ctx, st.opts);
-    let mut parts: Vec<u64> = Vec::new();
-    match opts.method {
-        Method::NasThenHw { lambda_macs } => {
-            parts.push(0);
-            parts.push(lambda_macs.to_bits());
-            parts.extend(st.macs_norm.iter().map(|m| u64::from(m.to_bits())));
-        }
-        Method::AutoNba => parts.push(1),
-        Method::Dance => parts.push(2),
-        // δ₀/p shape the optimizer schedule, not the graph.
-        Method::Hdx { .. } => parts.push(3),
-    }
-    parts.push(st.supernet.num_layers() as u64);
-    parts.push(opts.lambda_cost.to_bits());
-    match opts.lambda_soft {
-        Some(l) => {
-            parts.push(1);
-            parts.push(l.to_bits());
-        }
-        None => parts.push(0),
-    }
-    for c in &st.steering {
-        parts.push(match c.metric {
-            Metric::Latency => 0,
-            Metric::Energy => 1,
-            Metric::Area => 2,
-        });
-        parts.push(c.target.to_bits());
-    }
-    let w = ctx.weights;
-    for v in [w.c_l, w.c_e, w.c_a, w.l_ref, w.e_ref, w.a_ref] {
-        parts.push(v.to_bits());
-    }
-    let stats = ctx.estimator.stats();
-    for m in 0..3 {
-        parts.push(u64::from(stats.mean[m].to_bits()));
-        parts.push(u64::from(stats.std[m].to_bits()));
-    }
-    for store in [ctx.estimator.params(), st.generator.params()] {
-        parts.push(store.len() as u64);
-        for (_, t) in store.iter() {
-            for &d in t.shape() {
-                parts.push(d as u64);
-            }
-        }
-    }
-    bank_key("hw-head", &parts)
+    let method: u8 = match st.opts.method {
+        Method::NasThenHw { .. } => 0,
+        Method::AutoNba => 1,
+        Method::Dance => 2,
+        Method::Hdx { .. } => 3,
+    };
+    let metrics: Vec<Metric> = st.steering.iter().map(|c| c.metric).collect();
+    let shapes: Vec<Vec<&[usize]>> = [st.ctx.estimator.params(), st.generator.params()]
+        .iter()
+        .map(|store| store.iter().map(|(_, t)| t.shape()).collect())
+        .collect();
+    bank_key(
+        "hw-head",
+        &(
+            method,
+            st.supernet.num_layers(),
+            st.opts.lambda_soft.is_some(),
+            metrics,
+            shapes,
+        ),
+    )
 }
 
 /// Per-step outputs of the hardware head, written into reusable
@@ -1247,9 +1220,9 @@ struct HeadEval {
 
 /// The hardware-head executor: a bank-leased [`Session`] replayed with
 /// rebound parameters, or the fresh-record reference.
-enum HeadExec {
+enum HeadExec<'b> {
     Compiled {
-        lease: Box<SessionLease<'static>>,
+        lease: Box<SessionLease<'b>>,
         vars: Arc<HeadVars>,
     },
     Fresh {
@@ -1257,48 +1230,47 @@ enum HeadExec {
     },
 }
 
-impl HeadExec {
-    /// Leases the compiled head from the process-wide [`SessionBank`]
-    /// (compiling on the first checkout of this fingerprint), then
-    /// rebinds the frozen estimator weight leaves — the cached program
-    /// may have been compiled by a different same-shaped estimator.
-    fn checkout(st: &SearchState<'_>) -> HeadExec {
+impl<'b> HeadExec<'b> {
+    /// Records this search's head once (a batch-1 eager forward; no RNG
+    /// is drawn), leases the program of its shape from `bank` —
+    /// compiling that recording on a miss — and binds every leaf of the
+    /// recording into the session: the estimator, the per-search
+    /// constants, and this step's α and hardware parameters.
+    fn checkout(st: &SearchState<'_>, bank: &'b SessionBank) -> HeadExec<'b> {
+        let mut tape = Tape::new();
+        let recorded = record_head(&mut tape, st);
         // The head is a batch-1 (row-vector) graph: every kernel is far
         // under the pool dispatch threshold, so it replays on one thread.
-        let mut lease = SessionBank::global().checkout(head_bank_key(st), || {
-            let mut tape = Tape::new();
-            let vars = record_head(&mut tape, st);
-            let mut outputs = vec![vars.objective];
-            outputs.extend(vars.cost);
-            outputs.extend(vars.constraint);
-            let keep: Vec<Var> = vars
+        let mut lease = bank.checkout(head_bank_key(st), || {
+            let mut outputs = vec![recorded.objective];
+            outputs.extend(recorded.cost);
+            outputs.extend(recorded.constraint);
+            let keep: Vec<Var> = recorded
                 .metrics
                 .map(|(l, e, a)| vec![l, e, a])
                 .unwrap_or_default();
             // Only α and the trainable hardware parameters feed the
-            // optimizers; the frozen estimator weights are pruned
-            // gradient sinks, which skips their per-layer weight-grad
-            // matmuls on every replay.
-            let sinks: Vec<Var> = vars
+            // optimizers; the frozen estimator weights and the constant
+            // leaves are pruned gradient sinks, which skips their
+            // per-layer weight-grad matmuls on every replay.
+            let sinks: Vec<Var> = recorded
                 .alpha_vars
                 .iter()
-                .chain(&vars.hw_vars)
+                .chain(&recorded.hw_vars)
                 .copied()
                 .collect();
             (
                 Program::compile_with_sinks(&tape, &outputs, &keep, &sinks),
-                vars,
+                recorded,
             )
         });
-        let vars: Arc<HeadVars> = lease.meta();
-        let est_params = st.ctx.estimator.params();
-        let session = lease.session();
-        for (i, &v) in vars.est_vars.iter().enumerate() {
-            session.bind(v, est_params.get(est_params.id(i)).data());
-        }
+        // A key that missed a topology input would pair this recording
+        // with another graph; `bind_leaves` checks the node count and
+        // every leaf position against the leased program.
+        lease.session().bind_leaves(&tape);
         HeadExec::Compiled {
+            vars: lease.meta(),
             lease: Box::new(lease),
-            vars,
         }
     }
 
@@ -1358,10 +1330,10 @@ impl HeadExec {
 
 /// How the supernet task branch executes one step.
 enum TaskExec<'p> {
-    /// Bank-cached segment-chain replay of the sampled path sets.
+    /// Bank-cached segment-chain replay of the sampled path sets, at
+    /// every `num_paths` ([`ExecMode::Compiled`]).
     Sampled(Box<SampledReplay<'p>>),
-    /// Fresh-record reference (and the single-path mixture, whose
-    /// graphs bake per-step constants).
+    /// The fresh-record reference ([`ExecMode::FreshRecord`]).
     Fresh,
 }
 
@@ -1609,7 +1581,7 @@ mod tests {
         };
         let mut st = SearchState::new(ctx, &opts);
 
-        let mut compiled = HeadExec::checkout(&st);
+        let mut compiled = HeadExec::checkout(&st, SessionBank::global());
         let mut fresh = HeadExec::Fresh { tape: Tape::new() };
         let mut ec = HeadEval::default();
         let mut ef = HeadEval::default();
@@ -1622,6 +1594,126 @@ mod tests {
             assert_eq!(ec.alpha_const, ef.alpha_const, "step {step} alpha_const");
             assert_eq!(ec.hw_cost, ef.hw_cost, "step {step} hw_cost");
             assert_eq!(ec.hw_const, ef.hw_const, "step {step} hw_const");
+        }
+    }
+
+    #[test]
+    fn shared_head_program_matches_fresh_record() {
+        // One compiled head serves every request of its shape. For each
+        // method, request A compiles the head on a private bank; request
+        // B differs in seed, λ_cost, λ_soft's value and the FPS target
+        // (and λ_macs for NAS→HW) but not in shape, so it gets A's key
+        // and A's program — once while A holds its lease (a new session
+        // initialized with A's recorded values) and once on A's dirty
+        // session. Both must equal B's fresh record bit for bit over 3
+        // optimizer steps. Keys differ when the method, the constrained
+        // metrics or λ_soft's presence does.
+        let prepared = ctx();
+        let ctx = prepared.context();
+        let hdx = Method::Hdx {
+            delta0: 1e-3,
+            p: 1e-2,
+        };
+        let methods = [
+            hdx,
+            Method::Dance,
+            Method::AutoNba,
+            Method::NasThenHw { lambda_macs: 0.002 },
+        ];
+        for method in methods {
+            let opts_a = SearchOptions {
+                method,
+                lambda_cost: 0.003,
+                lambda_soft: Some(2.0),
+                constraints: vec![Constraint::fps(30.0)],
+                seed: 5,
+                ..SearchOptions::default()
+            };
+            let opts_b = SearchOptions {
+                method: match method {
+                    Method::NasThenHw { .. } => Method::NasThenHw { lambda_macs: 0.05 },
+                    m => m,
+                },
+                lambda_cost: 0.01,
+                lambda_soft: Some(5.0),
+                constraints: vec![Constraint::fps(45.0)],
+                seed: 9,
+                ..SearchOptions::default()
+            };
+            let label = method.label();
+            let mut st_a = SearchState::new(ctx, &opts_a);
+            let mut st_b = SearchState::new(ctx, &opts_b);
+            assert_eq!(head_bank_key(&st_a), head_bank_key(&st_b), "{label}");
+
+            let bank = SessionBank::new();
+            let mut head_a = HeadExec::checkout(&st_a, &bank);
+            head_a.eval(&mut st_a, &mut HeadEval::default());
+            let mut beside_a = HeadExec::checkout(&st_b, &bank);
+            drop(head_a);
+            let mut after_a = HeadExec::checkout(&st_b, &bank);
+            let stats = bank.stats();
+            assert_eq!((stats.misses, stats.programs), (1, 1), "{label}: {stats:?}");
+
+            let mut fresh = HeadExec::Fresh { tape: Tape::new() };
+            let (mut e1, mut e2, mut ef) = (
+                HeadEval::default(),
+                HeadEval::default(),
+                HeadEval::default(),
+            );
+            for step in 0..3 {
+                beside_a.eval(&mut st_b, &mut e1);
+                after_a.eval(&mut st_b, &mut e2);
+                fresh.eval(&mut st_b, &mut ef);
+                for (name, ec) in [("beside A", &e1), ("after A", &e2)] {
+                    let at = format!("{label} {name} step {step}");
+                    assert_eq!(ec.objective.to_bits(), ef.objective.to_bits(), "{at}");
+                    assert_eq!(ec.est, ef.est, "{at}: est");
+                    assert_eq!(ec.alpha_obj, ef.alpha_obj, "{at}: alpha_obj");
+                    assert_eq!(ec.alpha_const, ef.alpha_const, "{at}: alpha_const");
+                    assert_eq!(ec.hw_cost, ef.hw_cost, "{at}: hw_cost");
+                    assert_eq!(ec.hw_const, ef.hw_const, "{at}: hw_const");
+                }
+                // Move α and the hardware parameters so the next step
+                // replays new values.
+                let per_param = unflatten(&ef.alpha_obj, st_b.supernet.alpha_store());
+                st_b.a_opt.step(st_b.supernet.alpha_store_mut(), &per_param);
+                if let Some(g) = &ef.hw_cost {
+                    let store = hw_store(method, &mut st_b.generator, &mut st_b.hw_params);
+                    let per_param = unflatten(g, store);
+                    st_b.v_opt.step(store, &per_param);
+                }
+            }
+        }
+
+        // What the key does see: the method, the constrained metrics in
+        // steering order, and whether a soft penalty is recorded.
+        let key = |opts: SearchOptions| head_bank_key(&SearchState::new(ctx, &opts));
+        let base = SearchOptions {
+            method: hdx,
+            lambda_soft: Some(2.0),
+            constraints: vec![Constraint::fps(30.0)],
+            ..SearchOptions::default()
+        };
+        let variants = [
+            SearchOptions {
+                method: Method::Dance,
+                ..base.clone()
+            },
+            SearchOptions {
+                constraints: vec![Constraint::new(Metric::Energy, 5.0)],
+                ..base.clone()
+            },
+            SearchOptions {
+                constraints: vec![Constraint::fps(30.0), Constraint::new(Metric::Area, 5.0)],
+                ..base.clone()
+            },
+            SearchOptions {
+                lambda_soft: None,
+                ..base.clone()
+            },
+        ];
+        for variant in variants {
+            assert_ne!(key(variant.clone()), key(base.clone()), "{variant:?}");
         }
     }
 
@@ -1709,12 +1801,13 @@ mod tests {
 
     #[test]
     fn single_path_search_is_exec_mode_invariant() {
-        // num_paths == 1 is the one served mixture whose task branch
-        // fresh-records even in compiled mode (`Supernet::mix_layer`
-        // bakes the chosen path's 1/c each step); the head, the
-        // final-net retrain and its evaluation still replay. At every
-        // worker count the result and the whole trajectory must equal
-        // the fresh-record reference bit for bit.
+        // num_paths == 1 in compiled mode replays its task branch like
+        // every other mixture: the segment programs take the chosen
+        // path's normalizing factor `1/max(c, 1e-6)` as a leaf the
+        // replay rebinds each step (`Supernet::mix_layer`), and the
+        // head, the final-net retrain and its evaluation replay too. At
+        // every worker count the result and the whole trajectory must
+        // equal the fresh-record reference bit for bit.
         let prepared = ctx();
         let run = |exec: ExecMode, jobs: usize| {
             let opts = SearchOptions {

@@ -311,7 +311,7 @@ impl Supernet {
         let mut acc = features;
         for (l, chosen) in chosen_per_layer.iter().enumerate() {
             let logits = alpha.var(self.alpha.id(l));
-            acc = self.mix_layer(tape, w, l, logits, features, acc, chosen);
+            acc = self.mix_layer(tape, w, l, logits, features, acc, chosen).0;
         }
         self.classifier.forward(tape, w, acc)
     }
@@ -329,6 +329,12 @@ impl Supernet {
     /// ensemble), so nothing here depends on another layer's choice:
     /// the replay compiles this as a stand-alone layer segment
     /// (`replay.rs`).
+    ///
+    /// A single path's weight is `p · (1 / max(p, 1e-6))`, ≡ 1 but with
+    /// the α path kept alive. The factor depends on α's value at record
+    /// time, so it is a `[1, 1]` leaf, returned second for the replay to
+    /// rebind every step ([`single_path_factor`]); the graph's shape
+    /// stays a function of the path set alone.
     #[allow(clippy::too_many_arguments)]
     fn mix_layer(
         &self,
@@ -339,7 +345,7 @@ impl Supernet {
         features: Var,
         acc: Var,
         chosen: &[usize],
-    ) -> Var {
+    ) -> (Var, Option<Var>) {
         let probs_var = tape.softmax_rows(logits);
         let slices: Vec<Var> = chosen
             .iter()
@@ -355,18 +361,16 @@ impl Supernet {
                 Some(acc_s)
             }
         };
+        let mut factor = None;
         let mut mixed: Option<Var> = None;
-        for (slice, &op) in slices.iter().zip(chosen) {
+        for (&slice, &op) in slices.iter().zip(chosen) {
             let weight = match denom {
-                Some(d) => tape.div(*slice, d),
+                Some(d) => tape.div(slice, d),
                 None => {
-                    // Single path: weight ≡ 1 but keep the α path alive
-                    // by dividing the slice by its own constant value.
-                    // The constant depends on the α value at record
-                    // time, which is why the replay never compiles a
-                    // single-path segment (its recorder refuses one).
-                    let c = tape.value(*slice).item().max(1e-6);
-                    tape.scale(*slice, 1.0 / c)
+                    let p = tape.value(slice).item();
+                    let f = tape.leaf(Tensor::scalar(single_path_factor(p)));
+                    factor = Some(f);
+                    tape.mul_scalar_var(slice, f)
                 }
             };
             let out = self.blocks[l][op].forward(tape, w, features);
@@ -377,7 +381,7 @@ impl Supernet {
             });
         }
         let mixed = mixed.expect("at least one path sampled");
-        tape.add(acc, mixed)
+        (tape.add(acc, mixed), factor)
     }
 
     /// Classification error rate (fraction wrong) on a batch, using the
@@ -391,6 +395,12 @@ impl Supernet {
         let logits = self.forward_logits_chosen(&mut tape, &w, &a, x0, &all);
         error_from_logits(tape.value(logits), &batch.y)
     }
+}
+
+/// The single-path mixture's normalizing factor `1 / max(p, 1e-6)` for
+/// a chosen path of probability `p` (see [`Supernet::mix_layer`]).
+fn single_path_factor(p: f32) -> f32 {
+    1.0 / p.max(1e-6)
 }
 
 /// Fraction of rows whose arg-max logit disagrees with the label.
@@ -601,9 +611,9 @@ impl ShardStep for TrainStep<'_> {
         vec![self.net.input.in_features()]
     }
 
-    /// Everything baked into the plan is a pure function of the
-    /// parameter shapes (which encode in/feature/class dims and the
-    /// chosen block widths) and the shard row count.
+    /// The graph's shape is a pure function of the parameter shapes
+    /// (which encode in/feature/class dims and the chosen block widths)
+    /// and the shard row count.
     fn key(&self, rows: usize) -> u64 {
         let shapes: Vec<&[usize]> = self.net.w.iter().map(|(_, t)| t.shape()).collect();
         bank_key("final-net-shard", &(shapes, rows))
@@ -939,7 +949,9 @@ mod tests {
         // the stem → layer segments → tail chain replays the exact bits
         // of fresh-recording that step — loss, every w gradient, every
         // α gradient — at every worker count, on leases (and dirty
-        // sessions) held across steps.
+        // sessions) held across steps. The single-path net rebinds each
+        // layer's normalizing factor into a program recorded with
+        // another α.
         let (net, ds, _) = tiny_setup();
         let mut rng = Rng::new(11);
         let three = Supernet::new(
@@ -966,8 +978,32 @@ mod tests {
             let peaked = Tensor::row(&[0.0, 8.0, 0.0, 0.0, 8.0, 0.0]);
             twins.alpha_store_mut().set(id, peaked);
         }
+        // One path per layer, with logits spread wide enough that every
+        // layer's factor differs from the recording's.
+        let mut one_rng = Rng::new(12);
+        let mut one = Supernet::new(
+            5,
+            net.input.in_features(),
+            net.num_classes(),
+            SupernetConfig {
+                num_paths: 1,
+                ..SupernetConfig::default()
+            },
+            &mut one_rng,
+        );
+        for l in 0..one.num_layers() {
+            let id = one.alpha_store().id(l);
+            let spread = Tensor::randn(&[1, OP_SET.len()], 1.0, &mut one_rng);
+            one.alpha_store_mut().set(id, spread);
+        }
         let mut twin_steps = 0;
-        for (name, net) in [("paths2", &net), ("paths3", &three), ("twins", &twins)] {
+        let nets = [
+            ("paths2", &net),
+            ("paths3", &three),
+            ("twins", &twins),
+            ("paths1", &one),
+        ];
+        for (name, net) in nets {
             let batches: Vec<Batch> = (0..4).map(|_| ds.train_batch(24, &mut rng)).collect();
             for jobs in [1, 2, 4] {
                 let bank = SessionBank::new();

@@ -8,13 +8,15 @@
 //!
 //! * a **stem** (`input` linear + relu → `features`),
 //! * one **layer segment** per layer, keyed by (side, rows, path set,
-//!   block shapes) — 15 programs per side at
+//!   block shapes) — 6 programs per side at `num_paths = 1`, 15 at
 //!   `num_paths = 2`, one for the full mixture, whatever the other
 //!   layers drew,
 //! * a **tail** (classifier + cross-entropy).
 //!
 //! Forward runs stem → segments `0..L` → tail; each segment binds
-//! `features` and the previous `acc` and keeps its own. Backward runs
+//! `features`, the previous `acc`, the layer's α and, for a single
+//! path, its normalizing factor (the one value `Supernet::mix_layer`
+//! reads from α at record time), and keeps its own `acc`. Backward runs
 //! tail → segments `L−1..0` → stem, seeded through existing ops: a
 //! segment's scalar output is `dot(acc_l, G)` with `G` a leaf bound to
 //! the tail's ∂loss/∂acc (the residual adds pass it through unchanged,
@@ -41,11 +43,11 @@
 //! `supernet::tests::sampled_step_replay_matches_fresh_record` and
 //! `tests/determinism.rs` pin the chain against fresh recording.
 
-use super::{Supernet, OP_SET};
+use super::{single_path_factor, Supernet, OP_SET};
 use crate::data::Batch;
 use hdx_tensor::{
-    bank_key, ParamId, Program, Rng, Session, SessionBank, SessionLease, Tape, Tensor, Var,
-    WorkerPool,
+    bank_key, kernels, ParamId, Program, Rng, Session, SessionBank, SessionLease, Tape, Tensor,
+    Var, WorkerPool,
 };
 use std::any::Any;
 use std::sync::Arc;
@@ -76,6 +78,8 @@ struct SegmentVars {
     alpha: Var,
     /// Each chosen block's parameter leaves, in choice order.
     blocks: Vec<[Var; 4]>,
+    /// A single path's normalizing-factor leaf, rebound every step.
+    factor: Option<Var>,
     /// The leaf bound to `G = ∂loss/∂acc`.
     grad_acc: Var,
     /// The leaf bound to the features gradient folded so far (w side).
@@ -137,16 +141,10 @@ impl Supernet {
         }
     }
 
-    /// Records one layer segment over path set `chosen`, with layer 0's
-    /// blocks standing in for every layer's (all layers share block
-    /// shapes; the replay rebinds layer `l`'s weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chosen` has fewer than two paths: a single-path
-    /// mixture bakes the path's current probability into the graph as
-    /// a constant (see [`Supernet::mix_layer`]), so its program is not
-    /// reusable across steps.
+    /// Records one layer segment over path set `chosen` (one path or
+    /// more), with layer 0's blocks standing in for every layer's (all
+    /// layers share block shapes; the replay rebinds layer `l`'s
+    /// weights, α and single-path factor).
     fn record_segment(
         &self,
         tape: &mut Tape,
@@ -154,10 +152,6 @@ impl Supernet {
         chosen: &[usize],
         side: Side,
     ) -> SegmentVars {
-        assert!(
-            chosen.len() >= 2,
-            "record_segment: single-path mixtures bake per-step constants and cannot replay"
-        );
         let ids: Vec<ParamId> = chosen
             .iter()
             .flat_map(|&op| self.blocks[0][op].param_ids())
@@ -167,7 +161,7 @@ impl Supernet {
         let features = tape.leaf(Tensor::zeros(&[rows, dim]));
         let acc_in = tape.leaf(Tensor::zeros(&[rows, dim]));
         let alpha = tape.leaf(Tensor::zeros(&[1, OP_SET.len()]));
-        let acc = self.mix_layer(tape, &w, 0, alpha, features, acc_in, chosen);
+        let (acc, factor) = self.mix_layer(tape, &w, 0, alpha, features, acc_in, chosen);
         let grad_acc = tape.leaf(Tensor::zeros(&[rows, dim]));
         let seed = tape.dot(acc, grad_acc);
         let (fold, out) = match side {
@@ -186,6 +180,7 @@ impl Supernet {
                 .chunks_exact(4)
                 .map(|c| [c[0], c[1], c[2], c[3]].map(|id| w.var(id)))
                 .collect(),
+            factor,
             grad_acc,
             fold,
             acc,
@@ -207,9 +202,9 @@ impl Supernet {
         }
     }
 
-    /// The bank key of a layer segment: everything its plan bakes in.
-    /// Weights, logits, features, accumulators and seeds are rebound
-    /// every step.
+    /// The bank key of a layer segment: the graph's shape. Weights,
+    /// logits, the single-path factor, features, accumulators and seeds
+    /// are rebound every step.
     fn segment_key(&self, side: Side, rows: usize, chosen: &[usize]) -> u64 {
         let widths: Vec<usize> = chosen
             .iter()
@@ -237,8 +232,8 @@ fn put_grads(
     }
 }
 
-/// Bank-cached replay of the supernet task branch (`num_paths ≥ 2`,
-/// the full mixture included), chained from a stem, one layer segment
+/// Bank-cached replay of the supernet task branch at every `num_paths`
+/// (the full mixture included), chained from a stem, one layer segment
 /// per layer, and a tail (see the module docs). Each step samples its
 /// path sets outside the graph ([`Supernet::sample_step_paths`]
 /// consumes the RNG exactly as fresh recording would).
@@ -246,9 +241,9 @@ fn put_grads(
 /// The replay holds one lease per (side, layer) while that layer's set
 /// repeats, plus one stem and one tail lease shared by both sides, and
 /// borrows the search's worker pool for every session it drives. The
-/// segment programs a search can reach are few (15 per side at
-/// `num_paths = 2`) and shared by every later search, so the bank stays
-/// bounded by construction.
+/// segment programs a search can reach are few (C(6, k) per side at
+/// `num_paths = k`: 6 at one path, 15 at two) and shared by every later
+/// search, so the bank stays bounded by construction.
 #[derive(Debug)]
 pub struct SampledReplay<'b> {
     bank: &'b SessionBank,
@@ -288,10 +283,6 @@ impl<'b> SampledReplay<'b> {
     /// per-parameter backbone gradients aligned with the `w` store
     /// (`None` for blocks outside the sampled paths, mirroring
     /// `Binding::gradients`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the supernet samples fewer than two paths per layer.
     pub fn w_step(
         &mut self,
         supernet: &Supernet,
@@ -370,10 +361,6 @@ impl<'b> SampledReplay<'b> {
     /// and returns the task-loss value and ∂task/∂α flattened in layer
     /// order. Each segment's α gradient reads only `G`, so the layer
     /// order of the segment backwards does not matter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the supernet samples fewer than two paths per layer.
     pub fn alpha_step(
         &mut self,
         supernet: &Supernet,
@@ -456,9 +443,16 @@ impl<'b> SampledReplay<'b> {
             });
             let sv: Arc<SegmentVars> = lease.meta();
             let sess = lease.session();
+            let alpha = supernet.alpha.get(supernet.alpha.id(l));
             sess.bind(sv.features, &self.features);
             sess.bind(sv.acc_in, &self.acc);
-            sess.bind_tensor(sv.alpha, supernet.alpha.get(supernet.alpha.id(l)));
+            sess.bind_tensor(sv.alpha, alpha);
+            if let Some(factor) = sv.factor {
+                // The store-side softmax entry is bit-identical to the
+                // tape's (`softmax_row_at` shares its fold).
+                let p = kernels::softmax_row_at(alpha.data(), set[0]);
+                sess.bind(factor, &[single_path_factor(p)]);
+            }
             for (&op, vars) in set.iter().zip(&sv.blocks) {
                 for (&id, &v) in supernet.blocks[l][op].param_ids().iter().zip(vars) {
                     sess.bind(v, supernet.w.get(id).data());
@@ -505,12 +499,14 @@ mod tests {
 
     #[test]
     fn segment_bank_stays_bounded_and_worker_invariant() {
-        // The churn pin: an 18-layer num_paths = 2 search touches at
-        // most 15 segment programs per side plus the stem and the tail,
-        // so a cap-256 bank never evicts and stops missing once every
-        // set has been drawn — no step compiles a program for the
-        // whole-net path set. The chain's results do not depend on the
-        // worker count (`0` = auto, honoring `HDX_JOBS`).
+        // The churn pin: an 18-layer search touches at most C(6, k)
+        // segment programs per side plus the stem and the tail — 15 at
+        // num_paths = 2, 6 at num_paths = 1, whose programs take each
+        // step's normalizing factor as a leaf — so a cap-256 bank never
+        // evicts and stops missing once every set has been drawn: no
+        // step compiles a program for the whole-net path set or for a
+        // step's values. The chain's results do not depend on the worker
+        // count (`0` = auto, honoring `HDX_JOBS`).
         let spec = TaskSpec {
             train: 256,
             val: 64,
@@ -518,9 +514,12 @@ mod tests {
             ..TaskSpec::cifar_like(4)
         };
         let ds = Dataset::generate(&spec);
-        let run = |jobs: usize| {
+        let run = |num_paths: usize, sets: usize, jobs: usize| {
             let mut rng = Rng::new(21);
-            let cfg = SupernetConfig::default();
+            let cfg = SupernetConfig {
+                num_paths,
+                ..SupernetConfig::default()
+            };
             let mut net = Supernet::new(18, spec.feature_dim, spec.num_classes, cfg, &mut rng);
             let bank = SessionBank::with_capacity(Some(256));
             let pool = WorkerPool::new(hdx_tensor::num_jobs(jobs));
@@ -546,12 +545,24 @@ mod tests {
                 }
             }
             let stats = bank.stats();
-            assert!(stats.programs <= 2 * 15 + 2, "{stats:?}");
-            assert_eq!(stats.evictions, 0, "{stats:?}");
-            assert_eq!(stats.misses, warm_misses, "misses grew after warm-up");
+            assert!(
+                stats.programs <= 2 * sets + 2,
+                "{num_paths} paths: {stats:?}"
+            );
+            assert_eq!(stats.evictions, 0, "{num_paths} paths: {stats:?}");
+            assert_eq!(
+                stats.misses, warm_misses,
+                "{num_paths} paths: misses grew after warm-up"
+            );
             trace
         };
-        let sequential = run(1);
-        assert_eq!(run(0), sequential, "worker count changed the chain's bits");
+        for (num_paths, sets) in [(2, 15), (1, 6)] {
+            let sequential = run(num_paths, sets, 1);
+            assert_eq!(
+                run(num_paths, sets, 0),
+                sequential,
+                "{num_paths} paths: worker count changed the chain's bits"
+            );
+        }
     }
 }

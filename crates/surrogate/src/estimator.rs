@@ -244,7 +244,10 @@ impl Estimator {
     }
 
     /// Builds physical-unit metric predictions `(latency_ms, energy_mj,
-    /// area_mm2)` as scalar vars for a single `[1, dim]` input.
+    /// area_mm2)` as scalar vars for a single `[1, dim]` input. The
+    /// normalization statistics enter as `[1, 1]` leaves, not baked
+    /// constants, so a compiled graph serves every same-shaped
+    /// estimator once its leaves are bound.
     pub fn predict_metrics(
         &self,
         tape: &mut Tape,
@@ -255,8 +258,10 @@ impl Estimator {
         let mut out = Vec::with_capacity(3);
         for m in 0..3 {
             let z = tape.slice_cols(norm, m, m + 1);
-            let logv = tape.scale(z, self.stats.std[m]);
-            let shifted = tape.add_scalar(logv, self.stats.mean[m]);
+            let std = tape.leaf(Tensor::scalar(self.stats.std[m]));
+            let logv = tape.mul_scalar_var(z, std);
+            let mean = tape.leaf(Tensor::scalar(self.stats.mean[m]));
+            let shifted = tape.add(logv, mean);
             out.push(tape.exp(shifted));
         }
         (out[0], out[1], out[2])

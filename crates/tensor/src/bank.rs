@@ -5,24 +5,25 @@
 //! ([`crate::shard`]) behind `Estimator::train` and `FinalNet::train`,
 //! the engine's hardware head, and the engine's task-branch replay of
 //! the supernet w-step and α-step (sampled and full mixture alike) —
-//! each replay a graph whose *topology* is a pure function of a handful
+//! each replay a graph whose *shape* is a pure function of a handful
 //! of configuration values — MLP dimensions, shard row count, batch
-//! size, baked scalar constants, sampled path sets. A meta-search runs those loops many
+//! size, method, sampled path sets. A meta-search runs those loops many
 //! times (several estimators and final networks per Table-1 row), and
 //! before this module each call re-lowered the same tape and
 //! re-allocated the same arenas. The bank keys a compiled program by a
-//! caller-computed fingerprint ([`bank_key`]) of **everything baked
-//! into the plan** (shapes plus any constants that are not rebindable
-//! leaves) and hands out cached sessions, so the second and every later
-//! call skips straight to bind-and-replay.
+//! caller-computed fingerprint ([`bank_key`]) of **the graph's shape**
+//! and hands out cached sessions, so the second and every later call
+//! skips straight to bind-and-replay.
 //!
 //! # Correctness contract
 //!
-//! * The key must cover every value that is *baked* into the program:
-//!   node shapes/topology, scalar constants (`scale`, `add_scalar`,
-//!   hinge thresholds), and leaf values that are **not** rebound before
-//!   every replay. Values rebound each step (parameters, minibatches,
-//!   cross-entropy targets) may differ between calls sharing a key.
+//! * A program is keyed by the graph's shape; every value is a bound
+//!   leaf. The key covers node shapes and topology (and the literals of
+//!   the recording code, which a call-site tag fixes). Every value that
+//!   comes from a request, an artifact or a step — parameters,
+//!   minibatches, cross-entropy targets, per-request constants — is a
+//!   leaf (or target) the caller binds on every checkout, so values
+//!   may differ between calls sharing a key and no key hashes one.
 //! * A checked-out session may be dirty (arbitrary arena contents from
 //!   a previous lease). Replay overwrites every observable value: the
 //!   caller rebinds its leaves, `forward` recomputes every non-leaf,
@@ -106,9 +107,8 @@ static OBS_COMPILES: Counter = Counter::new("bank.compile");
 static OBS_PROGRAMS: Gauge = Gauge::new("bank.programs");
 
 /// Fingerprints a program identity for [`SessionBank::checkout`]: a
-/// distinguishing tag (one per call site) plus everything baked into
-/// the compiled plan, hashed with a deterministic hasher. Hash floating
-/// point constants via `to_bits()`.
+/// distinguishing tag (one per call site) plus the graph's shape,
+/// hashed with a deterministic hasher.
 pub fn bank_key<H: Hash + ?Sized>(tag: &str, parts: &H) -> u64 {
     let mut h = DefaultHasher::new();
     tag.hash(&mut h);

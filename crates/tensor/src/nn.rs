@@ -116,14 +116,11 @@ impl ParamStore {
     }
 
     /// Binds every parameter as a leaf on `tape`, returning the [`Binding`].
-    ///
-    /// Leaf storage is drawn from the tape's recycled buffer pool, so a
-    /// [cleared](Tape::clear) tape re-binds without reallocating.
     pub fn bind(&self, tape: &mut Tape) -> Binding {
         let vars = self
             .tensors
             .iter()
-            .map(|t| Some(tape.leaf_from_slice(t.data(), t.shape())))
+            .map(|t| Some(tape.leaf(t.clone())))
             .collect();
         Binding { vars }
     }
@@ -135,8 +132,7 @@ impl ParamStore {
     pub fn bind_only(&self, tape: &mut Tape, ids: &[ParamId]) -> Binding {
         let mut vars = vec![None; self.tensors.len()];
         for &id in ids {
-            let t = &self.tensors[id.0];
-            vars[id.0] = Some(tape.leaf_from_slice(t.data(), t.shape()));
+            vars[id.0] = Some(tape.leaf(self.tensors[id.0].clone()));
         }
         Binding { vars }
     }

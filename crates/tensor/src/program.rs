@@ -36,13 +36,16 @@
 //! gate tests the post-activation output, which is positive exactly
 //! when the pre-activation is).
 //!
-//! # When fresh-record is still used
+//! # What a program bakes
 //!
-//! Compilation requires a static topology, static shapes, and no
-//! per-step values baked in as constants. Graphs that break this — the
-//! single-path supernet mixture, one-off evaluations — keep recording
-//! onto a `Tape`; it is also the reference implementation
-//! ([`ExecMode::FreshRecord`]) the equivalence tests replay against.
+//! A plan bakes only the graph's shapes, its topology and the literals
+//! in the recording code. Every value that comes from a caller — a
+//! parameter, a minibatch, a per-request constant — is a leaf the
+//! caller binds ([`Session::bind`], [`Session::bind_leaves`]), so one
+//! program serves every caller whose graph has its shape. One-off
+//! evaluations record onto a `Tape`; the tape is also the reference
+//! implementation ([`ExecMode::FreshRecord`]) the equivalence tests
+//! replay against.
 //!
 //! # Example
 //!
@@ -81,7 +84,7 @@ pub enum ExecMode {
     #[default]
     Compiled,
     /// Re-record the graph on a fresh tape every step — the reference
-    /// path, and the only option for dynamic topologies.
+    /// path the equivalence tests replay against.
     FreshRecord,
 }
 
@@ -881,6 +884,34 @@ impl Session {
         self.bind(var, tensor.data());
     }
 
+    /// Binds every leaf to its value in `tape`, a recording of this
+    /// program's graph. A program bakes only shapes and code literals,
+    /// so one compiled from another caller's recording of the same
+    /// shape replays this caller's graph once its leaves are bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tape`'s node count or leaf positions differ from the
+    /// program's (the recording has another topology).
+    pub fn bind_leaves(&mut self, tape: &Tape) {
+        let nodes = tape.nodes();
+        assert_eq!(
+            nodes.len(),
+            self.prog.steps.len(),
+            "bind_leaves: the recording's node count differs from the program's"
+        );
+        for (idx, node) in nodes.iter().enumerate() {
+            let leaf = matches!(node.op, Op::Leaf);
+            assert_eq!(
+                leaf, self.prog.leaves[idx],
+                "bind_leaves: node {idx} is a leaf in one graph only"
+            );
+            if leaf {
+                self.leaf_slot(idx).copy_from_slice(node.value.data());
+            }
+        }
+    }
+
     /// Mutable view of a leaf's value slot, for writing inputs in place.
     ///
     /// # Panics
@@ -892,6 +923,10 @@ impl Session {
             self.prog.leaves[idx],
             "bind: var {idx} is not a leaf of the compiled graph"
         );
+        self.leaf_slot(idx)
+    }
+
+    fn leaf_slot(&mut self, idx: usize) -> &mut [f32] {
         let buf = self.prog.val[idx].expect("leaves always have slots");
         &mut self.vals[buf.range()]
     }
@@ -2589,6 +2624,38 @@ mod tests {
         let prog = Program::compile(&tape, &[out], &[]);
         let mut sess = Session::new(Arc::new(prog));
         sess.bind(y, &[1.0]);
+    }
+
+    /// `x · c` summed, with the factor `c` a `[1, 1]` leaf.
+    fn record_scaled_sum(tape: &mut Tape, x: &[f32], c: f32) -> Var {
+        let x = tape.leaf(Tensor::row(x));
+        let c = tape.leaf(Tensor::scalar(c));
+        let y = tape.mul_scalar_var(x, c);
+        tape.sum(y)
+    }
+
+    #[test]
+    fn bind_leaves_replays_another_recording_of_the_shape() {
+        let mut a = Tape::new();
+        let out = record_scaled_sum(&mut a, &[1.0, 2.0], 3.0);
+        let mut sess = Session::new(Arc::new(Program::compile(&a, &[out], &[])));
+        let mut b = Tape::new();
+        let out_b = record_scaled_sum(&mut b, &[4.0, 5.0], 0.1);
+        sess.bind_leaves(&b);
+        sess.forward();
+        assert_eq!(sess.scalar(out).to_bits(), b.value(out_b).item().to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "node count")]
+    fn bind_leaves_rejects_another_topology() {
+        let mut a = Tape::new();
+        let out = record_scaled_sum(&mut a, &[1.0, 2.0], 3.0);
+        let mut sess = Session::new(Arc::new(Program::compile(&a, &[out], &[])));
+        let mut b = Tape::new();
+        let s = record_scaled_sum(&mut b, &[1.0, 2.0], 3.0);
+        let _ = b.exp(s);
+        sess.bind_leaves(&b);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub trait ShardStep: Sync {
     fn input_widths(&self) -> Vec<usize>;
 
     /// The [`SessionBank`] fingerprint of the `rows`-row shard program:
-    /// a call-site tag plus everything baked into the graph (see
+    /// a call-site tag plus the graph's shape (see
     /// [`crate::bank_key`]). Parameters, inputs and labels are rebound
     /// before every replay.
     fn key(&self, rows: usize) -> u64;

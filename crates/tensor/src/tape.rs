@@ -9,11 +9,13 @@
 //! The operation set is exactly what the HDX graphs record: the
 //! supernet mixture (`softmax_rows`, `slice_cols`, `div`,
 //! `mul_scalar_var`, `add`), the residual MLPs (`matmul`, `add_bias`,
-//! `relu`, `scale`), the estimator's cost head (`exp`, `add_scalar`,
-//! `mse`), the hardware generator (`sigmoid`, `concat_cols`, `dot`),
-//! the task losses (`cross_entropy_logits`, `sum`), and the hinge
-//! `max(x - c, 0)` of the paper's constraint loss (Eq. 5) via
-//! [`Tape::hinge_above`].
+//! `relu`), the estimator's cost head (`exp`, `mse`; its statistics
+//! enter as `[1, 1]` leaves through `mul_scalar_var` and `add`), the
+//! hardware generator (`sigmoid`, `concat_cols`, `dot`), the task
+//! losses (`cross_entropy_logits`, `sum`), and the hinge
+//! `max(x − c, 0)` of the paper's constraint loss (Eq. 5) via
+//! `clamp_min` ([`Tape::hinge_above`] for a literal threshold). `scale`
+//! and `add_scalar` take literals only.
 
 use crate::tensor::Tensor;
 
@@ -33,11 +35,10 @@ impl Var {
 }
 
 /// The recorded op set: only ops some search, estimator, retrain,
-/// server or bench graph records. Two are kept for other reasons:
-/// `ClampMin` has no direct caller but is what [`Tape::hinge_above`]
-/// (the paper's constraint loss) records, and `LutRowInterp` is the
-/// literal Auto-NBA table-gradient reference (piecewise-linear cost
-/// gradients straight from `LayerLut` rows; `tests/cross_crate.rs`).
+/// server or bench graph records. `LutRowInterp` is kept for another
+/// reason: it is the literal Auto-NBA table-gradient reference
+/// (piecewise-linear cost gradients straight from `LayerLut` rows;
+/// `tests/cross_crate.rs`).
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
     Leaf,
@@ -119,34 +120,12 @@ impl Gradients {
 #[derive(Debug, Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    /// Value buffers harvested by [`Tape::clear`], reused by
-    /// [`Tape::leaf_from_slice`] so a cleared-and-rerecorded tape stops
-    /// reallocating its leaf storage every step.
-    pool: Vec<Vec<f32>>,
 }
-
-/// Cap on the number of value buffers a tape retains across `clear()`.
-/// Enough for every leaf of the workspace's largest graphs while
-/// bounding worst-case retained memory.
-const POOL_MAX: usize = 256;
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            pool: Vec::new(),
-        }
-    }
-
-    /// Creates an empty tape with node storage pre-reserved for
-    /// `nodes` operations, so hot loops that re-record a known graph
-    /// shape never grow the op vector.
-    pub fn with_capacity(nodes: usize) -> Self {
-        Self {
-            nodes: Vec::with_capacity(nodes),
-            pool: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Number of recorded nodes.
@@ -159,35 +138,9 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Node storage currently reserved (survives [`Tape::clear`]).
-    pub fn capacity(&self) -> usize {
-        self.nodes.capacity()
-    }
-
-    /// Removes all nodes, keeping allocated capacity for reuse: the op
-    /// vector retains its storage, and the node value buffers are
-    /// harvested into an internal pool that [`Tape::leaf_from_slice`]
-    /// (and through it [`crate::nn::ParamStore::bind`]) draws from on
-    /// the next recording.
+    /// Removes all nodes, so the tape can record the next graph.
     pub fn clear(&mut self) {
-        for node in self.nodes.drain(..) {
-            if self.pool.len() < POOL_MAX {
-                self.pool.push(node.value.into_vec());
-            }
-        }
-    }
-
-    /// Inserts a leaf by copying `data`, reusing a pooled buffer from a
-    /// previous [`Tape::clear`] when one is available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not match `shape`.
-    pub fn leaf_from_slice(&mut self, data: &[f32], shape: &[usize]) -> Var {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(data);
-        self.push(Op::Leaf, Tensor::from_vec(buf, shape))
+        self.nodes.clear();
     }
 
     pub(crate) fn nodes(&self) -> &[Node] {
@@ -265,7 +218,7 @@ impl Tape {
 
     /// Elementwise `max(x, c)`.
     ///
-    /// `tape.clamp_min(tape.add_scalar(t, -target), 0.0)` implements the
+    /// `clamp_min(add(t, −T), 0.0)`, with `−T` a leaf, implements the
     /// paper's constraint loss `max(t − T, 0)` (Eq. 5).
     pub fn clamp_min(&mut self, a: Var, c: f32) -> Var {
         let v = self.value(a).map(|x| x.max(c));
@@ -920,23 +873,6 @@ mod tests {
         assert_eq!(tape.len(), 1);
         tape.clear();
         assert!(tape.is_empty());
-    }
-
-    #[test]
-    fn clear_retains_node_capacity_and_recycles_buffers() {
-        let mut tape = Tape::with_capacity(8);
-        assert!(tape.capacity() >= 8);
-        for _ in 0..4 {
-            let _ = tape.leaf_from_slice(&[1.0, 2.0, 3.0], &[1, 3]);
-        }
-        let cap = tape.capacity();
-        tape.clear();
-        assert!(tape.is_empty());
-        assert_eq!(tape.capacity(), cap, "clear must keep op storage");
-        // Re-recording the same shape draws from the pool and produces
-        // identical values.
-        let v = tape.leaf_from_slice(&[4.0, 5.0, 6.0], &[1, 3]);
-        assert_eq!(tape.value(v).data(), &[4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of rows when viewed as 2-D.
     ///
     /// # Panics

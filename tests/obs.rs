@@ -16,6 +16,10 @@
 //! * The `router.verb.*` counters, the `stats` rows and the workload
 //!   score put a job line under the same verb, the one its options
 //!   imply, in either framing.
+//! * Steady-state searches compile nothing: after one warm-up search,
+//!   searches that differ only in seed, λ_cost and the FPS target add
+//!   no `bank.compile` and no `bank.miss` (the hardware head is keyed
+//!   by its shape; every value is a bound leaf).
 //!
 //! One `#[test]` function on purpose: `hdx_obs::init_file` is
 //! process-global and sticky, so the untraced reference must run first
@@ -310,6 +314,52 @@ fn trace_sink_never_reaches_response_bytes() {
     std::fs::remove_file(&trace_path).ok();
 
     verb_counters_agree();
+    steady_state_searches_compile_nothing();
+}
+
+/// The counted pin: one warm-up search on a fresh router, then four
+/// that differ in `seed`, `lambda_cost` and `fps`. The full mixture's
+/// stem, segments and tail and the hardware head are keyed by shape
+/// alone, so the four compile nothing and miss nothing. `final_train=0`
+/// keeps the retrain (keyed by the architecture found) out of the
+/// count.
+fn steady_state_searches_compile_nothing() {
+    let budget = "epochs=2 steps=2 batch=16 num_paths=6 final_train=0";
+    let router = router(1);
+    let warmup = format!("hdx1 search id=50 task=cifar seed=0 lambda_cost=0.003 fps=30 {budget}\n");
+    serve_bytes(&router, &warmup);
+    let mut input = String::new();
+    for (id, seed, lambda_cost, fps) in [
+        (51, 1, 0.001, 20),
+        (52, 2, 0.01, 45),
+        (53, 3, 0.02, 60),
+        (54, 4, 0.005, 25),
+    ] {
+        input.push_str(&format!(
+            "hdx1 search id={id} task=cifar seed={seed} lambda_cost={lambda_cost} fps={fps} {budget}\n"
+        ));
+    }
+    let before = snapshot_map();
+    let out = String::from_utf8(serve_bytes(&router, &input)).expect("utf-8");
+    let after = snapshot_map();
+    let delta =
+        |name: &str| after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0);
+    let reports = out
+        .lines()
+        .filter(|l| {
+            matches!(
+                v1::decode_response(l).map(|env| env.body),
+                Ok(v1::ResponseBody::Report(_))
+            )
+        })
+        .count();
+    assert_eq!(reports, 4, "four search reports expected:\n{out}");
+    assert_eq!(delta("bank.compile"), 0, "steady-state searches compiled");
+    assert_eq!(
+        delta("bank.miss"),
+        0,
+        "steady-state searches missed the bank"
+    );
 }
 
 /// Three lines whose verb their options decide — a v0 `search`
